@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
-import yaml
-
 from .engine import DesignSpec, PipelineBudget, run_pipeline
 from .errors import RtlflowError, ZeroTotal
 from .metrics import (
@@ -23,6 +21,7 @@ from .metrics import (
     parse_report,
     render_pct,
 )
+from .yamlload import safe_load
 
 log = logging.getLogger(__name__)
 
@@ -55,10 +54,16 @@ class BenchSummary:
 
 
 def load_manifest(path: str | Path) -> list[BenchCase]:
-    """Manifest is a single YAML file; relative paths resolve against it."""
+    """Manifest is a single YAML file; relative paths resolve against it.
+
+    Raises ValueError when the manifest lists no cases or two cases share a
+    design name (their results and workspaces would collide)."""
     path = Path(path)
     base = path.parent
-    doc = yaml.safe_load(path.read_text())
+    doc = safe_load(path.read_text())
+    entries = doc.get("cases") if isinstance(doc, dict) else None
+    if not entries or not isinstance(entries, list):
+        raise ValueError(f"{path}: manifest lists no cases")
 
     def resolve(p: Optional[str]) -> Optional[str]:
         if p is None:
@@ -67,8 +72,12 @@ def load_manifest(path: str | Path) -> list[BenchCase]:
         return str(q if q.is_absolute() else (base / q).resolve())
 
     cases = []
-    for entry in doc["cases"]:
+    names: set[str] = set()
+    for entry in entries:
         spec = DesignSpec.from_json(resolve(entry["spec"]))
+        if spec.name in names:
+            raise ValueError(f"{path}: duplicate design name {spec.name!r}")
+        names.add(spec.name)
         if "testbench" in entry:
             spec.testbench_path = resolve(entry["testbench"])
         cases.append(

@@ -13,6 +13,7 @@ from .engine import PipelineBudget
 from .errors import ConfigParseError, InvalidBudget
 from .gateway import BackendConfig
 from .toolchain import ToolchainConfig
+from .yamlload import safe_load
 
 log = logging.getLogger(__name__)
 
@@ -59,7 +60,7 @@ def load_config(path: Optional[str | Path] = None, overrides: Optional[dict] = N
     doc: dict = {}
     if path is not None:
         try:
-            doc = yaml.safe_load(Path(path).read_text()) or {}
+            doc = safe_load(Path(path).read_text()) or {}
         except (OSError, yaml.YAMLError) as exc:
             raise ConfigParseError(f"{path}: {exc}") from exc
         if not isinstance(doc, dict):

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
-import requests
-
 from .errors import (
     BackendUnavailable,
     RoleMismatch,
@@ -69,9 +67,22 @@ class BackendConfig:
             raise ValueError("timeout must be positive")
 
 
+def _transient(exc: Exception) -> bool:
+    """Worth retrying: failures without an HTTP response (transport errors,
+    timeouts, malformed reply bodies) and HTTP 408, 429 and 5xx. Any other
+    4xx would fail the same way again."""
+    resp = getattr(exc, "response", None)
+    if resp is None:
+        return True
+    return resp.status_code in (408, 429) or resp.status_code >= 500
+
+
 class HttpBackend:
     """Generic chat-completion client: messages array in, one assistant
-    message out. Retries transient failures with exponential backoff."""
+    message out. Retries transient failures with exponential backoff.
+
+    `requests` is imported on the first send, so runs that never use this
+    backend do not pay for loading it."""
 
     def __init__(self, config: BackendConfig, sleeper: Callable[[float], None] = time.sleep):
         self.config = config
@@ -79,6 +90,8 @@ class HttpBackend:
         self.attempts_made = 0  # attempts across the lifetime, for audit
 
     def complete(self, role_name: str, messages: list[ChatMessage]) -> str:
+        import requests
+
         cfg = self.config
         payload = {
             "model": cfg.model_name,
@@ -103,11 +116,11 @@ class HttpBackend:
             except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
                 last_exc = exc
                 log.warning("%s backend attempt %d failed: %r", role_name, attempt + 1, exc)
+                if not _transient(exc):
+                    break
                 if attempt < cfg.max_retries:
                     self._sleep(0.5 * (2 ** attempt))
-        raise BackendUnavailable(
-            f"backend failed after {1 + cfg.max_retries} attempts: {last_exc!r}"
-        )
+        raise BackendUnavailable(f"backend failed after {attempt + 1} attempt(s): {last_exc!r}")
 
 
 class ScriptedBackend:

@@ -36,6 +36,7 @@ from .inspect_rtl import DesignFingerprint, fingerprint
 from .metrics import SynthesisReport, emit_canonical
 from .prompts import render_prompt
 from .toolchain import VerificationOutcome
+from .yamlload import safe_load
 
 log = logging.getLogger(__name__)
 
@@ -123,7 +124,7 @@ def _parse_card(text: str, origin: str) -> TechniqueCard:
     if not m:
         raise MalformedCard(f"{origin}: missing front-matter")
     try:
-        meta = yaml.safe_load(m.group(1))
+        meta = safe_load(m.group(1))
     except yaml.YAMLError as exc:
         raise MalformedCard(f"{origin}: bad front-matter: {exc}") from exc
     if not isinstance(meta, dict):

@@ -164,3 +164,21 @@ def test_load_manifest_resolves_relative_paths(tmp_path):
     assert cases[0].golden_testbench == str(tmp_path / "tb.v")
     assert cases[0].baseline_report == str(tmp_path / "base.rpt")
     assert cases[0].optimized_reports == {}
+
+
+@pytest.mark.parametrize("body", ["", "cases:\n", "cases: []\n", "suite: x\n"])
+def test_load_manifest_rejects_no_cases(tmp_path, body):
+    manifest = tmp_path / "suite.yaml"
+    manifest.write_text(body)
+    with pytest.raises(ValueError, match="no cases"):
+        load_manifest(manifest)
+
+
+def test_load_manifest_rejects_duplicate_designs(tmp_path):
+    # two spec files, one design name: per_case and workspaces would collide
+    for name in ("a.json", "b.json"):
+        shutil.copy(FIXTURES / "signal_generator_spec.json", tmp_path / name)
+    manifest = tmp_path / "suite.yaml"
+    manifest.write_text("cases:\n  - spec: a.json\n  - spec: b.json\n")
+    with pytest.raises(ValueError, match="duplicate design name 'signal_generator'"):
+        load_manifest(manifest)

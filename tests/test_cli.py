@@ -180,3 +180,20 @@ def test_bench_strict_exit_code(tmp_path, runner):
         "--scripted", str(scripted_root), "--strict",
     ])
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize("body, needle", [
+    ("cases: []\n", "no cases"),
+    ("cases:\n  - spec: a.json\n  - spec: b.json\n", "duplicate design name 'signal_generator'"),
+])
+def test_bench_bad_manifest_is_usage_error(tmp_path, runner, body, needle):
+    for name in ("a.json", "b.json"):
+        shutil.copy(FIXTURES / "signal_generator_spec.json", tmp_path / name)
+    manifest = tmp_path / "suite.yaml"
+    manifest.write_text(body)
+    result = runner.invoke(main, [
+        "bench", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
+    ])
+    assert result.exit_code == 2
+    assert needle in result.output
+    assert not (tmp_path / "out").exists()

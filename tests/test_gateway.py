@@ -1,4 +1,5 @@
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -97,6 +98,7 @@ def test_scripted_transcripts_are_byte_identical(tmp_path):
 
 class _FlakyHandler(BaseHTTPRequestHandler):
     failures_left = 2
+    failure_status = 500
     hits = 0
 
     def do_POST(self):
@@ -104,7 +106,7 @@ class _FlakyHandler(BaseHTTPRequestHandler):
         self.rfile.read(int(self.headers.get("Content-Length", 0)))
         if type(self).failures_left > 0:
             type(self).failures_left -= 1
-            self.send_response(500)
+            self.send_response(type(self).failure_status)
             self.end_headers()
             return
         body = json.dumps(
@@ -123,12 +125,16 @@ class _FlakyHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def flaky_server():
     _FlakyHandler.failures_left = 2
+    _FlakyHandler.failure_status = 500
     _FlakyHandler.hits = 0
     server = HTTPServer(("127.0.0.1", 0), _FlakyHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
 
 
 def test_http_retry_recovers_after_two_failures(flaky_server):
@@ -148,6 +154,40 @@ def test_http_retry_bound(flaky_server):
     with pytest.raises(BackendUnavailable):
         backend.complete("Planner", [user("hello")])
     assert backend.attempts_made == 1 + cfg.max_retries
+
+
+@pytest.mark.parametrize("status", [408, 429])
+def test_http_retries_transient_status(flaky_server, status):
+    _FlakyHandler.failure_status = status
+    cfg = BackendConfig(endpoint_url=flaky_server, max_retries=3, timeout=5.0)
+    backend = HttpBackend(cfg, sleeper=lambda s: None)
+    assert backend.complete("Planner", [user("hello")]) == "stub reply"
+    assert backend.attempts_made == 3
+
+
+@pytest.mark.parametrize("status", [400, 401, 404])
+def test_http_client_error_is_not_retried(flaky_server, status):
+    _FlakyHandler.failure_status = status
+    sleeps = []
+    cfg = BackendConfig(endpoint_url=flaky_server, max_retries=3, timeout=5.0)
+    backend = HttpBackend(cfg, sleeper=sleeps.append)
+    with pytest.raises(BackendUnavailable, match="after 1 attempt"):
+        backend.complete("Planner", [user("hello")])
+    assert backend.attempts_made == 1
+    assert _FlakyHandler.hits == 1
+    assert sleeps == []
+
+
+def test_http_connection_refused_is_retried():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    # nothing listens on the port once the socket is closed
+    cfg = BackendConfig(endpoint_url=f"http://127.0.0.1:{port}/", max_retries=2, timeout=5.0)
+    backend = HttpBackend(cfg, sleeper=lambda s: None)
+    with pytest.raises(BackendUnavailable, match="after 3 attempt"):
+        backend.complete("Planner", [user("hello")])
+    assert backend.attempts_made == 3
 
 
 def test_backend_config_validation():
