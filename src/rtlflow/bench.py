@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
+import yaml
+
 from .engine import DesignSpec, PipelineBudget, run_pipeline
 from .errors import RtlflowError, ZeroTotal
 from .metrics import (
@@ -56,11 +58,15 @@ class BenchSummary:
 def load_manifest(path: str | Path) -> list[BenchCase]:
     """Manifest is a single YAML file; relative paths resolve against it.
 
-    Raises ValueError when the manifest lists no cases or two cases share a
-    design name (their results and workspaces would collide)."""
+    Raises ValueError when the manifest is not valid YAML, lists no cases,
+    or has two cases sharing a design name (their results and workspaces
+    would collide)."""
     path = Path(path)
     base = path.parent
-    doc = safe_load(path.read_text())
+    try:
+        doc = safe_load(path.read_text())
+    except yaml.YAMLError as exc:
+        raise ValueError(f"{path}: invalid YAML: {exc}") from exc
     entries = doc.get("cases") if isinstance(doc, dict) else None
     if not entries or not isinstance(entries, list):
         raise ValueError(f"{path}: manifest lists no cases")
@@ -139,21 +145,15 @@ def run_suite(
     out_root: str | Path,
     workers: int = 1,
 ) -> BenchSummary:
+    """Run every case on a pool of `workers` (>= 1) threads; a case's
+    failure, or a bad synthesis report, is recorded against that case."""
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    lambda c: _run_case(c, gateway_factory, toolchain_factory, budget, out_root),
-                    cases,
-                )
-            )
-    else:
-        results = [
-            _run_case(c, gateway_factory, toolchain_factory, budget, out_root) for c in cases
-        ]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(
+            lambda c: _run_case(c, gateway_factory, toolchain_factory, budget, out_root), cases
+        ))
 
     per_case = {design: status for design, status, _ in results}
     reasons = {design: reason for design, status, reason in results if reason}
@@ -162,15 +162,19 @@ def run_suite(
     points: list[TradeoffPoint] = []
     for case in cases:
         design = case.spec.name
-        if per_case.get(design) != "Pass":
+        if per_case[design] != "Pass" or not case.baseline_report or not case.optimized_reports:
             continue
-        if not case.baseline_report or not case.optimized_reports:
-            continue
-        base = parse_report(Path(case.baseline_report).read_text()).metrics
         # one improvement row per case against the first provided optimized report
         goal = sorted(case.optimized_reports)[0]
-        opt = parse_report(Path(case.optimized_reports[goal]).read_text()).metrics
-        rows.append(build_comparison(design, base, opt))
+        try:
+            base = parse_report(Path(case.baseline_report).read_text()).metrics
+            opt = parse_report(Path(case.optimized_reports[goal]).read_text()).metrics
+            row = build_comparison(design, base, opt)
+        except (OSError, RtlflowError) as exc:
+            # a bad report costs this case its row, not the suite its tables
+            reasons[design] = f"report: {type(exc).__name__}: {exc}"
+            continue
+        rows.append(row)
         points.append(_point(design, "baseline", base))
         points.append(_point(design, "optimized", opt))
 

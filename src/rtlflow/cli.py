@@ -13,12 +13,7 @@ import click
 from . import bench as bench_mod
 from .config import RunConfig, load_config
 from .engine import DesignSpec, RtlArtifact, run_pipeline
-from .errors import (
-    ConfigParseError,
-    FunctionalRegressionUnrecoverable,
-    InvalidBudget,
-    RtlflowError,
-)
+from .errors import ConfigParseError, InvalidBudget, RtlflowError
 from .gateway import Gateway, HttpBackend, ScriptedBackend
 from .inspect_rtl import fingerprint
 from .metrics import build_comparison, parse_report, render_pct, HEADLINE_METRICS
@@ -150,7 +145,7 @@ def optimize_cmd(baseline_dir, goal, base_report, opt_report, config_path, scrip
             baseline_rtl, report, OptimizationGoal(goal), gateway, toolchain,
             cfg.budget, spec.testbench_path, out, catalog,
         )
-    except (FunctionalRegressionUnrecoverable, RtlflowError) as exc:
+    except RtlflowError as exc:
         _write_status(out, {"design": spec.name, "goal": goal,
                             "final_status": "Fail", "error": str(exc)})
         click.echo(f"error: {exc}", err=True)
@@ -212,7 +207,7 @@ def report_compare(base_path, opt_path, design):
 @main.command("bench")
 @click.option("--manifest", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--workers", type=int, default=1)
+@click.option("--workers", type=click.IntRange(min=1), default=1)
 @click.option("--scripted", type=click.Path(exists=True), default=None)
 @click.option("--strict", is_flag=True, help="Exit nonzero if any case fails.")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)

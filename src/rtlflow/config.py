@@ -10,7 +10,7 @@ from typing import Optional
 import yaml
 
 from .engine import PipelineBudget
-from .errors import ConfigParseError, InvalidBudget
+from .errors import ConfigParseError
 from .gateway import BackendConfig
 from .toolchain import ToolchainConfig
 from .yamlload import safe_load
@@ -23,9 +23,7 @@ class RunConfig:
     backend: BackendConfig = field(default_factory=BackendConfig)
     toolchain: ToolchainConfig = field(default_factory=ToolchainConfig)
     budget: PipelineBudget = field(default_factory=PipelineBudget)
-    prompt_dir: Optional[str] = None   # None = bundled templates
     catalog_dir: Optional[str] = None  # None = bundled cards
-    workspace_root: str = "runs"
 
     def to_log_dict(self) -> dict:
         """Resolved config for the run log; the API key value is never
@@ -48,9 +46,7 @@ class RunConfig:
                 "max_fix_iterations": self.budget.max_fix_iterations,
                 "max_review_rounds": self.budget.max_review_rounds,
             },
-            "prompt_dir": self.prompt_dir,
             "catalog_dir": self.catalog_dir,
-            "workspace_root": self.workspace_root,
         }
 
 
@@ -97,8 +93,6 @@ def load_config(path: Optional[str | Path] = None, overrides: Optional[dict] = N
             max_fix_iterations=int(pick("budget", "max_fix_iterations", 5)),
             max_review_rounds=int(pick("budget", "max_review_rounds", 2)),
         )
-    except InvalidBudget:
-        raise
     except (TypeError, ValueError) as exc:
         raise ConfigParseError(str(exc)) from exc
 
@@ -106,13 +100,9 @@ def load_config(path: Optional[str | Path] = None, overrides: Optional[dict] = N
         backend=backend,
         toolchain=toolchain,
         budget=budget,
-        prompt_dir=pick("paths", "prompt_dir", None),
         catalog_dir=pick("paths", "catalog_dir", None),
-        workspace_root=pick("paths", "workspace_root", "runs"),
     )
-    for name in ("prompt_dir", "catalog_dir"):
-        value = getattr(cfg, name)
-        if value is not None and not Path(value).is_dir():
-            raise ConfigParseError(f"{name} does not exist: {value}")
+    if cfg.catalog_dir is not None and not Path(cfg.catalog_dir).is_dir():
+        raise ConfigParseError(f"catalog_dir does not exist: {cfg.catalog_dir}")
     log.info("resolved config: %s", cfg.to_log_dict())
     return cfg

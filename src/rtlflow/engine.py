@@ -11,8 +11,9 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field, asdict
+from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import (
     InvalidBudget,
@@ -164,7 +165,7 @@ class PipelineBudget:
 @dataclass
 class Revision:
     rtl: RtlArtifact
-    verdict: ReviewVerdict
+    verdict: Optional[ReviewVerdict]  # None when the loop runs without review
     outcome: VerificationOutcome
     diagnosis: Optional[FixDiagnosis] = None
 
@@ -174,7 +175,7 @@ class PipelineTranscript:
     spec: DesignSpec
     plan: ImplementationPlan
     revisions: list[Revision]
-    final_status: str  # Pass | SyntaxFail | FunctionalFail | BudgetExhausted
+    final_status: str  # Pass | ToolError | BudgetExhausted
     iterations_used: int
 
 
@@ -229,6 +230,18 @@ def extract_tags(verilog: str, kind: str) -> dict[int, tuple[int, int]]:
     return tags
 
 
+def artifact_from_reply(text: str, revision: int) -> RtlArtifact:
+    """The one path from an LLM reply to an artifact: its Verilog plus the
+    STEP and FIX tags found in it."""
+    code = extract_verilog(text)
+    return RtlArtifact(
+        verilog_text=code,
+        step_tags=extract_tags(code, "STEP"),
+        fix_tags=extract_tags(code, "FIX"),
+        revision=revision,
+    )
+
+
 _REVIEW_RE = re.compile(
     r"^\s*(?:[-*]\s*)?STEP\s+(\d+)\s*:\s*(IMPLEMENTED|MISSING)\b[\s:\-]*(.*)$",
     re.IGNORECASE,
@@ -261,9 +274,7 @@ def write_rtl(plan: ImplementationPlan, spec: DesignSpec, session: RoleSession) 
         ports=spec.port_table(),
         plan=plan.as_text(),
     )
-    reply = session.send(user(prompt))
-    code = extract_verilog(reply.content)
-    artifact = RtlArtifact(verilog_text=code, step_tags=extract_tags(code, "STEP"), revision=0)
+    artifact = artifact_from_reply(session.send(user(prompt)).content, 0)
     missing = set(plan.indices) - set(artifact.step_tags)
     if missing:
         note = f"MissingStepTags: {sorted(missing)}"
@@ -324,14 +335,7 @@ def diagnose_failures(
 def apply_fixes(rtl: RtlArtifact, diagnosis: FixDiagnosis, session: RoleSession) -> RtlArtifact:
     assert session.role_name == "Programmer"
     prompt = render_prompt("fixer", code=rtl.verilog_text, fixes=diagnosis.as_text())
-    reply = session.send(user(prompt))
-    code = extract_verilog(reply.content)
-    fixed = RtlArtifact(
-        verilog_text=code,
-        step_tags=extract_tags(code, "STEP"),
-        fix_tags=extract_tags(code, "FIX"),
-        revision=rtl.revision + 1,
-    )
+    fixed = artifact_from_reply(session.send(user(prompt)).content, rtl.revision + 1)
     if len(fixed.fix_tags) < len(diagnosis.fixes):
         fixed.notes.append(
             f"MissingFixTags: got {sorted(fixed.fix_tags)}, expected {len(diagnosis.fixes)}"
@@ -347,14 +351,14 @@ def _dump(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, ensure_ascii=False, indent=2, default=str))
 
 
-def _review_loop(plan, rtl, spec, gateway, budget, workspace, rev_index):
+def _review_loop(plan, gateway, budget, workspace, rtl):
     """Review; on incompleteness, route the missing list back to the
     Programmer up to max_review_rounds times."""
     verdict = None
     for round_no in range(budget.max_review_rounds):
         reviewer = gateway.session("Reviewer")
         verdict = review_rtl(plan, rtl, reviewer)
-        _dump(workspace / f"verdict_{rev_index}.json", asdict(verdict))
+        _dump(workspace / f"verdict_{rtl.revision}.json", asdict(verdict))
         if verdict.complete:
             return rtl, verdict
         if round_no + 1 >= budget.max_review_rounds:
@@ -369,16 +373,52 @@ def _review_loop(plan, rtl, spec, gateway, budget, workspace, rev_index):
             missing=missing_steps,
             plan=plan.as_text(),
         )
-        reply = programmer.send(user(prompt))
-        code = extract_verilog(reply.content)
-        rtl = RtlArtifact(
-            verilog_text=code,
-            step_tags=extract_tags(code, "STEP"),
-            fix_tags=extract_tags(code, "FIX"),
-            revision=rtl.revision,
-        )
+        rtl = artifact_from_reply(programmer.send(user(prompt)).content, rtl.revision)
     log.warning("review never converged after %d rounds; proceeding", budget.max_review_rounds)
     return rtl, verdict
+
+
+def fix_loop(
+    rtl: RtlArtifact,
+    tb_path: str | Path,
+    gateway: Gateway,
+    toolchain,
+    budget: PipelineBudget,
+    workspace: Path,
+    review: Optional[Callable[[RtlArtifact], tuple[RtlArtifact, ReviewVerdict]]] = None,
+) -> tuple[list[Revision], str]:
+    """Review (when given), verify, then diagnose and fix, until the candidate
+    passes, the toolchain errors, or `revision >= max_fix_iterations`.
+
+    Persists `rev_N.v`, `verify_N/`, `outcome_N.json` and `diagnosis_N.json`
+    per revision N. Returns the revisions and the final status: Pass,
+    ToolError or BudgetExhausted."""
+    tb_path = Path(tb_path)
+    tb_text = tb_path.read_text()
+    revisions: list[Revision] = []
+    diagnosis: Optional[FixDiagnosis] = None
+    while True:
+        rev = rtl.revision
+        verdict = None
+        if review is not None:
+            rtl, verdict = review(rtl)
+        rtl_path = workspace / f"rev_{rev}.v"
+        rtl_path.write_text(rtl.verilog_text)
+        outcome = toolchain.verify(rtl_path, tb_path, workspace / f"verify_{rev}")
+        _dump(workspace / f"outcome_{rev}.json", outcome.to_dict())
+        revisions.append(Revision(rtl=rtl, verdict=verdict, outcome=outcome, diagnosis=diagnosis))
+        if outcome.kind in ("Pass", "ToolError"):
+            return revisions, outcome.kind
+        if rev >= budget.max_fix_iterations:
+            return revisions, "BudgetExhausted"
+
+        diagnosis = diagnose_failures(rtl, outcome, tb_text, gateway.session("Evaluator"))
+        _dump(
+            workspace / f"diagnosis_{rev}.json",
+            {"fixes": [asdict(f) for f in diagnosis.fixes],
+             "source_errors": [asdict(e) for e in diagnosis.source_errors]},
+        )
+        rtl = apply_fixes(rtl, diagnosis, gateway.session("Programmer"))
 
 
 def run_pipeline(
@@ -393,7 +433,6 @@ def run_pipeline(
     tb_path = Path(spec.testbench_path)
     if not tb_path.exists():
         raise FileNotFoundError(f"testbench missing: {tb_path}")
-    tb_text = tb_path.read_text()
 
     _dump(workspace / "spec.json", spec.to_dict())
 
@@ -404,53 +443,20 @@ def run_pipeline(
     programmer = gateway.session("Programmer")
     rtl = write_rtl(plan, spec, programmer)
 
-    revisions: list[Revision] = []
-    iterations = 0
-    diagnosis: Optional[FixDiagnosis] = None
-    outcome: Optional[VerificationOutcome] = None
-
-    while True:
-        rev = rtl.revision
-        rtl, verdict = _review_loop(plan, rtl, spec, gateway, budget, workspace, rev)
-        rtl_path = workspace / f"rev_{rev}.v"
-        rtl_path.write_text(rtl.verilog_text)
-
-        outcome = toolchain.verify(rtl_path, tb_path, workspace / f"verify_{rev}")
-        iterations += 1
-        _dump(workspace / f"outcome_{rev}.json", outcome.to_dict())
-        revisions.append(Revision(rtl=rtl, verdict=verdict, outcome=outcome, diagnosis=diagnosis))
-
-        if outcome.kind == "Pass":
-            final = "Pass"
-            break
-        if outcome.kind == "ToolError":
-            final = outcome.kind
-            break
-        if rtl.revision >= budget.max_fix_iterations:
-            final = "BudgetExhausted"
-            break
-
-        evaluator = gateway.session("Evaluator")
-        diagnosis = diagnose_failures(rtl, outcome, tb_text, evaluator)
-        _dump(
-            workspace / f"diagnosis_{rev}.json",
-            {"fixes": [asdict(f) for f in diagnosis.fixes],
-             "source_errors": [asdict(e) for e in diagnosis.source_errors]},
-        )
-        fixer = gateway.session("Programmer")
-        rtl = apply_fixes(rtl, diagnosis, fixer)
-
-    transcript = PipelineTranscript(
-        spec=spec, plan=plan, revisions=revisions,
-        final_status=final, iterations_used=iterations,
+    revisions, final = fix_loop(
+        rtl, tb_path, gateway, toolchain, budget, workspace,
+        review=partial(_review_loop, plan, gateway, budget, workspace),
     )
     _dump(
         workspace / "status.json",
         {
             "design": spec.name,
             "final_status": final,
-            "iterations_used": iterations,
+            "iterations_used": len(revisions),
             "revisions": [r.rtl.revision for r in revisions],
         },
     )
-    return transcript
+    return PipelineTranscript(
+        spec=spec, plan=plan, revisions=revisions,
+        final_status=final, iterations_used=len(revisions),
+    )

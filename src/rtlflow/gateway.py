@@ -157,22 +157,16 @@ class ScriptedBackend:
 
 
 class TranscriptWriter:
-    """Append-only JSONL sink; one line per message, idempotent per message."""
+    """Append-only JSONL sink; one line per message."""
 
     def __init__(self, path: str | Path, run_id: str, clock: Callable[[], float] = time.time):
         self.path = Path(path)
         self.run_id = run_id
         self.clock = clock
         self._seq = 0
-        self._seen: set[tuple[str, str, int, str]] = set()
 
-    def write_message(
-        self, session_id: str, role_name: str, index: int, message: ChatMessage
-    ) -> None:
+    def write_message(self, role_name: str, message: ChatMessage) -> None:
         direction = "reply" if message.role_tag == "assistant" else "prompt"
-        key = (session_id, role_name, index, direction)
-        if key in self._seen:
-            return
         line = json.dumps(
             {
                 "run_id": self.run_id,
@@ -189,12 +183,7 @@ class TranscriptWriter:
                 fh.write(line + "\n")
         except OSError as exc:
             raise SinkWriteError(str(exc)) from exc
-        self._seen.add(key)
         self._seq += 1
-
-    @property
-    def lines_written(self) -> int:
-        return self._seq
 
 
 @dataclass
@@ -205,15 +194,10 @@ class RoleSession:
     backend: object
     transcript: Optional[TranscriptWriter] = None
     history: list[ChatMessage] = field(default_factory=list)
-    session_id: str = field(default_factory=lambda: uuid.uuid4().hex)
 
     def __post_init__(self):
         if self.role_name not in ROLE_NAMES:
             raise ValueError(f"unknown role: {self.role_name!r}")
-
-    @property
-    def backend_id(self) -> str:
-        return type(self.backend).__name__
 
     def send(self, prompt: ChatMessage) -> ChatMessage:
         if prompt.role_tag != "user":
@@ -223,9 +207,7 @@ class RoleSession:
         for msg in (prompt, reply):
             self.history.append(msg)
             if self.transcript is not None:
-                self.transcript.write_message(
-                    self.session_id, self.role_name, len(self.history) - 1, msg
-                )
+                self.transcript.write_message(self.role_name, msg)
         return reply
 
     def seed_system(self, content: str) -> None:
@@ -235,13 +217,7 @@ class RoleSession:
         msg = system(content)
         self.history.append(msg)
         if self.transcript is not None:
-            self.transcript.write_message(self.session_id, self.role_name, 0, msg)
-
-
-def record_transcript(session: RoleSession, sink: TranscriptWriter) -> None:
-    """Re-emit a session's full history into the sink (idempotent per message)."""
-    for index, msg in enumerate(session.history):
-        sink.write_message(session.session_id, session.role_name, index, msg)
+            self.transcript.write_message(self.role_name, msg)
 
 
 class Gateway:

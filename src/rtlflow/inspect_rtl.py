@@ -128,7 +128,7 @@ def _reg_bits(body: str) -> int:
     return total
 
 
-def _instances(body: str, own_modules: set[str]) -> dict[str, list[str]]:
+def _instances(body: str) -> dict[str, list[str]]:
     """Map submodule name -> list of flattened connection strings per
     instance, in source order."""
     groups: dict[str, list[str]] = {}
@@ -136,8 +136,6 @@ def _instances(body: str, own_modules: set[str]) -> dict[str, list[str]]:
         mod, inst = m.group(1), m.group(3)
         if mod in VERILOG_KEYWORDS or inst in VERILOG_KEYWORDS:
             continue
-        if mod in own_modules:
-            pass  # self/sibling instantiation still counts as an instance
         # capture the connection list up to the closing ');'
         tail = body[m.end():]
         depth = 1
@@ -219,8 +217,6 @@ def fingerprint(verilog_text: str) -> DesignFingerprint:
         if re.search(rf"\b{construct}\b", body):
             warnings.append(f"unsupported construct skipped: {construct}")
 
-    own_modules = set(re.findall(r"\bmodule\s+([A-Za-z_]\w*)", body))
-
     blocks = _always_blocks(body)
     clocked = [(s, b) for s, b in blocks if re.search(r"\b(pos|neg)edge\b", s)]
     comb = [(s, b) for s, b in blocks if not re.search(r"\b(pos|neg)edge\b", s)]
@@ -251,7 +247,7 @@ def fingerprint(verilog_text: str) -> DesignFingerprint:
             fsm_reg = subject
             break
 
-    groups = _instances(body, own_modules)
+    groups = _instances(body)
     instance_groups = {k: len(v) for k, v in groups.items()}
 
     carry_chain = any(_chained(v) for v in groups.values())

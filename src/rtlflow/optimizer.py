@@ -16,14 +16,9 @@ from typing import Optional
 
 import yaml
 
-from .engine import (
-    PipelineBudget,
-    RtlArtifact,
-    apply_fixes,
-    diagnose_failures,
-    extract_tags,
-    extract_verilog,
-)
+from .engine import PipelineBudget, RtlArtifact, artifact_from_reply, fix_loop
+# not called here: kept because perfbench/trace.py wraps them as optimizer attributes
+from .engine import apply_fixes, diagnose_failures, extract_tags, extract_verilog  # noqa: F401
 from .errors import (
     DuplicateId,
     FunctionalRegressionUnrecoverable,
@@ -370,36 +365,24 @@ def optimize(
     char_budget: int = DEFAULT_PROMPT_BUDGET,
 ) -> OptimizedVariant:
     """Generate one goal-optimized variant and re-verify it against the
-    same golden testbench through the fix loop; functionality must not
-    regress."""
+    same golden testbench through the fix loop, persisting its revisions in
+    `workspace`; functionality must not regress."""
     catalog = catalog or load_catalog()
     workspace = Path(workspace)
     workspace.mkdir(parents=True, exist_ok=True)
-    tb_path = Path(testbench_path)
-    tb_text = tb_path.read_text()
+    if not Path(testbench_path).exists():
+        raise FileNotFoundError(f"testbench missing: {testbench_path}")
 
     fp = fingerprint(baseline.verilog_text)
     rec = select_techniques(fp, report, goal, catalog)
     messages = build_icl_prompt(rec, baseline, report, catalog, char_budget)
 
     session = gateway.session("Optimizer", system_prompt=messages[0].content)
-    reply = session.send(messages[1])
-    code = extract_verilog(reply.content)
-    rtl = RtlArtifact(verilog_text=code, step_tags=extract_tags(code, "STEP"), revision=0)
-
-    outcome: Optional[VerificationOutcome] = None
-    for attempt in range(budget.max_fix_iterations + 1):
-        rtl_path = workspace / f"{goal.kind}_rev_{rtl.revision}.v"
-        rtl_path.write_text(rtl.verilog_text)
-        outcome = toolchain.verify(rtl_path, tb_path, workspace / f"verify_{goal.kind}_{rtl.revision}")
-        if outcome.kind == "Pass":
-            return OptimizedVariant(goal=goal, rtl=rtl, verification=outcome, applied=rec)
-        if outcome.kind == "ToolError" or attempt >= budget.max_fix_iterations:
-            break
-        evaluator = gateway.session("Evaluator")
-        diagnosis = diagnose_failures(rtl, outcome, tb_text, evaluator)
-        fixer = gateway.session("Programmer")
-        rtl = apply_fixes(rtl, diagnosis, fixer)
-    raise FunctionalRegressionUnrecoverable(
-        f"{goal.kind} variant never passed within {budget.max_fix_iterations} fix iterations"
-    )
+    rtl = artifact_from_reply(session.send(messages[1]).content, 0)
+    revisions, final = fix_loop(rtl, testbench_path, gateway, toolchain, budget, workspace)
+    if final != "Pass":
+        raise FunctionalRegressionUnrecoverable(
+            f"{goal.kind} variant never passed: {final} after {len(revisions)} verification(s)"
+        )
+    last = revisions[-1]
+    return OptimizedVariant(goal=goal, rtl=last.rtl, verification=last.outcome, applied=rec)

@@ -1,15 +1,13 @@
 """Prompt templates for each role, stored as editable text files.
 
 Templates use ``string.Template`` placeholders (``$plan``, ``$code``,
-``$errors``, ...). A custom directory can shadow the bundled templates.
+``$errors``, ...).
 """
 
 from __future__ import annotations
 
 from importlib import resources
-from pathlib import Path
 from string import Template
-from typing import Optional
 
 TEMPLATE_NAMES = (
     "planner",
@@ -22,16 +20,11 @@ TEMPLATE_NAMES = (
 )
 
 
-def load_template(name: str, prompt_dir: Optional[str | Path] = None) -> str:
+def load_template(name: str) -> str:
     if name not in TEMPLATE_NAMES:
         raise KeyError(f"unknown prompt template: {name}")
-    if prompt_dir is not None:
-        custom = Path(prompt_dir) / f"{name}.txt"
-        if custom.exists():
-            return custom.read_text()
     return resources.files(__package__).joinpath(f"{name}.txt").read_text()
 
 
-def render_prompt(template_name: str, prompt_dir: Optional[str | Path] = None,
-                  **fields: str) -> str:
-    return Template(load_template(template_name, prompt_dir)).safe_substitute(**fields)
+def render_prompt(template_name: str, **fields: str) -> str:
+    return Template(load_template(template_name)).safe_substitute(**fields)

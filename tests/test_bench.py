@@ -116,6 +116,25 @@ def test_run_suite_parallel_matches_serial(tmp_path):
     assert parallel.passed == serial.passed
 
 
+def test_run_suite_bad_report_costs_one_case(tmp_path):
+    # a baseline report without leakage_power: the case keeps its Pass but
+    # gets no row or points, and the suite still returns and emits tables
+    bad = tmp_path / "bad.rpt"
+    bad.write_text("".join(
+        line for line in (REPORTS / "adder_16bit_base.rpt").read_text().splitlines(True)
+        if not line.startswith("leakage_power")
+    ))
+    passing, failing, _ = three_cases()
+    cases = [dataclasses.replace(passing, baseline_report=str(bad)), failing]
+    gw, tc = factories()
+    summary = run_suite(cases, gw, tc, PipelineBudget(), tmp_path / "runs")
+    assert summary.per_case == {"sig_pass": "Pass", "sig_fail": "Fail"}
+    assert summary.improvement_rows == [] and summary.tradeoff_points == []
+    assert "MissingMetric" in summary.failure_reasons["sig_pass"]
+    emit_tables(summary, tmp_path / "tables")
+    assert "1/2 (50.0%)" in (tmp_path / "tables" / "success_table.md").read_text()
+
+
 # --- tables ---
 
 def test_emit_tables(tmp_path):

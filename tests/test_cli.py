@@ -182,9 +182,22 @@ def test_bench_strict_exit_code(tmp_path, runner):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_bench_workers_below_one_is_usage_error(tmp_path, runner, workers):
+    manifest, scripted_root = make_suite(tmp_path)
+    result = runner.invoke(main, [
+        "bench", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
+        "--scripted", str(scripted_root), "--workers", workers,
+    ])
+    assert result.exit_code == 2
+    assert "--workers" in result.output
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("body, needle", [
     ("cases: []\n", "no cases"),
     ("cases:\n  - spec: a.json\n  - spec: b.json\n", "duplicate design name 'signal_generator'"),
+    ("cases: [\n", "invalid YAML"),
 ])
 def test_bench_bad_manifest_is_usage_error(tmp_path, runner, body, needle):
     for name in ("a.json", "b.json"):

@@ -14,7 +14,6 @@ from rtlflow.gateway import (
     RoleSession,
     ScriptedBackend,
     TranscriptWriter,
-    record_transcript,
     user,
 )
 
@@ -65,11 +64,10 @@ def test_history_only_appends():
 
 
 def test_transcript_lines_and_idempotence(tmp_path):
+    # each message of a send is written exactly once, prompt before reply
     sink = TranscriptWriter(tmp_path / "t.jsonl", run_id="r1", clock=lambda: 0.0)
     session = RoleSession("Planner", ScriptedBackend([("Planner", "a")]), transcript=sink)
     session.send(user("q"))
-    record_transcript(session, sink)  # re-emission must not duplicate
-    record_transcript(session, sink)
     lines = (tmp_path / "t.jsonl").read_text().splitlines()
     assert len(lines) == 2
     first = json.loads(lines[0])
@@ -79,9 +77,12 @@ def test_transcript_lines_and_idempotence(tmp_path):
 
 
 def test_empty_session_writes_nothing(tmp_path):
+    # a send whose backend fails leaves the session, and so the sink, empty
     sink = TranscriptWriter(tmp_path / "t.jsonl", run_id="r1")
-    session = RoleSession("Planner", ScriptedBackend([]))
-    record_transcript(session, sink)
+    session = RoleSession("Planner", ScriptedBackend([]), transcript=sink)
+    with pytest.raises(ScriptExhausted):
+        session.send(user("q"))
+    assert not session.history
     assert not (tmp_path / "t.jsonl").exists()
 
 

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from conftest import REPORTS, VERILOG
@@ -201,7 +203,7 @@ def test_optimize_pass_first_try(tmp_path, catalog):
     )
     assert variant.successful
     assert variant.applied.techniques == ["carry_lookahead_restructuring", "pipelining"]
-    assert (tmp_path / "timing_rev_0.v").exists()
+    assert (tmp_path / "rev_0.v").exists()
 
 
 def test_optimize_recovers_through_fix_loop(tmp_path, catalog):
@@ -222,6 +224,10 @@ def test_optimize_recovers_through_fix_loop(tmp_path, catalog):
     assert variant.successful
     assert variant.rtl.revision == 1
     assert 1 in variant.rtl.fix_tags
+    # the same persistence as a generate run: every revision can be replayed
+    for name in ("rev_0.v", "outcome_0.json", "diagnosis_0.json", "rev_1.v", "outcome_1.json"):
+        assert (tmp_path / name).exists(), name
+    assert json.loads((tmp_path / "outcome_0.json").read_text())["kind"] == "FunctionalFail"
 
 
 def test_optimize_unrecoverable_regression(tmp_path, catalog):
@@ -233,8 +239,22 @@ def test_optimize_unrecoverable_regression(tmp_path, catalog):
     toolchain = ScriptedToolchain(
         [VerificationOutcome("FunctionalFail", failing_checks=["ERROR: x"])] * 3
     )
-    with pytest.raises(FunctionalRegressionUnrecoverable):
+    with pytest.raises(FunctionalRegressionUnrecoverable, match="BudgetExhausted after 3"):
         optimize(
             baseline_artifact(), BASE_REPORT, OptimizationGoal("timing"), gateway,
             toolchain, budget, VERILOG / "adder_16bit_tb.v", tmp_path, catalog,
         )
+
+
+def test_optimize_tool_error_is_unrecoverable(tmp_path, catalog):
+    # a toolchain failure ends the loop at once; it is not charged to the budget
+    gateway = Gateway(ScriptedBackend([("Optimizer", CLA_REPLY)]))
+    toolchain = ScriptedToolchain([VerificationOutcome("ToolError")])
+    with pytest.raises(FunctionalRegressionUnrecoverable, match="ToolError after 1") as info:
+        optimize(
+            baseline_artifact(), BASE_REPORT, OptimizationGoal("timing"), gateway,
+            toolchain, PipelineBudget(), VERILOG / "adder_16bit_tb.v", tmp_path, catalog,
+        )
+    assert "BudgetExhausted" not in str(info.value)
+    assert (tmp_path / "outcome_0.json").exists()
+    assert not (tmp_path / "diagnosis_0.json").exists()
