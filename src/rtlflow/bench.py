@@ -14,7 +14,15 @@ from typing import Callable, Optional
 import yaml
 
 from .engine import DesignSpec, PipelineBudget, run_pipeline
-from .errors import RtlflowError, ZeroTotal
+from .errors import (
+    BackendUnavailable,
+    RoleMismatch,
+    RtlflowError,
+    ScriptExhausted,
+    SinkWriteError,
+    ToolchainUnavailable,
+    ZeroTotal,
+)
 from .metrics import (
     HEADLINE_METRICS,
     ImprovementRow,
@@ -26,6 +34,16 @@ from .metrics import (
 from .yamlload import safe_load
 
 log = logging.getLogger(__name__)
+
+# failures of what surrounds the design (backend, script, toolchain, sink);
+# such a case is InfraError and still counts in the success-rate total
+INFRA_ERRORS = (
+    BackendUnavailable,
+    ToolchainUnavailable,
+    ScriptExhausted,
+    RoleMismatch,
+    SinkWriteError,
+)
 
 
 @dataclass
@@ -47,7 +65,7 @@ class TradeoffPoint:
 
 @dataclass
 class BenchSummary:
-    per_case: dict[str, str]  # design -> Pass | Fail | SyntaxFail
+    per_case: dict[str, str]  # design -> Pass | Fail | SyntaxFail | InfraError
     passed: int
     total: int
     improvement_rows: list[ImprovementRow]
@@ -129,9 +147,11 @@ def _run_case(
         if last is not None and last.kind == "SyntaxFail":
             return design, "SyntaxFail", "compile-stage failure"
         return design, "Fail", transcript.final_status
+    except INFRA_ERRORS as exc:
+        return design, "InfraError", f"{type(exc).__name__}: {exc}"
     except RtlflowError as exc:
-        # toolchain/gateway errors count against the case, not the suite
-        return design, "SyntaxFail", f"{type(exc).__name__}: {exc}"
+        # e.g. an unparseable reply: the case fails, the suite goes on
+        return design, "Fail", f"{type(exc).__name__}: {exc}"
     except Exception as exc:  # defensive: one case must never abort the suite
         log.error("case %s crashed:\n%s", design, traceback.format_exc())
         return design, "Fail", f"{type(exc).__name__}: {exc}"
@@ -199,7 +219,7 @@ def _point(design: str, variant: str, m: PpaMetrics) -> TradeoffPoint:
     )
 
 
-_STATUS_MARK = {"Pass": "pass", "Fail": "fail", "SyntaxFail": "-"}
+_STATUS_MARK = {"Pass": "pass", "Fail": "fail", "SyntaxFail": "-", "InfraError": "infra"}
 
 
 def emit_tables(summary: BenchSummary, out_dir: str | Path) -> list[Path]:

@@ -11,7 +11,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field, asdict
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -151,6 +151,12 @@ class FixDiagnosis:
     def as_text(self) -> str:
         return "\n".join(f"{i}. {f.description}" for i, f in enumerate(self.fixes, 1))
 
+    def to_dict(self) -> dict:
+        return {
+            "fixes": [asdict(f) for f in self.fixes],
+            "source_errors": [e.to_dict() for e in self.source_errors],
+        }
+
 
 @dataclass
 class PipelineBudget:
@@ -213,10 +219,15 @@ def extract_verilog(text: str) -> str:
     raise NoCodeBlock("reply contains no Verilog module")
 
 
+@cache
+def _tag_re(kind: str) -> re.Pattern:
+    return re.compile(rf"//\s*{kind}\s+(\d+)\s*:", re.IGNORECASE)
+
+
 def extract_tags(verilog: str, kind: str) -> dict[int, tuple[int, int]]:
     """Map `// STEP k:` / `// FIX k:` comments to 1-based line ranges.
     A tag's range runs to the line before the next tag of the same kind."""
-    tag_re = re.compile(rf"//\s*{kind}\s+(\d+)\s*:", re.IGNORECASE)
+    tag_re = _tag_re(kind)
     lines = verilog.splitlines()
     starts: list[tuple[int, int]] = []  # (line_no, tag_index)
     for lineno, line in enumerate(lines, 1):
@@ -266,6 +277,16 @@ def make_plan(spec: DesignSpec, session: RoleSession) -> ImplementationPlan:
     return ImplementationPlan([PlanStep(i, t) for i, t in enumerate(items, 1)])
 
 
+def _note_missing_steps(plan: ImplementationPlan, artifact: RtlArtifact) -> RtlArtifact:
+    """Note the plan steps the artifact carries no STEP tag for."""
+    missing = set(plan.indices) - set(artifact.step_tags)
+    if missing:
+        note = f"MissingStepTags: {sorted(missing)}"
+        artifact.notes.append(note)
+        log.warning("%s", note)
+    return artifact
+
+
 def write_rtl(plan: ImplementationPlan, spec: DesignSpec, session: RoleSession) -> RtlArtifact:
     assert session.role_name == "Programmer"
     prompt = render_prompt(
@@ -274,13 +295,7 @@ def write_rtl(plan: ImplementationPlan, spec: DesignSpec, session: RoleSession) 
         ports=spec.port_table(),
         plan=plan.as_text(),
     )
-    artifact = artifact_from_reply(session.send(user(prompt)).content, 0)
-    missing = set(plan.indices) - set(artifact.step_tags)
-    if missing:
-        note = f"MissingStepTags: {sorted(missing)}"
-        artifact.notes.append(note)
-        log.warning("%s", note)
-    return artifact
+    return _note_missing_steps(plan, artifact_from_reply(session.send(user(prompt)).content, 0))
 
 
 def review_rtl(plan: ImplementationPlan, rtl: RtlArtifact, session: RoleSession) -> ReviewVerdict:
@@ -373,7 +388,9 @@ def _review_loop(plan, gateway, budget, workspace, rtl):
             missing=missing_steps,
             plan=plan.as_text(),
         )
-        rtl = artifact_from_reply(programmer.send(user(prompt)).content, rtl.revision)
+        rtl = _note_missing_steps(
+            plan, artifact_from_reply(programmer.send(user(prompt)).content, rtl.revision)
+        )
     log.warning("review never converged after %d rounds; proceeding", budget.max_review_rounds)
     return rtl, verdict
 
@@ -391,7 +408,8 @@ def fix_loop(
     passes, the toolchain errors, or `revision >= max_fix_iterations`.
 
     Persists `rev_N.v`, `verify_N/`, `outcome_N.json` and `diagnosis_N.json`
-    per revision N. Returns the revisions and the final status: Pass,
+    per revision N, and `notes_N.json` when revision N's artifact has notes.
+    Returns the revisions and the final status: Pass,
     ToolError or BudgetExhausted."""
     tb_path = Path(tb_path)
     tb_text = tb_path.read_text()
@@ -404,6 +422,8 @@ def fix_loop(
             rtl, verdict = review(rtl)
         rtl_path = workspace / f"rev_{rev}.v"
         rtl_path.write_text(rtl.verilog_text)
+        if rtl.notes:
+            _dump(workspace / f"notes_{rev}.json", rtl.notes)
         outcome = toolchain.verify(rtl_path, tb_path, workspace / f"verify_{rev}")
         _dump(workspace / f"outcome_{rev}.json", outcome.to_dict())
         revisions.append(Revision(rtl=rtl, verdict=verdict, outcome=outcome, diagnosis=diagnosis))
@@ -413,11 +433,7 @@ def fix_loop(
             return revisions, "BudgetExhausted"
 
         diagnosis = diagnose_failures(rtl, outcome, tb_text, gateway.session("Evaluator"))
-        _dump(
-            workspace / f"diagnosis_{rev}.json",
-            {"fixes": [asdict(f) for f in diagnosis.fixes],
-             "source_errors": [asdict(e) for e in diagnosis.source_errors]},
-        )
+        _dump(workspace / f"diagnosis_{rev}.json", diagnosis.to_dict())
         rtl = apply_fixes(rtl, diagnosis, gateway.session("Programmer"))
 
 

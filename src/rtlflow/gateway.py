@@ -11,7 +11,6 @@ import json
 import logging
 import os
 import time
-import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -157,7 +156,7 @@ class ScriptedBackend:
 
 
 class TranscriptWriter:
-    """Append-only JSONL sink; one line per message."""
+    """Append-only JSONL sink; one line per message, one append per call."""
 
     def __init__(self, path: str | Path, run_id: str, clock: Callable[[], float] = time.time):
         self.path = Path(path)
@@ -165,25 +164,28 @@ class TranscriptWriter:
         self.clock = clock
         self._seq = 0
 
-    def write_message(self, role_name: str, message: ChatMessage) -> None:
-        direction = "reply" if message.role_tag == "assistant" else "prompt"
-        line = json.dumps(
-            {
-                "run_id": self.run_id,
-                "role": role_name,
-                "direction": direction,
-                "seq": self._seq,
-                "timestamp": self.clock(),
-                "content": message.content,
-            },
-            ensure_ascii=False,
+    def write(self, role_name: str, *messages: ChatMessage) -> None:
+        """Append the messages in order; `seq` advances only once they are written."""
+        lines = "".join(
+            json.dumps(
+                {
+                    "run_id": self.run_id,
+                    "role": role_name,
+                    "direction": "reply" if message.role_tag == "assistant" else "prompt",
+                    "seq": self._seq + i,
+                    "timestamp": self.clock(),
+                    "content": message.content,
+                },
+                ensure_ascii=False,
+            ) + "\n"
+            for i, message in enumerate(messages)
         )
         try:
             with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+                fh.write(lines)
         except OSError as exc:
             raise SinkWriteError(str(exc)) from exc
-        self._seq += 1
+        self._seq += len(messages)
 
 
 @dataclass
@@ -204,10 +206,9 @@ class RoleSession:
             raise ValueError("send() takes a user message")
         reply_text = self.backend.complete(self.role_name, self.history + [prompt])
         reply = ChatMessage("assistant", reply_text)
-        for msg in (prompt, reply):
-            self.history.append(msg)
-            if self.transcript is not None:
-                self.transcript.write_message(self.role_name, msg)
+        self.history += (prompt, reply)
+        if self.transcript is not None:
+            self.transcript.write(self.role_name, prompt, reply)
         return reply
 
     def seed_system(self, content: str) -> None:
@@ -217,7 +218,7 @@ class RoleSession:
         msg = system(content)
         self.history.append(msg)
         if self.transcript is not None:
-            self.transcript.write_message(self.role_name, msg)
+            self.transcript.write(self.role_name, msg)
 
 
 class Gateway:
@@ -231,20 +232,15 @@ class Gateway:
         clock: Callable[[], float] = time.time,
     ):
         self.backend = backend
-        self.run_id = run_id or uuid.uuid4().hex
+        self.run_id = run_id or os.urandom(16).hex()
         self.transcript = (
             TranscriptWriter(transcript_path, self.run_id, clock)
             if transcript_path is not None
             else None
         )
-        self._sessions: list[RoleSession] = []
 
     def session(self, role_name: str, system_prompt: Optional[str] = None) -> RoleSession:
         sess = RoleSession(role_name, self.backend, transcript=self.transcript)
         if system_prompt:
             sess.seed_system(system_prompt)
-        self._sessions.append(sess)
         return sess
-
-    def total_messages(self) -> int:
-        return sum(len(s.history) for s in self._sessions)

@@ -1,11 +1,12 @@
 """Prompt templates for each role, stored as editable text files.
 
 Templates use ``string.Template`` placeholders (``$plan``, ``$code``,
-``$errors``, ...).
+``$errors``, ...). Each template file is read once per process.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from importlib import resources
 from string import Template
 
@@ -20,6 +21,7 @@ TEMPLATE_NAMES = (
 )
 
 
+@cache
 def load_template(name: str) -> str:
     if name not in TEMPLATE_NAMES:
         raise KeyError(f"unknown prompt template: {name}")

@@ -2,7 +2,8 @@
 
 Compilation and simulation are recorded verbatim as ToolInvocations; log
 classification is a total, reproducible function over those records and
-never re-runs tools.
+never re-runs tools. `subprocess` is imported by the first real tool run,
+so scripted and offline runs never load it.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import json
 import re
 import shutil
-import subprocess
 import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -28,6 +28,8 @@ _DIAG_RE = re.compile(
     r"^(?P<file>[^\s:]+\.s?vh?):(?P<line>\d+):\s*(?:(?P<sev>error|warning)\s*:\s*)?(?P<msg>.+)$",
     re.IGNORECASE,
 )
+_ERROR_WORD_RE = re.compile(r"(?i)\berror\b")
+_WARNING_WORD_RE = re.compile(r"(?i)\bwarning\b")
 
 
 @dataclass
@@ -53,6 +55,16 @@ class DiagnosticRecord:
     message: str
     raw: str
 
+    def to_dict(self) -> dict:
+        # the fields are immutable scalars, so a shallow copy equals asdict()
+        return {
+            "file": self.file,
+            "line": self.line,
+            "severity": self.severity,
+            "message": self.message,
+            "raw": self.raw,
+        }
+
 
 @dataclass
 class VerificationOutcome:
@@ -63,7 +75,7 @@ class VerificationOutcome:
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
-            "diagnostics": [asdict(d) for d in self.diagnostics],
+            "diagnostics": [d.to_dict() for d in self.diagnostics],
             "failing_checks": list(self.failing_checks),
         }
 
@@ -96,11 +108,11 @@ def parse_diagnostics(stderr: str) -> list[DiagnosticRecord]:
                     raw=raw,
                 )
             )
-        elif re.search(r"(?i)\berror\b", line):
+        elif _ERROR_WORD_RE.search(line):
             records.append(
                 DiagnosticRecord(file="", line=None, severity="Error", message=line, raw=raw)
             )
-        elif re.search(r"(?i)\bwarning\b", line):
+        elif _WARNING_WORD_RE.search(line):
             records.append(
                 DiagnosticRecord(file="", line=None, severity="Warning", message=line, raw=raw)
             )
@@ -152,9 +164,9 @@ def classify(
         )
 
     text = sim_inv.stdout
-    failing = [ln for ln in text.splitlines() if re.search(fail_pattern, ln)]
+    fails = re.compile(fail_pattern).search
     # the pass marker itself must not be counted as a failing check
-    failing = [ln for ln in failing if pass_marker not in ln]
+    failing = [ln for ln in text.splitlines() if fails(ln) and pass_marker not in ln]
     if failing or pass_marker not in text:
         diags = parse_diagnostics(sim_inv.stderr)
         return VerificationOutcome("FunctionalFail", diagnostics=diags, failing_checks=failing)
@@ -175,6 +187,8 @@ class ToolchainConfig:
 
 
 def _run(tool: str, argv: list[str], cwd: Path, timeout: Optional[float]) -> ToolInvocation:
+    import subprocess
+
     start = time.monotonic()
     try:
         proc = subprocess.run(

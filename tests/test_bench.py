@@ -90,10 +90,27 @@ def test_run_suite_counts_and_isolation(tmp_path):
     assert summary.passed == 1
     assert summary.per_case["sig_pass"] == "Pass"
     assert summary.per_case["sig_fail"] == "Fail"
-    # one broken case must not abort the suite; its reason is recorded
-    assert summary.per_case["sig_error"] in ("Fail", "SyntaxFail")
-    assert "sig_error" in summary.failure_reasons
+    # one broken case must not abort the suite; an exhausted script is an
+    # infrastructure failure, named in the reasons and counted in the total
+    assert summary.per_case["sig_error"] == "InfraError"
+    assert summary.failure_reasons["sig_error"].startswith("ScriptExhausted:")
     assert success_rate(summary.passed, summary.total) == 33.3
+
+
+def test_run_suite_unparseable_reply_is_fail(tmp_path):
+    case = BenchCase(
+        spec=spec_named("sig_prose"),
+        golden_testbench=str(FIXTURES / "verilog" / "signal_generator_tb.v"),
+    )
+    summary = run_suite(
+        [case],
+        lambda design: Gateway(ScriptedBackend([("Planner", "no numbered steps here")])),
+        lambda design: ScriptedToolchain([]),
+        PipelineBudget(),
+        tmp_path,
+    )
+    assert summary.per_case == {"sig_prose": "Fail"}
+    assert summary.failure_reasons["sig_prose"].startswith("UnparseablePlan:")
 
 
 def test_run_suite_improvement_rows_only_for_passing(tmp_path):
@@ -146,6 +163,7 @@ def test_emit_tables(tmp_path):
     table = (tmp_path / "tables" / "success_table.md").read_text()
     assert "| sig_pass | pass |" in table
     assert "| sig_fail | fail |" in table
+    assert "| sig_error | infra |" in table
     assert "1/3 (33.3%)" in table
 
     csv_lines = (tmp_path / "tables" / "ppa_table.csv").read_text().splitlines()

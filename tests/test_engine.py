@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -28,7 +29,7 @@ from rtlflow.errors import (
     UnparseableReview,
 )
 from rtlflow.gateway import Gateway, ScriptedBackend
-from rtlflow.toolchain import VerificationOutcome
+from rtlflow.toolchain import ScriptedToolchain, VerificationOutcome
 
 
 def make_spec(tmp_path, name="toy"):
@@ -324,7 +325,9 @@ def test_pipeline_audit_count_matches_transcript(tmp_path, signal_generator_spec
     toolchain = scripted_toolchain(SCRIPTED / "signal_generator")
     run_pipeline(signal_generator_spec, PipelineBudget(), gateway, toolchain, tmp_path / "ws")
     log_lines = (tmp_path / "transcript.jsonl").read_text().splitlines()
-    assert len(log_lines) == gateway.total_messages()
+    # one prompt line and one reply line per backend call
+    assert gateway.backend.cursor > 0
+    assert len(log_lines) == 2 * gateway.backend.cursor
 
 
 def test_pipeline_workspace_artifacts(tmp_path, signal_generator_spec):
@@ -335,3 +338,37 @@ def test_pipeline_workspace_artifacts(tmp_path, signal_generator_spec):
     for name in ("spec.json", "plan.txt", "rev_0.v", "rev_1.v", "verdict_0.json",
                  "outcome_0.json", "diagnosis_0.json", "status.json"):
         assert (ws / name).exists(), name
+    # every reply carries its tags, so no revision has notes
+    assert not list(ws.glob("notes_*.json"))
+
+
+def test_pipeline_persists_missing_step_note(tmp_path):
+    truncated = CODE_REPLY.replace("// STEP 4: output\n        ", "")
+    turns = [
+        ("Planner", "1. a\n2. b\n3. c\n4. d"),
+        ("Programmer", truncated),
+        ("Reviewer", REVIEW_OK),
+    ]
+    toolchain = ScriptedToolchain([VerificationOutcome("Pass")])
+    ws = tmp_path / "ws"
+    run_pipeline(make_spec(tmp_path), PipelineBudget(), Gateway(ScriptedBackend(turns)),
+                 toolchain, ws)
+    assert json.loads((ws / "notes_0.json").read_text()) == ["MissingStepTags: [4]"]
+
+
+def test_review_rewrite_keeps_missing_step_note(tmp_path):
+    # the re-programmed artifact replaces the first one; its own missing tag is noted
+    incomplete = REVIEW_OK.replace("STEP 4: IMPLEMENTED - evidence 4", "STEP 4: MISSING - none")
+    turns = [
+        ("Planner", "1. a\n2. b\n3. c\n4. d"),
+        ("Programmer", CODE_REPLY),
+        ("Reviewer", incomplete),
+        ("Programmer", CODE_REPLY.replace("// STEP 2: always block\n    ", "")),
+        ("Reviewer", REVIEW_OK),
+    ]
+    toolchain = ScriptedToolchain([VerificationOutcome("Pass")])
+    ws = tmp_path / "ws"
+    transcript = run_pipeline(make_spec(tmp_path), PipelineBudget(),
+                              Gateway(ScriptedBackend(turns)), toolchain, ws)
+    assert transcript.revisions[0].rtl.notes == ["MissingStepTags: [2]"]
+    assert json.loads((ws / "notes_0.json").read_text()) == ["MissingStepTags: [2]"]

@@ -2,10 +2,11 @@ import json
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
-from rtlflow.errors import BackendUnavailable, RoleMismatch, ScriptExhausted
+from rtlflow.errors import BackendUnavailable, RoleMismatch, ScriptExhausted, SinkWriteError
 from rtlflow.gateway import (
     BackendConfig,
     ChatMessage,
@@ -74,6 +75,42 @@ def test_transcript_lines_and_idempotence(tmp_path):
     assert first["direction"] == "prompt" and first["role"] == "Planner"
     assert json.loads(lines[1])["direction"] == "reply"
     assert [json.loads(l)["seq"] for l in lines] == [0, 1]
+
+
+def test_exchange_is_one_append(tmp_path, monkeypatch):
+    path = tmp_path / "t.jsonl"
+    appends = []
+    real_open = Path.open
+
+    def counting_open(self, *args, **kwargs):
+        if self == path:
+            appends.append(args)
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting_open)
+    sink = TranscriptWriter(path, run_id="r1", clock=lambda: 0.0)
+    session = RoleSession("Planner", ScriptedBackend([("Planner", "a"), ("Planner", "b")]),
+                          transcript=sink)
+    session.send(user("q1"))
+    session.send(user("q2"))
+    assert appends == [("a",), ("a",)]
+    lines = [json.loads(l) for l in path.read_text().splitlines()]
+    assert [(l["seq"], l["direction"], l["content"]) for l in lines] == [
+        (0, "prompt", "q1"), (1, "reply", "a"), (2, "prompt", "q2"), (3, "reply", "b"),
+    ]
+
+
+def test_failing_sink_does_not_advance_seq(tmp_path):
+    path = tmp_path / "missing_dir" / "t.jsonl"
+    sink = TranscriptWriter(path, run_id="r1", clock=lambda: 0.0)
+    session = RoleSession("Planner", ScriptedBackend([("Planner", "a"), ("Planner", "b")]),
+                          transcript=sink)
+    with pytest.raises(SinkWriteError):
+        session.send(user("q1"))
+    path.parent.mkdir()
+    session.send(user("q2"))
+    lines = [json.loads(l) for l in path.read_text().splitlines()]
+    assert [(l["seq"], l["content"]) for l in lines] == [(0, "q2"), (1, "b")]
 
 
 def test_empty_session_writes_nothing(tmp_path):

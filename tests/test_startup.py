@@ -32,19 +32,31 @@ LOADERS = [
 
 # --- import boundary ---
 
-def test_import_does_not_load_requests():
-    """Only HttpBackend needs `requests`; it imports it on first send."""
+def modules_loaded_by(statement: str, names: tuple[str, ...]) -> list[str]:
+    """Which of `names` a fresh interpreter has loaded after `statement`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    code = (
-        "import sys\n"
-        "import rtlflow.bench, rtlflow.optimizer, rtlflow.cli\n"
-        "sys.exit(1 if 'requests' in sys.modules else 0)\n"
-    )
+    code = f"import sys\n{statement}\nprint(*[m for m in {names!r} if m in sys.modules])\n"
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
-    assert proc.returncode == 0, proc.stderr or "requests was imported"
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_import_does_not_load_requests():
+    """Only HttpBackend needs `requests`; it imports it on first send."""
+    assert modules_loaded_by(
+        "import rtlflow.bench, rtlflow.optimizer, rtlflow.cli", ("requests",)
+    ) == []
+
+
+def test_library_import_does_not_load_subprocess_or_uuid():
+    """`subprocess` is loaded by the first real tool run and run ids come
+    from os.urandom, so a library import needs neither."""
+    assert modules_loaded_by(
+        "import rtlflow.bench, rtlflow.optimizer", ("subprocess", "uuid")
+    ) == []
 
 
 # --- loader parity ---

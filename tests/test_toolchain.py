@@ -1,4 +1,8 @@
+import json
+import re
 import shutil
+import sys
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -6,13 +10,18 @@ from hypothesis import strategies as st
 
 from conftest import VERILOG
 
+from rtlflow.engine import Fix, FixDiagnosis
 from rtlflow.errors import ToolchainUnavailable
 from rtlflow.toolchain import (
+    DEFAULT_FAIL_PATTERN,
+    DEFAULT_PASS_MARKER,
+    DiagnosticRecord,
     IcarusToolchain,
     ScriptedToolchain,
     ToolInvocation,
     ToolchainConfig,
     VerificationOutcome,
+    _run,
     classify,
     parse_diagnostics,
 )
@@ -117,6 +126,64 @@ def test_classify_is_total(exit_code, stdout, stderr, sim_present, timed_out):
     round_trip = VerificationOutcome.from_dict(outcome.to_dict())
     assert round_trip.kind == outcome.kind
     assert round_trip.failing_checks == outcome.failing_checks
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    stdout=st.text(alphabet=st.sampled_from("PASfilERORmshtc \r\n\x0b\x1c\u2028"), max_size=200),
+    fail_pattern=st.sampled_from([DEFAULT_FAIL_PATTERN, r"VIOLATION", r"^E", r"(?i)fail$"]),
+)
+def test_classify_failing_checks_match_per_line_search(stdout, fail_pattern):
+    """Failing checks are the splitlines() lines the pattern finds, minus
+    lines holding the pass marker."""
+    outcome = classify(inv(), inv("Simulate", stdout=stdout), fail_pattern=fail_pattern)
+    want = [ln for ln in stdout.splitlines()
+            if re.search(fail_pattern, ln) and DEFAULT_PASS_MARKER not in ln]
+    if outcome.kind == "FunctionalFail":
+        assert outcome.failing_checks == want
+    else:
+        assert outcome.kind == "Pass" and want == []
+
+
+records = st.lists(st.builds(
+    DiagnosticRecord,
+    file=st.text(max_size=20),
+    line=st.none() | st.integers(min_value=0, max_value=10**6),
+    severity=st.sampled_from(["Error", "Warning"]),
+    message=st.text(max_size=40),
+    raw=st.text(max_size=40),
+), max_size=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(diagnostics=records, checks=st.lists(st.text(max_size=20), max_size=5),
+       fixes=st.lists(st.text(min_size=1, max_size=20), min_size=1, max_size=4))
+def test_records_serialise_as_asdict(diagnostics, checks, fixes):
+    """The shallow copies write the same JSON, key order included, as asdict()."""
+    def dumped(obj):
+        return json.dumps(obj, ensure_ascii=False, indent=2, default=str)
+
+    outcome = VerificationOutcome("FunctionalFail", diagnostics, checks)
+    assert dumped(outcome.to_dict()) == dumped(asdict(outcome))
+    diagnosis = FixDiagnosis([Fix(f) for f in fixes], source_errors=diagnostics)
+    assert dumped(diagnosis.to_dict()) == dumped(asdict(diagnosis))
+
+
+# --- subprocess runner ---
+
+def test_run_records_exit_code_and_output(tmp_path):
+    argv = [sys.executable, "-c", "import sys; print('hello'); sys.exit(3)"]
+    result = _run("Simulate", argv, tmp_path, timeout=60.0)
+    assert (result.exit_code, result.stdout, result.timed_out) == (3, "hello\n", False)
+    assert result.argv == argv and result.cwd == str(tmp_path)
+
+
+def test_run_timeout_sets_timed_out(tmp_path):
+    argv = [sys.executable, "-c", "import time; time.sleep(60)"]
+    result = _run("Simulate", argv, tmp_path, timeout=0.5)
+    assert result.timed_out and result.exit_code == -9
+    assert "timeout" in result.stderr
+    assert classify(inv(), result).kind == "ToolError"
 
 
 # --- scripted double ---
