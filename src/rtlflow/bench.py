@@ -49,7 +49,6 @@ INFRA_ERRORS = (
 @dataclass
 class BenchCase:
     spec: DesignSpec
-    golden_testbench: str
     baseline_report: Optional[str] = None
     optimized_reports: dict[str, str] = field(default_factory=dict)
 
@@ -107,7 +106,6 @@ def load_manifest(path: str | Path) -> list[BenchCase]:
         cases.append(
             BenchCase(
                 spec=spec,
-                golden_testbench=spec.testbench_path,
                 baseline_report=resolve(entry.get("baseline_report")),
                 optimized_reports={
                     goal: resolve(p)
@@ -140,6 +138,9 @@ def _run_case(
     try:
         gateway = gateway_factory(design)
         toolchain = toolchain_factory(design)
+    except Exception as exc:  # e.g. a missing script: the set-up failed, not the design
+        return design, "InfraError", f"{type(exc).__name__}: {exc}"
+    try:
         transcript = run_pipeline(case.spec, budget, gateway, toolchain, workspace)
         last = transcript.revisions[-1].outcome if transcript.revisions else None
         if transcript.final_status == "Pass":

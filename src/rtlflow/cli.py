@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -16,18 +17,26 @@ from .engine import DesignSpec, RtlArtifact, run_pipeline
 from .errors import ConfigParseError, InvalidBudget, RtlflowError
 from .gateway import Gateway, HttpBackend, ScriptedBackend
 from .inspect_rtl import fingerprint
-from .metrics import build_comparison, parse_report, render_pct, HEADLINE_METRICS
-from .optimizer import OptimizationGoal, load_catalog, optimize
+from .metrics import SynthesisReport, build_comparison, parse_report, render_pct, HEADLINE_METRICS
+from .optimizer import GOALS, OptimizationGoal, load_catalog, optimize
 from .toolchain import IcarusToolchain, ScriptedToolchain
 
 log = logging.getLogger(__name__)
 
 
-def _load_cfg(config_path: Optional[str], **flag_overrides) -> RunConfig:
+def _load_cfg(config_path: Optional[str]) -> RunConfig:
     try:
-        return load_config(config_path, flag_overrides)
+        return load_config(config_path)
     except (ConfigParseError, InvalidBudget) as exc:
         raise click.UsageError(str(exc))
+
+
+def _read_report(path: Path) -> SynthesisReport:
+    """Parse a report named on the command line; a bad one is a usage error."""
+    try:
+        return parse_report(path.read_text())
+    except (OSError, RtlflowError) as exc:
+        raise click.UsageError(f"bad synthesis report {path}: {exc}")
 
 
 def _scripted_paths(scripted: str, design: Optional[str] = None) -> tuple[Path, Path]:
@@ -73,13 +82,17 @@ def main(verbose: bool):
 @main.command()
 @click.option("--spec", "spec_path", required=True, type=click.Path(exists=True))
 @click.option("--workspace", required=True, type=click.Path())
-@click.option("--budget", type=int, default=None, help="Max fix iterations.")
+@click.option("--budget", type=click.IntRange(min=1), default=None,
+              help="Max fix iterations (overrides the config file).")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--scripted", type=click.Path(exists=True), default=None,
               help="Directory with turns.json/outcomes.json for offline replay.")
 def generate(spec_path, workspace, budget, config_path, scripted):
     """Run the plan/program/review/verify loop for one design spec."""
-    cfg = _load_cfg(config_path, max_fix_iterations=budget)
+    cfg = _load_cfg(config_path)
+    if budget is not None:
+        cfg.budget = replace(cfg.budget, max_fix_iterations=budget)
+        log.info("--budget %d overrides budget.max_fix_iterations", budget)
     try:
         spec = DesignSpec.from_json(spec_path)
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
@@ -103,7 +116,7 @@ def generate(spec_path, workspace, budget, config_path, scripted):
 @main.command("optimize")
 @click.option("--baseline", "baseline_dir", required=True, type=click.Path(exists=True),
               help="Workspace of a passing generate run.")
-@click.option("--goal", required=True, type=click.Choice(["power", "timing", "area"]))
+@click.option("--goal", required=True, type=click.Choice(GOALS))
 @click.option("--base-report", type=click.Path(exists=True), default=None,
               help="Baseline synthesis report (default: <baseline>/synth_report.txt).")
 @click.option("--opt-report", type=click.Path(exists=True), default=None,
@@ -124,9 +137,9 @@ def optimize_cmd(baseline_dir, goal, base_report, opt_report, config_path, scrip
     baseline_rtl = RtlArtifact(
         verilog_text=(base / f"rev_{last_rev}.v").read_text(), revision=last_rev
     )
-    spec = DesignSpec.from_json(status_file.parent / "spec.json") if (base / "spec.json").exists() else None
-    if spec is None:
+    if not (base / "spec.json").exists():
         raise click.UsageError("baseline workspace lacks spec.json")
+    spec = DesignSpec.from_json(base / "spec.json")
 
     report_path = Path(base_report) if base_report else base / "synth_report.txt"
     if not report_path.exists():
@@ -134,12 +147,20 @@ def optimize_cmd(baseline_dir, goal, base_report, opt_report, config_path, scrip
             f"awaiting baseline synthesis report: place it at {report_path} "
             "or pass --base-report"
         )
-    report = parse_report(report_path.read_text())
+    # both reports are checked before the first LLM call
+    report = _read_report(report_path)
+    row = None
+    if opt_report:
+        try:
+            opt_metrics = _read_report(Path(opt_report)).metrics
+            row = build_comparison(spec.name, report.metrics, opt_metrics)
+        except RtlflowError as exc:  # e.g. a zero baseline metric
+            raise click.UsageError(f"cannot compare {report_path} with {opt_report}: {exc}")
 
     out = base / f"opt_{goal}"
     gateway = _make_gateway(cfg, scripted, spec.name, out / "transcript.jsonl")
     toolchain = _make_toolchain(cfg, scripted, spec.name)
-    catalog = load_catalog(cfg.catalog_dir)
+    catalog = load_catalog(cfg.paths.catalog_dir)
     try:
         variant = optimize(
             baseline_rtl, report, OptimizationGoal(goal), gateway, toolchain,
@@ -158,9 +179,7 @@ def optimize_cmd(baseline_dir, goal, base_report, opt_report, config_path, scrip
         "techniques": variant.applied.techniques,
         "rationale": variant.applied.rationale,
     }
-    if opt_report:
-        opt_metrics = parse_report(Path(opt_report).read_text()).metrics
-        row = build_comparison(spec.name, report.metrics, opt_metrics)
+    if row is not None:
         payload["improvement"] = row.rendered()
     else:
         payload["awaiting_report"] = True

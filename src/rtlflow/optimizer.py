@@ -185,20 +185,13 @@ class Catalog:
 
 
 def load_catalog(card_dir: Optional[str | Path] = None) -> Catalog:
-    """Load all *.md cards from a directory (default: bundled catalog)."""
-    cards = []
-    if card_dir is None:
-        root = resources.files("rtlflow").joinpath("cards")
-        entries = sorted(root.iterdir(), key=lambda p: p.name)
-        for entry in entries:
-            if entry.name.endswith(".md"):
-                cards.append(_parse_card(entry.read_text(), entry.name))
-    else:
-        paths = sorted(Path(card_dir).glob("*.md"))
-        if not paths:
-            raise MalformedCard(f"no card files in {card_dir}")
-        for path in paths:
-            cards.append(_parse_card(path.read_text(), path.name))
+    """Load all *.md cards, in name order, from a directory (default: the
+    bundled catalog)."""
+    root = resources.files("rtlflow") / "cards" if card_dir is None else Path(card_dir)
+    entries = sorted(root.iterdir(), key=lambda e: e.name) if root.is_dir() else []
+    cards = [_parse_card(e.read_text(), e.name) for e in entries if e.name.endswith(".md")]
+    if not cards:
+        raise MalformedCard(f"no card files in {root}")
     catalog = Catalog(cards)
     catalog.check_required()
     return catalog

@@ -49,18 +49,11 @@ def spec_named(name: str) -> DesignSpec:
 def three_cases():
     passing = BenchCase(
         spec=spec_named("sig_pass"),
-        golden_testbench=str(FIXTURES / "verilog" / "signal_generator_tb.v"),
         baseline_report=str(REPORTS / "adder_16bit_base.rpt"),
         optimized_reports={"timing": str(REPORTS / "adder_16bit_opt_timing.rpt")},
     )
-    failing = BenchCase(
-        spec=spec_named("sig_fail"),
-        golden_testbench=str(FIXTURES / "verilog" / "signal_generator_tb.v"),
-    )
-    erroring = BenchCase(
-        spec=spec_named("sig_error"),
-        golden_testbench=str(FIXTURES / "verilog" / "signal_generator_tb.v"),
-    )
+    failing = BenchCase(spec=spec_named("sig_fail"))
+    erroring = BenchCase(spec=spec_named("sig_error"))
     return [passing, failing, erroring]
 
 
@@ -98,10 +91,7 @@ def test_run_suite_counts_and_isolation(tmp_path):
 
 
 def test_run_suite_unparseable_reply_is_fail(tmp_path):
-    case = BenchCase(
-        spec=spec_named("sig_prose"),
-        golden_testbench=str(FIXTURES / "verilog" / "signal_generator_tb.v"),
-    )
+    case = BenchCase(spec=spec_named("sig_prose"))
     summary = run_suite(
         [case],
         lambda design: Gateway(ScriptedBackend([("Planner", "no numbered steps here")])),
@@ -198,7 +188,7 @@ def test_load_manifest_resolves_relative_paths(tmp_path):
     cases = load_manifest(manifest)
     assert len(cases) == 1
     assert cases[0].spec.name == "signal_generator"
-    assert cases[0].golden_testbench == str(tmp_path / "tb.v")
+    assert cases[0].spec.testbench_path == str(tmp_path / "tb.v")
     assert cases[0].baseline_report == str(tmp_path / "base.rpt")
     assert cases[0].optimized_reports == {}
 

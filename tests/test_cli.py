@@ -1,14 +1,19 @@
+import dataclasses
 import json
+import logging
+import re
 import shutil
 
 import pytest
+import yaml
 from click.testing import CliRunner
 
 from conftest import FIXTURES, REPORTS, SCRIPTED, VERILOG
 
 from rtlflow.cli import main
-from rtlflow.config import load_config
+from rtlflow.config import RunConfig, load_config
 from rtlflow.errors import ConfigParseError, InvalidBudget
+from rtlflow.gateway import ScriptedBackend
 
 
 @pytest.fixture
@@ -99,15 +104,155 @@ def test_report_compare_unparseable(tmp_path, runner):
     assert "error" in result.output
 
 
-# --- config precedence ---
+# --- optimize input checks ---
 
-def test_config_precedence_flag_beats_file(tmp_path):
+@pytest.fixture
+def passing_workspace(tmp_path, runner):
+    ws = tmp_path / "ws"
+    result = runner.invoke(main, [
+        "generate",
+        "--spec", str(FIXTURES / "signal_generator_spec.json"),
+        "--workspace", str(ws),
+        "--scripted", str(SCRIPTED / "signal_generator"),
+    ])
+    assert result.exit_code == 0, result.output
+    return ws
+
+
+GOOD_REPORT = (REPORTS / "adder_16bit_base.rpt").read_text()
+JUNK_REPORT = "nothing here\n"
+ZERO_REPORT = GOOD_REPORT.replace("dynamic_power: 19.62", "dynamic_power: 0")
+
+
+@pytest.mark.parametrize("base_text, opt_text, needle", [
+    pytest.param(JUNK_REPORT, GOOD_REPORT, "bad synthesis report {base}", id="junk-base"),
+    pytest.param(GOOD_REPORT, JUNK_REPORT, "bad synthesis report {opt}", id="junk-opt"),
+    pytest.param(ZERO_REPORT, GOOD_REPORT, "cannot compare {base} with {opt}", id="zero-base"),
+])
+def test_optimize_bad_report_is_usage_error(tmp_path, runner, passing_workspace, monkeypatch,
+                                            base_text, opt_text, needle):
+    calls = []
+    monkeypatch.setattr(ScriptedBackend, "complete", lambda self, *a: calls.append(a))
+    base, opt = tmp_path / "base.rpt", tmp_path / "opt.rpt"
+    base.write_text(base_text)
+    opt.write_text(opt_text)
+    result = runner.invoke(main, [
+        "optimize", "--baseline", str(passing_workspace), "--goal", "timing",
+        "--base-report", str(base), "--opt-report", str(opt),
+        "--scripted", str(SCRIPTED / "signal_generator"),
+    ])
+    assert result.exit_code == 2, result.output
+    assert needle.format(base=base, opt=opt) in result.output
+    assert calls == []  # rejected before the first LLM call
+    assert not (passing_workspace / "opt_timing").exists()
+
+
+def test_optimize_reports_improvement(tmp_path, runner, passing_workspace):
+    script = tmp_path / "opt_script"
+    script.mkdir()
+    rtl = (passing_workspace / "rev_1.v").read_text()
+    (script / "turns.json").write_text(
+        json.dumps([{"role": "Optimizer", "reply": f"```verilog\n{rtl}```"}]))
+    (script / "outcomes.json").write_text(
+        json.dumps([{"kind": "Pass", "diagnostics": [], "failing_checks": []}]))
+    result = runner.invoke(main, [
+        "optimize", "--baseline", str(passing_workspace), "--goal", "timing",
+        "--base-report", str(REPORTS / "adder_16bit_base.rpt"),
+        "--opt-report", str(REPORTS / "adder_16bit_opt_timing.rpt"),
+        "--scripted", str(script),
+    ])
+    assert result.exit_code == 0, result.output
+    status = json.loads((passing_workspace / "opt_timing" / "status.json").read_text())
+    assert status["final_status"] == "Pass"
+    assert status["improvement"]["cell_area"] == "58.7"
+    assert "awaiting_report" not in status
+
+
+# --- config file ---
+
+def non_default(value, tmp_path):
+    """A valid value of the same type that differs from `value`."""
+    if value is None:  # the one optional setting is a directory
+        return str(tmp_path)
+    if isinstance(value, (int, float)):  # an int for a float field: the loader coerces it
+        return int(value) + 1
+    if isinstance(value, str):
+        return value + "_alt"
+    if isinstance(value, list):
+        return value + ["-alt"]
+    raise TypeError(f"no non-default value for {value!r}")
+
+
+def test_config_round_trips_every_setting(tmp_path):
+    defaults = RunConfig()
+    doc = {
+        section.name: {
+            f.name: non_default(getattr(getattr(defaults, section.name), f.name), tmp_path)
+            for f in dataclasses.fields(getattr(defaults, section.name))
+        }
+        for section in dataclasses.fields(RunConfig)
+    }
     cfg_file = tmp_path / "run.yaml"
-    cfg_file.write_text("budget:\n  max_fix_iterations: 3\n")
-    file_only = load_config(cfg_file)
-    assert file_only.budget.max_fix_iterations == 3
-    overridden = load_config(cfg_file, {"max_fix_iterations": 7})
-    assert overridden.budget.max_fix_iterations == 7
+    cfg_file.write_text(yaml.safe_dump(doc))
+    cfg = load_config(cfg_file)
+    for section, values in doc.items():
+        for key, value in values.items():
+            default = getattr(getattr(defaults, section), key)
+            loaded = getattr(getattr(cfg, section), key)
+            assert loaded == value != default, f"{section}.{key}"
+            assert type(loaded) is type(value if default is None else default), f"{section}.{key}"
+
+
+BAD_CONFIGS = [
+    pytest.param("tools:\n  compiler: iverilog\n", "unknown section 'tools'", id="section"),
+    pytest.param("budget:\n  max_fix_iteration: 1\n",
+                 "budget: unknown key 'max_fix_iteration'", id="key"),
+    pytest.param("backend: 5\n", "backend: section must be a mapping", id="not-mapping"),
+    pytest.param("budget:\n  max_review_rounds: many\n",
+                 "budget.max_review_rounds: invalid literal for int()", id="bad-number"),
+]
+
+
+@pytest.mark.parametrize("body, needle", BAD_CONFIGS)
+def test_config_bad_input_is_rejected(tmp_path, body, needle):
+    cfg_file = tmp_path / "run.yaml"
+    cfg_file.write_text(body)
+    with pytest.raises(ConfigParseError, match=re.escape(f"{cfg_file}: {needle}")):
+        load_config(cfg_file)
+
+
+@pytest.mark.parametrize("body, needle", BAD_CONFIGS)
+def test_generate_bad_config_is_usage_error(tmp_path, runner, body, needle):
+    cfg_file = tmp_path / "run.yaml"
+    cfg_file.write_text(body)
+    result = runner.invoke(main, [
+        "generate",
+        "--spec", str(FIXTURES / "signal_generator_spec.json"),
+        "--workspace", str(tmp_path / "ws"),
+        "--config", str(cfg_file),
+        "--scripted", str(SCRIPTED / "signal_generator"),
+    ])
+    assert result.exit_code == 2
+    assert needle in result.output
+    assert not (tmp_path / "ws").exists()
+
+
+def test_config_precedence_flag_beats_file(tmp_path, runner):
+    cfg_file = tmp_path / "run.yaml"
+    cfg_file.write_text("budget:\n  max_fix_iterations: 1\n")
+
+    def generate(*flags):
+        return runner.invoke(main, [
+            "generate",
+            "--spec", str(FIXTURES / "signal_generator_spec.json"),
+            "--workspace", str(tmp_path / "ws"),
+            "--config", str(cfg_file),
+            "--scripted", str(SCRIPTED / "signal_generator_fail"),
+            *flags,
+        ])
+
+    assert "BudgetExhausted after 2 iteration(s)" in generate().output
+    assert "BudgetExhausted after 4 iteration(s)" in generate("--budget", "3").output
 
 
 def test_config_invalid_budget_surfaces(tmp_path):
@@ -124,12 +269,13 @@ def test_config_bad_yaml(tmp_path):
         load_config(cfg_file)
 
 
-def test_config_never_leaks_api_key(monkeypatch):
+def test_config_never_leaks_api_key(monkeypatch, caplog):
     monkeypatch.setenv("RTLFLOW_API_KEY", "sk-SECRET-VALUE")
-    cfg = load_config()
-    blob = json.dumps(cfg.to_log_dict())
-    assert "sk-SECRET-VALUE" not in blob
-    assert "$RTLFLOW_API_KEY (redacted)" in blob
+    with caplog.at_level(logging.INFO, logger="rtlflow.config"):
+        load_config()
+    assert "resolved config: RunConfig(" in caplog.text
+    assert "RTLFLOW_API_KEY" in caplog.text
+    assert "sk-SECRET-VALUE" not in caplog.text
 
 
 # --- bench over a scripted suite ---
@@ -158,7 +304,7 @@ def make_suite(tmp_path):
     return manifest, scripted_root
 
 
-def test_bench_scripted_suite(tmp_path, runner):
+def test_bench_scripted_suite(tmp_path, runner, caplog):
     manifest, scripted_root = make_suite(tmp_path)
     out = tmp_path / "out"
     result = runner.invoke(main, [
@@ -169,6 +315,10 @@ def test_bench_scripted_suite(tmp_path, runner):
     assert "1/3 passed (33.3%)" in result.output
     status = json.loads((out / "status.json").read_text())
     assert status["per_case"]["sig_pass"] == "Pass"
+    # no script directory for sig_error: the set-up failed, not the design
+    assert status["per_case"]["sig_error"] == "InfraError"
+    assert status["failure_reasons"]["sig_error"].startswith("FileNotFoundError:")
+    assert "Traceback" not in caplog.text
     assert (out / "success_table.md").exists()
     assert (out / "ppa_table.csv").exists()
 

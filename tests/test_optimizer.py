@@ -87,6 +87,13 @@ def test_duplicate_id_rejected():
         Catalog([card, card])
 
 
+def test_custom_dir_without_cards(tmp_path):
+    (tmp_path / "notes.txt").write_text(CARD_OK)
+    for card_dir in (tmp_path, tmp_path / "absent"):
+        with pytest.raises(MalformedCard, match="no card files"):
+            load_catalog(card_dir)
+
+
 def test_custom_dir_missing_required(tmp_path):
     (tmp_path / "only.md").write_text(CARD_OK)
     with pytest.raises(MissingRequiredTechnique):
