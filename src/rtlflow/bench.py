@@ -142,10 +142,9 @@ def _run_case(
         return design, "InfraError", f"{type(exc).__name__}: {exc}"
     try:
         transcript = run_pipeline(case.spec, budget, gateway, toolchain, workspace)
-        last = transcript.revisions[-1].outcome if transcript.revisions else None
         if transcript.final_status == "Pass":
             return design, "Pass", ""
-        if last is not None and last.kind == "SyntaxFail":
+        if transcript.revisions[-1].outcome.kind == "SyntaxFail":
             return design, "SyntaxFail", "compile-stage failure"
         return design, "Fail", transcript.final_status
     except INFRA_ERRORS as exc:
@@ -188,8 +187,8 @@ def run_suite(
         # one improvement row per case against the first provided optimized report
         goal = sorted(case.optimized_reports)[0]
         try:
-            base = parse_report(Path(case.baseline_report).read_text()).metrics
-            opt = parse_report(Path(case.optimized_reports[goal]).read_text()).metrics
+            base = parse_report(Path(case.baseline_report).read_text())
+            opt = parse_report(Path(case.optimized_reports[goal]).read_text())
             row = build_comparison(design, base, opt)
         except (OSError, RtlflowError) as exc:
             # a bad report costs this case its row, not the suite its tables

@@ -14,10 +14,10 @@ import click
 from . import bench as bench_mod
 from .config import RunConfig, load_config
 from .engine import DesignSpec, RtlArtifact, run_pipeline
-from .errors import ConfigParseError, InvalidBudget, RtlflowError
+from .errors import ConfigParseError, RtlflowError
 from .gateway import Gateway, HttpBackend, ScriptedBackend
 from .inspect_rtl import fingerprint
-from .metrics import SynthesisReport, build_comparison, parse_report, render_pct, HEADLINE_METRICS
+from .metrics import PpaMetrics, build_comparison, parse_report, render_pct, HEADLINE_METRICS
 from .optimizer import GOALS, OptimizationGoal, load_catalog, optimize
 from .toolchain import IcarusToolchain, ScriptedToolchain
 
@@ -27,11 +27,11 @@ log = logging.getLogger(__name__)
 def _load_cfg(config_path: Optional[str]) -> RunConfig:
     try:
         return load_config(config_path)
-    except (ConfigParseError, InvalidBudget) as exc:
+    except ConfigParseError as exc:
         raise click.UsageError(str(exc))
 
 
-def _read_report(path: Path) -> SynthesisReport:
+def _read_report(path: Path) -> PpaMetrics:
     """Parse a report named on the command line; a bad one is a usage error."""
     try:
         return parse_report(path.read_text())
@@ -152,8 +152,7 @@ def optimize_cmd(baseline_dir, goal, base_report, opt_report, config_path, scrip
     row = None
     if opt_report:
         try:
-            opt_metrics = _read_report(Path(opt_report)).metrics
-            row = build_comparison(spec.name, report.metrics, opt_metrics)
+            row = build_comparison(spec.name, report, _read_report(Path(opt_report)))
         except RtlflowError as exc:  # e.g. a zero baseline metric
             raise click.UsageError(f"cannot compare {report_path} with {opt_report}: {exc}")
 
@@ -212,8 +211,8 @@ def report():
 def report_compare(base_path, opt_path, design):
     """Improvement row (JSON + Markdown) between two synthesis reports."""
     try:
-        base = parse_report(Path(base_path).read_text()).metrics
-        opt = parse_report(Path(opt_path).read_text()).metrics
+        base = parse_report(Path(base_path).read_text())
+        opt = parse_report(Path(opt_path).read_text())
         row = build_comparison(design, base, opt)
     except RtlflowError as exc:
         click.echo(f"error: {exc}", err=True)

@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from .errors import (
-    InvalidBudget,
     NoCodeBlock,
     UnparseableDiagnosis,
     UnparseablePlan,
@@ -45,7 +44,6 @@ class DesignSpec:
     module_name: str
     ports: list[Port]
     testbench_path: str
-    clocked: Optional[bool] = None
 
     def __post_init__(self):
         if not self.ports:
@@ -77,7 +75,6 @@ class DesignSpec:
             module_name=d["module_name"],
             ports=[Port(**p) for p in d["ports"]],
             testbench_path=tb,
-            clocked=d.get("clocked"),
         )
 
     def to_dict(self) -> dict:
@@ -136,7 +133,6 @@ class ReviewVerdict:
 @dataclass
 class Fix:
     description: str
-    target_hint: str = ""
 
 
 @dataclass
@@ -164,25 +160,26 @@ class PipelineBudget:
     max_review_rounds: int = 2
 
     def __post_init__(self):
-        if self.max_fix_iterations < 1 or self.max_review_rounds < 1:
-            raise InvalidBudget("budget values must be >= 1")
+        for name in ("max_fix_iterations", "max_review_rounds"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass
 class Revision:
     rtl: RtlArtifact
-    verdict: Optional[ReviewVerdict]  # None when the loop runs without review
     outcome: VerificationOutcome
     diagnosis: Optional[FixDiagnosis] = None
 
 
 @dataclass
 class PipelineTranscript:
-    spec: DesignSpec
-    plan: ImplementationPlan
     revisions: list[Revision]
     final_status: str  # Pass | ToolError | BudgetExhausted
-    iterations_used: int
+
+    @property
+    def iterations_used(self) -> int:
+        return len(self.revisions)
 
 
 # --- reply parsers ---
@@ -368,14 +365,13 @@ def _dump(path: Path, obj) -> None:
 
 def _review_loop(plan, gateway, budget, workspace, rtl):
     """Review; on incompleteness, route the missing list back to the
-    Programmer up to max_review_rounds times."""
-    verdict = None
+    Programmer up to max_review_rounds times. Returns the artifact to verify."""
     for round_no in range(budget.max_review_rounds):
         reviewer = gateway.session("Reviewer")
         verdict = review_rtl(plan, rtl, reviewer)
         _dump(workspace / f"verdict_{rtl.revision}.json", asdict(verdict))
         if verdict.complete:
-            return rtl, verdict
+            return rtl
         if round_no + 1 >= budget.max_review_rounds:
             break
         missing_steps = "\n".join(
@@ -392,7 +388,7 @@ def _review_loop(plan, gateway, budget, workspace, rtl):
             plan, artifact_from_reply(programmer.send(user(prompt)).content, rtl.revision)
         )
     log.warning("review never converged after %d rounds; proceeding", budget.max_review_rounds)
-    return rtl, verdict
+    return rtl
 
 
 def fix_loop(
@@ -402,7 +398,7 @@ def fix_loop(
     toolchain,
     budget: PipelineBudget,
     workspace: Path,
-    review: Optional[Callable[[RtlArtifact], tuple[RtlArtifact, ReviewVerdict]]] = None,
+    review: Optional[Callable[[RtlArtifact], RtlArtifact]] = None,
 ) -> tuple[list[Revision], str]:
     """Review (when given), verify, then diagnose and fix, until the candidate
     passes, the toolchain errors, or `revision >= max_fix_iterations`.
@@ -417,16 +413,15 @@ def fix_loop(
     diagnosis: Optional[FixDiagnosis] = None
     while True:
         rev = rtl.revision
-        verdict = None
         if review is not None:
-            rtl, verdict = review(rtl)
+            rtl = review(rtl)
         rtl_path = workspace / f"rev_{rev}.v"
         rtl_path.write_text(rtl.verilog_text)
         if rtl.notes:
             _dump(workspace / f"notes_{rev}.json", rtl.notes)
         outcome = toolchain.verify(rtl_path, tb_path, workspace / f"verify_{rev}")
         _dump(workspace / f"outcome_{rev}.json", outcome.to_dict())
-        revisions.append(Revision(rtl=rtl, verdict=verdict, outcome=outcome, diagnosis=diagnosis))
+        revisions.append(Revision(rtl=rtl, outcome=outcome, diagnosis=diagnosis))
         if outcome.kind in ("Pass", "ToolError"):
             return revisions, outcome.kind
         if rev >= budget.max_fix_iterations:
@@ -472,7 +467,4 @@ def run_pipeline(
             "revisions": [r.rtl.revision for r in revisions],
         },
     )
-    return PipelineTranscript(
-        spec=spec, plan=plan, revisions=revisions,
-        final_status=final, iterations_used=len(revisions),
-    )
+    return PipelineTranscript(revisions=revisions, final_status=final)

@@ -107,7 +107,3 @@ class FunctionalRegressionUnrecoverable(RtlflowError):
 
 class ConfigParseError(RtlflowError):
     """Configuration file could not be parsed."""
-
-
-class InvalidBudget(RtlflowError):
-    """Pipeline budget values are out of range."""

@@ -2,7 +2,8 @@
 
 Every role in the pipeline talks through a RoleSession bound to a backend:
 either an HTTP chat-completion endpoint or a deterministic scripted double
-used by tests and offline runs.
+used by tests and offline runs. Each send is one request: the session's
+optional system message plus the prompt.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -78,7 +79,8 @@ def _transient(exc: Exception) -> bool:
 
 class HttpBackend:
     """Generic chat-completion client: messages array in, one assistant
-    message out. Retries transient failures with exponential backoff.
+    message out. Retries transient failures with exponential backoff; a
+    reply with empty content counts as a malformed body.
 
     `requests` is imported on the first send, so runs that never use this
     backend do not pay for loading it."""
@@ -86,7 +88,6 @@ class HttpBackend:
     def __init__(self, config: BackendConfig, sleeper: Callable[[float], None] = time.sleep):
         self.config = config
         self._sleep = sleeper
-        self.attempts_made = 0  # attempts across the lifetime, for audit
 
     def complete(self, role_name: str, messages: list[ChatMessage]) -> str:
         import requests
@@ -104,14 +105,15 @@ class HttpBackend:
 
         last_exc: Optional[Exception] = None
         for attempt in range(1 + cfg.max_retries):
-            self.attempts_made += 1
             try:
                 resp = requests.post(
                     cfg.endpoint_url, json=payload, headers=headers, timeout=cfg.timeout
                 )
                 resp.raise_for_status()
-                body = resp.json()
-                return body["choices"][0]["message"]["content"]
+                content = resp.json()["choices"][0]["message"]["content"]
+                if not content:
+                    raise ValueError(f"reply content is {content!r}")
+                return content
             except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
                 last_exc = exc
                 log.warning("%s backend attempt %d failed: %r", role_name, attempt + 1, exc)
@@ -190,12 +192,13 @@ class TranscriptWriter:
 
 @dataclass
 class RoleSession:
-    """One role's conversation. History only ever grows."""
+    """One role call: each send is one request carrying the optional system
+    message and the prompt, and one transcript append."""
 
     role_name: str
     backend: object
     transcript: Optional[TranscriptWriter] = None
-    history: list[ChatMessage] = field(default_factory=list)
+    system: Optional[ChatMessage] = None
 
     def __post_init__(self):
         if self.role_name not in ROLE_NAMES:
@@ -204,21 +207,11 @@ class RoleSession:
     def send(self, prompt: ChatMessage) -> ChatMessage:
         if prompt.role_tag != "user":
             raise ValueError("send() takes a user message")
-        reply_text = self.backend.complete(self.role_name, self.history + [prompt])
-        reply = ChatMessage("assistant", reply_text)
-        self.history += (prompt, reply)
+        request = [prompt] if self.system is None else [self.system, prompt]
+        reply = ChatMessage("assistant", self.backend.complete(self.role_name, request))
         if self.transcript is not None:
-            self.transcript.write(self.role_name, prompt, reply)
+            self.transcript.write(self.role_name, *request, reply)
         return reply
-
-    def seed_system(self, content: str) -> None:
-        """Install the leading system message; must precede any send."""
-        if self.history:
-            raise ValueError("system message must come first")
-        msg = system(content)
-        self.history.append(msg)
-        if self.transcript is not None:
-            self.transcript.write(self.role_name, msg)
 
 
 class Gateway:
@@ -240,7 +233,7 @@ class Gateway:
         )
 
     def session(self, role_name: str, system_prompt: Optional[str] = None) -> RoleSession:
-        sess = RoleSession(role_name, self.backend, transcript=self.transcript)
-        if system_prompt:
-            sess.seed_system(system_prompt)
-        return sess
+        return RoleSession(
+            role_name, self.backend, self.transcript,
+            system(system_prompt) if system_prompt else None,
+        )

@@ -9,7 +9,7 @@ the violation-magnitude convention and is N/A for combinational baselines.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from decimal import Decimal, ROUND_HALF_UP
 from typing import Optional
 
@@ -84,13 +84,6 @@ class PpaMetrics:
 
 
 @dataclass
-class SynthesisReport:
-    metrics: PpaMetrics
-    source_dialect: str  # Canonical | DcStyle
-    raw: str
-
-
-@dataclass
 class ImprovementRow:
     design: str
     per_metric: dict[str, Optional[float]]  # metric -> signed percent, None = N/A
@@ -162,7 +155,8 @@ def _detect_dialect(text: str) -> str:
     raise UnknownDialect("report matches neither canonical nor DC-style grammar")
 
 
-def parse_report(text: str) -> SynthesisReport:
+def parse_report(text: str) -> PpaMetrics:
+    """The metrics of a canonical or DC-style report, in canonical units."""
     if not text or not text.strip():
         raise UnknownDialect("empty report text")
     dialect = _detect_dialect(text)
@@ -192,8 +186,7 @@ def parse_report(text: str) -> SynthesisReport:
             raise MissingMetric(name)
     if "levels_of_logic" in values:
         values["levels_of_logic"] = int(values["levels_of_logic"])
-    metrics = PpaMetrics(**values)
-    return SynthesisReport(metrics=metrics, source_dialect=dialect, raw=text)
+    return PpaMetrics(**values)
 
 
 def emit_canonical(metrics: PpaMetrics) -> str:

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .gateway import ChatMessage, Gateway, system, user
 from .inspect_rtl import DesignFingerprint, fingerprint
-from .metrics import SynthesisReport, emit_canonical
+from .metrics import PpaMetrics, emit_canonical
 from .prompts import render_prompt
 from .toolchain import VerificationOutcome
 from .yamlload import safe_load
@@ -101,7 +101,6 @@ class OptimizedVariant:
     rtl: RtlArtifact
     verification: VerificationOutcome
     applied: Recommendation
-    report: Optional[SynthesisReport] = None
 
     @property
     def successful(self) -> bool:
@@ -159,9 +158,6 @@ class Catalog:
                 raise DuplicateId(card.id)
             self.cards[card.id] = card
 
-    def __len__(self):
-        return len(self.cards)
-
     def __contains__(self, card_id):
         return card_id in self.cards
 
@@ -204,7 +200,7 @@ _PRED_RE = re.compile(
 )
 
 
-def _context(fp: DesignFingerprint, report: Optional[SynthesisReport]) -> dict:
+def _context(fp: DesignFingerprint, report: Optional[PpaMetrics]) -> dict:
     ctx: dict[str, float | bool] = {
         "is_combinational": fp.is_combinational,
         "clocked_always": fp.clocked_always,
@@ -221,7 +217,7 @@ def _context(fp: DesignFingerprint, report: Optional[SynthesisReport]) -> dict:
     for op, count in fp.operator_census.items():
         ctx[f"{op}_ops"] = count
     if report is not None:
-        for name, value in report.metrics.to_dict().items():
+        for name, value in report.to_dict().items():
             if value is not None:
                 ctx[name] = value
     return ctx
@@ -250,7 +246,7 @@ def eval_predicate(pred: str, ctx: dict) -> bool:
 
 def select_techniques(
     fp: DesignFingerprint,
-    report: Optional[SynthesisReport],
+    report: Optional[PpaMetrics],
     goal: OptimizationGoal,
     catalog: Catalog,
 ) -> Recommendation:
@@ -289,7 +285,7 @@ def select_techniques(
 def build_icl_prompt(
     rec: Recommendation,
     baseline: RtlArtifact,
-    report: SynthesisReport,
+    report: PpaMetrics,
     catalog: Catalog,
     char_budget: int = DEFAULT_PROMPT_BUDGET,
 ) -> list[ChatMessage]:
@@ -301,7 +297,7 @@ def build_icl_prompt(
             raise KeyError(f"recommendation references unknown card {card_id}")
 
     directive = render_prompt("optimizer")
-    report_text = emit_canonical(report.metrics)
+    report_text = emit_canonical(report)
     user_text = (
         "Baseline Verilog module:\n```verilog\n"
         + baseline.verilog_text.rstrip()
@@ -347,7 +343,7 @@ def build_icl_prompt(
 
 def optimize(
     baseline: RtlArtifact,
-    report: SynthesisReport,
+    report: PpaMetrics,
     goal: OptimizationGoal,
     gateway: Gateway,
     toolchain,
@@ -355,7 +351,6 @@ def optimize(
     testbench_path: str | Path,
     workspace: str | Path,
     catalog: Optional[Catalog] = None,
-    char_budget: int = DEFAULT_PROMPT_BUDGET,
 ) -> OptimizedVariant:
     """Generate one goal-optimized variant and re-verify it against the
     same golden testbench through the fix loop, persisting its revisions in
@@ -368,7 +363,7 @@ def optimize(
 
     fp = fingerprint(baseline.verilog_text)
     rec = select_techniques(fp, report, goal, catalog)
-    messages = build_icl_prompt(rec, baseline, report, catalog, char_budget)
+    messages = build_icl_prompt(rec, baseline, report, catalog)
 
     session = gateway.session("Optimizer", system_prompt=messages[0].content)
     rtl = artifact_from_reply(session.send(messages[1]).content, 0)

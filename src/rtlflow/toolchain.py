@@ -34,7 +34,7 @@ _WARNING_WORD_RE = re.compile(r"(?i)\bwarning\b")
 
 @dataclass
 class ToolInvocation:
-    tool: str  # Compile | Simulate | Synthesize
+    tool: str  # Compile | Simulate
     argv: list[str]
     cwd: str
     exit_code: int
@@ -240,15 +240,13 @@ class IcarusToolchain:
         self._log_invocation(Path(workspace), inv)
         return inv
 
-    def simulate(
-        self, image: Path, workspace: Path, timeout: Optional[float] = None
-    ) -> ToolInvocation:
+    def simulate(self, image: Path, workspace: Path) -> ToolInvocation:
         image = Path(image)
         if not image.exists():
             raise FileNotFoundError(image)
         exe = self._require(self.config.simulator)
         argv = [exe] + [a.format(image=str(image)) for a in self.config.simulate_args]
-        inv = _run("Simulate", argv, Path(workspace), timeout=timeout or self.config.sim_timeout)
+        inv = _run("Simulate", argv, Path(workspace), timeout=self.config.sim_timeout)
         self._log_invocation(Path(workspace), inv)
         return inv
 
@@ -269,7 +267,6 @@ class ScriptedToolchain:
     def __init__(self, outcomes: list[VerificationOutcome]):
         self.outcomes = list(outcomes)
         self.cursor = 0
-        self.verified_paths: list[str] = []
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedToolchain":
@@ -281,5 +278,4 @@ class ScriptedToolchain:
             raise ToolchainUnavailable("scripted toolchain out of outcomes")
         outcome = self.outcomes[self.cursor]
         self.cursor += 1
-        self.verified_paths.append(str(rtl_path))
         return outcome

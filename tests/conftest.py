@@ -29,6 +29,18 @@ def budget():
     return PipelineBudget()
 
 
+class RecordingBackend(ScriptedBackend):
+    """ScriptedBackend that keeps the messages of every request it receives."""
+
+    def __init__(self, turns):
+        super().__init__(turns)
+        self.requests: list[list] = []
+
+    def complete(self, role_name, messages):
+        self.requests.append(list(messages))
+        return super().complete(role_name, messages)
+
+
 def scripted_gateway(script_dir: Path, tmp_path: Path, run_id="test-run") -> Gateway:
     """Gateway over the recorded turns with a deterministic clock."""
     backend = ScriptedBackend.from_file(script_dir / "turns.json")

@@ -154,8 +154,8 @@ def test_criterion_5_parser_robustness(verdict):
         for path in sorted(REPORTS.glob("*.rpt")):
             if path.name == "missing_leakage.rpt":
                 continue
-            metrics = parse_report(path.read_text()).metrics
-            again = parse_report(emit_canonical(metrics)).metrics
+            metrics = parse_report(path.read_text())
+            again = parse_report(emit_canonical(metrics))
             assert again.to_dict() == metrics.to_dict(), path.name
 
         # (b) classification is total over 1000 random tool logs

@@ -103,6 +103,23 @@ def test_run_suite_unparseable_reply_is_fail(tmp_path):
     assert summary.failure_reasons["sig_prose"].startswith("UnparseablePlan:")
 
 
+def test_run_suite_unparseable_diagnosis_is_fail(tmp_path):
+    # the first verify fails and the Evaluator answers without a numbered list
+    recorded = ScriptedBackend.from_file(SCRIPTED / "signal_generator" / "turns.json").turns
+    assert [role for role, _ in recorded[:4]] == ["Planner", "Programmer", "Reviewer", "Evaluator"]
+    turns = recorded[:3] + [("Evaluator", "The ramp looks wrong somewhere.")]
+    case = BenchCase(spec=spec_named("sig_prose"))
+    summary = run_suite(
+        [case],
+        lambda design: Gateway(ScriptedBackend(turns)),
+        lambda design: ScriptedToolchain.from_file(SCRIPTED / "signal_generator" / "outcomes.json"),
+        PipelineBudget(),
+        tmp_path,
+    )
+    assert summary.per_case == {"sig_prose": "Fail"}
+    assert summary.failure_reasons["sig_prose"].startswith("UnparseableDiagnosis:")
+
+
 def test_run_suite_improvement_rows_only_for_passing(tmp_path):
     gw, tc = factories()
     summary = run_suite(three_cases(), gw, tc, PipelineBudget(), tmp_path)

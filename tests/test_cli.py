@@ -12,7 +12,7 @@ from conftest import FIXTURES, REPORTS, SCRIPTED, VERILOG
 
 from rtlflow.cli import main
 from rtlflow.config import RunConfig, load_config
-from rtlflow.errors import ConfigParseError, InvalidBudget
+from rtlflow.errors import ConfigParseError
 from rtlflow.gateway import ScriptedBackend
 
 
@@ -210,6 +210,8 @@ BAD_CONFIGS = [
     pytest.param("backend: 5\n", "backend: section must be a mapping", id="not-mapping"),
     pytest.param("budget:\n  max_review_rounds: many\n",
                  "budget.max_review_rounds: invalid literal for int()", id="bad-number"),
+    pytest.param("budget:\n  max_fix_iterations: 0\n",
+                 "budget: max_fix_iterations must be >= 1", id="out-of-range"),
 ]
 
 
@@ -256,10 +258,12 @@ def test_config_precedence_flag_beats_file(tmp_path, runner):
 
 
 def test_config_invalid_budget_surfaces(tmp_path):
+    # an out-of-range budget names the file, the section and the key
     cfg_file = tmp_path / "run.yaml"
-    cfg_file.write_text("budget:\n  max_fix_iterations: 0\n")
-    with pytest.raises(InvalidBudget):
-        load_config(cfg_file)
+    for key in ("max_fix_iterations", "max_review_rounds"):
+        cfg_file.write_text(f"budget:\n  {key}: 0\n")
+        with pytest.raises(ConfigParseError, match=re.escape(f"{cfg_file}: budget: {key} must be >= 1")):
+            load_config(cfg_file)
 
 
 def test_config_bad_yaml(tmp_path):

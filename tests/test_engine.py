@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import SCRIPTED, scripted_gateway, scripted_toolchain
+from conftest import FIXTURES, SCRIPTED, RecordingBackend, scripted_gateway, scripted_toolchain
 
 from rtlflow.engine import (
     DesignSpec,
@@ -23,8 +23,8 @@ from rtlflow.engine import (
     write_rtl,
 )
 from rtlflow.errors import (
-    InvalidBudget,
     NoCodeBlock,
+    UnparseableDiagnosis,
     UnparseablePlan,
     UnparseableReview,
 )
@@ -45,7 +45,14 @@ def make_spec(tmp_path, name="toy"):
 
 
 def session_for(role, reply):
-    return Gateway(ScriptedBackend([(role, reply)])).session(role)
+    return Gateway(RecordingBackend([(role, reply)])).session(role)
+
+
+def sent_prompt(session) -> str:
+    """The one message of the session's one request: the user prompt."""
+    [[prompt]] = session.backend.requests
+    assert prompt.role_tag == "user"
+    return prompt.content
 
 
 # --- spec / budget validation ---
@@ -58,10 +65,21 @@ def test_spec_rejects_duplicate_ports(tmp_path):
 
 
 def test_budget_validation():
-    with pytest.raises(InvalidBudget):
+    with pytest.raises(ValueError, match="max_fix_iterations must be >= 1"):
         PipelineBudget(max_fix_iterations=0)
-    with pytest.raises(InvalidBudget):
+    with pytest.raises(ValueError, match="max_review_rounds must be >= 1"):
         PipelineBudget(max_review_rounds=0)
+
+
+def test_spec_ignores_clocked_key(tmp_path, signal_generator_spec):
+    # the fixture spec still carries the key; nothing reads it, so it is not kept
+    assert "clocked" in json.loads((FIXTURES / "signal_generator_spec.json").read_text())
+    gateway = scripted_gateway(SCRIPTED / "signal_generator", tmp_path)
+    toolchain = scripted_toolchain(SCRIPTED / "signal_generator")
+    run_pipeline(signal_generator_spec, PipelineBudget(), gateway, toolchain, tmp_path / "ws")
+    spec_json = json.loads((tmp_path / "ws" / "spec.json").read_text())
+    assert "clocked" not in spec_json
+    assert spec_json["module_name"] == "signal_generator"
 
 
 # --- plan parsing ---
@@ -82,7 +100,7 @@ def test_plan_prompt_carries_module_and_ports(tmp_path):
     spec = make_spec(tmp_path, name="widget")
     session = session_for("Planner", "1. only step")
     make_plan(spec, session)
-    prompt = session.history[0].content
+    prompt = sent_prompt(session)
     assert "widget" in prompt
     for port in spec.ports:
         assert port.name in prompt
@@ -230,6 +248,14 @@ def test_diagnose_parses_fixes():
     assert len(diagnosis.fixes) == 3
 
 
+def test_diagnose_unparseable_reply():
+    with pytest.raises(UnparseableDiagnosis):
+        diagnose_failures(
+            RtlArtifact("module m; endmodule"), failing_outcome(), "tb text",
+            session_for("Evaluator", "The counter looks wrong; widen it."),
+        )
+
+
 def test_diagnose_rejects_pass_outcome():
     with pytest.raises(ValueError):
         diagnose_failures(
@@ -246,7 +272,7 @@ def test_diagnosis_requires_fixes():
 def test_diagnose_prompt_contains_log_and_testbench():
     session = session_for("Evaluator", "1. a fix")
     diagnose_failures(RtlArtifact("module m; endmodule"), failing_outcome(), "TB_SENTINEL", session)
-    prompt = session.history[0].content
+    prompt = sent_prompt(session)
     assert "ERROR: mismatch at vector 7" in prompt
     assert "TB_SENTINEL" in prompt
 

@@ -6,6 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import FIXTURES, RecordingBackend
+
+from rtlflow.bench import BenchCase, run_suite
+from rtlflow.engine import DesignSpec, PipelineBudget
 from rtlflow.errors import BackendUnavailable, RoleMismatch, ScriptExhausted, SinkWriteError
 from rtlflow.gateway import (
     BackendConfig,
@@ -15,8 +19,10 @@ from rtlflow.gateway import (
     RoleSession,
     ScriptedBackend,
     TranscriptWriter,
+    system,
     user,
 )
+from rtlflow.toolchain import ScriptedToolchain
 
 
 def test_chat_message_validation():
@@ -27,12 +33,12 @@ def test_chat_message_validation():
 
 
 def test_scripted_replay_advances_cursor():
-    backend = ScriptedBackend([("Planner", "1. step one\n2. step two\n3. three\n4. four")])
+    backend = RecordingBackend([("Planner", "1. step one\n2. step two\n3. three\n4. four")])
     session = RoleSession("Planner", backend)
     reply = session.send(user("plan it"))
     assert reply.content.startswith("1. step one")
     assert backend.cursor == 1
-    assert [m.role_tag for m in session.history] == ["user", "assistant"]
+    assert backend.requests == [[user("plan it")]]
 
 
 def test_scripted_exhaustion():
@@ -54,14 +60,17 @@ def test_send_rejects_non_user_prompt():
         session.send(ChatMessage("assistant", "nope"))
 
 
-def test_history_only_appends():
-    backend = ScriptedBackend([("Planner", "a"), ("Planner", "b")])
-    session = RoleSession("Planner", backend)
-    session.send(user("one"))
-    snapshot = list(session.history)
-    session.send(user("two"))
-    assert session.history[:2] == snapshot
-    assert len(session.history) == 4
+def test_each_send_is_one_request():
+    # no earlier exchange is carried into the next request; the system message is
+    backend = RecordingBackend([("Planner", "a"), ("Planner", "b"), ("Optimizer", "c")])
+    gateway = Gateway(backend)
+    planner = gateway.session("Planner")
+    planner.send(user("one"))
+    planner.send(user("two"))
+    gateway.session("Optimizer", system_prompt="cards").send(user("three"))
+    assert backend.requests == [
+        [user("one")], [user("two")], [system("cards"), user("three")],
+    ]
 
 
 def test_transcript_lines_and_idempotence(tmp_path):
@@ -77,26 +86,48 @@ def test_transcript_lines_and_idempotence(tmp_path):
     assert [json.loads(l)["seq"] for l in lines] == [0, 1]
 
 
-def test_exchange_is_one_append(tmp_path, monkeypatch):
-    path = tmp_path / "t.jsonl"
-    appends = []
+@pytest.fixture
+def opens(monkeypatch):
+    """Path -> the mode arguments of each `Path.open` of it during the test."""
+    seen: dict[Path, list] = {}
     real_open = Path.open
 
-    def counting_open(self, *args, **kwargs):
-        if self == path:
-            appends.append(args)
+    def recording_open(self, *args, **kwargs):
+        seen.setdefault(self, []).append(args)
         return real_open(self, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "open", counting_open)
+    monkeypatch.setattr(Path, "open", recording_open)
+    return seen
+
+
+def test_exchange_is_one_append(tmp_path, opens):
+    path = tmp_path / "t.jsonl"
     sink = TranscriptWriter(path, run_id="r1", clock=lambda: 0.0)
     session = RoleSession("Planner", ScriptedBackend([("Planner", "a"), ("Planner", "b")]),
                           transcript=sink)
     session.send(user("q1"))
     session.send(user("q2"))
-    assert appends == [("a",), ("a",)]
+    assert opens[path] == [("a",), ("a",)]
     lines = [json.loads(l) for l in path.read_text().splitlines()]
     assert [(l["seq"], l["direction"], l["content"]) for l in lines] == [
         (0, "prompt", "q1"), (1, "reply", "a"), (2, "prompt", "q2"), (3, "reply", "b"),
+    ]
+
+
+def test_system_session_is_one_request_and_one_append(tmp_path, opens):
+    path = tmp_path / "t.jsonl"
+    backend = RecordingBackend([("Optimizer", "variant")])
+    gateway = Gateway(backend, transcript_path=path, run_id="r1", clock=lambda: 0.0)
+    session = gateway.session("Optimizer", system_prompt="cards")
+    assert path not in opens  # opening a session writes nothing
+    session.send(user("baseline"))
+    assert backend.requests == [[system("cards"), user("baseline")]]
+    assert opens[path] == [("a",)]
+    lines = [json.loads(l) for l in path.read_text().splitlines()]
+    assert [(l["seq"], l["role"], l["direction"], l["content"]) for l in lines] == [
+        (0, "Optimizer", "prompt", "cards"),
+        (1, "Optimizer", "prompt", "baseline"),
+        (2, "Optimizer", "reply", "variant"),
     ]
 
 
@@ -119,7 +150,6 @@ def test_empty_session_writes_nothing(tmp_path):
     session = RoleSession("Planner", ScriptedBackend([]), transcript=sink)
     with pytest.raises(ScriptExhausted):
         session.send(user("q"))
-    assert not session.history
     assert not (tmp_path / "t.jsonl").exists()
 
 
@@ -137,6 +167,7 @@ def test_scripted_transcripts_are_byte_identical(tmp_path):
 class _FlakyHandler(BaseHTTPRequestHandler):
     failures_left = 2
     failure_status = 500
+    reply_content = "stub reply"
     hits = 0
 
     def do_POST(self):
@@ -148,7 +179,8 @@ class _FlakyHandler(BaseHTTPRequestHandler):
             self.end_headers()
             return
         body = json.dumps(
-            {"choices": [{"message": {"role": "assistant", "content": "stub reply"}}]}
+            {"choices": [{"message": {"role": "assistant",
+                                      "content": type(self).reply_content}}]}
         ).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -164,6 +196,7 @@ class _FlakyHandler(BaseHTTPRequestHandler):
 def flaky_server():
     _FlakyHandler.failures_left = 2
     _FlakyHandler.failure_status = 500
+    _FlakyHandler.reply_content = "stub reply"
     _FlakyHandler.hits = 0
     server = HTTPServer(("127.0.0.1", 0), _FlakyHandler)
     thread = threading.Thread(
@@ -181,7 +214,6 @@ def test_http_retry_recovers_after_two_failures(flaky_server):
     session = RoleSession("Planner", backend)
     reply = session.send(user("hello"))
     assert reply.content == "stub reply"
-    assert backend.attempts_made == 3
     assert _FlakyHandler.hits == 3
 
 
@@ -189,9 +221,9 @@ def test_http_retry_bound(flaky_server):
     _FlakyHandler.failures_left = 99
     cfg = BackendConfig(endpoint_url=flaky_server, max_retries=2, timeout=5.0)
     backend = HttpBackend(cfg, sleeper=lambda s: None)
-    with pytest.raises(BackendUnavailable):
+    with pytest.raises(BackendUnavailable, match="after 3 attempt"):
         backend.complete("Planner", [user("hello")])
-    assert backend.attempts_made == 1 + cfg.max_retries
+    assert _FlakyHandler.hits == 1 + cfg.max_retries
 
 
 @pytest.mark.parametrize("status", [408, 429])
@@ -200,7 +232,7 @@ def test_http_retries_transient_status(flaky_server, status):
     cfg = BackendConfig(endpoint_url=flaky_server, max_retries=3, timeout=5.0)
     backend = HttpBackend(cfg, sleeper=lambda s: None)
     assert backend.complete("Planner", [user("hello")]) == "stub reply"
-    assert backend.attempts_made == 3
+    assert _FlakyHandler.hits == 3
 
 
 @pytest.mark.parametrize("status", [400, 401, 404])
@@ -211,7 +243,6 @@ def test_http_client_error_is_not_retried(flaky_server, status):
     backend = HttpBackend(cfg, sleeper=sleeps.append)
     with pytest.raises(BackendUnavailable, match="after 1 attempt"):
         backend.complete("Planner", [user("hello")])
-    assert backend.attempts_made == 1
     assert _FlakyHandler.hits == 1
     assert sleeps == []
 
@@ -225,7 +256,38 @@ def test_http_connection_refused_is_retried():
     backend = HttpBackend(cfg, sleeper=lambda s: None)
     with pytest.raises(BackendUnavailable, match="after 3 attempt"):
         backend.complete("Planner", [user("hello")])
-    assert backend.attempts_made == 3
+
+
+@pytest.mark.parametrize("content", [None, ""])
+def test_http_empty_reply_is_retried_then_unavailable(flaky_server, content):
+    _FlakyHandler.failures_left = 0
+    _FlakyHandler.reply_content = content
+    cfg = BackendConfig(endpoint_url=flaky_server, max_retries=2, timeout=5.0)
+    backend = HttpBackend(cfg, sleeper=lambda s: None)
+    with pytest.raises(BackendUnavailable, match="after 3 attempt"):
+        backend.complete("Planner", [user("hello")])
+    assert _FlakyHandler.hits == 1 + cfg.max_retries
+
+
+@pytest.mark.parametrize("content", [None, ""])
+def test_http_empty_reply_is_infra_error_in_bench(flaky_server, content, tmp_path, caplog):
+    _FlakyHandler.failures_left = 0
+    _FlakyHandler.reply_content = content
+    cfg = BackendConfig(endpoint_url=flaky_server, max_retries=1, timeout=5.0)
+    spec = DesignSpec.from_json(FIXTURES / "signal_generator_spec.json")
+    summary = run_suite(
+        [BenchCase(spec=spec)],
+        lambda design: Gateway(HttpBackend(cfg, sleeper=lambda s: None)),
+        lambda design: ScriptedToolchain([]),
+        PipelineBudget(),
+        tmp_path,
+    )
+    assert summary.per_case == {"signal_generator": "InfraError"}
+    assert summary.failure_reasons["signal_generator"].startswith(
+        "BackendUnavailable: backend failed after 2 attempt(s)"
+    )
+    assert "Traceback" not in caplog.text
+    assert _FlakyHandler.hits == 2
 
 
 def test_backend_config_validation():

@@ -37,25 +37,19 @@ def test_metrics_validation():
 # --- parsing ---
 
 def test_parse_canonical_baseline():
-    report = parse_report(BASE_RPT)
-    assert report.source_dialect == "Canonical"
-    m = report.metrics
-    assert m.cell_area == pytest.approx(187.05)
-    assert m.design_area == pytest.approx(202.13)
-    assert m.dynamic_power == pytest.approx(19.62)
-    assert m.leakage_power == pytest.approx(0.23)
-    assert m.cp_length == pytest.approx(5.77)
-    assert m.cp_slack is None
+    assert parse_report(BASE_RPT) == PpaMetrics(
+        cell_area=187.05, design_area=202.13, dynamic_power=19.62, leakage_power=0.23,
+        cp_length=5.77, cell_internal_power=11.04, net_switching_power=8.58,
+        combinational_area=187.05, sequential_area=0.0, levels_of_logic=34,
+    )
 
 
 def test_parse_dc_style():
-    report = parse_report(DC_RPT)
-    assert report.source_dialect == "DcStyle"
-    m = report.metrics
-    assert m.dynamic_power == pytest.approx(19.62)
-    assert m.cp_slack == pytest.approx(-1.50)
-    assert m.cell_area == pytest.approx(510.07)
-    assert m.cp_length == pytest.approx(1.79)
+    assert parse_report(DC_RPT) == PpaMetrics(
+        cell_area=510.07, design_area=580.28, dynamic_power=19.62, leakage_power=0.78,
+        cp_length=1.79, cell_internal_power=71.82, net_switching_power=47.0,
+        combinational_area=402.11, sequential_area=108.96, cp_slack=-1.5,
+    )
 
 
 def test_parse_missing_required_metric():
@@ -79,7 +73,7 @@ def test_unit_normalization():
         "leakage_power: 230 nW\n"
         "cp_length: 5770 ps\n"
     )
-    m = parse_report(text).metrics
+    m = parse_report(text)
     assert m.cell_area == pytest.approx(187.0)
     assert m.dynamic_power == pytest.approx(19.62)
     assert m.leakage_power == pytest.approx(0.23)
@@ -94,8 +88,8 @@ def test_unknown_unit_rejected():
 
 @pytest.mark.parametrize("name", ["adder_16bit_base.rpt", "adder_16bit_opt_timing.rpt"])
 def test_canonical_round_trip(name):
-    original = parse_report((REPORTS / name).read_text()).metrics
-    again = parse_report(emit_canonical(original)).metrics
+    original = parse_report((REPORTS / name).read_text())
+    again = parse_report(emit_canonical(original))
     assert again.to_dict() == original.to_dict()
 
 
@@ -110,7 +104,7 @@ metric_floats = st.floats(min_value=0.01, max_value=1e6, allow_nan=False)
 )
 def test_round_trip_random_metrics(cell, extra, dyn, leak, cp, slack):
     m = PpaMetrics(cell, cell + extra, dyn, leak, cp, cp_slack=slack)
-    again = parse_report(emit_canonical(m)).metrics
+    again = parse_report(emit_canonical(m))
     for name in HEADLINE_METRICS:
         a, b = m.get(name), again.get(name)
         if a is None:
@@ -186,8 +180,8 @@ def test_table3_adder_row():
 
 
 def test_comparison_from_report_fixtures():
-    base = parse_report(BASE_RPT).metrics
-    opt = parse_report(OPT_RPT).metrics
+    base = parse_report(BASE_RPT)
+    opt = parse_report(OPT_RPT)
     row = build_comparison("adder_16bit", base, opt)
     assert row.per_metric["cell_area"] == pytest.approx(58.70, abs=0.05)
     assert row.per_metric["cp_length"] == pytest.approx(58.40, abs=0.05)

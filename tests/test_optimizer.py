@@ -54,7 +54,7 @@ always @(posedge clk) if (en) q <= d;
 
 def test_bundled_catalog_shape():
     catalog = load_catalog()
-    assert len(catalog) == 15
+    assert len(catalog.cards) == 15
     for goal in GOALS:
         assert len(catalog.for_goal(goal)) == 5
     catalog.check_required()  # must not raise
