@@ -14,15 +14,7 @@ from typing import Callable, Optional
 import yaml
 
 from .engine import DesignSpec, PipelineBudget, run_pipeline
-from .errors import (
-    BackendUnavailable,
-    RoleMismatch,
-    RtlflowError,
-    ScriptExhausted,
-    SinkWriteError,
-    ToolchainUnavailable,
-    ZeroTotal,
-)
+from .errors import InfraError, RtlflowError, ZeroTotal
 from .metrics import (
     HEADLINE_METRICS,
     ImprovementRow,
@@ -34,16 +26,6 @@ from .metrics import (
 from .yamlload import safe_load
 
 log = logging.getLogger(__name__)
-
-# failures of what surrounds the design (backend, script, toolchain, sink);
-# such a case is InfraError and still counts in the success-rate total
-INFRA_ERRORS = (
-    BackendUnavailable,
-    ToolchainUnavailable,
-    ScriptExhausted,
-    RoleMismatch,
-    SinkWriteError,
-)
 
 
 @dataclass
@@ -147,7 +129,7 @@ def _run_case(
         if transcript.revisions[-1].outcome.kind == "SyntaxFail":
             return design, "SyntaxFail", "compile-stage failure"
         return design, "Fail", transcript.final_status
-    except INFRA_ERRORS as exc:
+    except InfraError as exc:  # still counts in the success-rate total
         return design, "InfraError", f"{type(exc).__name__}: {exc}"
     except RtlflowError as exc:
         # e.g. an unparseable reply: the case fails, the suite goes on

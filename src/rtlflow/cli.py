@@ -39,6 +39,14 @@ def _read_report(path: Path) -> PpaMetrics:
         raise click.UsageError(f"bad synthesis report {path}: {exc}")
 
 
+def _read_spec(path: Path) -> DesignSpec:
+    """Load a spec file; a bad one is a usage error."""
+    try:
+        return DesignSpec.from_json(path)
+    except (ValueError, KeyError) as exc:
+        raise click.UsageError(f"bad spec file {path}: {exc}")
+
+
 def _scripted_paths(scripted: str, design: Optional[str] = None) -> tuple[Path, Path]:
     root = Path(scripted)
     if design and (root / design / "turns.json").exists():
@@ -93,10 +101,7 @@ def generate(spec_path, workspace, budget, config_path, scripted):
     if budget is not None:
         cfg.budget = replace(cfg.budget, max_fix_iterations=budget)
         log.info("--budget %d overrides budget.max_fix_iterations", budget)
-    try:
-        spec = DesignSpec.from_json(spec_path)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise click.UsageError(f"bad spec file: {exc}")
+    spec = _read_spec(Path(spec_path))
     ws = Path(workspace)
     gateway = _make_gateway(cfg, scripted, spec.name, ws / "transcript.jsonl")
     toolchain = _make_toolchain(cfg, scripted, spec.name)
@@ -139,7 +144,7 @@ def optimize_cmd(baseline_dir, goal, base_report, opt_report, config_path, scrip
     )
     if not (base / "spec.json").exists():
         raise click.UsageError("baseline workspace lacks spec.json")
-    spec = DesignSpec.from_json(base / "spec.json")
+    spec = _read_spec(base / "spec.json")
 
     report_path = Path(base_report) if base_report else base / "synth_report.txt"
     if not report_path.exists():
@@ -214,7 +219,7 @@ def report_compare(base_path, opt_path, design):
         base = parse_report(Path(base_path).read_text())
         opt = parse_report(Path(opt_path).read_text())
         row = build_comparison(design, base, opt)
-    except RtlflowError as exc:
+    except (OSError, RtlflowError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     click.echo(json.dumps(row.to_dict(), indent=2))

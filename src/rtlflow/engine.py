@@ -21,7 +21,7 @@ from .errors import (
     UnparseablePlan,
     UnparseableReview,
 )
-from .gateway import Gateway, RoleSession, user
+from .gateway import Gateway
 from .prompts import render_prompt
 from .toolchain import DiagnosticRecord, VerificationOutcome
 
@@ -52,8 +52,8 @@ class DesignSpec:
         if len(names) != len(set(names)):
             raise ValueError("port names must be unique")
         for p in self.ports:
-            if p.width < 1:
-                raise ValueError(f"port {p.name} has width < 1")
+            if type(p.width) is not int or p.width < 1:
+                raise ValueError(f"port {p.name} needs an integer width >= 1, got {p.width!r}")
             if p.direction not in ("in", "out", "inout"):
                 raise ValueError(f"port {p.name} has bad direction {p.direction!r}")
 
@@ -69,11 +69,19 @@ class DesignSpec:
         tb = d["testbench_path"]
         if tb and not Path(tb).is_absolute():
             tb = str((base / tb).resolve())
+        if not isinstance(d["ports"], list):
+            raise ValueError(f"ports must be a list, got {d['ports']!r}")
+        ports = []
+        for p in d["ports"]:
+            try:
+                ports.append(Port(**p))
+            except TypeError as exc:  # not a mapping, or an unknown or missing key
+                raise ValueError(f"bad port {p!r}: {exc}") from None
         return cls(
             name=d["name"],
             description=d["description"],
             module_name=d["module_name"],
-            ports=[Port(**p) for p in d["ports"]],
+            ports=ports,
             testbench_path=tb,
         )
 
@@ -82,27 +90,19 @@ class DesignSpec:
 
 
 @dataclass
-class PlanStep:
-    index: int
-    text: str
-
-
-@dataclass
 class ImplementationPlan:
-    steps: list[PlanStep]
+    steps: list[str]  # step k is steps[k - 1]
 
     def __post_init__(self):
         if not self.steps:
             raise ValueError("plan needs at least one step")
-        if [s.index for s in self.steps] != list(range(1, len(self.steps) + 1)):
-            raise ValueError("step indices must be contiguous 1..N")
 
     def as_text(self) -> str:
-        return "\n".join(f"{s.index}. {s.text}" for s in self.steps)
+        return "\n".join(f"{i}. {t}" for i, t in enumerate(self.steps, 1))
 
     @property
     def indices(self) -> list[int]:
-        return [s.index for s in self.steps]
+        return list(range(1, len(self.steps) + 1))
 
 
 @dataclass
@@ -258,8 +258,7 @@ _REVIEW_RE = re.compile(
 
 # --- role operations ---
 
-def make_plan(spec: DesignSpec, session: RoleSession) -> ImplementationPlan:
-    assert session.role_name == "Planner"
+def make_plan(spec: DesignSpec, gateway: Gateway) -> ImplementationPlan:
     prompt = render_prompt(
         "planner",
         name=spec.name,
@@ -267,11 +266,10 @@ def make_plan(spec: DesignSpec, session: RoleSession) -> ImplementationPlan:
         module_name=spec.module_name,
         ports=spec.port_table(),
     )
-    reply = session.send(user(prompt))
-    items = parse_numbered_list(reply.content)
+    items = parse_numbered_list(gateway.session("Planner").send(prompt))
     if not items:
         raise UnparseablePlan("planner reply has no numbered steps")
-    return ImplementationPlan([PlanStep(i, t) for i, t in enumerate(items, 1)])
+    return ImplementationPlan(items)
 
 
 def _note_missing_steps(plan: ImplementationPlan, artifact: RtlArtifact) -> RtlArtifact:
@@ -284,24 +282,23 @@ def _note_missing_steps(plan: ImplementationPlan, artifact: RtlArtifact) -> RtlA
     return artifact
 
 
-def write_rtl(plan: ImplementationPlan, spec: DesignSpec, session: RoleSession) -> RtlArtifact:
-    assert session.role_name == "Programmer"
+def write_rtl(plan: ImplementationPlan, spec: DesignSpec, gateway: Gateway) -> RtlArtifact:
     prompt = render_prompt(
         "programmer",
         module_name=spec.module_name,
         ports=spec.port_table(),
         plan=plan.as_text(),
     )
-    return _note_missing_steps(plan, artifact_from_reply(session.send(user(prompt)).content, 0))
+    reply = gateway.session("Programmer").send(prompt)
+    return _note_missing_steps(plan, artifact_from_reply(reply, 0))
 
 
-def review_rtl(plan: ImplementationPlan, rtl: RtlArtifact, session: RoleSession) -> ReviewVerdict:
-    assert session.role_name == "Reviewer"
+def review_rtl(plan: ImplementationPlan, rtl: RtlArtifact, gateway: Gateway) -> ReviewVerdict:
     prompt = render_prompt("reviewer", plan=plan.as_text(), code=rtl.verilog_text)
-    reply = session.send(user(prompt))
+    reply = gateway.session("Reviewer").send(prompt)
     per_step: dict[int, StepReview] = {}
     valid = set(plan.indices)
-    for line in reply.content.splitlines():
+    for line in reply.splitlines():
         m = _REVIEW_RE.match(line)
         if not m:
             continue
@@ -323,9 +320,8 @@ def diagnose_failures(
     rtl: RtlArtifact,
     outcome: VerificationOutcome,
     testbench_text: str,
-    session: RoleSession,
+    gateway: Gateway,
 ) -> FixDiagnosis:
-    assert session.role_name == "Evaluator"
     if outcome.kind not in ("SyntaxFail", "FunctionalFail"):
         raise ValueError(f"diagnose called on outcome {outcome.kind}")
     error_log = "\n".join(
@@ -334,8 +330,7 @@ def diagnose_failures(
     prompt = render_prompt(
         "evaluator", code=rtl.verilog_text, errors=error_log, testbench=testbench_text
     )
-    reply = session.send(user(prompt))
-    items = parse_numbered_list(reply.content)
+    items = parse_numbered_list(gateway.session("Evaluator").send(prompt))
     if not items:
         raise UnparseableDiagnosis("evaluator reply has no numbered fixes")
     return FixDiagnosis(
@@ -344,10 +339,9 @@ def diagnose_failures(
     )
 
 
-def apply_fixes(rtl: RtlArtifact, diagnosis: FixDiagnosis, session: RoleSession) -> RtlArtifact:
-    assert session.role_name == "Programmer"
+def apply_fixes(rtl: RtlArtifact, diagnosis: FixDiagnosis, gateway: Gateway) -> RtlArtifact:
     prompt = render_prompt("fixer", code=rtl.verilog_text, fixes=diagnosis.as_text())
-    fixed = artifact_from_reply(session.send(user(prompt)).content, rtl.revision + 1)
+    fixed = artifact_from_reply(gateway.session("Programmer").send(prompt), rtl.revision + 1)
     if len(fixed.fix_tags) < len(diagnosis.fixes):
         fixed.notes.append(
             f"MissingFixTags: got {sorted(fixed.fix_tags)}, expected {len(diagnosis.fixes)}"
@@ -367,26 +361,20 @@ def _review_loop(plan, gateway, budget, workspace, rtl):
     """Review; on incompleteness, route the missing list back to the
     Programmer up to max_review_rounds times. Returns the artifact to verify."""
     for round_no in range(budget.max_review_rounds):
-        reviewer = gateway.session("Reviewer")
-        verdict = review_rtl(plan, rtl, reviewer)
+        verdict = review_rtl(plan, rtl, gateway)
         _dump(workspace / f"verdict_{rtl.revision}.json", asdict(verdict))
         if verdict.complete:
             return rtl
         if round_no + 1 >= budget.max_review_rounds:
             break
-        missing_steps = "\n".join(
-            f"{s.index}. {s.text}" for s in plan.steps if s.index in verdict.missing
-        )
-        programmer = gateway.session("Programmer")
         prompt = render_prompt(
             "reprogrammer",
             code=rtl.verilog_text,
-            missing=missing_steps,
+            missing="\n".join(f"{i}. {plan.steps[i - 1]}" for i in verdict.missing),
             plan=plan.as_text(),
         )
-        rtl = _note_missing_steps(
-            plan, artifact_from_reply(programmer.send(user(prompt)).content, rtl.revision)
-        )
+        reply = gateway.session("Programmer").send(prompt)
+        rtl = _note_missing_steps(plan, artifact_from_reply(reply, rtl.revision))
     log.warning("review never converged after %d rounds; proceeding", budget.max_review_rounds)
     return rtl
 
@@ -427,9 +415,9 @@ def fix_loop(
         if rev >= budget.max_fix_iterations:
             return revisions, "BudgetExhausted"
 
-        diagnosis = diagnose_failures(rtl, outcome, tb_text, gateway.session("Evaluator"))
+        diagnosis = diagnose_failures(rtl, outcome, tb_text, gateway)
         _dump(workspace / f"diagnosis_{rev}.json", diagnosis.to_dict())
-        rtl = apply_fixes(rtl, diagnosis, gateway.session("Programmer"))
+        rtl = apply_fixes(rtl, diagnosis, gateway)
 
 
 def run_pipeline(
@@ -447,12 +435,9 @@ def run_pipeline(
 
     _dump(workspace / "spec.json", spec.to_dict())
 
-    planner = gateway.session("Planner")
-    plan = make_plan(spec, planner)
+    plan = make_plan(spec, gateway)
     (workspace / "plan.txt").write_text(plan.as_text() + "\n")
-
-    programmer = gateway.session("Programmer")
-    rtl = write_rtl(plan, spec, programmer)
+    rtl = write_rtl(plan, spec, gateway)
 
     revisions, final = fix_loop(
         rtl, tb_path, gateway, toolchain, budget, workspace,

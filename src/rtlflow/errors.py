@@ -5,21 +5,26 @@ class RtlflowError(Exception):
     """Base class for all rtlflow errors."""
 
 
+class InfraError(RtlflowError):
+    """A failure of what surrounds the design (backend, script, toolchain,
+    sink), not of the design itself."""
+
+
 # --- gateway ---
 
-class BackendUnavailable(RtlflowError):
+class BackendUnavailable(InfraError):
     """Remote chat backend could not be reached after all retries."""
 
 
-class ScriptExhausted(RtlflowError):
+class ScriptExhausted(InfraError):
     """Scripted backend has no canned turns left."""
 
 
-class RoleMismatch(RtlflowError):
+class RoleMismatch(InfraError):
     """Scripted turn expected a different role than the one sending."""
 
 
-class SinkWriteError(RtlflowError):
+class SinkWriteError(InfraError):
     """Transcript sink could not be written."""
 
 
@@ -43,7 +48,7 @@ class UnparseableDiagnosis(RtlflowError):
 
 # --- toolchain ---
 
-class ToolchainUnavailable(RtlflowError):
+class ToolchainUnavailable(InfraError):
     """Configured compiler/simulator executable is missing."""
 
 

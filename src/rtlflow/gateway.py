@@ -193,7 +193,7 @@ class TranscriptWriter:
 @dataclass
 class RoleSession:
     """One role call: each send is one request carrying the optional system
-    message and the prompt, and one transcript append."""
+    message and the prompt text, and one transcript append."""
 
     role_name: str
     backend: object
@@ -204,13 +204,12 @@ class RoleSession:
         if self.role_name not in ROLE_NAMES:
             raise ValueError(f"unknown role: {self.role_name!r}")
 
-    def send(self, prompt: ChatMessage) -> ChatMessage:
-        if prompt.role_tag != "user":
-            raise ValueError("send() takes a user message")
-        request = [prompt] if self.system is None else [self.system, prompt]
-        reply = ChatMessage("assistant", self.backend.complete(self.role_name, request))
+    def send(self, prompt: str) -> str:
+        """The reply text to `prompt`, sent as the user message."""
+        request = [user(prompt)] if self.system is None else [self.system, user(prompt)]
+        reply = self.backend.complete(self.role_name, request)
         if self.transcript is not None:
-            self.transcript.write(self.role_name, *request, reply)
+            self.transcript.write(self.role_name, *request, ChatMessage("assistant", reply))
         return reply
 
 

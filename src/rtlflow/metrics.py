@@ -9,23 +9,11 @@ the violation-magnitude convention and is N/A for combinational baselines.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, asdict
+from dataclasses import MISSING, dataclass, asdict, fields
 from decimal import Decimal, ROUND_HALF_UP
 from typing import Optional
 
 from .errors import AmbiguousUnit, MissingMetric, UnknownDialect, ZeroBaseline
-
-REQUIRED_FIELDS = ("cell_area", "design_area", "dynamic_power", "leakage_power", "cp_length")
-OPTIONAL_FIELDS = (
-    "cell_internal_power",
-    "net_switching_power",
-    "combinational_area",
-    "sequential_area",
-    "cp_slack",
-    "total_negative_slack",
-    "levels_of_logic",
-)
-ALL_FIELDS = REQUIRED_FIELDS + OPTIONAL_FIELDS
 
 # the six headline comparison metrics, in table order
 HEADLINE_METRICS = (
@@ -36,20 +24,6 @@ HEADLINE_METRICS = (
     "cp_length",
     "cp_slack",
 )
-
-_AREA_UNITS = {"um2": 1.0, "µm2": 1.0, "um^2": 1.0, "µm^2": 1.0, "mm2": 1e6}
-_POWER_UNITS = {"uw": 1.0, "µw": 1.0, "mw": 1e3, "w": 1e6, "nw": 1e-3}
-_TIME_UNITS = {"ns": 1.0, "ps": 1e-3, "us": 1e3, "µs": 1e3}
-
-
-def _unit_table(name: str) -> Optional[dict[str, float]]:
-    if name.endswith("_area"):
-        return _AREA_UNITS
-    if name.endswith("_power"):
-        return _POWER_UNITS
-    if name in ("cp_length", "cp_slack", "total_negative_slack"):
-        return _TIME_UNITS
-    return None  # unitless (levels_of_logic)
 
 
 @dataclass
@@ -81,6 +55,20 @@ class PpaMetrics:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+ALL_FIELDS = tuple(f.name for f in fields(PpaMetrics))
+REQUIRED_FIELDS = tuple(f.name for f in fields(PpaMetrics) if f.default is MISSING)
+
+# unit class by field-name suffix: the canonical unit, then each accepted
+# unit's factor to it
+_UNIT_CLASSES = {
+    ("_area",): ("um2", {"um2": 1.0, "µm2": 1.0, "um^2": 1.0, "µm^2": 1.0, "mm2": 1e6}),
+    ("_power",): ("uW", {"uw": 1.0, "µw": 1.0, "mw": 1e3, "w": 1e6, "nw": 1e-3}),
+    ("_length", "_slack"): ("ns", {"ns": 1.0, "ps": 1e-3, "us": 1e3, "µs": 1e3}),
+}
+# every field but the unitless levels_of_logic
+_UNITS = {n: u for n in ALL_FIELDS for sfx, u in _UNIT_CLASSES.items() if n.endswith(sfx)}
 
 
 @dataclass
@@ -129,57 +117,39 @@ _DC_PATTERNS = {
 _DC_SLACK = re.compile(r"slack\s*\((MET|VIOLATED)\)\s*(-?[\d.]+)", re.IGNORECASE)
 
 
-def _normalize(name: str, value: float, unit: str) -> float:
-    table = _unit_table(name)
-    if table is None:
-        return value
+def _normalize(name: str, num: str, unit: str = "") -> float:
+    value = float(num)
     unit = unit.strip().lower()
-    if not unit:
-        return value  # canonical units assumed
-    if unit not in table:
+    if name not in _UNITS or not unit:
+        return value  # unitless, or canonical units assumed
+    factors = _UNITS[name][1]
+    if unit not in factors:
         raise AmbiguousUnit(f"{name}: unknown unit {unit!r}")
-    return value * table[unit]
-
-
-def _detect_dialect(text: str) -> str:
-    canon_hits = sum(
-        1
-        for line in text.splitlines()
-        if (m := _CANON_LINE.match(line)) and m.group(1) in ALL_FIELDS
-    )
-    if canon_hits >= 3:
-        return "Canonical"
-    dc_hits = sum(1 for pat in _DC_PATTERNS.values() if pat.search(text))
-    if dc_hits >= 2 or _DC_SLACK.search(text):
-        return "DcStyle"
-    raise UnknownDialect("report matches neither canonical nor DC-style grammar")
+    return value * factors[unit]
 
 
 def parse_report(text: str) -> PpaMetrics:
-    """The metrics of a canonical or DC-style report, in canonical units."""
+    """The metrics of a canonical or DC-style report, in canonical units.
+
+    Three canonical lines naming known metrics make the report canonical;
+    otherwise two DC-style matches, or a DC slack line, make it DC-style.
+    Units are normalised only once the dialect is chosen."""
     if not text or not text.strip():
         raise UnknownDialect("empty report text")
-    dialect = _detect_dialect(text)
-    values: dict[str, float] = {}
-
-    if dialect == "Canonical":
-        for line in text.splitlines():
-            m = _CANON_LINE.match(line)
-            if not m:
-                continue
-            name, num, unit = m.group(1), m.group(2), m.group(3)
-            if name not in ALL_FIELDS:
-                continue
-            values[name] = _normalize(name, float(num), unit)
+    canon = [
+        m.groups() for line in text.splitlines()
+        if (m := _CANON_LINE.match(line)) and m.group(1) in ALL_FIELDS
+    ]
+    if len(canon) >= 3:
+        values = {name: _normalize(name, num, unit) for name, num, unit in canon}
     else:
-        for name, pat in _DC_PATTERNS.items():
-            m = pat.search(text)
-            if m:
-                unit = m.group(2) if m.lastindex and m.lastindex >= 2 else ""
-                values[name] = _normalize(name, float(m.group(1)), unit)
-        m = _DC_SLACK.search(text)
-        if m:
-            values["cp_slack"] = float(m.group(2))
+        found = {name: m for name, pat in _DC_PATTERNS.items() if (m := pat.search(text))}
+        slack = _DC_SLACK.search(text)
+        if len(found) < 2 and not slack:
+            raise UnknownDialect("report matches neither canonical nor DC-style grammar")
+        values = {name: _normalize(name, *m.groups()) for name, m in found.items()}
+        if slack:
+            values["cp_slack"] = float(slack.group(2))
 
     for name in REQUIRED_FIELDS:
         if name not in values:
@@ -194,17 +164,9 @@ def emit_canonical(metrics: PpaMetrics) -> str:
     lines = []
     for name in ALL_FIELDS:
         value = metrics.get(name)
-        if value is None:
-            continue
-        if name.endswith("_area"):
-            unit = " um2"
-        elif name.endswith("_power"):
-            unit = " uW"
-        elif name in ("cp_length", "cp_slack", "total_negative_slack"):
-            unit = " ns"
-        else:
-            unit = ""
-        lines.append(f"{name}: {value!r}{unit}")
+        if value is not None:
+            unit = f" {_UNITS[name][0]}" if name in _UNITS else ""
+            lines.append(f"{name}: {value!r}{unit}")
     return "\n".join(lines) + "\n"
 
 

@@ -366,7 +366,7 @@ def optimize(
     messages = build_icl_prompt(rec, baseline, report, catalog)
 
     session = gateway.session("Optimizer", system_prompt=messages[0].content)
-    rtl = artifact_from_reply(session.send(messages[1]).content, 0)
+    rtl = artifact_from_reply(session.send(messages[1].content), 0)
     revisions, final = fix_loop(rtl, testbench_path, gateway, toolchain, budget, workspace)
     if final != "Pass":
         raise FunctionalRegressionUnrecoverable(

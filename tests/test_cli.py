@@ -63,6 +63,37 @@ def test_generate_bad_spec(tmp_path, runner):
     assert "bad spec" in result.output
 
 
+CLK = {"name": "clk", "direction": "in", "width": 1}
+
+BAD_PORTS = [
+    pytest.param([dict(CLK, bits=1)], "'bits'", id="unknown-key"),
+    pytest.param([{"name": "clk", "width": 1}], "'direction'", id="missing-key"),
+    pytest.param(["clk"], "bad port 'clk'", id="not-a-mapping"),
+    pytest.param({"clk": CLK}, "ports must be a list", id="ports-not-a-list"),
+    pytest.param([dict(CLK, width="8")], "port clk needs an integer width", id="string-width"),
+]
+
+
+def write_spec(path, ports):
+    """The signal_generator fixture spec with `ports` in place of its own."""
+    spec = json.loads((FIXTURES / "signal_generator_spec.json").read_text())
+    spec.update(ports=ports, testbench_path=str(VERILOG / "signal_generator_tb.v"))
+    path.write_text(json.dumps(spec))
+    return path
+
+
+@pytest.mark.parametrize("ports, needle", BAD_PORTS)
+def test_generate_bad_ports_is_usage_error(tmp_path, runner, ports, needle):
+    spec = write_spec(tmp_path / "spec.json", ports)
+    result = runner.invoke(main, [
+        "generate", "--spec", str(spec), "--workspace", str(tmp_path / "ws"),
+        "--scripted", str(SCRIPTED / "signal_generator"),
+    ])
+    assert result.exit_code == 2, result.output
+    assert "bad spec file" in result.output and needle in result.output
+    assert not (tmp_path / "ws").exists()
+
+
 def test_generate_invalid_budget_flag(tmp_path, runner):
     result = runner.invoke(main, [
         "generate",
@@ -102,6 +133,15 @@ def test_report_compare_unparseable(tmp_path, runner):
     ])
     assert result.exit_code == 1
     assert "error" in result.output
+
+
+def test_report_compare_unreadable_path(runner):
+    result = runner.invoke(main, [
+        "report", "compare", "--base", str(FIXTURES), "--opt", str(REPORTS / "adder_16bit_base.rpt"),
+    ])
+    assert result.exit_code == 1
+    assert "error:" in result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
 
 
 # --- optimize input checks ---
@@ -144,6 +184,20 @@ def test_optimize_bad_report_is_usage_error(tmp_path, runner, passing_workspace,
     assert result.exit_code == 2, result.output
     assert needle.format(base=base, opt=opt) in result.output
     assert calls == []  # rejected before the first LLM call
+    assert not (passing_workspace / "opt_timing").exists()
+
+
+@pytest.mark.parametrize("ports, needle", BAD_PORTS)
+def test_optimize_bad_baseline_spec_is_usage_error(tmp_path, runner, passing_workspace,
+                                                   ports, needle):
+    write_spec(passing_workspace / "spec.json", ports)
+    result = runner.invoke(main, [
+        "optimize", "--baseline", str(passing_workspace), "--goal", "timing",
+        "--base-report", str(REPORTS / "adder_16bit_base.rpt"),
+        "--scripted", str(SCRIPTED / "signal_generator"),
+    ])
+    assert result.exit_code == 2, result.output
+    assert "bad spec file" in result.output and needle in result.output
     assert not (passing_workspace / "opt_timing").exists()
 
 
@@ -363,4 +417,17 @@ def test_bench_bad_manifest_is_usage_error(tmp_path, runner, body, needle):
     ])
     assert result.exit_code == 2
     assert needle in result.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("ports, needle", BAD_PORTS)
+def test_bench_bad_ports_is_usage_error(tmp_path, runner, ports, needle):
+    write_spec(tmp_path / "a.json", ports)
+    manifest = tmp_path / "suite.yaml"
+    manifest.write_text("cases:\n  - spec: a.json\n")
+    result = runner.invoke(main, [
+        "bench", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
+    ])
+    assert result.exit_code == 2, result.output
+    assert "bad manifest" in result.output and needle in result.output
     assert not (tmp_path / "out").exists()

@@ -10,7 +10,6 @@ from rtlflow.engine import (
     FixDiagnosis,
     ImplementationPlan,
     PipelineBudget,
-    PlanStep,
     Port,
     RtlArtifact,
     apply_fixes,
@@ -44,13 +43,14 @@ def make_spec(tmp_path, name="toy"):
     )
 
 
-def session_for(role, reply):
-    return Gateway(RecordingBackend([(role, reply)])).session(role)
+def gateway_for(role, reply):
+    """A gateway whose one scripted turn is `reply` from `role`."""
+    return Gateway(RecordingBackend([(role, reply)]))
 
 
-def sent_prompt(session) -> str:
-    """The one message of the session's one request: the user prompt."""
-    [[prompt]] = session.backend.requests
+def sent_prompt(gateway) -> str:
+    """The one message of the gateway's one request: the user prompt."""
+    [[prompt]] = gateway.backend.requests
     assert prompt.role_tag == "user"
     return prompt.content
 
@@ -86,21 +86,21 @@ def test_spec_ignores_clocked_key(tmp_path, signal_generator_spec):
 
 def test_make_plan_four_steps(tmp_path):
     reply = "1. registers\n2. always block\n3. counting\n4. output"
-    plan = make_plan(make_spec(tmp_path), session_for("Planner", reply))
-    assert [s.index for s in plan.steps] == [1, 2, 3, 4]
-    assert plan.steps[1].text == "always block"
+    plan = make_plan(make_spec(tmp_path), gateway_for("Planner", reply))
+    assert plan.indices == [1, 2, 3, 4]
+    assert plan.steps[1] == "always block"
 
 
 def test_make_plan_unparseable(tmp_path):
     with pytest.raises(UnparseablePlan):
-        make_plan(make_spec(tmp_path), session_for("Planner", "no steps needed"))
+        make_plan(make_spec(tmp_path), gateway_for("Planner", "no steps needed"))
 
 
 def test_plan_prompt_carries_module_and_ports(tmp_path):
     spec = make_spec(tmp_path, name="widget")
-    session = session_for("Planner", "1. only step")
-    make_plan(spec, session)
-    prompt = sent_prompt(session)
+    gateway = gateway_for("Planner", "1. only step")
+    make_plan(spec, gateway)
+    prompt = sent_prompt(gateway)
     assert "widget" in prompt
     for port in spec.ports:
         assert port.name in prompt
@@ -128,8 +128,8 @@ def test_renumbering_matches_oracle(tmp_path):
         lines = [f"{num}. {texts[i]}" for i, num in enumerate(numbers)]
         lines.insert(rng.randint(0, len(lines)), "free-text commentary")
         reply = "\n".join(lines)
-        plan = make_plan(make_spec(tmp_path), session_for("Planner", reply))
-        got = [(s.index, s.text) for s in plan.steps]
+        plan = make_plan(make_spec(tmp_path), gateway_for("Planner", reply))
+        got = list(enumerate(plan.steps, 1))
         assert got == oracle_renumber(lines)
 
 
@@ -152,11 +152,11 @@ endmodule
 
 
 def four_step_plan():
-    return ImplementationPlan([PlanStep(i, f"step {i}") for i in range(1, 5)])
+    return ImplementationPlan([f"step {i}" for i in range(1, 5)])
 
 
 def test_write_rtl_extracts_step_tags(tmp_path):
-    artifact = write_rtl(four_step_plan(), make_spec(tmp_path), session_for("Programmer", CODE_REPLY))
+    artifact = write_rtl(four_step_plan(), make_spec(tmp_path), gateway_for("Programmer", CODE_REPLY))
     assert artifact.revision == 0
     assert set(artifact.step_tags) == {1, 2, 3, 4}
     assert artifact.notes == []
@@ -164,12 +164,12 @@ def test_write_rtl_extracts_step_tags(tmp_path):
 
 def test_write_rtl_no_code_block(tmp_path):
     with pytest.raises(NoCodeBlock):
-        write_rtl(four_step_plan(), make_spec(tmp_path), session_for("Programmer", "just prose"))
+        write_rtl(four_step_plan(), make_spec(tmp_path), gateway_for("Programmer", "just prose"))
 
 
 def test_write_rtl_missing_tags_recorded(tmp_path):
     truncated = CODE_REPLY.replace("// STEP 4: output\n        ", "")
-    artifact = write_rtl(four_step_plan(), make_spec(tmp_path), session_for("Programmer", truncated))
+    artifact = write_rtl(four_step_plan(), make_spec(tmp_path), gateway_for("Programmer", truncated))
     assert set(artifact.step_tags) == {1, 2, 3}
     assert any("MissingStepTags" in n for n in artifact.notes)
 
@@ -193,14 +193,14 @@ REVIEW_OK = "\n".join(f"STEP {i}: IMPLEMENTED - evidence {i}" for i in range(1, 
 
 
 def test_review_complete():
-    verdict = review_rtl(four_step_plan(), RtlArtifact(CODE_REPLY), session_for("Reviewer", REVIEW_OK))
+    verdict = review_rtl(four_step_plan(), RtlArtifact(CODE_REPLY), gateway_for("Reviewer", REVIEW_OK))
     assert verdict.complete
     assert verdict.per_step[2].evidence == "evidence 2"
 
 
 def test_review_missing_step():
     reply = REVIEW_OK.replace("STEP 3: IMPLEMENTED - evidence 3", "STEP 3: MISSING - no counter")
-    verdict = review_rtl(four_step_plan(), RtlArtifact(CODE_REPLY), session_for("Reviewer", reply))
+    verdict = review_rtl(four_step_plan(), RtlArtifact(CODE_REPLY), gateway_for("Reviewer", reply))
     assert not verdict.complete
     assert verdict.missing == [3]
 
@@ -208,7 +208,7 @@ def test_review_missing_step():
 def test_review_out_of_range_index():
     reply = REVIEW_OK + "\nSTEP 5: IMPLEMENTED - phantom"
     with pytest.raises(UnparseableReview):
-        review_rtl(four_step_plan(), RtlArtifact(CODE_REPLY), session_for("Reviewer", reply))
+        review_rtl(four_step_plan(), RtlArtifact(CODE_REPLY), gateway_for("Reviewer", reply))
 
 
 def test_review_fuzz_out_of_range():
@@ -220,7 +220,7 @@ def test_review_fuzz_out_of_range():
         if set(indices) == {1, 2, 3, 4}:
             continue
         with pytest.raises(UnparseableReview):
-            review_rtl(plan, RtlArtifact(CODE_REPLY), session_for("Reviewer", reply))
+            review_rtl(plan, RtlArtifact(CODE_REPLY), gateway_for("Reviewer", reply))
 
 
 def test_review_complete_flag_is_recomputed():
@@ -229,7 +229,7 @@ def test_review_complete_flag_is_recomputed():
         "All steps are done, great work!\n"
         + REVIEW_OK.replace("STEP 1: IMPLEMENTED - evidence 1", "STEP 1: MISSING - nothing")
     )
-    verdict = review_rtl(four_step_plan(), RtlArtifact(CODE_REPLY), session_for("Reviewer", reply))
+    verdict = review_rtl(four_step_plan(), RtlArtifact(CODE_REPLY), gateway_for("Reviewer", reply))
     assert verdict.complete is False
 
 
@@ -243,7 +243,7 @@ def test_diagnose_parses_fixes():
     reply = "1. fix the carry\n2. widen the register\n3. reset properly"
     diagnosis = diagnose_failures(
         RtlArtifact("module m; endmodule"), failing_outcome(), "tb text",
-        session_for("Evaluator", reply),
+        gateway_for("Evaluator", reply),
     )
     assert len(diagnosis.fixes) == 3
 
@@ -252,7 +252,7 @@ def test_diagnose_unparseable_reply():
     with pytest.raises(UnparseableDiagnosis):
         diagnose_failures(
             RtlArtifact("module m; endmodule"), failing_outcome(), "tb text",
-            session_for("Evaluator", "The counter looks wrong; widen it."),
+            gateway_for("Evaluator", "The counter looks wrong; widen it."),
         )
 
 
@@ -260,7 +260,7 @@ def test_diagnose_rejects_pass_outcome():
     with pytest.raises(ValueError):
         diagnose_failures(
             RtlArtifact("x"), VerificationOutcome("Pass"), "tb",
-            session_for("Evaluator", "1. nothing"),
+            gateway_for("Evaluator", "1. nothing"),
         )
 
 
@@ -270,9 +270,9 @@ def test_diagnosis_requires_fixes():
 
 
 def test_diagnose_prompt_contains_log_and_testbench():
-    session = session_for("Evaluator", "1. a fix")
-    diagnose_failures(RtlArtifact("module m; endmodule"), failing_outcome(), "TB_SENTINEL", session)
-    prompt = sent_prompt(session)
+    gateway = gateway_for("Evaluator", "1. a fix")
+    diagnose_failures(RtlArtifact("module m; endmodule"), failing_outcome(), "TB_SENTINEL", gateway)
+    prompt = sent_prompt(gateway)
     assert "ERROR: mismatch at vector 7" in prompt
     assert "TB_SENTINEL" in prompt
 
@@ -287,7 +287,7 @@ def test_apply_fixes_increments_revision():
     base = RtlArtifact("module toy; endmodule", step_tags={1: (1, 1)}, revision=0)
     diagnosis = FixDiagnosis(fixes=[type("F", (), {"description": f"f{i}"})() for i in range(3)],
                              source_errors=[])
-    fixed = apply_fixes(base, diagnosis, session_for("Programmer", FIXED_REPLY))
+    fixed = apply_fixes(base, diagnosis, gateway_for("Programmer", FIXED_REPLY))
     assert fixed.revision == 1
     assert set(fixed.fix_tags) == {1, 2, 3}
     assert set(fixed.step_tags) == {1, 2, 3, 4}

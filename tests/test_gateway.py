@@ -35,8 +35,8 @@ def test_chat_message_validation():
 def test_scripted_replay_advances_cursor():
     backend = RecordingBackend([("Planner", "1. step one\n2. step two\n3. three\n4. four")])
     session = RoleSession("Planner", backend)
-    reply = session.send(user("plan it"))
-    assert reply.content.startswith("1. step one")
+    reply = session.send("plan it")
+    assert reply.startswith("1. step one")
     assert backend.cursor == 1
     assert backend.requests == [[user("plan it")]]
 
@@ -44,20 +44,14 @@ def test_scripted_replay_advances_cursor():
 def test_scripted_exhaustion():
     session = RoleSession("Planner", ScriptedBackend([]))
     with pytest.raises(ScriptExhausted):
-        session.send(user("anything"))
+        session.send("anything")
 
 
 def test_scripted_role_mismatch():
     backend = ScriptedBackend([("Programmer", "module m; endmodule")])
     session = RoleSession("Reviewer", backend)
     with pytest.raises(RoleMismatch):
-        session.send(user("review this"))
-
-
-def test_send_rejects_non_user_prompt():
-    session = RoleSession("Planner", ScriptedBackend([("Planner", "ok")]))
-    with pytest.raises(ValueError):
-        session.send(ChatMessage("assistant", "nope"))
+        session.send("review this")
 
 
 def test_each_send_is_one_request():
@@ -65,9 +59,9 @@ def test_each_send_is_one_request():
     backend = RecordingBackend([("Planner", "a"), ("Planner", "b"), ("Optimizer", "c")])
     gateway = Gateway(backend)
     planner = gateway.session("Planner")
-    planner.send(user("one"))
-    planner.send(user("two"))
-    gateway.session("Optimizer", system_prompt="cards").send(user("three"))
+    planner.send("one")
+    planner.send("two")
+    gateway.session("Optimizer", system_prompt="cards").send("three")
     assert backend.requests == [
         [user("one")], [user("two")], [system("cards"), user("three")],
     ]
@@ -77,7 +71,7 @@ def test_transcript_lines_and_idempotence(tmp_path):
     # each message of a send is written exactly once, prompt before reply
     sink = TranscriptWriter(tmp_path / "t.jsonl", run_id="r1", clock=lambda: 0.0)
     session = RoleSession("Planner", ScriptedBackend([("Planner", "a")]), transcript=sink)
-    session.send(user("q"))
+    session.send("q")
     lines = (tmp_path / "t.jsonl").read_text().splitlines()
     assert len(lines) == 2
     first = json.loads(lines[0])
@@ -105,8 +99,8 @@ def test_exchange_is_one_append(tmp_path, opens):
     sink = TranscriptWriter(path, run_id="r1", clock=lambda: 0.0)
     session = RoleSession("Planner", ScriptedBackend([("Planner", "a"), ("Planner", "b")]),
                           transcript=sink)
-    session.send(user("q1"))
-    session.send(user("q2"))
+    session.send("q1")
+    session.send("q2")
     assert opens[path] == [("a",), ("a",)]
     lines = [json.loads(l) for l in path.read_text().splitlines()]
     assert [(l["seq"], l["direction"], l["content"]) for l in lines] == [
@@ -120,7 +114,7 @@ def test_system_session_is_one_request_and_one_append(tmp_path, opens):
     gateway = Gateway(backend, transcript_path=path, run_id="r1", clock=lambda: 0.0)
     session = gateway.session("Optimizer", system_prompt="cards")
     assert path not in opens  # opening a session writes nothing
-    session.send(user("baseline"))
+    session.send("baseline")
     assert backend.requests == [[system("cards"), user("baseline")]]
     assert opens[path] == [("a",)]
     lines = [json.loads(l) for l in path.read_text().splitlines()]
@@ -137,9 +131,9 @@ def test_failing_sink_does_not_advance_seq(tmp_path):
     session = RoleSession("Planner", ScriptedBackend([("Planner", "a"), ("Planner", "b")]),
                           transcript=sink)
     with pytest.raises(SinkWriteError):
-        session.send(user("q1"))
+        session.send("q1")
     path.parent.mkdir()
-    session.send(user("q2"))
+    session.send("q2")
     lines = [json.loads(l) for l in path.read_text().splitlines()]
     assert [(l["seq"], l["content"]) for l in lines] == [(0, "q2"), (1, "b")]
 
@@ -149,7 +143,7 @@ def test_empty_session_writes_nothing(tmp_path):
     sink = TranscriptWriter(tmp_path / "t.jsonl", run_id="r1")
     session = RoleSession("Planner", ScriptedBackend([]), transcript=sink)
     with pytest.raises(ScriptExhausted):
-        session.send(user("q"))
+        session.send("q")
     assert not (tmp_path / "t.jsonl").exists()
 
 
@@ -157,8 +151,8 @@ def test_scripted_transcripts_are_byte_identical(tmp_path):
     def run(path):
         backend = ScriptedBackend([("Planner", "x"), ("Programmer", "y")])
         gw = Gateway(backend, transcript_path=path, run_id="fixed", clock=lambda: 0.0)
-        gw.session("Planner").send(user("p"))
-        gw.session("Programmer").send(user("q"))
+        gw.session("Planner").send("p")
+        gw.session("Programmer").send("q")
         return path.read_bytes()
 
     assert run(tmp_path / "a.jsonl") == run(tmp_path / "b.jsonl")
@@ -212,8 +206,8 @@ def test_http_retry_recovers_after_two_failures(flaky_server):
     cfg = BackendConfig(endpoint_url=flaky_server, max_retries=3, timeout=5.0)
     backend = HttpBackend(cfg, sleeper=lambda s: None)
     session = RoleSession("Planner", backend)
-    reply = session.send(user("hello"))
-    assert reply.content == "stub reply"
+    reply = session.send("hello")
+    assert reply == "stub reply"
     assert _FlakyHandler.hits == 3
 
 

@@ -65,6 +65,27 @@ def test_parse_unknown_dialect_and_empty():
         parse_report("   \n")
 
 
+@pytest.mark.parametrize("text, expected", [
+    # the unknown unit is never read: two canonical lines do not make a canonical report
+    pytest.param("cell_area: 9 acres\nlevels_of_logic: 7\n" + DC_RPT, "DC",
+                 id="two-canonical-lines-in-dc-text"),
+    pytest.param("cell_area: 1 acres\ndesign_area: 2 um2\ndynamic_power: 1 uW\n",
+                 AmbiguousUnit, id="three-canonical-lines-one-bad-unit"),
+    pytest.param("  slack (MET)  0.50\n", MissingMetric, id="dc-slack-line-alone"),
+    pytest.param("cell_area: 1 um2\ndesign_area: 2 um2\n", UnknownDialect,
+                 id="two-canonical-lines-alone"),
+])
+def test_dialect_rule(text, expected):
+    """Three canonical lines naming known metrics make a report canonical;
+    otherwise two DC-style matches or a DC slack line make it DC-style;
+    units are normalised only after that choice."""
+    if expected == "DC":
+        assert parse_report(text) == parse_report(DC_RPT)
+    else:
+        with pytest.raises(expected):
+            parse_report(text)
+
+
 def test_unit_normalization():
     text = (
         "cell_area: 0.000187 mm2\n"

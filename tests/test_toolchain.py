@@ -208,6 +208,71 @@ def test_icarus_raises_when_executable_missing(tmp_path):
         tc.compile(rtl, tb, tmp_path)
 
 
+# --- IcarusToolchain with Python standing in for iverilog and vvp ---
+# The argv templates go through str.format, so the inline code has no braces.
+
+COPY_RTL_TO_IMAGE = ["-c", "import shutil, sys; shutil.copy(sys.argv[1], sys.argv[2])",
+                     "{rtl}", "{image}"]
+PRINT_IMAGE = ["-c", "import pathlib, sys; print(pathlib.Path(sys.argv[1]).read_text())",
+               "{image}"]
+
+
+def stand_in(**overrides) -> IcarusToolchain:
+    """A toolchain whose compiler copies the RTL to the image and whose
+    simulator prints the image, so the RTL text is the simulation log."""
+    return IcarusToolchain(ToolchainConfig(**{
+        "compiler": sys.executable, "compile_args": COPY_RTL_TO_IMAGE,
+        "simulator": sys.executable, "simulate_args": PRINT_IMAGE, **overrides,
+    }))
+
+
+def verify_text(tmp_path, rtl_text: str, tc: IcarusToolchain) -> VerificationOutcome:
+    rtl, tb = tmp_path / "m.v", tmp_path / "tb.v"
+    rtl.write_text(rtl_text)
+    tb.write_text("module tb; endmodule\n")
+    return tc.verify(rtl, tb, tmp_path / "verify")
+
+
+def logged_tools(tmp_path) -> list[str]:
+    paths = sorted((tmp_path / "verify").glob("inv_*.json"))
+    assert [p.name for p in paths] == [f"inv_{i}.json" for i in range(len(paths))]
+    return [json.loads(p.read_text())["tool"] for p in paths]
+
+
+def test_stand_in_verify_pass(tmp_path):
+    outcome = verify_text(tmp_path, "all vectors ok\nPASS\n", stand_in())
+    assert outcome.kind == "Pass"
+    assert logged_tools(tmp_path) == ["Compile", "Simulate"]
+
+
+def test_stand_in_verify_functional_fail(tmp_path):
+    outcome = verify_text(tmp_path, "ERROR: mismatch at vector 3\n", stand_in())
+    assert outcome.kind == "FunctionalFail"
+    assert outcome.failing_checks == ["ERROR: mismatch at vector 3"]
+    assert logged_tools(tmp_path) == ["Compile", "Simulate"]
+
+
+def test_stand_in_verify_syntax_fail(tmp_path):
+    failing_compiler = ["-c", "import sys; print('m.v:3: syntax error', file=sys.stderr); "
+                              "sys.exit(1)"]
+    outcome = verify_text(tmp_path, "PASS\n", stand_in(compile_args=failing_compiler))
+    assert outcome.kind == "SyntaxFail"
+    assert [(d.file, d.line, d.message) for d in outcome.diagnostics] == [
+        ("m.v", 3, "syntax error")
+    ]
+    assert logged_tools(tmp_path) == ["Compile"]  # no image, so no simulation
+
+
+def test_stand_in_verify_tool_error_on_timeout(tmp_path):
+    hanging = ["-c", "import time; time.sleep(60)", "{image}"]
+    outcome = verify_text(tmp_path, "PASS\n", stand_in(simulate_args=hanging, sim_timeout=0.5))
+    assert outcome.kind == "ToolError"
+    assert "timed out" in outcome.diagnostics[0].message
+    assert logged_tools(tmp_path) == ["Compile", "Simulate"]
+    sim = json.loads((tmp_path / "verify" / "inv_1.json").read_text())
+    assert sim["timed_out"] is True
+
+
 # --- real simulator (skipped where Icarus Verilog is absent) ---
 
 @needs_icarus
