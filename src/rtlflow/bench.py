@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import csv
 import logging
+import threading
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -58,8 +58,9 @@ def load_manifest(path: str | Path) -> list[BenchCase]:
     """Manifest is a single YAML file; relative paths resolve against it.
 
     Raises ValueError when the manifest is not valid YAML, lists no cases,
-    or has two cases sharing a design name (their results and workspaces
-    would collide)."""
+    names a missing or bad spec file (the message starts with that file's
+    path), or has two cases sharing a design name (their results and
+    workspaces would collide)."""
     path = Path(path)
     base = path.parent
     try:
@@ -79,7 +80,11 @@ def load_manifest(path: str | Path) -> list[BenchCase]:
     cases = []
     names: set[str] = set()
     for entry in entries:
-        spec = DesignSpec.from_json(resolve(entry["spec"]))
+        spec_path = resolve(entry["spec"])
+        try:
+            spec = DesignSpec.from_json(spec_path)
+        except (KeyError, OSError, ValueError) as exc:
+            raise ValueError(f"{spec_path}: {exc}") from exc
         if spec.name in names:
             raise ValueError(f"{path}: duplicate design name {spec.name!r}")
         names.add(spec.name)
@@ -147,18 +152,45 @@ def run_suite(
     out_root: str | Path,
     workers: int = 1,
 ) -> BenchSummary:
-    """Run every case on a pool of `workers` (>= 1) threads; a case's
-    failure, or a bad synthesis report, is recorded against that case."""
+    """Run `workers` (>= 1) cases at a time: on the calling thread plus
+    `workers - 1` helper threads, so one worker starts no thread. A case's
+    failure, or a bad synthesis report, is recorded against that case; an
+    exception `_run_case` lets through (e.g. KeyboardInterrupt) stops every
+    thread from taking another case and is re-raised here once they end."""
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(
-            lambda c: _run_case(c, gateway_factory, toolchain_factory, budget, out_root), cases
-        ))
+    pending = iter(cases)
+    lock = threading.Lock()
+    results: dict[str, tuple[str, str]] = {}  # design -> (status, reason), in finishing order
+    raised: list[BaseException] = []
 
-    per_case = {design: status for design, status, _ in results}
-    reasons = {design: reason for design, status, reason in results if reason}
+    def take_cases() -> None:
+        try:
+            while not raised:
+                with lock:
+                    case = next(pending, None)
+                if case is None:
+                    return
+                design, status, reason = _run_case(
+                    case, gateway_factory, toolchain_factory, budget, out_root
+                )
+                results[design] = (status, reason)
+        except BaseException as exc:  # handed to the calling thread, which re-raises it
+            raised.append(exc)
+
+    helpers = [threading.Thread(target=take_cases) for _ in range(min(workers, len(cases)) - 1)]
+    for helper in helpers:
+        helper.start()
+    take_cases()  # returns once no case is left or one raised; so do the helpers
+    for helper in helpers:
+        helper.join()
+    if raised:
+        raise raised[0]
+
+    ordered = [(case.spec.name, *results[case.spec.name]) for case in cases]
+    per_case = {design: status for design, status, _ in ordered}
+    reasons = {design: reason for design, _, reason in ordered if reason}
 
     rows: list[ImprovementRow] = []
     points: list[TradeoffPoint] = []

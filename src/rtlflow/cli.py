@@ -135,10 +135,21 @@ def optimize_cmd(baseline_dir, goal, base_report, opt_report, config_path, scrip
     status_file = base / "status.json"
     if not status_file.exists():
         raise click.UsageError(f"{base} is not a generate workspace (no status.json)")
-    status = json.loads(status_file.read_text())
+    try:
+        status = json.loads(status_file.read_text())
+    except ValueError as exc:
+        raise click.UsageError(f"bad status file {status_file}: {exc}")
+    if not isinstance(status, dict):
+        raise click.UsageError(f"bad status file {status_file}: not a JSON object")
     if status.get("final_status") != "Pass":
         raise click.UsageError("baseline run did not pass; optimize needs a passing baseline")
-    last_rev = max(status["revisions"])
+    revisions = status.get("revisions")
+    if not (isinstance(revisions, list) and revisions
+            and all(isinstance(r, int) for r in revisions)):
+        raise click.UsageError(
+            f"bad status file {status_file}: 'revisions' must be a non-empty list of integers"
+        )
+    last_rev = max(revisions)
     baseline_rtl = RtlArtifact(
         verilog_text=(base / f"rev_{last_rev}.v").read_text(), revision=last_rev
     )

@@ -65,6 +65,8 @@ class DesignSpec:
     @classmethod
     def from_json(cls, path: str | Path) -> "DesignSpec":
         d = json.loads(Path(path).read_text())
+        if not isinstance(d, dict):
+            raise ValueError(f"spec must be a JSON object, got {type(d).__name__}")
         base = Path(path).parent
         tb = d["testbench_path"]
         if tb and not Path(tb).is_absolute():

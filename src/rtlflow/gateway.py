@@ -77,10 +77,22 @@ def _transient(exc: Exception) -> bool:
     return resp.status_code in (408, 429) or resp.status_code >= 500
 
 
+def _retry_after(exc: Exception) -> Optional[int]:
+    """The integer seconds a 429 or 503 reply asks the client to wait in its
+    Retry-After header; None for any other reply, or an HTTP-date or
+    malformed value."""
+    resp = getattr(exc, "response", None)
+    if resp is None or resp.status_code not in (429, 503):
+        return None
+    value = resp.headers.get("Retry-After", "").strip()
+    return int(value) if value.isdecimal() else None
+
+
 class HttpBackend:
     """Generic chat-completion client: messages array in, one assistant
-    message out. Retries transient failures with exponential backoff; a
-    reply with empty content counts as a malformed body.
+    message out. Retries transient failures with exponential backoff, or
+    after the seconds a 429 or 503 reply's Retry-After names; a reply with
+    empty content counts as a malformed body.
 
     `requests` is imported on the first send, so runs that never use this
     backend do not pay for loading it."""
@@ -120,7 +132,8 @@ class HttpBackend:
                 if not _transient(exc):
                     break
                 if attempt < cfg.max_retries:
-                    self._sleep(0.5 * (2 ** attempt))
+                    delay = _retry_after(exc)
+                    self._sleep(0.5 * (2 ** attempt) if delay is None else delay)
         raise BackendUnavailable(f"backend failed after {attempt + 1} attempt(s): {last_exc!r}")
 
 

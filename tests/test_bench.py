@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import shutil
+import sys
+import threading
+import time
 
 import pytest
 
@@ -138,6 +141,75 @@ def test_run_suite_parallel_matches_serial(tmp_path):
     parallel = run_suite(three_cases(), gw2, tc2, PipelineBudget(), tmp_path / "p", workers=3)
     assert parallel.per_case == serial.per_case
     assert parallel.passed == serial.passed
+
+
+CASE_COUNTS = [(w, n) for w in range(1, 5) for n in range(1, 7)] + [(8, 64)]
+
+
+@pytest.mark.parametrize("workers, n_cases", CASE_COUNTS)
+def test_run_suite_runs_each_case_once_in_manifest_order(tmp_path, workers, n_cases):
+    names = [f"case_{i:02d}" for i in range(n_cases)]
+    calls = []
+
+    def gateway_factory(design):
+        calls.append(design)
+        if design == names[0]:
+            time.sleep(0.01)  # the first case finishes last when others run beside it
+        raise ValueError("no backend")
+
+    # a short switch interval makes a lost update on the shared case iterator likely
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        summary = run_suite([BenchCase(spec=spec_named(n)) for n in names], gateway_factory,
+                            None, PipelineBudget(), tmp_path, workers=workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(calls) == names
+    assert list(summary.per_case) == names
+    assert set(summary.per_case.values()) == {"InfraError"}
+    assert list(summary.failure_reasons) == names
+
+
+def test_run_suite_one_worker_stays_on_calling_thread(tmp_path):
+    gw, tc = factories()
+    threads = []
+
+    def on_thread(factory):
+        def wrapped(design):
+            threads.append(threading.current_thread())
+            return factory(design)
+        return wrapped
+
+    summary = run_suite(three_cases(), on_thread(gw), on_thread(tc), PipelineBudget(), tmp_path)
+    assert summary.per_case == {"sig_pass": "Pass", "sig_fail": "Fail", "sig_error": "InfraError"}
+    assert threads == [threading.current_thread()] * 6
+
+
+def test_run_suite_interrupt_on_helper_propagates(tmp_path):
+    caller = threading.current_thread()
+    before = set(threading.enumerate())
+    caller_busy, interrupted = threading.Event(), threading.Event()
+    helpers, calls = [], []
+
+    def gateway_factory(design):
+        calls.append(design)
+        if threading.current_thread() is not caller:
+            assert caller_busy.wait(10)
+            helpers.append(threading.current_thread())
+            interrupted.set()
+            raise KeyboardInterrupt
+        # hold the calling thread's case until the helper has raised and ended
+        caller_busy.set()
+        assert interrupted.wait(10)
+        helpers[0].join(10)
+        raise ValueError("no backend")
+
+    cases = [BenchCase(spec=spec_named(f"case_{i}")) for i in range(4)]
+    with pytest.raises(KeyboardInterrupt):
+        run_suite(cases, gateway_factory, None, PipelineBudget(), tmp_path, workers=2)
+    assert len(calls) == 2  # no thread takes another case once one has raised
+    assert [t for t in threading.enumerate() if t not in before] == []
 
 
 def test_run_suite_bad_report_costs_one_case(tmp_path):

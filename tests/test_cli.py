@@ -55,12 +55,13 @@ def test_generate_scripted_budget_exhausted(tmp_path, runner):
 
 def test_generate_bad_spec(tmp_path, runner):
     bad = tmp_path / "spec.json"
-    bad.write_text("{not json")
-    result = runner.invoke(main, [
-        "generate", "--spec", str(bad), "--workspace", str(tmp_path / "ws"),
-    ])
-    assert result.exit_code == 2
-    assert "bad spec" in result.output
+    for body in ("{not json", "[1]"):
+        bad.write_text(body)
+        result = runner.invoke(main, [
+            "generate", "--spec", str(bad), "--workspace", str(tmp_path / "ws"),
+        ])
+        assert result.exit_code == 2, (body, result.output)
+        assert "bad spec" in result.output
 
 
 CLK = {"name": "clk", "direction": "in", "width": 1}
@@ -184,6 +185,26 @@ def test_optimize_bad_report_is_usage_error(tmp_path, runner, passing_workspace,
     assert result.exit_code == 2, result.output
     assert needle.format(base=base, opt=opt) in result.output
     assert calls == []  # rejected before the first LLM call
+    assert not (passing_workspace / "opt_timing").exists()
+
+
+@pytest.mark.parametrize("body, needle", [
+    pytest.param('{"final_status": "Pass"', "Expecting ',' delimiter", id="truncated"),
+    pytest.param("[1]", "not a JSON object", id="not-an-object"),
+    pytest.param('{"final_status": "Pass"}', "'revisions' must be", id="no-revisions"),
+    pytest.param('{"final_status": "Pass", "revisions": 1}', "'revisions' must be",
+                 id="revisions-not-a-list"),
+])
+def test_optimize_bad_status_file_is_usage_error(runner, passing_workspace, body, needle):
+    status_file = passing_workspace / "status.json"
+    status_file.write_text(body)
+    result = runner.invoke(main, [
+        "optimize", "--baseline", str(passing_workspace), "--goal", "timing",
+        "--base-report", str(REPORTS / "adder_16bit_base.rpt"),
+        "--scripted", str(SCRIPTED / "signal_generator"),
+    ])
+    assert result.exit_code == 2, result.output
+    assert f"bad status file {status_file}: " in result.output and needle in result.output
     assert not (passing_workspace / "opt_timing").exists()
 
 
@@ -406,10 +427,14 @@ def test_bench_workers_below_one_is_usage_error(tmp_path, runner, workers):
     ("cases: []\n", "no cases"),
     ("cases:\n  - spec: a.json\n  - spec: b.json\n", "duplicate design name 'signal_generator'"),
     ("cases: [\n", "invalid YAML"),
+    pytest.param("cases:\n  - spec: top.json\n", "top.json: spec must be a JSON object, got list",
+                 id="spec-not-an-object"),
+    pytest.param("cases:\n  - spec: nope.json\n", "nope.json: [Errno 2]", id="spec-missing"),
 ])
 def test_bench_bad_manifest_is_usage_error(tmp_path, runner, body, needle):
     for name in ("a.json", "b.json"):
         shutil.copy(FIXTURES / "signal_generator_spec.json", tmp_path / name)
+    (tmp_path / "top.json").write_text("[1]")
     manifest = tmp_path / "suite.yaml"
     manifest.write_text(body)
     result = runner.invoke(main, [
@@ -429,5 +454,6 @@ def test_bench_bad_ports_is_usage_error(tmp_path, runner, ports, needle):
         "bench", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
     ])
     assert result.exit_code == 2, result.output
-    assert "bad manifest" in result.output and needle in result.output
+    assert f"bad manifest: {(tmp_path / 'a.json').resolve()}: " in result.output
+    assert needle in result.output
     assert not (tmp_path / "out").exists()

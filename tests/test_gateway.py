@@ -162,6 +162,7 @@ class _FlakyHandler(BaseHTTPRequestHandler):
     failures_left = 2
     failure_status = 500
     reply_content = "stub reply"
+    retry_after = None  # Retry-After header value sent with each failure
     hits = 0
 
     def do_POST(self):
@@ -170,6 +171,8 @@ class _FlakyHandler(BaseHTTPRequestHandler):
         if type(self).failures_left > 0:
             type(self).failures_left -= 1
             self.send_response(type(self).failure_status)
+            if type(self).retry_after is not None:
+                self.send_header("Retry-After", type(self).retry_after)
             self.end_headers()
             return
         body = json.dumps(
@@ -191,6 +194,7 @@ def flaky_server():
     _FlakyHandler.failures_left = 2
     _FlakyHandler.failure_status = 500
     _FlakyHandler.reply_content = "stub reply"
+    _FlakyHandler.retry_after = None
     _FlakyHandler.hits = 0
     server = HTTPServer(("127.0.0.1", 0), _FlakyHandler)
     thread = threading.Thread(
@@ -227,6 +231,24 @@ def test_http_retries_transient_status(flaky_server, status):
     backend = HttpBackend(cfg, sleeper=lambda s: None)
     assert backend.complete("Planner", [user("hello")]) == "stub reply"
     assert _FlakyHandler.hits == 3
+
+
+@pytest.mark.parametrize("status, retry_after, sleeps", [
+    pytest.param(429, "7", [7, 7], id="429-seconds"),
+    pytest.param(503, "0", [0, 0], id="503-zero"),
+    pytest.param(429, None, [0.5, 1.0], id="no-header"),
+    pytest.param(503, "Wed, 21 Oct 2015 07:28:00 GMT", [0.5, 1.0], id="http-date"),
+    pytest.param(429, "1.5", [0.5, 1.0], id="malformed"),
+    pytest.param(500, "7", [0.5, 1.0], id="other-status"),
+])
+def test_http_retry_after_replaces_backoff(flaky_server, status, retry_after, sleeps):
+    _FlakyHandler.failure_status = status
+    _FlakyHandler.retry_after = retry_after
+    slept = []
+    cfg = BackendConfig(endpoint_url=flaky_server, max_retries=3, timeout=5.0)
+    backend = HttpBackend(cfg, sleeper=slept.append)
+    assert backend.complete("Planner", [user("hello")]) == "stub reply"
+    assert slept == sleeps
 
 
 @pytest.mark.parametrize("status", [400, 401, 404])

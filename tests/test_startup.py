@@ -52,10 +52,11 @@ def test_import_does_not_load_requests():
 
 
 def test_library_import_does_not_load_subprocess_or_uuid():
-    """`subprocess` is loaded by the first real tool run and run ids come
-    from os.urandom, so a library import needs neither."""
+    """`subprocess` is loaded by the first real tool run, run ids come from
+    os.urandom and `bench` runs its cases on plain threads, so a library
+    import needs none of these three modules."""
     assert modules_loaded_by(
-        "import rtlflow.bench, rtlflow.optimizer", ("subprocess", "uuid")
+        "import rtlflow.bench, rtlflow.optimizer", ("subprocess", "uuid", "concurrent.futures")
     ) == []
 
 
