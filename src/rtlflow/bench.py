@@ -58,9 +58,10 @@ def load_manifest(path: str | Path) -> list[BenchCase]:
     """Manifest is a single YAML file; relative paths resolve against it.
 
     Raises ValueError when the manifest is not valid YAML, lists no cases,
-    names a missing or bad spec file (the message starts with that file's
-    path), or has two cases sharing a design name (their results and
-    workspaces would collide)."""
+    has a case that is not a mapping with a `spec` entry or a path that is
+    not a string, names a missing or bad spec file (the message starts with
+    that file's path), or has two cases sharing a design name (their results
+    and workspaces would collide)."""
     path = Path(path)
     base = path.parent
     try:
@@ -74,12 +75,16 @@ def load_manifest(path: str | Path) -> list[BenchCase]:
     def resolve(p: Optional[str]) -> Optional[str]:
         if p is None:
             return None
+        if not isinstance(p, str):
+            raise ValueError(f"{path}: a path must be a string, got {p!r}")
         q = Path(p)
         return str(q if q.is_absolute() else (base / q).resolve())
 
     cases = []
     names: set[str] = set()
     for entry in entries:
+        if not isinstance(entry, dict) or entry.get("spec") is None:
+            raise ValueError(f"{path}: each case needs a 'spec' entry, got {entry!r}")
         spec_path = resolve(entry["spec"])
         try:
             spec = DesignSpec.from_json(spec_path)

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field, asdict
 from functools import cache, partial
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, TextIO
 
 from .errors import (
     NoCodeBlock,
@@ -23,7 +23,7 @@ from .errors import (
 )
 from .gateway import Gateway
 from .prompts import render_prompt
-from .toolchain import DiagnosticRecord, VerificationOutcome
+from .toolchain import VerificationOutcome
 
 log = logging.getLogger(__name__)
 
@@ -69,6 +69,8 @@ class DesignSpec:
             raise ValueError(f"spec must be a JSON object, got {type(d).__name__}")
         base = Path(path).parent
         tb = d["testbench_path"]
+        if not isinstance(tb, str):
+            raise ValueError(f"testbench_path must be a string, got {tb!r}")
         if tb and not Path(tb).is_absolute():
             tb = str((base / tb).resolve())
         if not isinstance(d["ports"], list):
@@ -140,7 +142,6 @@ class Fix:
 @dataclass
 class FixDiagnosis:
     fixes: list[Fix]
-    source_errors: list[DiagnosticRecord]
 
     def __post_init__(self):
         if not self.fixes:
@@ -150,10 +151,7 @@ class FixDiagnosis:
         return "\n".join(f"{i}. {f.description}" for i, f in enumerate(self.fixes, 1))
 
     def to_dict(self) -> dict:
-        return {
-            "fixes": [asdict(f) for f in self.fixes],
-            "source_errors": [e.to_dict() for e in self.source_errors],
-        }
+        return {"fixes": [asdict(f) for f in self.fixes]}
 
 
 @dataclass
@@ -335,10 +333,7 @@ def diagnose_failures(
     items = parse_numbered_list(gateway.session("Evaluator").send(prompt))
     if not items:
         raise UnparseableDiagnosis("evaluator reply has no numbered fixes")
-    return FixDiagnosis(
-        fixes=[Fix(description=t) for t in items],
-        source_errors=list(outcome.diagnostics),
-    )
+    return FixDiagnosis(fixes=[Fix(description=t) for t in items])
 
 
 def apply_fixes(rtl: RtlArtifact, diagnosis: FixDiagnosis, gateway: Gateway) -> RtlArtifact:
@@ -359,15 +354,23 @@ def _dump(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, ensure_ascii=False, indent=2, default=str))
 
 
-def _review_loop(plan, gateway, budget, workspace, rtl):
+def _event(events: TextIO, event: str, revision: int, /, **fields) -> None:
+    """Append one record to the run's `events.jsonl` as a compact JSON line
+    and flush it, so a crash leaves every earlier record on disk."""
+    events.write(json.dumps({"event": event, "revision": revision, **fields},
+                            ensure_ascii=False, separators=(",", ":")) + "\n")
+    events.flush()
+
+
+def _review_loop(plan, gateway, budget, events, rtl):
     """Review; on incompleteness, route the missing list back to the
     Programmer up to max_review_rounds times. Returns the artifact to verify."""
-    for round_no in range(budget.max_review_rounds):
+    for round_no in range(1, budget.max_review_rounds + 1):
         verdict = review_rtl(plan, rtl, gateway)
-        _dump(workspace / f"verdict_{rtl.revision}.json", asdict(verdict))
+        _event(events, "verdict", rtl.revision, round=round_no, **asdict(verdict))
         if verdict.complete:
             return rtl
-        if round_no + 1 >= budget.max_review_rounds:
+        if round_no >= budget.max_review_rounds:
             break
         prompt = render_prompt(
             "reprogrammer",
@@ -388,15 +391,17 @@ def fix_loop(
     toolchain,
     budget: PipelineBudget,
     workspace: Path,
+    events: TextIO,
     review: Optional[Callable[[RtlArtifact], RtlArtifact]] = None,
 ) -> tuple[list[Revision], str]:
     """Review (when given), verify, then diagnose and fix, until the candidate
     passes, the toolchain errors, or `revision >= max_fix_iterations`.
 
-    Persists `rev_N.v`, `verify_N/`, `outcome_N.json` and `diagnosis_N.json`
-    per revision N, and `notes_N.json` when revision N's artifact has notes.
-    Returns the revisions and the final status: Pass,
-    ToolError or BudgetExhausted."""
+    Writes `rev_N.v` and `verify_N/` into `workspace` per revision N, and
+    appends to `events` (the caller's open `events.jsonl`) a `notes` event
+    when revision N's artifact has notes, its `outcome` event and, when a
+    fix follows, its `diagnosis` event. Returns the revisions and the final
+    status: Pass, ToolError or BudgetExhausted."""
     tb_path = Path(tb_path)
     tb_text = tb_path.read_text()
     revisions: list[Revision] = []
@@ -408,9 +413,9 @@ def fix_loop(
         rtl_path = workspace / f"rev_{rev}.v"
         rtl_path.write_text(rtl.verilog_text)
         if rtl.notes:
-            _dump(workspace / f"notes_{rev}.json", rtl.notes)
+            _event(events, "notes", rev, notes=rtl.notes)
         outcome = toolchain.verify(rtl_path, tb_path, workspace / f"verify_{rev}")
-        _dump(workspace / f"outcome_{rev}.json", outcome.to_dict())
+        _event(events, "outcome", rev, **outcome.to_dict())
         revisions.append(Revision(rtl=rtl, outcome=outcome, diagnosis=diagnosis))
         if outcome.kind in ("Pass", "ToolError"):
             return revisions, outcome.kind
@@ -418,7 +423,7 @@ def fix_loop(
             return revisions, "BudgetExhausted"
 
         diagnosis = diagnose_failures(rtl, outcome, tb_text, gateway)
-        _dump(workspace / f"diagnosis_{rev}.json", diagnosis.to_dict())
+        _event(events, "diagnosis", rev, **diagnosis.to_dict())
         rtl = apply_fixes(rtl, diagnosis, gateway)
 
 
@@ -437,14 +442,14 @@ def run_pipeline(
 
     _dump(workspace / "spec.json", spec.to_dict())
 
-    plan = make_plan(spec, gateway)
-    (workspace / "plan.txt").write_text(plan.as_text() + "\n")
-    rtl = write_rtl(plan, spec, gateway)
-
-    revisions, final = fix_loop(
-        rtl, tb_path, gateway, toolchain, budget, workspace,
-        review=partial(_review_loop, plan, gateway, budget, workspace),
-    )
+    with (workspace / "events.jsonl").open("a", encoding="utf-8") as events:
+        plan = make_plan(spec, gateway)
+        _event(events, "plan", 0, steps=plan.steps)
+        rtl = write_rtl(plan, spec, gateway)
+        revisions, final = fix_loop(
+            rtl, tb_path, gateway, toolchain, budget, workspace, events,
+            review=partial(_review_loop, plan, gateway, budget, events),
+        )
     _dump(
         workspace / "status.json",
         {

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import random
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -90,9 +91,10 @@ def _retry_after(exc: Exception) -> Optional[int]:
 
 class HttpBackend:
     """Generic chat-completion client: messages array in, one assistant
-    message out. Retries transient failures with exponential backoff, or
-    after the seconds a 429 or 503 reply's Retry-After names; a reply with
-    empty content counts as a malformed body.
+    message out. Retries transient failures after a jittered exponential
+    backoff (a uniform draw from [0, 0.5 * 2**attempt] seconds), or after
+    exactly the seconds a 429 or 503 reply's Retry-After names; a reply
+    with empty content counts as a malformed body.
 
     `requests` is imported on the first send, so runs that never use this
     backend do not pay for loading it."""
@@ -133,7 +135,9 @@ class HttpBackend:
                     break
                 if attempt < cfg.max_retries:
                     delay = _retry_after(exc)
-                    self._sleep(0.5 * (2 ** attempt) if delay is None else delay)
+                    if delay is None:  # full jitter: clients retrying together spread out
+                        delay = random.uniform(0.0, 0.5 * 2 ** attempt)
+                    self._sleep(delay)
         raise BackendUnavailable(f"backend failed after {attempt + 1} attempt(s): {last_exc!r}")
 
 

@@ -367,7 +367,10 @@ def optimize(
 
     session = gateway.session("Optimizer", system_prompt=messages[0].content)
     rtl = artifact_from_reply(session.send(messages[1].content), 0)
-    revisions, final = fix_loop(rtl, testbench_path, gateway, toolchain, budget, workspace)
+    with (workspace / "events.jsonl").open("a", encoding="utf-8") as events:
+        revisions, final = fix_loop(
+            rtl, testbench_path, gateway, toolchain, budget, workspace, events
+        )
     if final != "Pass":
         raise FunctionalRegressionUnrecoverable(
             f"{goal.kind} variant never passed: {final} after {len(revisions)} verification(s)"

@@ -57,5 +57,10 @@ def scripted_toolchain(script_dir: Path) -> ScriptedToolchain:
     return ScriptedToolchain.from_file(script_dir / "outcomes.json")
 
 
+def read_events(workspace: Path) -> list[dict]:
+    """The records of a run's `events.jsonl`, in order."""
+    return [json.loads(line) for line in (workspace / "events.jsonl").read_text().splitlines()]
+
+
 def load_table3():
     return json.loads((DATA / "table3.json").read_text())

@@ -55,7 +55,8 @@ def test_generate_scripted_budget_exhausted(tmp_path, runner):
 
 def test_generate_bad_spec(tmp_path, runner):
     bad = tmp_path / "spec.json"
-    for body in ("{not json", "[1]"):
+    spec = json.loads((FIXTURES / "signal_generator_spec.json").read_text())
+    for body in ("{not json", "[1]", json.dumps(dict(spec, testbench_path=5))):
         bad.write_text(body)
         result = runner.invoke(main, [
             "generate", "--spec", str(bad), "--workspace", str(tmp_path / "ws"),
@@ -430,6 +431,12 @@ def test_bench_workers_below_one_is_usage_error(tmp_path, runner, workers):
     pytest.param("cases:\n  - spec: top.json\n", "top.json: spec must be a JSON object, got list",
                  id="spec-not-an-object"),
     pytest.param("cases:\n  - spec: nope.json\n", "nope.json: [Errno 2]", id="spec-missing"),
+    pytest.param("cases: [1]\n", "suite.yaml: each case needs a 'spec' entry, got 1",
+                 id="case-not-a-mapping"),
+    pytest.param("cases:\n  - testbench: tb.v\n", "suite.yaml: each case needs a 'spec' entry",
+                 id="case-without-spec"),
+    pytest.param("cases:\n  - spec: a.json\n    testbench: 5\n",
+                 "suite.yaml: a path must be a string, got 5", id="path-not-a-string"),
 ])
 def test_bench_bad_manifest_is_usage_error(tmp_path, runner, body, needle):
     for name in ("a.json", "b.json"):

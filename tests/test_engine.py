@@ -3,7 +3,11 @@ import random
 
 import pytest
 
-from conftest import FIXTURES, SCRIPTED, RecordingBackend, scripted_gateway, scripted_toolchain
+from conftest import (
+    FIXTURES, SCRIPTED, RecordingBackend, read_events, scripted_gateway, scripted_toolchain,
+)
+
+from rtlflow import engine
 
 from rtlflow.engine import (
     DesignSpec,
@@ -266,7 +270,7 @@ def test_diagnose_rejects_pass_outcome():
 
 def test_diagnosis_requires_fixes():
     with pytest.raises(ValueError):
-        FixDiagnosis(fixes=[], source_errors=[])
+        FixDiagnosis(fixes=[])
 
 
 def test_diagnose_prompt_contains_log_and_testbench():
@@ -285,8 +289,7 @@ FIXED_REPLY = CODE_REPLY.replace(
 
 def test_apply_fixes_increments_revision():
     base = RtlArtifact("module toy; endmodule", step_tags={1: (1, 1)}, revision=0)
-    diagnosis = FixDiagnosis(fixes=[type("F", (), {"description": f"f{i}"})() for i in range(3)],
-                             source_errors=[])
+    diagnosis = FixDiagnosis(fixes=[type("F", (), {"description": f"f{i}"})() for i in range(3)])
     fixed = apply_fixes(base, diagnosis, gateway_for("Programmer", FIXED_REPLY))
     assert fixed.revision == 1
     assert set(fixed.fix_tags) == {1, 2, 3}
@@ -344,6 +347,11 @@ def test_pipeline_rereviews_after_incomplete_round(tmp_path):
     assert transcript.iterations_used == 1
     # exactly one re-program happened before the single verification
     assert toolchain.cursor == 1
+    # the rewrite keeps revision 0, and each round's verdict is kept
+    verdicts = [e for e in read_events(tmp_path / "ws") if e["event"] == "verdict"]
+    assert [(v["revision"], v["round"], v["complete"]) for v in verdicts] == [
+        (0, 1, False), (0, 2, True)]
+    assert [k for k, r in verdicts[0]["per_step"].items() if r["status"] == "Missing"] == ["3"]
 
 
 def test_pipeline_audit_count_matches_transcript(tmp_path, signal_generator_spec):
@@ -361,11 +369,20 @@ def test_pipeline_workspace_artifacts(tmp_path, signal_generator_spec):
     toolchain = scripted_toolchain(SCRIPTED / "signal_generator")
     ws = tmp_path / "ws"
     run_pipeline(signal_generator_spec, PipelineBudget(), gateway, toolchain, ws)
-    for name in ("spec.json", "plan.txt", "rev_0.v", "rev_1.v", "verdict_0.json",
-                 "outcome_0.json", "diagnosis_0.json", "status.json"):
+    for name in ("spec.json", "rev_0.v", "rev_1.v", "status.json"):
         assert (ws / name).exists(), name
+    events = read_events(ws)
+    assert [(e["event"], e["revision"]) for e in events] == [
+        ("plan", 0), ("verdict", 0), ("outcome", 0), ("diagnosis", 0),
+        ("verdict", 1), ("outcome", 1),
+    ]
+    assert len(events[0]["steps"]) == 4
     # every reply carries its tags, so no revision has notes
-    assert not list(ws.glob("notes_*.json"))
+    assert not [e for e in events if e["event"] == "notes"]
+
+
+def notes_events(ws) -> list[tuple[int, list[str]]]:
+    return [(e["revision"], e["notes"]) for e in read_events(ws) if e["event"] == "notes"]
 
 
 def test_pipeline_persists_missing_step_note(tmp_path):
@@ -379,7 +396,7 @@ def test_pipeline_persists_missing_step_note(tmp_path):
     ws = tmp_path / "ws"
     run_pipeline(make_spec(tmp_path), PipelineBudget(), Gateway(ScriptedBackend(turns)),
                  toolchain, ws)
-    assert json.loads((ws / "notes_0.json").read_text()) == ["MissingStepTags: [4]"]
+    assert notes_events(ws) == [(0, ["MissingStepTags: [4]"])]
 
 
 def test_review_rewrite_keeps_missing_step_note(tmp_path):
@@ -397,4 +414,29 @@ def test_review_rewrite_keeps_missing_step_note(tmp_path):
     transcript = run_pipeline(make_spec(tmp_path), PipelineBudget(),
                               Gateway(ScriptedBackend(turns)), toolchain, ws)
     assert transcript.revisions[0].rtl.notes == ["MissingStepTags: [2]"]
-    assert json.loads((ws / "notes_0.json").read_text()) == ["MissingStepTags: [2]"]
+    assert notes_events(ws) == [(0, ["MissingStepTags: [2]"])]
+
+
+def test_pipeline_crash_leaves_events_closed(tmp_path, monkeypatch):
+    # an unparseable diagnosis ends the run after revision 0's outcome event
+    handles = []
+    real_event = engine._event
+
+    def spy(events, *args, **kwargs):
+        handles.append(events)
+        real_event(events, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "_event", spy)
+    turns = [
+        ("Planner", "1. a\n2. b\n3. c\n4. d"),
+        ("Programmer", CODE_REPLY),
+        ("Reviewer", REVIEW_OK),
+        ("Evaluator", "The counter looks wrong; widen it."),
+    ]
+    ws = tmp_path / "ws"
+    with pytest.raises(UnparseableDiagnosis):
+        run_pipeline(make_spec(tmp_path), PipelineBudget(), Gateway(ScriptedBackend(turns)),
+                     ScriptedToolchain([failing_outcome()]), ws)
+    assert len({id(h) for h in handles}) == 1 and handles[0].closed
+    last = read_events(ws)[-1]
+    assert (last["event"], last["revision"], last["kind"]) == ("outcome", 0, "FunctionalFail")

@@ -233,13 +233,16 @@ def test_http_retries_transient_status(flaky_server, status):
     assert _FlakyHandler.hits == 3
 
 
+BACKOFF = None  # the jittered backoff, not a Retry-After wait
+
+
 @pytest.mark.parametrize("status, retry_after, sleeps", [
     pytest.param(429, "7", [7, 7], id="429-seconds"),
     pytest.param(503, "0", [0, 0], id="503-zero"),
-    pytest.param(429, None, [0.5, 1.0], id="no-header"),
-    pytest.param(503, "Wed, 21 Oct 2015 07:28:00 GMT", [0.5, 1.0], id="http-date"),
-    pytest.param(429, "1.5", [0.5, 1.0], id="malformed"),
-    pytest.param(500, "7", [0.5, 1.0], id="other-status"),
+    pytest.param(429, None, BACKOFF, id="no-header"),
+    pytest.param(503, "Wed, 21 Oct 2015 07:28:00 GMT", BACKOFF, id="http-date"),
+    pytest.param(429, "1.5", BACKOFF, id="malformed"),
+    pytest.param(500, "7", BACKOFF, id="other-status"),
 ])
 def test_http_retry_after_replaces_backoff(flaky_server, status, retry_after, sleeps):
     _FlakyHandler.failure_status = status
@@ -248,7 +251,25 @@ def test_http_retry_after_replaces_backoff(flaky_server, status, retry_after, sl
     cfg = BackendConfig(endpoint_url=flaky_server, max_retries=3, timeout=5.0)
     backend = HttpBackend(cfg, sleeper=slept.append)
     assert backend.complete("Planner", [user("hello")]) == "stub reply"
-    assert slept == sleeps
+    if sleeps is BACKOFF:
+        assert len(slept) == 2 and all(0 <= s <= 0.5 * 2 ** i for i, s in enumerate(slept))
+    else:
+        assert slept == sleeps
+
+
+def test_http_backoff_is_jittered(flaky_server):
+    # attempt i sleeps a uniform draw from [0, 0.5 * 2**i]; a fixed step would repeat
+    _FlakyHandler.failures_left = 99
+    slept = []
+    cfg = BackendConfig(endpoint_url=flaky_server, max_retries=3, timeout=5.0)
+    backend = HttpBackend(cfg, sleeper=slept.append)
+    for _ in range(10):
+        with pytest.raises(BackendUnavailable, match="after 4 attempt"):
+            backend.complete("Planner", [user("hello")])
+    draws = [slept[i::3] for i in range(3)]
+    for i, attempt in enumerate(draws):
+        assert len(attempt) == 10 and all(0 <= s <= 0.5 * 2 ** i for s in attempt)
+        assert len(set(attempt)) > 1
 
 
 @pytest.mark.parametrize("status", [400, 401, 404])

@@ -1,8 +1,6 @@
-import json
-
 import pytest
 
-from conftest import REPORTS, VERILOG
+from conftest import REPORTS, VERILOG, read_events
 
 from rtlflow.engine import PipelineBudget, RtlArtifact
 from rtlflow.errors import (
@@ -232,9 +230,12 @@ def test_optimize_recovers_through_fix_loop(tmp_path, catalog):
     assert variant.rtl.revision == 1
     assert 1 in variant.rtl.fix_tags
     # the same persistence as a generate run: every revision can be replayed
-    for name in ("rev_0.v", "outcome_0.json", "diagnosis_0.json", "rev_1.v", "outcome_1.json"):
+    for name in ("rev_0.v", "rev_1.v"):
         assert (tmp_path / name).exists(), name
-    assert json.loads((tmp_path / "outcome_0.json").read_text())["kind"] == "FunctionalFail"
+    events = read_events(tmp_path)
+    assert [(e["event"], e["revision"]) for e in events] == [
+        ("outcome", 0), ("diagnosis", 0), ("outcome", 1)]
+    assert events[0]["kind"] == "FunctionalFail"
 
 
 def test_optimize_unrecoverable_regression(tmp_path, catalog):
@@ -263,5 +264,4 @@ def test_optimize_tool_error_is_unrecoverable(tmp_path, catalog):
             toolchain, PipelineBudget(), VERILOG / "adder_16bit_tb.v", tmp_path, catalog,
         )
     assert "BudgetExhausted" not in str(info.value)
-    assert (tmp_path / "outcome_0.json").exists()
-    assert not (tmp_path / "diagnosis_0.json").exists()
+    assert [(e["event"], e["revision"]) for e in read_events(tmp_path)] == [("outcome", 0)]

@@ -165,7 +165,7 @@ def test_records_serialise_as_asdict(diagnostics, checks, fixes):
 
     outcome = VerificationOutcome("FunctionalFail", diagnostics, checks)
     assert dumped(outcome.to_dict()) == dumped(asdict(outcome))
-    diagnosis = FixDiagnosis([Fix(f) for f in fixes], source_errors=diagnostics)
+    diagnosis = FixDiagnosis([Fix(f) for f in fixes])
     assert dumped(diagnosis.to_dict()) == dumped(asdict(diagnosis))
 
 
