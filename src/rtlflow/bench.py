@@ -58,10 +58,11 @@ def load_manifest(path: str | Path) -> list[BenchCase]:
     """Manifest is a single YAML file; relative paths resolve against it.
 
     Raises ValueError when the manifest is not valid YAML, lists no cases,
-    has a case that is not a mapping with a `spec` entry or a path that is
-    not a string, names a missing or bad spec file (the message starts with
-    that file's path), or has two cases sharing a design name (their results
-    and workspaces would collide)."""
+    has a case that is not a mapping with a `spec` entry, `optimized_reports`
+    that are not a mapping or a path that is not a string, names a missing
+    or bad spec file (the message starts with that file's path), or has two
+    cases sharing a design name (their results and workspaces would
+    collide)."""
     path = Path(path)
     base = path.parent
     try:
@@ -95,14 +96,14 @@ def load_manifest(path: str | Path) -> list[BenchCase]:
         names.add(spec.name)
         if "testbench" in entry:
             spec.testbench_path = resolve(entry["testbench"])
+        optimized = entry.get("optimized_reports") or {}
+        if not isinstance(optimized, dict):
+            raise ValueError(f"{path}: optimized_reports must be a mapping, got {optimized!r}")
         cases.append(
             BenchCase(
                 spec=spec,
                 baseline_report=resolve(entry.get("baseline_report")),
-                optimized_reports={
-                    goal: resolve(p)
-                    for goal, p in (entry.get("optimized_reports") or {}).items()
-                },
+                optimized_reports={goal: resolve(p) for goal, p in optimized.items()},
             )
         )
     return cases
@@ -139,7 +140,7 @@ def _run_case(
         if transcript.revisions[-1].outcome.kind == "SyntaxFail":
             return design, "SyntaxFail", "compile-stage failure"
         return design, "Fail", transcript.final_status
-    except InfraError as exc:  # still counts in the success-rate total
+    except (InfraError, OSError) as exc:  # not the design: e.g. a failed workspace write
         return design, "InfraError", f"{type(exc).__name__}: {exc}"
     except RtlflowError as exc:
         # e.g. an unparseable reply: the case fails, the suite goes on

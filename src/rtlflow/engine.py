@@ -46,6 +46,9 @@ class DesignSpec:
     testbench_path: str
 
     def __post_init__(self):
+        for key in ("name", "description", "module_name", "testbench_path"):
+            if not isinstance(getattr(self, key), str):
+                raise ValueError(f"{key} must be a string, got {getattr(self, key)!r}")
         if not self.ports:
             raise ValueError("spec needs at least one port")
         names = [p.name for p in self.ports]
@@ -67,12 +70,6 @@ class DesignSpec:
         d = json.loads(Path(path).read_text())
         if not isinstance(d, dict):
             raise ValueError(f"spec must be a JSON object, got {type(d).__name__}")
-        base = Path(path).parent
-        tb = d["testbench_path"]
-        if not isinstance(tb, str):
-            raise ValueError(f"testbench_path must be a string, got {tb!r}")
-        if tb and not Path(tb).is_absolute():
-            tb = str((base / tb).resolve())
         if not isinstance(d["ports"], list):
             raise ValueError(f"ports must be a list, got {d['ports']!r}")
         ports = []
@@ -81,13 +78,16 @@ class DesignSpec:
                 ports.append(Port(**p))
             except TypeError as exc:  # not a mapping, or an unknown or missing key
                 raise ValueError(f"bad port {p!r}: {exc}") from None
-        return cls(
+        spec = cls(
             name=d["name"],
             description=d["description"],
             module_name=d["module_name"],
             ports=ports,
-            testbench_path=tb,
+            testbench_path=d["testbench_path"],
         )
+        if spec.testbench_path and not Path(spec.testbench_path).is_absolute():
+            spec.testbench_path = str((Path(path).parent / spec.testbench_path).resolve())
+        return spec
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -112,8 +112,8 @@ class ImplementationPlan:
 @dataclass
 class RtlArtifact:
     verilog_text: str
-    step_tags: dict[int, tuple[int, int]] = field(default_factory=dict)
-    fix_tags: dict[int, tuple[int, int]] = field(default_factory=dict)
+    step_tags: set[int] = field(default_factory=set)
+    fix_tags: set[int] = field(default_factory=set)
     revision: int = 0
     notes: list[str] = field(default_factory=list)
 
@@ -221,21 +221,11 @@ def _tag_re(kind: str) -> re.Pattern:
     return re.compile(rf"//\s*{kind}\s+(\d+)\s*:", re.IGNORECASE)
 
 
-def extract_tags(verilog: str, kind: str) -> dict[int, tuple[int, int]]:
-    """Map `// STEP k:` / `// FIX k:` comments to 1-based line ranges.
-    A tag's range runs to the line before the next tag of the same kind."""
+def extract_tags(verilog: str, kind: str) -> set[int]:
+    """Indices k of the `// STEP k:` / `// FIX k:` comments; only the first
+    tag on a line counts."""
     tag_re = _tag_re(kind)
-    lines = verilog.splitlines()
-    starts: list[tuple[int, int]] = []  # (line_no, tag_index)
-    for lineno, line in enumerate(lines, 1):
-        m = tag_re.search(line)
-        if m:
-            starts.append((lineno, int(m.group(1))))
-    tags: dict[int, tuple[int, int]] = {}
-    for i, (lineno, idx) in enumerate(starts):
-        end = starts[i + 1][0] - 1 if i + 1 < len(starts) else len(lines)
-        tags[idx] = (lineno, end)
-    return tags
+    return {int(m.group(1)) for line in verilog.splitlines() if (m := tag_re.search(line))}
 
 
 def artifact_from_reply(text: str, revision: int) -> RtlArtifact:
@@ -274,7 +264,7 @@ def make_plan(spec: DesignSpec, gateway: Gateway) -> ImplementationPlan:
 
 def _note_missing_steps(plan: ImplementationPlan, artifact: RtlArtifact) -> RtlArtifact:
     """Note the plan steps the artifact carries no STEP tag for."""
-    missing = set(plan.indices) - set(artifact.step_tags)
+    missing = set(plan.indices) - artifact.step_tags
     if missing:
         note = f"MissingStepTags: {sorted(missing)}"
         artifact.notes.append(note)

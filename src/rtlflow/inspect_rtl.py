@@ -42,32 +42,23 @@ class DesignFingerprint:
         return asdict(self)
 
 
+# A line comment, a block comment (group 1), an unterminated block comment
+# (to the end of the text) or a string literal with backslash escapes (an
+# unterminated one, or one ending in a lone backslash, also runs to the end).
+_LEXEME_RE = re.compile(r'//[^\n]*|(/\*.*?\*/)|/\*.*|"[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z)', re.DOTALL)
+
+
+def _blank(m: re.Match) -> str:
+    if m[1]:
+        return "\n" * m[1].count("\n")
+    return '""' if m[0][0] == '"' else ""
+
+
 def strip_comments(text: str) -> str:
     """Remove // and /* */ comments and string literals, preserving line
-    structure so fingerprints are comment/whitespace immune."""
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "/" and i + 1 < n and text[i + 1] == "/":
-            j = text.find("\n", i)
-            i = n if j < 0 else j
-        elif ch == "/" and i + 1 < n and text[i + 1] == "*":
-            j = text.find("*/", i + 2)
-            if j < 0:
-                break
-            out.append("\n" * text.count("\n", i, j + 2))
-            i = j + 2
-        elif ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 2 if text[j] == "\\" else 1
-            out.append('""')
-            i = min(j + 1, n)
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    structure so fingerprints are comment/whitespace immune. A string becomes
+    `""`; an unterminated block comment drops the rest of the text."""
+    return _LEXEME_RE.sub(_blank, text)
 
 
 _ALWAYS_RE = re.compile(r"\balways\b\s*@\s*\(([^)]*)\)")
@@ -81,6 +72,10 @@ _INSTANCE_RE = re.compile(
     r"^\s*([A-Za-z_]\w*)\s*(#\s*\([^;]*?\))?\s+([A-Za-z_]\w*)\s*\(", re.MULTILINE
 )
 _CASE_RE = re.compile(r"\bcase[xz]?\b\s*\(\s*([A-Za-z_]\w*)")
+_PAREN_RE = re.compile(r"[()]")
+_CONN_IDENT_RE = re.compile(r"[A-Za-z_]\w*(?:\s*\[\s*\d+\s*\])?")
+_NONBLOCKING_RE = re.compile(r"([A-Za-z_]\w*)\s*(?:\[[^\]]*\])?\s*<=\s*([^;]+);")
+_IDENT_RE = re.compile(r"[A-Za-z_]\w*")
 _OPERATORS = [
     ("<<", "shl"), (">>", "shr"), ("==", "eq"), ("!=", "neq"),
     ("<=", None), (">=", "ge"),  # <= is ambiguous (nonblocking); not counted
@@ -103,12 +98,9 @@ def _count_operators(body: str) -> dict[str, int]:
 def _always_blocks(body: str) -> list[tuple[str, str]]:
     """Return (sensitivity, block_text) pairs; block text runs to the next
     always/assign/endmodule at a coarse level (good enough for censusing)."""
-    blocks = []
     matches = list(_ALWAYS_RE.finditer(body))
-    for i, m in enumerate(matches):
-        end = matches[i + 1].start() if i + 1 < len(matches) else len(body)
-        blocks.append((m.group(1), body[m.end(): end]))
-    return blocks
+    ends = [m.start() for m in matches[1:]] + [len(body)]
+    return [(m.group(1), body[m.end(): end]) for m, end in zip(matches, ends)]
 
 
 def _reg_bits(body: str) -> int:
@@ -136,17 +128,15 @@ def _instances(body: str) -> dict[str, list[str]]:
         mod, inst = m.group(1), m.group(3)
         if mod in VERILOG_KEYWORDS or inst in VERILOG_KEYWORDS:
             continue
-        # capture the connection list up to the closing ');'
-        tail = body[m.end():]
-        depth = 1
-        j = 0
-        while j < len(tail) and depth:
-            if tail[j] == "(":
-                depth += 1
-            elif tail[j] == ")":
-                depth -= 1
-            j += 1
-        groups.setdefault(mod, []).append(tail[: j - 1])
+        # the connection list runs to the matching ')'; an unterminated one
+        # runs to the text's last character, which is dropped
+        depth, close = 1, len(body) - 1
+        for p in _PAREN_RE.finditer(body, m.end()):
+            depth += 1 if p[0] == "(" else -1
+            if not depth:
+                close = p.start()
+                break
+        groups.setdefault(mod, []).append(body[m.end():close])
     return groups
 
 
@@ -155,52 +145,68 @@ def _chained(connections: list[str]) -> bool:
     of >= 4 instances (carry-out wired to the next carry-in)."""
     if len(connections) < 4:
         return False
-    ident = re.compile(r"[A-Za-z_]\w*(?:\s*\[\s*\d+\s*\])?")
     sets = [
-        {t.replace(" ", "") for t in ident.findall(c) if t.split("[")[0] not in VERILOG_KEYWORDS}
+        {t.replace(" ", "") for t in _CONN_IDENT_RE.findall(c)
+         if t.split("[")[0] not in VERILOG_KEYWORDS}
         for c in connections
     ]
-    run = 1
-    best = 1
+    run = best = 1
     for a, b in zip(sets, sets[1:]):
         run = run + 1 if a & b else 1
         best = max(best, run)
     return best >= 4
 
 
+MAX_PIPELINE_STAGES = 8
+
+
 def _pipeline_stages(always_bodies: list[str]) -> int:
-    """Longest chain of clocked register-to-register transfers, capped at 8."""
-    nb_re = re.compile(r"([A-Za-z_]\w*)\s*(?:\[[^\]]*\])?\s*<=\s*([^;]+);")
-    edges: dict[str, set[str]] = {}
-    regs: set[str] = set()
+    """Longest chain of clocked register-to-register transfers: the longest
+    path, in edges, from a register read on a non-blocking right-hand side
+    to the one assigned, once each strongly connected set of registers (a
+    feedback loop) is one node. So statement order does not matter, and a
+    lone loop such as `a <= b; b <= a` gets 0, like a counter. `fingerprint`
+    caps the result at MAX_PIPELINE_STAGES and notes the cap in `warnings`."""
+    edges: dict[str, set[str]] = {}  # register -> registers it reads
     for body in always_bodies:
-        for m in nb_re.finditer(body):
-            lhs, rhs = m.group(1), m.group(2)
-            regs.add(lhs)
-            srcs = {
-                t for t in re.findall(r"[A-Za-z_]\w*", rhs)
-                if t not in VERILOG_KEYWORDS
-            }
-            edges.setdefault(lhs, set()).update(srcs)
-    reg_edges = {lhs: {s for s in srcs if s in regs and s != lhs} for lhs, srcs in edges.items()}
+        for m in _NONBLOCKING_RE.finditer(body):
+            edges.setdefault(m.group(1), set()).update(_IDENT_RE.findall(m.group(2)))
+    regs = edges.keys() - VERILOG_KEYWORDS
+    for lhs, srcs in edges.items():
+        srcs &= regs
+        srcs.discard(lhs)
 
-    depth_cache: dict[str, int] = {}
-
-    def depth(node: str, seen: frozenset[str]) -> int:
-        if node in depth_cache:
-            return depth_cache[node]
-        if node in seen or len(seen) > 8:
-            return 0
-        d = 0
-        for src in reg_edges.get(node, ()):
-            d = max(d, 1 + depth(src, seen | {node}))
-        depth_cache[node] = d
-        return d
-
-    best = 0
-    for node in reg_edges:
-        best = max(best, depth(node, frozenset()))
-    return min(best, 8)
+    # Tarjan's algorithm without recursion, as a register chain may be longer
+    # than the recursion limit. A component closes after each one it reads.
+    order: dict[str, int] = {}
+    low: dict[str, int] = {}
+    depth: dict[str, int] = {}  # set when the register's component closes
+    stack: list[str] = []
+    for root in edges:
+        work = [] if root in order else [(root, None, "")]
+        while work:
+            v, succ, child = work.pop()
+            if succ is None:  # first visit
+                order[v] = low[v] = len(order)
+                stack.append(v)
+                succ = iter(edges[v])
+            elif child not in depth:  # back from a child in v's component
+                low[v] = min(low[v], low[child])
+            for w in succ:
+                if w not in order:
+                    work += [(v, succ, w), (w, None, "")]
+                    break
+                if w not in depth:  # on the stack: in v's component
+                    low[v] = min(low[v], order[w])
+            else:
+                if low[v] == order[v]:
+                    component = [stack.pop()]
+                    while component[-1] != v:
+                        component.append(stack.pop())
+                    d = max((1 + depth[w] for x in component for w in edges[x] if w in depth),
+                            default=0)
+                    depth.update(dict.fromkeys(component, d))
+    return max(depth.values(), default=0)
 
 
 def fingerprint(verilog_text: str) -> DesignFingerprint:
@@ -219,7 +225,6 @@ def fingerprint(verilog_text: str) -> DesignFingerprint:
 
     blocks = _always_blocks(body)
     clocked = [(s, b) for s, b in blocks if re.search(r"\b(pos|neg)edge\b", s)]
-    comb = [(s, b) for s, b in blocks if not re.search(r"\b(pos|neg)edge\b", s)]
 
     # reset style: edge on a reset-named signal -> async; reset-named signal
     # tested inside a clocked block -> sync
@@ -250,27 +255,28 @@ def fingerprint(verilog_text: str) -> DesignFingerprint:
     groups = _instances(body)
     instance_groups = {k: len(v) for k, v in groups.items()}
 
-    carry_chain = any(_chained(v) for v in groups.values())
-    if not carry_chain and is_combinational:
-        census_probe = _count_operators(body)
-        max_width = max(
-            (abs(int(a) - int(b)) + 1 for a, b in _RANGE_RE.findall(body)),
-            default=1,
-        )
-        if census_probe.get("add", 0) >= 1 and max_width >= 8:
-            carry_chain = True
+    census = _count_operators(body)
+    widths = (abs(int(a) - int(b)) + 1 for a, b in _RANGE_RE.findall(body))
+    carry_chain = any(_chained(v) for v in groups.values()) or (
+        is_combinational and "add" in census and max(widths, default=1) >= 8
+    )
+
+    stages = 0 if is_combinational else _pipeline_stages([b for _, b in clocked])
+    if stages > MAX_PIPELINE_STAGES:
+        warnings.append(f"pipeline_stages capped at {MAX_PIPELINE_STAGES}: "
+                        f"the longest register chain has {stages}")
 
     return DesignFingerprint(
         is_combinational=is_combinational,
         clocked_always=len(clocked),
-        comb_always=len(comb),
+        comb_always=len(blocks) - len(clocked),
         reset_style=reset_style,
         fsm_detected=fsm_detected,
         fsm_state_register=fsm_reg,
-        operator_census=_count_operators(body),
+        operator_census=census,
         register_bits=register_bits,
         instance_groups=instance_groups,
         carry_chain_detected=carry_chain,
-        pipeline_stages=0 if is_combinational else _pipeline_stages([b for _, b in clocked]),
+        pipeline_stages=min(stages, MAX_PIPELINE_STAGES),
         warnings=warnings,
     )

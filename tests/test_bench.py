@@ -231,6 +231,19 @@ def test_run_suite_bad_report_costs_one_case(tmp_path):
     assert "1/2 (50.0%)" in (tmp_path / "tables" / "success_table.md").read_text()
 
 
+def test_run_suite_workspace_write_error_is_infra(tmp_path, caplog):
+    # the first case's events.jsonl cannot be opened: the workspace failed, not the design
+    (tmp_path / "runs" / "sig_pass" / "events.jsonl").mkdir(parents=True)
+    passing, failing, _ = three_cases()
+    gw, tc = factories()
+    summary = run_suite([passing, failing], gw, tc, PipelineBudget(), tmp_path / "runs")
+    assert summary.per_case == {"sig_pass": "InfraError", "sig_fail": "Fail"}
+    assert summary.failure_reasons["sig_pass"].startswith("IsADirectoryError:")
+    assert "Traceback" not in caplog.text
+    emit_tables(summary, tmp_path / "tables")
+    assert "| sig_pass | infra |" in (tmp_path / "tables" / "success_table.md").read_text()
+
+
 # --- tables ---
 
 def test_emit_tables(tmp_path):

@@ -56,7 +56,8 @@ def test_generate_scripted_budget_exhausted(tmp_path, runner):
 def test_generate_bad_spec(tmp_path, runner):
     bad = tmp_path / "spec.json"
     spec = json.loads((FIXTURES / "signal_generator_spec.json").read_text())
-    for body in ("{not json", "[1]", json.dumps(dict(spec, testbench_path=5))):
+    for body in ("{not json", "[1]", json.dumps(dict(spec, testbench_path=5)),
+                 json.dumps(dict(spec, name=5))):
         bad.write_text(body)
         result = runner.invoke(main, [
             "generate", "--spec", str(bad), "--workspace", str(tmp_path / "ws"),
@@ -437,11 +438,18 @@ def test_bench_workers_below_one_is_usage_error(tmp_path, runner, workers):
                  id="case-without-spec"),
     pytest.param("cases:\n  - spec: a.json\n    testbench: 5\n",
                  "suite.yaml: a path must be a string, got 5", id="path-not-a-string"),
+    pytest.param("cases:\n  - spec: name5.json\n", "name5.json: name must be a string, got 5",
+                 id="name-not-a-string"),
+    pytest.param("cases:\n  - spec: a.json\n    optimized_reports: [x]\n",
+                 "suite.yaml: optimized_reports must be a mapping, got ['x']",
+                 id="optimized-reports-not-a-mapping"),
 ])
 def test_bench_bad_manifest_is_usage_error(tmp_path, runner, body, needle):
     for name in ("a.json", "b.json"):
         shutil.copy(FIXTURES / "signal_generator_spec.json", tmp_path / name)
     (tmp_path / "top.json").write_text("[1]")
+    spec = json.loads((FIXTURES / "signal_generator_spec.json").read_text())
+    (tmp_path / "name5.json").write_text(json.dumps(dict(spec, name=5)))
     manifest = tmp_path / "suite.yaml"
     manifest.write_text(body)
     result = runner.invoke(main, [

@@ -183,12 +183,14 @@ def test_extract_verilog_unfenced():
     assert code.startswith("module m") and code.rstrip().endswith("endmodule")
 
 
-def test_tag_line_ranges():
-    code = "\n".join(
-        ["module m;", "// STEP 1: a", "wire a;", "// STEP 2: b", "wire b;", "endmodule"]
-    )
-    tags = extract_tags(code, "STEP")
-    assert tags == {1: (2, 3), 2: (4, 6)}
+def test_tag_indices():
+    code = "\n".join([
+        "module m;", "// STEP 1: a", "wire a;", "// STEP 2: b // STEP 3: c", "wire b;",
+        "// step 4 : d", "// FIX 1: x", "endmodule",
+    ])
+    # only the first tag on a line counts; the kind is matched without case
+    assert extract_tags(code, "STEP") == {1, 2, 4}
+    assert extract_tags(code, "FIX") == {1}
 
 
 # --- review ---
@@ -288,7 +290,7 @@ FIXED_REPLY = CODE_REPLY.replace(
 
 
 def test_apply_fixes_increments_revision():
-    base = RtlArtifact("module toy; endmodule", step_tags={1: (1, 1)}, revision=0)
+    base = RtlArtifact("module toy; endmodule", step_tags={1}, revision=0)
     diagnosis = FixDiagnosis(fixes=[type("F", (), {"description": f"f{i}"})() for i in range(3)])
     fixed = apply_fixes(base, diagnosis, gateway_for("Programmer", FIXED_REPLY))
     assert fixed.revision == 1

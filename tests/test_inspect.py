@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import VERILOG
 
 from rtlflow.errors import EmptySource, UnbalancedModule
-from rtlflow.inspect_rtl import fingerprint, strip_comments
+from rtlflow.inspect_rtl import _instances, fingerprint, strip_comments
 
 ADDER = (VERILOG / "adder_16bit.v").read_text()
 FSM = (VERILOG / "fsm_example.v").read_text()
@@ -91,6 +91,25 @@ def test_strip_comments_preserves_lines():
     assert "wire x;" in stripped
 
 
+@pytest.mark.parametrize("text, stripped, instances", [
+    pytest.param("wire a; /* open\nwire b;\n", "wire a; ", {}, id="unterminated-block"),
+    pytest.param("wire a; /*/ wire b; */ wire c;\n", "wire a;  wire c;\n", {}, id="slash-star-slash"),
+    pytest.param("wire a; /* one\ntwo\nthree */ wire b;\n", "wire a; \n\n wire b;\n", {},
+                 id="multi-line-block"),
+    pytest.param('x = "say \\"hi\\" // not a comment"; y;\n', 'x = ""; y;\n', {},
+                 id="escaped-quote"),
+    pytest.param('x = "tail \\', 'x = ""', {}, id="lone-backslash-at-end"),
+    pytest.param('x = "http://a"; // gone\ny;\n', 'x = ""; \ny;\n', {}, id="slashes-in-string"),
+    # the unterminated list runs to the text's end, less its last character
+    pytest.param("full_adder fa0 (.a(a[0]), .b(b[0]), .cin(c0)",
+                 "full_adder fa0 (.a(a[0]), .b(b[0]), .cin(c0)",
+                 {"full_adder": [".a(a[0]), .b(b[0]), .cin(c0"]}, id="unterminated-instance"),
+])
+def test_scanner_edge_cases(text, stripped, instances):
+    assert strip_comments(text) == stripped
+    assert _instances(stripped) == instances
+
+
 def test_string_literals_do_not_leak_tokens():
     text = 'module m; initial $display("always @(posedge clk) + error"); endmodule'
     fp = fingerprint(text)
@@ -147,3 +166,56 @@ def test_nonblocking_assign_not_counted_as_operator():
     # two '<=' nonblocking assignments must not appear in the census
     assert "le" not in fp.operator_census
     assert fp.operator_census.get("shl", 0) == 0
+
+
+def clocked_module(statements: list[str]) -> str:
+    regs = sorted({s.split("<=")[0].strip() for s in statements})
+    return (
+        "module m (input clk, input [7:0] d, output [7:0] y);\n"
+        f"    reg [7:0] {', '.join(regs)};\n"
+        "    always @(posedge clk) begin\n"
+        + "".join(f"        {s}\n" for s in statements)
+        + "    end\n    assign y = d;\nendmodule\n"
+    )
+
+
+@st.composite
+def register_graphs(draw):
+    """Non-blocking statements over 2-7 registers, each reading any of them."""
+    regs = [f"r{i}" for i in range(draw(st.integers(2, 7)))]
+    statements = []
+    for reg in regs:
+        srcs = draw(st.lists(st.sampled_from(regs), max_size=3, unique=True))
+        statements.append(f"{reg} <= {' ^ '.join(srcs) or 'd'};")
+    return statements
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), statements=register_graphs())
+def test_fingerprint_independent_of_statement_order(data, statements):
+    shuffled = data.draw(st.permutations(statements))
+    assert fingerprint(clocked_module(shuffled)).to_dict() == \
+        fingerprint(clocked_module(statements)).to_dict()
+
+
+@pytest.mark.parametrize("statements, stages", [
+    pytest.param(["a <= b;", "b <= a;"], 0, id="lone-loop"),
+    pytest.param(["q <= q + 1;"], 0, id="counter"),
+    # r0..r3 form one loop, read by r4
+    pytest.param(["r4 <= r3;", "r1 <= r0 ^ r3;", "r3 <= r2 ^ r3;", "r2 <= r1;", "r0 <= r2;"], 1,
+                 id="loop-then-register"),
+    pytest.param(["b <= a;", "a <= d;", "c <= b ^ e;", "e <= c;", "f <= e;"], 3,
+                 id="chain-through-loop"),
+])
+def test_pipeline_stages_counts_each_loop_once(statements, stages):
+    fp = fingerprint(clocked_module(statements))
+    assert fp.pipeline_stages == stages
+    assert fp.warnings == []
+
+
+def test_pipeline_stages_cap_is_noted():
+    # longer than the recursion limit: the walk must not recurse per register
+    statements = ["r0 <= d;"] + [f"r{i} <= r{i - 1};" for i in range(1, 3000)]
+    fp = fingerprint(clocked_module(statements))
+    assert fp.pipeline_stages == 8
+    assert fp.warnings == ["pipeline_stages capped at 8: the longest register chain has 2999"]
