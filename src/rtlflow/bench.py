@@ -36,21 +36,12 @@ class BenchCase:
 
 
 @dataclass
-class TradeoffPoint:
-    design: str
-    variant: str  # baseline | optimized
-    dynamic_power: float
-    design_area: float
-    cp_length: float
-
-
-@dataclass
 class BenchSummary:
     per_case: dict[str, str]  # design -> Pass | Fail | SyntaxFail | InfraError
     passed: int
     total: int
     improvement_rows: list[ImprovementRow]
-    tradeoff_points: list[TradeoffPoint]
+    tradeoff_pairs: list[tuple[str, PpaMetrics, PpaMetrics]]  # (design, baseline, optimized)
     failure_reasons: dict[str, str] = field(default_factory=dict)
 
 
@@ -66,7 +57,7 @@ def load_manifest(path: str | Path) -> list[BenchCase]:
     path = Path(path)
     base = path.parent
     try:
-        doc = safe_load(path.read_text())
+        doc = safe_load(path.read_text(encoding="utf-8"))
     except yaml.YAMLError as exc:
         raise ValueError(f"{path}: invalid YAML: {exc}") from exc
     entries = doc.get("cases") if isinstance(doc, dict) else None
@@ -134,12 +125,12 @@ def _run_case(
     except Exception as exc:  # e.g. a missing script: the set-up failed, not the design
         return design, "InfraError", f"{type(exc).__name__}: {exc}"
     try:
-        transcript = run_pipeline(case.spec, budget, gateway, toolchain, workspace)
-        if transcript.final_status == "Pass":
+        revisions, final = run_pipeline(case.spec, budget, gateway, toolchain, workspace)
+        if final == "Pass":
             return design, "Pass", ""
-        if transcript.revisions[-1].outcome.kind == "SyntaxFail":
+        if revisions[-1].outcome.kind == "SyntaxFail":
             return design, "SyntaxFail", "compile-stage failure"
-        return design, "Fail", transcript.final_status
+        return design, "Fail", final
     except (InfraError, OSError) as exc:  # not the design: e.g. a failed workspace write
         return design, "InfraError", f"{type(exc).__name__}: {exc}"
     except RtlflowError as exc:
@@ -199,7 +190,7 @@ def run_suite(
     reasons = {design: reason for design, _, reason in ordered if reason}
 
     rows: list[ImprovementRow] = []
-    points: list[TradeoffPoint] = []
+    pairs: list[tuple[str, PpaMetrics, PpaMetrics]] = []
     for case in cases:
         design = case.spec.name
         if per_case[design] != "Pass" or not case.baseline_report or not case.optimized_reports:
@@ -207,16 +198,15 @@ def run_suite(
         # one improvement row per case against the first provided optimized report
         goal = sorted(case.optimized_reports)[0]
         try:
-            base = parse_report(Path(case.baseline_report).read_text())
-            opt = parse_report(Path(case.optimized_reports[goal]).read_text())
+            base = parse_report(Path(case.baseline_report).read_text(encoding="utf-8"))
+            opt = parse_report(Path(case.optimized_reports[goal]).read_text(encoding="utf-8"))
             row = build_comparison(design, base, opt)
         except (OSError, RtlflowError) as exc:
             # a bad report costs this case its row, not the suite its tables
             reasons[design] = f"report: {type(exc).__name__}: {exc}"
             continue
         rows.append(row)
-        points.append(_point(design, "baseline", base))
-        points.append(_point(design, "optimized", opt))
+        pairs.append((design, base, opt))
 
     passed = sum(1 for s in per_case.values() if s == "Pass")
     return BenchSummary(
@@ -224,18 +214,8 @@ def run_suite(
         passed=passed,
         total=len(cases),
         improvement_rows=rows,
-        tradeoff_points=points,
+        tradeoff_pairs=pairs,
         failure_reasons=reasons,
-    )
-
-
-def _point(design: str, variant: str, m: PpaMetrics) -> TradeoffPoint:
-    return TradeoffPoint(
-        design=design,
-        variant=variant,
-        dynamic_power=m.dynamic_power,
-        design_area=m.design_area,
-        cp_length=m.cp_length,
     )
 
 
@@ -254,11 +234,11 @@ def emit_tables(summary: BenchSummary, out_dir: str | Path) -> list[Path]:
         lines.append(f"| {design} | {_STATUS_MARK[summary.per_case[design]]} |")
     rate = success_rate(summary.passed, summary.total) if summary.total else 0.0
     lines.append(f"| **Success Rate** | **{summary.passed}/{summary.total} ({rate}%)** |")
-    success_md.write_text("\n".join(lines) + "\n")
+    success_md.write_text("\n".join(lines) + "\n", encoding="utf-8")
     written.append(success_md)
 
     ppa_csv = out_dir / "ppa_table.csv"
-    with ppa_csv.open("w", newline="") as fh:
+    with ppa_csv.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["design"] + [f"{m}_improvement_pct" for m in HEADLINE_METRICS])
         for row in summary.improvement_rows:
@@ -268,11 +248,12 @@ def emit_tables(summary: BenchSummary, out_dir: str | Path) -> list[Path]:
     written.append(ppa_csv)
 
     tradeoff_csv = out_dir / "tradeoff.csv"
-    with tradeoff_csv.open("w", newline="") as fh:
+    with tradeoff_csv.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         # raw metric pairs per design and variant; plotting is external
         writer.writerow(["design", "variant", "dynamic_power_uW", "design_area_um2", "cp_length_ns"])
-        for p in summary.tradeoff_points:
-            writer.writerow([p.design, p.variant, p.dynamic_power, p.design_area, p.cp_length])
+        for design, *variants in summary.tradeoff_pairs:
+            for variant, m in zip(("baseline", "optimized"), variants):
+                writer.writerow([design, variant, m.dynamic_power, m.design_area, m.cp_length])
     written.append(tradeoff_csv)
     return written

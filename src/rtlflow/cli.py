@@ -13,7 +13,7 @@ import click
 
 from . import bench as bench_mod
 from .config import RunConfig, load_config
-from .engine import DesignSpec, RtlArtifact, run_pipeline
+from .engine import DesignSpec, RtlArtifact, run_pipeline, write_json
 from .errors import ConfigParseError, RtlflowError
 from .gateway import Gateway, HttpBackend, ScriptedBackend
 from .inspect_rtl import fingerprint
@@ -34,17 +34,21 @@ def _load_cfg(config_path: Optional[str]) -> RunConfig:
 def _read_report(path: Path) -> PpaMetrics:
     """Parse a report named on the command line; a bad one is a usage error."""
     try:
-        return parse_report(path.read_text())
+        return parse_report(path.read_text(encoding="utf-8"))
     except (OSError, RtlflowError) as exc:
         raise click.UsageError(f"bad synthesis report {path}: {exc}")
 
 
 def _read_spec(path: Path) -> DesignSpec:
-    """Load a spec file; a bad one is a usage error."""
+    """Load a spec file; a bad one, or one naming a missing testbench, is a
+    usage error."""
     try:
-        return DesignSpec.from_json(path)
+        spec = DesignSpec.from_json(path)
     except (ValueError, KeyError) as exc:
         raise click.UsageError(f"bad spec file {path}: {exc}")
+    if not Path(spec.testbench_path).is_file():
+        raise click.UsageError(f"bad spec file {path}: no testbench at {spec.testbench_path}")
+    return spec
 
 
 def _scripted_paths(scripted: str, design: Optional[str] = None) -> tuple[Path, Path]:
@@ -70,11 +74,6 @@ def _make_toolchain(cfg: RunConfig, scripted: Optional[str], design: Optional[st
         if outcomes.exists():
             return ScriptedToolchain.from_file(outcomes)
     return IcarusToolchain(cfg.toolchain)
-
-
-def _write_status(workspace: Path, payload: dict) -> None:
-    workspace.mkdir(parents=True, exist_ok=True)
-    (workspace / "status.json").write_text(json.dumps(payload, indent=2))
 
 
 @click.group()
@@ -106,16 +105,17 @@ def generate(spec_path, workspace, budget, config_path, scripted):
     gateway = _make_gateway(cfg, scripted, spec.name, ws / "transcript.jsonl")
     toolchain = _make_toolchain(cfg, scripted, spec.name)
     try:
-        transcript = run_pipeline(spec, cfg.budget, gateway, toolchain, ws)
+        revisions, final = run_pipeline(spec, cfg.budget, gateway, toolchain, ws)
     except RtlflowError as exc:
-        _write_status(ws, {"design": spec.name, "final_status": "Error", "error": str(exc)})
+        write_json(ws / "status.json",
+                   {"design": spec.name, "final_status": "Error", "error": str(exc)})
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
-    click.echo(
-        f"{spec.name}: {transcript.final_status} "
-        f"after {transcript.iterations_used} iteration(s)"
-    )
-    sys.exit(0 if transcript.final_status == "Pass" else 1)
+    except OSError as exc:  # e.g. a workspace path under a file
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(1)
+    click.echo(f"{spec.name}: {final} after {len(revisions)} iteration(s)")
+    sys.exit(0 if final == "Pass" else 1)
 
 
 @main.command("optimize")
@@ -136,7 +136,7 @@ def optimize_cmd(baseline_dir, goal, base_report, opt_report, config_path, scrip
     if not status_file.exists():
         raise click.UsageError(f"{base} is not a generate workspace (no status.json)")
     try:
-        status = json.loads(status_file.read_text())
+        status = json.loads(status_file.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise click.UsageError(f"bad status file {status_file}: {exc}")
     if not isinstance(status, dict):
@@ -150,9 +150,10 @@ def optimize_cmd(baseline_dir, goal, base_report, opt_report, config_path, scrip
             f"bad status file {status_file}: 'revisions' must be a non-empty list of integers"
         )
     last_rev = max(revisions)
-    baseline_rtl = RtlArtifact(
-        verilog_text=(base / f"rev_{last_rev}.v").read_text(), revision=last_rev
-    )
+    rtl_file = base / f"rev_{last_rev}.v"
+    if not rtl_file.is_file():
+        raise click.UsageError(f"bad status file {status_file}: no revision file {rtl_file}")
+    baseline_rtl = RtlArtifact(rtl_file.read_text(encoding="utf-8"), revision=last_rev)
     if not (base / "spec.json").exists():
         raise click.UsageError("baseline workspace lacks spec.json")
     spec = _read_spec(base / "spec.json")
@@ -182,8 +183,8 @@ def optimize_cmd(baseline_dir, goal, base_report, opt_report, config_path, scrip
             cfg.budget, spec.testbench_path, out, catalog,
         )
     except RtlflowError as exc:
-        _write_status(out, {"design": spec.name, "goal": goal,
-                            "final_status": "Fail", "error": str(exc)})
+        write_json(out / "status.json", {"design": spec.name, "goal": goal,
+                                         "final_status": "Fail", "error": str(exc)})
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
 
@@ -198,7 +199,7 @@ def optimize_cmd(baseline_dir, goal, base_report, opt_report, config_path, scrip
         payload["improvement"] = row.rendered()
     else:
         payload["awaiting_report"] = True
-    _write_status(out, payload)
+    write_json(out / "status.json", payload)
     click.echo(json.dumps(payload, indent=2))
     sys.exit(0)
 
@@ -208,7 +209,7 @@ def optimize_cmd(baseline_dir, goal, base_report, opt_report, config_path, scrip
 def inspect_cmd(verilog_file):
     """Emit the structural fingerprint of a Verilog file as JSON."""
     try:
-        fp = fingerprint(Path(verilog_file).read_text())
+        fp = fingerprint(Path(verilog_file).read_text(encoding="utf-8"))
     except RtlflowError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
@@ -227,8 +228,8 @@ def report():
 def report_compare(base_path, opt_path, design):
     """Improvement row (JSON + Markdown) between two synthesis reports."""
     try:
-        base = parse_report(Path(base_path).read_text())
-        opt = parse_report(Path(opt_path).read_text())
+        base = parse_report(Path(base_path).read_text(encoding="utf-8"))
+        opt = parse_report(Path(opt_path).read_text(encoding="utf-8"))
         row = build_comparison(design, base, opt)
     except (OSError, RtlflowError) as exc:
         click.echo(f"error: {exc}", err=True)
@@ -265,7 +266,7 @@ def bench_cmd(manifest, out_dir, workers, scripted, strict, config_path):
     )
     bench_mod.emit_tables(summary, out)
     rate = bench_mod.success_rate(summary.passed, summary.total)
-    _write_status(out, {
+    write_json(out / "status.json", {
         "passed": summary.passed,
         "total": summary.total,
         "success_rate": rate,

@@ -67,7 +67,7 @@ def load_config(path: Optional[str | Path] = None) -> RunConfig:
     doc: dict = {}
     if path is not None:
         try:
-            doc = safe_load(Path(path).read_text()) or {}
+            doc = safe_load(Path(path).read_text(encoding="utf-8")) or {}
         except (OSError, yaml.YAMLError) as exc:
             raise ConfigParseError(f"{path}: {exc}") from exc
         if not isinstance(doc, dict):

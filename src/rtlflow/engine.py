@@ -11,9 +11,9 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field, asdict
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
-from typing import Callable, Optional, TextIO
+from typing import Optional, TextIO
 
 from .errors import (
     NoCodeBlock,
@@ -67,7 +67,7 @@ class DesignSpec:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "DesignSpec":
-        d = json.loads(Path(path).read_text())
+        d = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(d, dict):
             raise ValueError(f"spec must be a JSON object, got {type(d).__name__}")
         if not isinstance(d["ports"], list):
@@ -135,23 +135,18 @@ class ReviewVerdict:
 
 
 @dataclass
-class Fix:
-    description: str
-
-
-@dataclass
 class FixDiagnosis:
-    fixes: list[Fix]
+    fixes: list[str]  # fix k is fixes[k - 1]
 
     def __post_init__(self):
         if not self.fixes:
             raise ValueError("a diagnosis must contain at least one fix")
 
     def as_text(self) -> str:
-        return "\n".join(f"{i}. {f.description}" for i, f in enumerate(self.fixes, 1))
+        return "\n".join(f"{i}. {f}" for i, f in enumerate(self.fixes, 1))
 
     def to_dict(self) -> dict:
-        return {"fixes": [asdict(f) for f in self.fixes]}
+        return {"fixes": [{"description": f} for f in self.fixes]}
 
 
 @dataclass
@@ -169,17 +164,6 @@ class PipelineBudget:
 class Revision:
     rtl: RtlArtifact
     outcome: VerificationOutcome
-    diagnosis: Optional[FixDiagnosis] = None
-
-
-@dataclass
-class PipelineTranscript:
-    revisions: list[Revision]
-    final_status: str  # Pass | ToolError | BudgetExhausted
-
-    @property
-    def iterations_used(self) -> int:
-        return len(self.revisions)
 
 
 # --- reply parsers ---
@@ -323,7 +307,7 @@ def diagnose_failures(
     items = parse_numbered_list(gateway.session("Evaluator").send(prompt))
     if not items:
         raise UnparseableDiagnosis("evaluator reply has no numbered fixes")
-    return FixDiagnosis(fixes=[Fix(description=t) for t in items])
+    return FixDiagnosis(fixes=items)
 
 
 def apply_fixes(rtl: RtlArtifact, diagnosis: FixDiagnosis, gateway: Gateway) -> RtlArtifact:
@@ -340,8 +324,9 @@ def apply_fixes(rtl: RtlArtifact, diagnosis: FixDiagnosis, gateway: Gateway) -> 
 
 # --- pipeline ---
 
-def _dump(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, ensure_ascii=False, indent=2, default=str))
+def write_json(path: Path, obj) -> None:
+    """Write `obj` as indented UTF-8 JSON: `spec.json` and every `status.json`."""
+    path.write_text(json.dumps(obj, ensure_ascii=False, indent=2, default=str), encoding="utf-8")
 
 
 def _event(events: TextIO, event: str, revision: int, /, **fields) -> None:
@@ -382,10 +367,11 @@ def fix_loop(
     budget: PipelineBudget,
     workspace: Path,
     events: TextIO,
-    review: Optional[Callable[[RtlArtifact], RtlArtifact]] = None,
+    plan: Optional[ImplementationPlan] = None,
 ) -> tuple[list[Revision], str]:
-    """Review (when given), verify, then diagnose and fix, until the candidate
-    passes, the toolchain errors, or `revision >= max_fix_iterations`.
+    """Review against `plan` (when given), verify, then diagnose and fix,
+    until the candidate passes, the toolchain errors, or
+    `revision >= max_fix_iterations`.
 
     Writes `rev_N.v` and `verify_N/` into `workspace` per revision N, and
     appends to `events` (the caller's open `events.jsonl`) a `notes` event
@@ -393,20 +379,19 @@ def fix_loop(
     fix follows, its `diagnosis` event. Returns the revisions and the final
     status: Pass, ToolError or BudgetExhausted."""
     tb_path = Path(tb_path)
-    tb_text = tb_path.read_text()
+    tb_text = tb_path.read_text(encoding="utf-8")
     revisions: list[Revision] = []
-    diagnosis: Optional[FixDiagnosis] = None
     while True:
         rev = rtl.revision
-        if review is not None:
-            rtl = review(rtl)
+        if plan is not None:
+            rtl = _review_loop(plan, gateway, budget, events, rtl)
         rtl_path = workspace / f"rev_{rev}.v"
-        rtl_path.write_text(rtl.verilog_text)
+        rtl_path.write_text(rtl.verilog_text, encoding="utf-8")
         if rtl.notes:
             _event(events, "notes", rev, notes=rtl.notes)
         outcome = toolchain.verify(rtl_path, tb_path, workspace / f"verify_{rev}")
         _event(events, "outcome", rev, **outcome.to_dict())
-        revisions.append(Revision(rtl=rtl, outcome=outcome, diagnosis=diagnosis))
+        revisions.append(Revision(rtl=rtl, outcome=outcome))
         if outcome.kind in ("Pass", "ToolError"):
             return revisions, outcome.kind
         if rev >= budget.max_fix_iterations:
@@ -423,24 +408,25 @@ def run_pipeline(
     gateway: Gateway,
     toolchain,
     workspace: str | Path,
-) -> PipelineTranscript:
+) -> tuple[list[Revision], str]:
+    """Plan, program, then run `fix_loop` with review in `workspace`; writes
+    `spec.json` and `status.json` there and returns what `fix_loop` returns."""
     workspace = Path(workspace)
     workspace.mkdir(parents=True, exist_ok=True)
     tb_path = Path(spec.testbench_path)
     if not tb_path.exists():
         raise FileNotFoundError(f"testbench missing: {tb_path}")
 
-    _dump(workspace / "spec.json", spec.to_dict())
+    write_json(workspace / "spec.json", spec.to_dict())
 
     with (workspace / "events.jsonl").open("a", encoding="utf-8") as events:
         plan = make_plan(spec, gateway)
         _event(events, "plan", 0, steps=plan.steps)
         rtl = write_rtl(plan, spec, gateway)
         revisions, final = fix_loop(
-            rtl, tb_path, gateway, toolchain, budget, workspace, events,
-            review=partial(_review_loop, plan, gateway, budget, events),
+            rtl, tb_path, gateway, toolchain, budget, workspace, events, plan
         )
-    _dump(
+    write_json(
         workspace / "status.json",
         {
             "design": spec.name,
@@ -449,4 +435,4 @@ def run_pipeline(
             "revisions": [r.rtl.revision for r in revisions],
         },
     )
-    return PipelineTranscript(revisions=revisions, final_status=final)
+    return revisions, final

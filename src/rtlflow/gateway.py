@@ -159,7 +159,7 @@ class ScriptedBackend:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedBackend":
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
         return cls([(t["role"], t["reply"]) for t in raw])
 
     def complete(self, role_name: str, messages: list[ChatMessage]) -> str:

@@ -128,9 +128,8 @@ def _instances(body: str) -> dict[str, list[str]]:
         mod, inst = m.group(1), m.group(3)
         if mod in VERILOG_KEYWORDS or inst in VERILOG_KEYWORDS:
             continue
-        # the connection list runs to the matching ')'; an unterminated one
-        # runs to the text's last character, which is dropped
-        depth, close = 1, len(body) - 1
+        # the connection list runs to the matching ')', or to the text's end
+        depth, close = 1, len(body)
         for p in _PAREN_RE.finditer(body, m.end()):
             depth += 1 if p[0] == "(" else -1
             if not depth:

@@ -185,7 +185,8 @@ def load_catalog(card_dir: Optional[str | Path] = None) -> Catalog:
     bundled catalog)."""
     root = resources.files("rtlflow") / "cards" if card_dir is None else Path(card_dir)
     entries = sorted(root.iterdir(), key=lambda e: e.name) if root.is_dir() else []
-    cards = [_parse_card(e.read_text(), e.name) for e in entries if e.name.endswith(".md")]
+    cards = [_parse_card(e.read_text(encoding="utf-8"), e.name)
+             for e in entries if e.name.endswith(".md")]
     if not cards:
         raise MalformedCard(f"no card files in {root}")
     catalog = Catalog(cards)

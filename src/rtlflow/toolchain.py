@@ -215,50 +215,37 @@ class IcarusToolchain:
         self.config = config or ToolchainConfig()
         self._inv_seq = 0
 
-    def _require(self, exe: str) -> str:
+    def _tool(self, tool: str, exe: str, args: list[str], subst: dict[str, str],
+              workspace: Path, timeout: Optional[float]) -> ToolInvocation:
+        """Run `exe` with `args` formatted from `subst`, recorded as the next
+        `inv_N.json` in `workspace`."""
         path = shutil.which(exe)
         if path is None:
             raise ToolchainUnavailable(f"executable not found: {exe}")
-        return path
-
-    def _log_invocation(self, workspace: Path, inv: ToolInvocation) -> None:
-        workspace.mkdir(parents=True, exist_ok=True)
-        (workspace / f"inv_{self._inv_seq}.json").write_text(inv.to_json())
+        inv = _run(tool, [path] + [a.format(**subst) for a in args], workspace, timeout)
+        (workspace / f"inv_{self._inv_seq}.json").write_text(inv.to_json(), encoding="utf-8")
         self._inv_seq += 1
-
-    def compile(self, rtl_path: Path, tb_path: Path, workspace: Path) -> ToolInvocation:
-        rtl_path, tb_path = Path(rtl_path), Path(tb_path)
-        if not rtl_path.exists():
-            raise FileNotFoundError(rtl_path)
-        if not tb_path.exists():
-            raise FileNotFoundError(tb_path)
-        exe = self._require(self.config.compiler)
-        image = Path(workspace) / "sim.out"
-        subst = {"image": str(image), "rtl": str(rtl_path), "tb": str(tb_path)}
-        argv = [exe] + [a.format(**subst) for a in self.config.compile_args]
-        inv = _run("Compile", argv, Path(workspace), timeout=60.0)
-        self._log_invocation(Path(workspace), inv)
-        return inv
-
-    def simulate(self, image: Path, workspace: Path) -> ToolInvocation:
-        image = Path(image)
-        if not image.exists():
-            raise FileNotFoundError(image)
-        exe = self._require(self.config.simulator)
-        argv = [exe] + [a.format(image=str(image)) for a in self.config.simulate_args]
-        inv = _run("Simulate", argv, Path(workspace), timeout=self.config.sim_timeout)
-        self._log_invocation(Path(workspace), inv)
         return inv
 
     def verify(self, rtl_path: Path, tb_path: Path, workspace: Path) -> VerificationOutcome:
         """Compile, simulate and classify one candidate."""
-        workspace = Path(workspace)
+        rtl_path, tb_path, workspace = Path(rtl_path), Path(tb_path), Path(workspace)
         workspace.mkdir(parents=True, exist_ok=True)
-        comp = self.compile(rtl_path, tb_path, workspace)
+        for path in (rtl_path, tb_path):
+            if not path.exists():
+                raise FileNotFoundError(path)
+        cfg = self.config
+        image = workspace / "sim.out"
+        comp = self._tool("Compile", cfg.compiler, cfg.compile_args,
+                          {"image": str(image), "rtl": str(rtl_path), "tb": str(tb_path)},
+                          workspace, 60.0)
         sim = None
         if comp.exit_code == 0:
-            sim = self.simulate(workspace / "sim.out", workspace)
-        return classify(comp, sim, self.config.pass_marker, self.config.fail_pattern)
+            if not image.exists():
+                raise FileNotFoundError(image)
+            sim = self._tool("Simulate", cfg.simulator, cfg.simulate_args,
+                             {"image": str(image)}, workspace, cfg.sim_timeout)
+        return classify(comp, sim, cfg.pass_marker, cfg.fail_pattern)
 
 
 class ScriptedToolchain:
@@ -270,7 +257,7 @@ class ScriptedToolchain:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedToolchain":
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
         return cls([VerificationOutcome.from_dict(d) for d in raw])
 
     def verify(self, rtl_path: Path, tb_path: Path, workspace: Path) -> VerificationOutcome:

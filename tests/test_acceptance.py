@@ -15,6 +15,7 @@ from conftest import (
     SCRIPTED,
     VERILOG,
     load_table3,
+    read_events,
     scripted_gateway,
     scripted_toolchain,
 )
@@ -106,23 +107,24 @@ def test_criterion_3_scripted_pipeline(tmp_path, verdict):
 
         gateway = scripted_gateway(SCRIPTED / "signal_generator", tmp_path / "a")
         toolchain = scripted_toolchain(SCRIPTED / "signal_generator")
-        transcript = run_pipeline(spec, PipelineBudget(), gateway, toolchain, tmp_path / "a" / "ws")
-        assert transcript.final_status == "Pass"
-        assert transcript.iterations_used == 2
-        diagnoses = [r.diagnosis for r in transcript.revisions if r.diagnosis]
+        ws = tmp_path / "a" / "ws"
+        revisions, final = run_pipeline(spec, PipelineBudget(), gateway, toolchain, ws)
+        assert final == "Pass"
+        assert len(revisions) == 2
+        diagnoses = [e for e in read_events(ws) if e["event"] == "diagnosis"]
         assert len(diagnoses) == 1
-        assert len(diagnoses[0].fixes) == 3
-        rev1 = (tmp_path / "a" / "ws" / "rev_1.v").read_text()
+        assert len(diagnoses[0]["fixes"]) == 3
+        rev1 = (ws / "rev_1.v").read_text()
         for k in (1, 2, 3):
             assert f"// FIX {k}:" in rev1
 
         gateway = scripted_gateway(SCRIPTED / "signal_generator_fail", tmp_path / "b")
         toolchain = scripted_toolchain(SCRIPTED / "signal_generator_fail")
-        transcript = run_pipeline(
+        revisions, final = run_pipeline(
             spec, PipelineBudget(max_fix_iterations=3), gateway, toolchain, tmp_path / "b" / "ws"
         )
-        assert transcript.final_status == "BudgetExhausted"
-        assert len(transcript.revisions) == 4
+        assert final == "BudgetExhausted"
+        assert len(revisions) == 4
         assert v.elapsed < 5.0
 
 
@@ -210,9 +212,9 @@ def test_criterion_6_end_to_end_smoke(tmp_path, verdict):
         backend = ScriptedBackend.from_file(SCRIPTED / "adder_16bit" / "turns.json")
         gateway = Gateway(backend, transcript_path=tmp_path / "t.jsonl")
         toolchain = IcarusToolchain()
-        transcript = run_pipeline(spec, PipelineBudget(), gateway, toolchain, tmp_path / "ws")
-        assert transcript.final_status == "Pass"
-        assert transcript.iterations_used == 1
+        revisions, final = run_pipeline(spec, PipelineBudget(), gateway, toolchain, tmp_path / "ws")
+        assert final == "Pass"
+        assert len(revisions) == 1
         rev0 = (tmp_path / "ws" / "rev_0.v").read_text()
         assert re.search(r"//\s*STEP 1:", rev0)
         assert v.elapsed < 60.0

@@ -130,8 +130,7 @@ def test_run_suite_improvement_rows_only_for_passing(tmp_path):
     row = summary.improvement_rows[0]
     assert row.per_metric["cell_area"] == pytest.approx(58.70, abs=0.05)
     assert row.per_metric["cp_slack"] is None
-    variants = [(p.design, p.variant) for p in summary.tradeoff_points]
-    assert variants == [("sig_pass", "baseline"), ("sig_pass", "optimized")]
+    assert [design for design, _, _ in summary.tradeoff_pairs] == ["sig_pass"]
 
 
 def test_run_suite_parallel_matches_serial(tmp_path):
@@ -225,7 +224,7 @@ def test_run_suite_bad_report_costs_one_case(tmp_path):
     gw, tc = factories()
     summary = run_suite(cases, gw, tc, PipelineBudget(), tmp_path / "runs")
     assert summary.per_case == {"sig_pass": "Pass", "sig_fail": "Fail"}
-    assert summary.improvement_rows == [] and summary.tradeoff_points == []
+    assert summary.improvement_rows == [] and summary.tradeoff_pairs == []
     assert "MissingMetric" in summary.failure_reasons["sig_pass"]
     emit_tables(summary, tmp_path / "tables")
     assert "1/2 (50.0%)" in (tmp_path / "tables" / "success_table.md").read_text()
@@ -267,6 +266,8 @@ def test_emit_tables(tmp_path):
 
     tradeoff = (tmp_path / "tables" / "tradeoff.csv").read_text().splitlines()
     assert len(tradeoff) == 3  # header + baseline + optimized
+    assert [line.split(",")[:2] for line in tradeoff[1:]] == [
+        ["sig_pass", "baseline"], ["sig_pass", "optimized"]]
 
 
 # --- manifest ---

@@ -1,8 +1,12 @@
 import dataclasses
 import json
 import logging
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -10,10 +14,14 @@ from click.testing import CliRunner
 
 from conftest import FIXTURES, REPORTS, SCRIPTED, VERILOG
 
+import rtlflow
 from rtlflow.cli import main
 from rtlflow.config import RunConfig, load_config
 from rtlflow.errors import ConfigParseError
 from rtlflow.gateway import ScriptedBackend
+
+
+SRC = Path(rtlflow.__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -51,6 +59,29 @@ def test_generate_scripted_budget_exhausted(tmp_path, runner):
     ])
     assert result.exit_code == 1
     assert "BudgetExhausted" in result.output
+
+
+def test_generate_writes_utf8_under_ascii_locale(tmp_path):
+    """Workspace files are UTF-8 whatever the locale: a reply with a
+    non-ASCII comment is written as is under the C locale."""
+    scripted = tmp_path / "scripted"
+    shutil.copytree(SCRIPTED / "signal_generator", scripted)
+    turns = json.loads((scripted / "turns.json").read_text())
+    assert turns[1]["role"] == "Programmer"
+    turns[1]["reply"] = turns[1]["reply"].replace(
+        "    reg going_up;", "    // ramp 0 → 31 → 0\n    reg going_up;")
+    (scripted / "turns.json").write_text(json.dumps(turns))
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    ws = tmp_path / "ws"
+    proc = subprocess.run(
+        [sys.executable, "-m", "rtlflow.cli", "generate",
+         "--spec", str(FIXTURES / "signal_generator_spec.json"),
+         "--workspace", str(ws), "--scripted", str(scripted)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "// ramp 0 → 31 → 0" in (ws / "rev_0.v").read_text(encoding="utf-8")
 
 
 def test_generate_bad_spec(tmp_path, runner):
@@ -196,6 +227,8 @@ def test_optimize_bad_report_is_usage_error(tmp_path, runner, passing_workspace,
     pytest.param('{"final_status": "Pass"}', "'revisions' must be", id="no-revisions"),
     pytest.param('{"final_status": "Pass", "revisions": 1}', "'revisions' must be",
                  id="revisions-not-a-list"),
+    pytest.param('{"final_status": "Pass", "revisions": [7]}', "no revision file",
+                 id="revision-file-missing"),
 ])
 def test_optimize_bad_status_file_is_usage_error(runner, passing_workspace, body, needle):
     status_file = passing_workspace / "status.json"
@@ -208,6 +241,39 @@ def test_optimize_bad_status_file_is_usage_error(runner, passing_workspace, body
     assert result.exit_code == 2, result.output
     assert f"bad status file {status_file}: " in result.output and needle in result.output
     assert not (passing_workspace / "opt_timing").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "optimize"])
+def test_missing_testbench_is_usage_error(tmp_path, runner, passing_workspace, monkeypatch,
+                                          command):
+    calls = []
+    monkeypatch.setattr(ScriptedBackend, "complete", lambda self, *a: calls.append(a))
+    spec_file = passing_workspace / "spec.json"
+    missing = tmp_path / "gone_tb.v"
+    spec_file.write_text(json.dumps(dict(json.loads(spec_file.read_text()),
+                                         testbench_path=str(missing))))
+    args = {
+        "generate": ["generate", "--spec", str(spec_file), "--workspace", str(tmp_path / "ws2")],
+        "optimize": ["optimize", "--baseline", str(passing_workspace), "--goal", "timing",
+                     "--base-report", str(REPORTS / "adder_16bit_base.rpt")],
+    }[command]
+    result = runner.invoke(main, args + ["--scripted", str(SCRIPTED / "signal_generator")])
+    assert result.exit_code == 2, result.output
+    assert f"bad spec file {spec_file}: no testbench at {missing}" in result.output
+    assert calls == []  # rejected before the first LLM call
+
+
+def test_generate_workspace_under_a_file_is_an_error(tmp_path, runner):
+    (tmp_path / "file").write_text("")
+    result = runner.invoke(main, [
+        "generate",
+        "--spec", str(FIXTURES / "signal_generator_spec.json"),
+        "--workspace", str(tmp_path / "file" / "ws"),
+        "--scripted", str(SCRIPTED / "signal_generator"),
+    ])
+    assert result.exit_code == 1
+    assert result.output.startswith("error: ") and "Not a directory" in result.output
+    assert not isinstance(result.exception, OSError)
 
 
 @pytest.mark.parametrize("ports, needle", BAD_PORTS)

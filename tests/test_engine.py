@@ -291,7 +291,7 @@ FIXED_REPLY = CODE_REPLY.replace(
 
 def test_apply_fixes_increments_revision():
     base = RtlArtifact("module toy; endmodule", step_tags={1}, revision=0)
-    diagnosis = FixDiagnosis(fixes=[type("F", (), {"description": f"f{i}"})() for i in range(3)])
+    diagnosis = FixDiagnosis(fixes=[f"f{i}" for i in range(3)])
     fixed = apply_fixes(base, diagnosis, gateway_for("Programmer", FIXED_REPLY))
     assert fixed.revision == 1
     assert set(fixed.fix_tags) == {1, 2, 3}
@@ -303,29 +303,29 @@ def test_apply_fixes_increments_revision():
 def test_pipeline_pass_on_second_iteration(tmp_path, signal_generator_spec):
     gateway = scripted_gateway(SCRIPTED / "signal_generator", tmp_path)
     toolchain = scripted_toolchain(SCRIPTED / "signal_generator")
-    transcript = run_pipeline(
+    revisions, final = run_pipeline(
         signal_generator_spec, PipelineBudget(), gateway, toolchain, tmp_path / "ws"
     )
-    assert transcript.final_status == "Pass"
-    assert transcript.iterations_used == 2
-    diagnoses = [r.diagnosis for r in transcript.revisions if r.diagnosis]
-    assert len(diagnoses) == 1 and len(diagnoses[0].fixes) == 3
+    assert final == "Pass"
+    assert len(revisions) == 2
+    diagnoses = [e for e in read_events(tmp_path / "ws") if e["event"] == "diagnosis"]
+    assert len(diagnoses) == 1 and len(diagnoses[0]["fixes"]) == 3
     rev1 = (tmp_path / "ws" / "rev_1.v").read_text()
     for k in (1, 2, 3):
         assert f"// FIX {k}:" in rev1
-    assert [r.rtl.revision for r in transcript.revisions] == [0, 1]
+    assert [r.rtl.revision for r in revisions] == [0, 1]
 
 
 def test_pipeline_budget_exhausted(tmp_path, signal_generator_spec):
     gateway = scripted_gateway(SCRIPTED / "signal_generator_fail", tmp_path)
     toolchain = scripted_toolchain(SCRIPTED / "signal_generator_fail")
-    transcript = run_pipeline(
+    revisions, final = run_pipeline(
         signal_generator_spec, PipelineBudget(max_fix_iterations=3), gateway, toolchain,
         tmp_path / "ws",
     )
-    assert transcript.final_status == "BudgetExhausted"
-    assert len(transcript.revisions) == 4
-    assert [r.rtl.revision for r in transcript.revisions] == [0, 1, 2, 3]
+    assert final == "BudgetExhausted"
+    assert len(revisions) == 4
+    assert [r.rtl.revision for r in revisions] == [0, 1, 2, 3]
 
 
 def test_pipeline_rereviews_after_incomplete_round(tmp_path):
@@ -344,9 +344,9 @@ def test_pipeline_rereviews_after_incomplete_round(tmp_path):
     gateway = Gateway(ScriptedBackend(turns))
     toolchain = scripted_toolchain(SCRIPTED / "signal_generator")
     toolchain.outcomes = [VerificationOutcome("Pass")]
-    transcript = run_pipeline(spec, PipelineBudget(), gateway, toolchain, tmp_path / "ws")
-    assert transcript.final_status == "Pass"
-    assert transcript.iterations_used == 1
+    revisions, final = run_pipeline(spec, PipelineBudget(), gateway, toolchain, tmp_path / "ws")
+    assert final == "Pass"
+    assert len(revisions) == 1
     # exactly one re-program happened before the single verification
     assert toolchain.cursor == 1
     # the rewrite keeps revision 0, and each round's verdict is kept
@@ -413,9 +413,9 @@ def test_review_rewrite_keeps_missing_step_note(tmp_path):
     ]
     toolchain = ScriptedToolchain([VerificationOutcome("Pass")])
     ws = tmp_path / "ws"
-    transcript = run_pipeline(make_spec(tmp_path), PipelineBudget(),
-                              Gateway(ScriptedBackend(turns)), toolchain, ws)
-    assert transcript.revisions[0].rtl.notes == ["MissingStepTags: [2]"]
+    revisions, _ = run_pipeline(make_spec(tmp_path), PipelineBudget(),
+                                Gateway(ScriptedBackend(turns)), toolchain, ws)
+    assert revisions[0].rtl.notes == ["MissingStepTags: [2]"]
     assert notes_events(ws) == [(0, ["MissingStepTags: [2]"])]
 
 

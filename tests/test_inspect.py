@@ -100,10 +100,10 @@ def test_strip_comments_preserves_lines():
                  id="escaped-quote"),
     pytest.param('x = "tail \\', 'x = ""', {}, id="lone-backslash-at-end"),
     pytest.param('x = "http://a"; // gone\ny;\n', 'x = ""; \ny;\n', {}, id="slashes-in-string"),
-    # the unterminated list runs to the text's end, less its last character
+    # the unterminated list runs to the text's end
     pytest.param("full_adder fa0 (.a(a[0]), .b(b[0]), .cin(c0)",
                  "full_adder fa0 (.a(a[0]), .b(b[0]), .cin(c0)",
-                 {"full_adder": [".a(a[0]), .b(b[0]), .cin(c0"]}, id="unterminated-instance"),
+                 {"full_adder": [".a(a[0]), .b(b[0]), .cin(c0)"]}, id="unterminated-instance"),
 ])
 def test_scanner_edge_cases(text, stripped, instances):
     assert strip_comments(text) == stripped

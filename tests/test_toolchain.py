@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import VERILOG
 
-from rtlflow.engine import Fix, FixDiagnosis
+from rtlflow.engine import FixDiagnosis
 from rtlflow.errors import ToolchainUnavailable
 from rtlflow.toolchain import (
     DEFAULT_FAIL_PATTERN,
@@ -165,8 +165,9 @@ def test_records_serialise_as_asdict(diagnostics, checks, fixes):
 
     outcome = VerificationOutcome("FunctionalFail", diagnostics, checks)
     assert dumped(outcome.to_dict()) == dumped(asdict(outcome))
-    diagnosis = FixDiagnosis([Fix(f) for f in fixes])
-    assert dumped(diagnosis.to_dict()) == dumped(asdict(diagnosis))
+    # a fix's record keeps the shape asdict() gave the one-field fix type it once had
+    diagnosis = FixDiagnosis(fixes)
+    assert dumped(diagnosis.to_dict()) == dumped({"fixes": [{"description": f} for f in fixes]})
 
 
 # --- subprocess runner ---
@@ -205,7 +206,7 @@ def test_icarus_raises_when_executable_missing(tmp_path):
     tb.write_text("module tb; endmodule\n")
     tc = IcarusToolchain(ToolchainConfig(compiler="definitely-not-a-compiler"))
     with pytest.raises(ToolchainUnavailable):
-        tc.compile(rtl, tb, tmp_path)
+        tc.verify(rtl, tb, tmp_path)
 
 
 # --- IcarusToolchain with Python standing in for iverilog and vvp ---
