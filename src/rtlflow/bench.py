@@ -11,10 +11,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
-import yaml
-
 from .engine import DesignSpec, PipelineBudget, run_pipeline
-from .errors import InfraError, RtlflowError, ZeroTotal
+from .errors import InfraError, RtlflowError, ZeroTotal, read_input
 from .metrics import (
     HEADLINE_METRICS,
     ImprovementRow,
@@ -47,57 +45,50 @@ class BenchSummary:
 
 def load_manifest(path: str | Path) -> list[BenchCase]:
     """Manifest is a single YAML file; relative paths resolve against it.
-
-    Raises ValueError when the manifest is not valid YAML, lists no cases,
-    has a case that is not a mapping with a `spec` entry, `optimized_reports`
-    that are not a mapping or a path that is not a string, names a missing
-    or bad spec file (the message starts with that file's path), or has two
-    cases sharing a design name (their results and workspaces would
-    collide)."""
-    path = Path(path)
-    base = path.parent
-    try:
-        doc = safe_load(path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
-        raise ValueError(f"{path}: invalid YAML: {exc}") from exc
-    entries = doc.get("cases") if isinstance(doc, dict) else None
-    if not entries or not isinstance(entries, list):
-        raise ValueError(f"{path}: manifest lists no cases")
+    A BadInput (a ValueError) names the manifest when it is not valid YAML,
+    lists no cases, or has a case that is not a mapping with a `spec` entry,
+    `optimized_reports` that are not a mapping, a path that is not a string
+    or a design name another case has (their workspaces would collide); it
+    names the spec file when that is missing or bad."""
+    base = Path(path).parent
 
     def resolve(p: Optional[str]) -> Optional[str]:
         if p is None:
             return None
         if not isinstance(p, str):
-            raise ValueError(f"{path}: a path must be a string, got {p!r}")
+            raise ValueError(f"a path must be a string, got {p!r}")
         q = Path(p)
         return str(q if q.is_absolute() else (base / q).resolve())
 
-    cases = []
-    names: set[str] = set()
-    for entry in entries:
-        if not isinstance(entry, dict) or entry.get("spec") is None:
-            raise ValueError(f"{path}: each case needs a 'spec' entry, got {entry!r}")
-        spec_path = resolve(entry["spec"])
-        try:
-            spec = DesignSpec.from_json(spec_path)
-        except (KeyError, OSError, ValueError) as exc:
-            raise ValueError(f"{spec_path}: {exc}") from exc
-        if spec.name in names:
-            raise ValueError(f"{path}: duplicate design name {spec.name!r}")
-        names.add(spec.name)
-        if "testbench" in entry:
-            spec.testbench_path = resolve(entry["testbench"])
-        optimized = entry.get("optimized_reports") or {}
-        if not isinstance(optimized, dict):
-            raise ValueError(f"{path}: optimized_reports must be a mapping, got {optimized!r}")
-        cases.append(
-            BenchCase(
-                spec=spec,
-                baseline_report=resolve(entry.get("baseline_report")),
-                optimized_reports={goal: resolve(p) for goal, p in optimized.items()},
+    def parse(text: str) -> list[BenchCase]:
+        doc = safe_load(text)
+        entries = doc.get("cases") if isinstance(doc, dict) else None
+        if not entries or not isinstance(entries, list):
+            raise ValueError("manifest lists no cases")
+        cases = []
+        names: set[str] = set()
+        for entry in entries:
+            if not isinstance(entry, dict) or entry.get("spec") is None:
+                raise ValueError(f"each case needs a 'spec' entry, got {entry!r}")
+            spec = DesignSpec.from_json(resolve(entry["spec"]))
+            if spec.name in names:
+                raise ValueError(f"duplicate design name {spec.name!r}")
+            names.add(spec.name)
+            if "testbench" in entry:
+                spec.testbench_path = resolve(entry["testbench"])
+            optimized = entry.get("optimized_reports") or {}
+            if not isinstance(optimized, dict):
+                raise ValueError(f"optimized_reports must be a mapping, got {optimized!r}")
+            cases.append(
+                BenchCase(
+                    spec=spec,
+                    baseline_report=resolve(entry.get("baseline_report")),
+                    optimized_reports={goal: resolve(p) for goal, p in optimized.items()},
+                )
             )
-        )
-    return cases
+        return cases
+
+    return read_input(path, parse)
 
 
 def success_rate(passed: int, total: int) -> float:
@@ -198,10 +189,10 @@ def run_suite(
         # one improvement row per case against the first provided optimized report
         goal = sorted(case.optimized_reports)[0]
         try:
-            base = parse_report(Path(case.baseline_report).read_text(encoding="utf-8"))
-            opt = parse_report(Path(case.optimized_reports[goal]).read_text(encoding="utf-8"))
+            base = read_input(case.baseline_report, parse_report)
+            opt = read_input(case.optimized_reports[goal], parse_report)
             row = build_comparison(design, base, opt)
-        except (OSError, RtlflowError) as exc:
+        except RtlflowError as exc:
             # a bad report costs this case its row, not the suite its tables
             reasons[design] = f"report: {type(exc).__name__}: {exc}"
             continue

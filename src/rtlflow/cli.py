@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import logging
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional
@@ -14,41 +15,52 @@ import click
 from . import bench as bench_mod
 from .config import RunConfig, load_config
 from .engine import DesignSpec, RtlArtifact, run_pipeline, write_json
-from .errors import ConfigParseError, RtlflowError
+from .errors import BadInput, RtlflowError, read_input
 from .gateway import Gateway, HttpBackend, ScriptedBackend
 from .inspect_rtl import fingerprint
-from .metrics import PpaMetrics, build_comparison, parse_report, render_pct, HEADLINE_METRICS
+from .metrics import build_comparison, parse_report, render_pct, HEADLINE_METRICS
 from .optimizer import GOALS, OptimizationGoal, load_catalog, optimize
 from .toolchain import IcarusToolchain, ScriptedToolchain
 
 log = logging.getLogger(__name__)
 
 
-def _load_cfg(config_path: Optional[str]) -> RunConfig:
+@contextmanager
+def _usage_error(label: str = "", errors: type = BadInput):
+    """`errors` raised in the block become a usage error (exit 2) led by `label`."""
     try:
-        return load_config(config_path)
-    except ConfigParseError as exc:
-        raise click.UsageError(str(exc))
+        yield
+    except errors as exc:
+        raise click.UsageError(f"{label}{exc}") from exc
 
 
-def _read_report(path: Path) -> PpaMetrics:
-    """Parse a report named on the command line; a bad one is a usage error."""
-    try:
-        return parse_report(path.read_text(encoding="utf-8"))
-    except (OSError, RtlflowError) as exc:
-        raise click.UsageError(f"bad synthesis report {path}: {exc}")
+class _Group(click.Group):
+    """A bad input file no command labels is a usage error naming the file."""
+
+    def invoke(self, ctx):
+        with _usage_error():
+            return super().invoke(ctx)
 
 
 def _read_spec(path: Path) -> DesignSpec:
     """Load a spec file; a bad one, or one naming a missing testbench, is a
     usage error."""
-    try:
+    with _usage_error("bad spec file "):
         spec = DesignSpec.from_json(path)
-    except (ValueError, KeyError) as exc:
-        raise click.UsageError(f"bad spec file {path}: {exc}")
     if not Path(spec.testbench_path).is_file():
         raise click.UsageError(f"bad spec file {path}: no testbench at {spec.testbench_path}")
     return spec
+
+
+def _parse_status(text: str) -> dict:
+    status = json.loads(text)
+    if not isinstance(status, dict):
+        raise ValueError("not a JSON object")
+    revisions = status.get("revisions")
+    if not (isinstance(revisions, list) and revisions
+            and all(isinstance(r, int) for r in revisions)):
+        raise ValueError("'revisions' must be a non-empty list of integers")
+    return status
 
 
 def _scripted_paths(scripted: str, design: Optional[str] = None) -> tuple[Path, Path]:
@@ -76,7 +88,7 @@ def _make_toolchain(cfg: RunConfig, scripted: Optional[str], design: Optional[st
     return IcarusToolchain(cfg.toolchain)
 
 
-@click.group()
+@click.group(cls=_Group)
 @click.option("-v", "--verbose", is_flag=True, help="Enable debug logging.")
 def main(verbose: bool):
     """Multi-role LLM Verilog generation and PPA-aware optimization."""
@@ -96,7 +108,7 @@ def main(verbose: bool):
               help="Directory with turns.json/outcomes.json for offline replay.")
 def generate(spec_path, workspace, budget, config_path, scripted):
     """Run the plan/program/review/verify loop for one design spec."""
-    cfg = _load_cfg(config_path)
+    cfg = load_config(config_path)
     if budget is not None:
         cfg.budget = replace(cfg.budget, max_fix_iterations=budget)
         log.info("--budget %d overrides budget.max_fix_iterations", budget)
@@ -130,33 +142,22 @@ def generate(spec_path, workspace, budget, config_path, scripted):
 @click.option("--scripted", type=click.Path(exists=True), default=None)
 def optimize_cmd(baseline_dir, goal, base_report, opt_report, config_path, scripted):
     """Produce one goal-optimized, re-verified variant of a baseline."""
-    cfg = _load_cfg(config_path)
+    cfg = load_config(config_path)
     base = Path(baseline_dir)
     status_file = base / "status.json"
-    if not status_file.exists():
-        raise click.UsageError(f"{base} is not a generate workspace (no status.json)")
-    try:
-        status = json.loads(status_file.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise click.UsageError(f"bad status file {status_file}: {exc}")
-    if not isinstance(status, dict):
-        raise click.UsageError(f"bad status file {status_file}: not a JSON object")
+    with _usage_error("bad status file "):
+        status = read_input(status_file, _parse_status)
     if status.get("final_status") != "Pass":
         raise click.UsageError("baseline run did not pass; optimize needs a passing baseline")
-    revisions = status.get("revisions")
-    if not (isinstance(revisions, list) and revisions
-            and all(isinstance(r, int) for r in revisions)):
-        raise click.UsageError(
-            f"bad status file {status_file}: 'revisions' must be a non-empty list of integers"
-        )
-    last_rev = max(revisions)
+    last_rev = max(status["revisions"])
     rtl_file = base / f"rev_{last_rev}.v"
     if not rtl_file.is_file():
         raise click.UsageError(f"bad status file {status_file}: no revision file {rtl_file}")
-    baseline_rtl = RtlArtifact(rtl_file.read_text(encoding="utf-8"), revision=last_rev)
-    if not (base / "spec.json").exists():
-        raise click.UsageError("baseline workspace lacks spec.json")
+    baseline_rtl = RtlArtifact(read_input(rtl_file), revision=last_rev)
     spec = _read_spec(base / "spec.json")
+    with _usage_error(f"bad technique catalog {cfg.paths.catalog_dir or '(bundled)'}: ",
+                      RtlflowError):
+        catalog = load_catalog(cfg.paths.catalog_dir)
 
     report_path = Path(base_report) if base_report else base / "synth_report.txt"
     if not report_path.exists():
@@ -165,18 +166,19 @@ def optimize_cmd(baseline_dir, goal, base_report, opt_report, config_path, scrip
             "or pass --base-report"
         )
     # both reports are checked before the first LLM call
-    report = _read_report(report_path)
+    with _usage_error("bad synthesis report "):
+        report = read_input(report_path, parse_report)
+        opt = read_input(opt_report, parse_report) if opt_report else None
     row = None
-    if opt_report:
+    if opt is not None:
         try:
-            row = build_comparison(spec.name, report, _read_report(Path(opt_report)))
+            row = build_comparison(spec.name, report, opt)
         except RtlflowError as exc:  # e.g. a zero baseline metric
             raise click.UsageError(f"cannot compare {report_path} with {opt_report}: {exc}")
 
     out = base / f"opt_{goal}"
     gateway = _make_gateway(cfg, scripted, spec.name, out / "transcript.jsonl")
     toolchain = _make_toolchain(cfg, scripted, spec.name)
-    catalog = load_catalog(cfg.paths.catalog_dir)
     try:
         variant = optimize(
             baseline_rtl, report, OptimizationGoal(goal), gateway, toolchain,
@@ -209,7 +211,7 @@ def optimize_cmd(baseline_dir, goal, base_report, opt_report, config_path, scrip
 def inspect_cmd(verilog_file):
     """Emit the structural fingerprint of a Verilog file as JSON."""
     try:
-        fp = fingerprint(Path(verilog_file).read_text(encoding="utf-8"))
+        fp = read_input(verilog_file, fingerprint)
     except RtlflowError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
@@ -228,10 +230,9 @@ def report():
 def report_compare(base_path, opt_path, design):
     """Improvement row (JSON + Markdown) between two synthesis reports."""
     try:
-        base = parse_report(Path(base_path).read_text(encoding="utf-8"))
-        opt = parse_report(Path(opt_path).read_text(encoding="utf-8"))
-        row = build_comparison(design, base, opt)
-    except (OSError, RtlflowError) as exc:
+        base = read_input(base_path, parse_report)
+        row = build_comparison(design, base, read_input(opt_path, parse_report))
+    except RtlflowError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     click.echo(json.dumps(row.to_dict(), indent=2))
@@ -248,11 +249,9 @@ def report_compare(base_path, opt_path, design):
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 def bench_cmd(manifest, out_dir, workers, scripted, strict, config_path):
     """Run a suite of design cases and emit the evaluation tables."""
-    cfg = _load_cfg(config_path)
-    try:
+    cfg = load_config(config_path)
+    with _usage_error("bad manifest: "):
         cases = bench_mod.load_manifest(manifest)
-    except (KeyError, ValueError) as exc:
-        raise click.UsageError(f"bad manifest: {exc}")
     out = Path(out_dir)
 
     def gateway_factory(design: str) -> Gateway:

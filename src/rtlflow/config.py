@@ -8,10 +8,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, get_type_hints
 
-import yaml
-
 from .engine import PipelineBudget
-from .errors import ConfigParseError
+from .errors import read_input
 from .gateway import BackendConfig
 from .toolchain import ToolchainConfig
 from .yamlload import safe_load
@@ -40,45 +38,42 @@ class RunConfig:
 
 def _build(cls: type, where: str, mapping) -> object:
     """`cls(**mapping)`, with int and float fields coerced by their declared
-    type; an unknown key or a non-mapping is a ConfigParseError."""
+    type; an unknown key or a non-mapping is a ValueError naming `where`."""
     if mapping is None:  # a section whose keys are all commented out
         mapping = {}
     if not isinstance(mapping, dict):
-        raise ConfigParseError(f"{where}: section must be a mapping, not {type(mapping).__name__}")
+        raise ValueError(f"{where}: section must be a mapping, not {type(mapping).__name__}")
     hints = get_type_hints(cls)
     types = {f.name: hints[f.name] for f in fields(cls)}
     kwargs = {}
     for key, value in mapping.items():
         if key not in types:
-            raise ConfigParseError(f"{where}: unknown key {key!r}")
+            raise ValueError(f"{where}: unknown key {key!r}")
         try:
             kwargs[key] = types[key](value) if types[key] in (int, float) else value
-        except (TypeError, ValueError) as exc:
-            raise ConfigParseError(f"{where}.{key}: {exc}") from exc
+        except (TypeError, ValueError) as exc:  # name the key the value belongs to
+            raise ValueError(f"{where}.{key}: {exc}") from exc
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigParseError(f"{where}: {exc}") from exc
+        raise ValueError(f"{where}: {exc}") from exc
+
+
+def _parse(text: str) -> RunConfig:
+    doc = safe_load(text) or {}
+    if not isinstance(doc, dict):
+        raise ValueError("top level must be a mapping")
+    sections = get_type_hints(RunConfig)
+    for name in doc:
+        if name not in sections:
+            raise ValueError(f"unknown section {name!r}")
+    return RunConfig(**{name: _build(cls, name, doc.get(name)) for name, cls in sections.items()})
 
 
 def load_config(path: Optional[str | Path] = None) -> RunConfig:
     """Build a RunConfig from a YAML file (or from the defaults alone when
-    `path` is None); a key the file leaves out keeps its default."""
-    doc: dict = {}
-    if path is not None:
-        try:
-            doc = safe_load(Path(path).read_text(encoding="utf-8")) or {}
-        except (OSError, yaml.YAMLError) as exc:
-            raise ConfigParseError(f"{path}: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigParseError(f"{path}: top level must be a mapping")
-    sections = get_type_hints(RunConfig)
-    for name in doc:
-        if name not in sections:
-            raise ConfigParseError(f"{path}: unknown section {name!r}")
-    cfg = RunConfig(**{
-        name: _build(cls, f"{path}: {name}", doc.get(name))
-        for name, cls in sections.items()
-    })
+    `path` is None); a key the file leaves out keeps its default. A bad
+    file is a BadInput."""
+    cfg = RunConfig() if path is None else read_input(path, _parse)
     log.info("resolved config: %s", cfg)
     return cfg

@@ -20,6 +20,7 @@ from .errors import (
     UnparseableDiagnosis,
     UnparseablePlan,
     UnparseableReview,
+    read_input,
 )
 from .gateway import Gateway
 from .prompts import render_prompt
@@ -67,27 +68,29 @@ class DesignSpec:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "DesignSpec":
-        d = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(d, dict):
-            raise ValueError(f"spec must be a JSON object, got {type(d).__name__}")
-        if not isinstance(d["ports"], list):
-            raise ValueError(f"ports must be a list, got {d['ports']!r}")
-        ports = []
-        for p in d["ports"]:
-            try:
-                ports.append(Port(**p))
-            except TypeError as exc:  # not a mapping, or an unknown or missing key
-                raise ValueError(f"bad port {p!r}: {exc}") from None
-        spec = cls(
-            name=d["name"],
-            description=d["description"],
-            module_name=d["module_name"],
-            ports=ports,
-            testbench_path=d["testbench_path"],
-        )
-        if spec.testbench_path and not Path(spec.testbench_path).is_absolute():
-            spec.testbench_path = str((Path(path).parent / spec.testbench_path).resolve())
-        return spec
+        """Load a spec file; keys other than the fields are ignored, and a
+        bad file is a BadInput."""
+        def parse(text: str) -> "DesignSpec":
+            d = json.loads(text)
+            if not isinstance(d, dict):
+                raise ValueError(f"spec must be a JSON object, got {type(d).__name__}")
+            if not isinstance(d["ports"], list):
+                raise ValueError(f"ports must be a list, got {d['ports']!r}")
+            for p in d["ports"]:
+                if not isinstance(p, dict):
+                    raise ValueError(f"bad port {p!r}: not a mapping")
+            spec = cls(
+                name=d["name"],
+                description=d["description"],
+                module_name=d["module_name"],
+                ports=[Port(**p) for p in d["ports"]],
+                testbench_path=d["testbench_path"],
+            )
+            if spec.testbench_path and not Path(spec.testbench_path).is_absolute():
+                spec.testbench_path = str((Path(path).parent / spec.testbench_path).resolve())
+            return spec
+
+        return read_input(path, parse)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -362,6 +365,7 @@ def _review_loop(plan, gateway, budget, events, rtl):
 def fix_loop(
     rtl: RtlArtifact,
     tb_path: str | Path,
+    tb_text: str,
     gateway: Gateway,
     toolchain,
     budget: PipelineBudget,
@@ -369,9 +373,9 @@ def fix_loop(
     events: TextIO,
     plan: Optional[ImplementationPlan] = None,
 ) -> tuple[list[Revision], str]:
-    """Review against `plan` (when given), verify, then diagnose and fix,
-    until the candidate passes, the toolchain errors, or
-    `revision >= max_fix_iterations`.
+    """Review against `plan` (when given), verify against the testbench at
+    `tb_path` (whose text is `tb_text`), then diagnose and fix, until the
+    candidate passes, the toolchain errors, or `revision >= max_fix_iterations`.
 
     Writes `rev_N.v` and `verify_N/` into `workspace` per revision N, and
     appends to `events` (the caller's open `events.jsonl`) a `notes` event
@@ -379,7 +383,6 @@ def fix_loop(
     fix follows, its `diagnosis` event. Returns the revisions and the final
     status: Pass, ToolError or BudgetExhausted."""
     tb_path = Path(tb_path)
-    tb_text = tb_path.read_text(encoding="utf-8")
     revisions: list[Revision] = []
     while True:
         rev = rtl.revision
@@ -414,8 +417,7 @@ def run_pipeline(
     workspace = Path(workspace)
     workspace.mkdir(parents=True, exist_ok=True)
     tb_path = Path(spec.testbench_path)
-    if not tb_path.exists():
-        raise FileNotFoundError(f"testbench missing: {tb_path}")
+    tb_text = read_input(tb_path)  # a bad testbench fails the run before the first LLM call
 
     write_json(workspace / "spec.json", spec.to_dict())
 
@@ -424,7 +426,7 @@ def run_pipeline(
         _event(events, "plan", 0, steps=plan.steps)
         rtl = write_rtl(plan, spec, gateway)
         revisions, final = fix_loop(
-            rtl, tb_path, gateway, toolchain, budget, workspace, events, plan
+            rtl, tb_path, tb_text, gateway, toolchain, budget, workspace, events, plan
         )
     write_json(
         workspace / "status.json",

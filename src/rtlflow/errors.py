@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one input reader."""
+
+from pathlib import Path
+
+import yaml
 
 
 class RtlflowError(Exception):
@@ -108,7 +112,24 @@ class FunctionalRegressionUnrecoverable(RtlflowError):
     """Optimized variant never passed re-verification within budget."""
 
 
-# --- config / cli ---
+# --- input files ---
 
-class ConfigParseError(RtlflowError):
-    """Configuration file could not be parsed."""
+class BadInput(InfraError, ValueError):
+    """An input file could not be read or parsed; the message names it first."""
+
+
+def read_input(path, parse=None):
+    """The text of the UTF-8 file `path`, or `parse(text)`. Any failure to
+    read or parse it is a BadInput naming `path`; a BadInput raised by
+    `parse` (about another file it reads) passes through unchanged."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        return text if parse is None else parse(text)
+    except BadInput:
+        raise
+    except yaml.YAMLError as exc:
+        raise BadInput(f"{path}: invalid YAML: {exc}") from exc
+    except KeyError as exc:
+        raise BadInput(f"{path}: missing key {exc}") from exc
+    except (OSError, ValueError, TypeError, RtlflowError) as exc:
+        raise BadInput(f"{path}: {exc}") from exc

@@ -22,6 +22,7 @@ from .errors import (
     RoleMismatch,
     ScriptExhausted,
     SinkWriteError,
+    read_input,
 )
 
 log = logging.getLogger(__name__)
@@ -93,8 +94,9 @@ class HttpBackend:
     """Generic chat-completion client: messages array in, one assistant
     message out. Retries transient failures after a jittered exponential
     backoff (a uniform draw from [0, 0.5 * 2**attempt] seconds), or after
-    exactly the seconds a 429 or 503 reply's Retry-After names; a reply
-    with empty content counts as a malformed body.
+    exactly the seconds a 429 or 503 reply's Retry-After names; a body of
+    the wrong shape, or whose content is not a non-empty string, counts as
+    malformed.
 
     `requests` is imported on the first send, so runs that never use this
     backend do not pay for loading it."""
@@ -125,10 +127,10 @@ class HttpBackend:
                 )
                 resp.raise_for_status()
                 content = resp.json()["choices"][0]["message"]["content"]
-                if not content:
+                if not isinstance(content, str) or not content:
                     raise ValueError(f"reply content is {content!r}")
                 return content
-            except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
+            except (requests.RequestException, KeyError, IndexError, TypeError, ValueError) as exc:
                 last_exc = exc
                 log.warning("%s backend attempt %d failed: %r", role_name, attempt + 1, exc)
                 if not _transient(exc):
@@ -159,8 +161,8 @@ class ScriptedBackend:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedBackend":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls([(t["role"], t["reply"]) for t in raw])
+        return read_input(path, lambda text: cls([(t["role"], t["reply"])
+                                                  for t in json.loads(text)]))
 
     def complete(self, role_name: str, messages: list[ChatMessage]) -> str:
         if self.cursor >= len(self.turns):

@@ -25,6 +25,7 @@ from .errors import (
     MalformedCard,
     MissingRequiredTechnique,
     PromptOverBudget,
+    read_input,
 )
 from .gateway import ChatMessage, Gateway, system, user
 from .inspect_rtl import DesignFingerprint, fingerprint
@@ -141,8 +142,8 @@ def _parse_card(text: str, origin: str) -> TechniqueCard:
             boosts=list(meta.get("boost", [])),
             aliases=list(meta.get("aliases", [])),
         )
-    except KeyError as exc:
-        raise MalformedCard(f"{origin}: missing field {exc}") from exc
+    except (KeyError, TypeError) as exc:  # e.g. `predicates: 5`
+        raise MalformedCard(f"{origin}: bad or missing field {exc}") from exc
     if card.goal not in GOALS:
         raise MalformedCard(f"{origin}: unknown goal {card.goal!r}")
     if not card.applicability:
@@ -155,7 +156,7 @@ class Catalog:
         self.cards: dict[str, TechniqueCard] = {}
         for card in cards:
             if card.id in self.cards:
-                raise DuplicateId(card.id)
+                raise DuplicateId(f"two cards have id {card.id!r}")
             self.cards[card.id] = card
 
     def __contains__(self, card_id):
@@ -177,16 +178,15 @@ class Catalog:
                 covered.update(card.aliases)
             missing = set(names) - covered
             if missing:
-                raise MissingRequiredTechnique(f"{goal}: {sorted(missing)}")
+                raise MissingRequiredTechnique(f"no {goal} card covers {sorted(missing)}")
 
 
 def load_catalog(card_dir: Optional[str | Path] = None) -> Catalog:
     """Load all *.md cards, in name order, from a directory (default: the
-    bundled catalog)."""
+    bundled catalog); an error names the card file or the directory."""
     root = resources.files("rtlflow") / "cards" if card_dir is None else Path(card_dir)
     entries = sorted(root.iterdir(), key=lambda e: e.name) if root.is_dir() else []
-    cards = [_parse_card(e.read_text(encoding="utf-8"), e.name)
-             for e in entries if e.name.endswith(".md")]
+    cards = [_parse_card(read_input(e), str(e)) for e in entries if e.name.endswith(".md")]
     if not cards:
         raise MalformedCard(f"no card files in {root}")
     catalog = Catalog(cards)
@@ -359,8 +359,7 @@ def optimize(
     catalog = catalog or load_catalog()
     workspace = Path(workspace)
     workspace.mkdir(parents=True, exist_ok=True)
-    if not Path(testbench_path).exists():
-        raise FileNotFoundError(f"testbench missing: {testbench_path}")
+    tb_text = read_input(testbench_path)
 
     fp = fingerprint(baseline.verilog_text)
     rec = select_techniques(fp, report, goal, catalog)
@@ -370,7 +369,7 @@ def optimize(
     rtl = artifact_from_reply(session.send(messages[1].content), 0)
     with (workspace / "events.jsonl").open("a", encoding="utf-8") as events:
         revisions, final = fix_loop(
-            rtl, testbench_path, gateway, toolchain, budget, workspace, events
+            rtl, testbench_path, tb_text, gateway, toolchain, budget, workspace, events
         )
     if final != "Pass":
         raise FunctionalRegressionUnrecoverable(

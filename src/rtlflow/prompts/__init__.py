@@ -25,7 +25,7 @@ TEMPLATE_NAMES = (
 def load_template(name: str) -> str:
     if name not in TEMPLATE_NAMES:
         raise KeyError(f"unknown prompt template: {name}")
-    return resources.files(__package__).joinpath(f"{name}.txt").read_text()
+    return resources.files(__package__).joinpath(f"{name}.txt").read_text(encoding="utf-8")
 
 
 def render_prompt(template_name: str, **fields: str) -> str:

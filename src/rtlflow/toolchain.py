@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Optional
 
-from .errors import ToolchainUnavailable
+from .errors import ToolchainUnavailable, read_input
 
 DEFAULT_PASS_MARKER = "PASS"
 DEFAULT_FAIL_PATTERN = r"(?i)\b(error|fail(?:ed)?|mismatch)\b"
@@ -192,7 +192,8 @@ def _run(tool: str, argv: list[str], cwd: Path, timeout: Optional[float]) -> Too
     start = time.monotonic()
     try:
         proc = subprocess.run(
-            argv, cwd=str(cwd), capture_output=True, text=True, timeout=timeout
+            argv, cwd=str(cwd), capture_output=True, timeout=timeout,
+            encoding="utf-8", errors="replace",  # tool output is not always UTF-8
         )
         return ToolInvocation(
             tool=tool, argv=argv, cwd=str(cwd), exit_code=proc.returncode,
@@ -202,7 +203,7 @@ def _run(tool: str, argv: list[str], cwd: Path, timeout: Optional[float]) -> Too
     except subprocess.TimeoutExpired as exc:
         return ToolInvocation(
             tool=tool, argv=argv, cwd=str(cwd), exit_code=-9,
-            stdout=(exc.stdout or b"").decode() if isinstance(exc.stdout, bytes) else (exc.stdout or ""),
+            stdout=(exc.stdout or b"").decode("utf-8", "replace"),  # bytes even in text mode
             stderr=f"killed after {timeout}s timeout",
             wall_time=time.monotonic() - start, timed_out=True,
         )
@@ -257,8 +258,8 @@ class ScriptedToolchain:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedToolchain":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls([VerificationOutcome.from_dict(d) for d in raw])
+        return read_input(path, lambda text: cls([VerificationOutcome.from_dict(d)
+                                                  for d in json.loads(text)]))
 
     def verify(self, rtl_path: Path, tb_path: Path, workspace: Path) -> VerificationOutcome:
         if self.cursor >= len(self.outcomes):

@@ -225,7 +225,9 @@ def test_run_suite_bad_report_costs_one_case(tmp_path):
     summary = run_suite(cases, gw, tc, PipelineBudget(), tmp_path / "runs")
     assert summary.per_case == {"sig_pass": "Pass", "sig_fail": "Fail"}
     assert summary.improvement_rows == [] and summary.tradeoff_pairs == []
-    assert "MissingMetric" in summary.failure_reasons["sig_pass"]
+    assert summary.failure_reasons["sig_pass"] == (
+        f"report: BadInput: {bad}: required metric missing from report: leakage_power"
+    )
     emit_tables(summary, tmp_path / "tables")
     assert "1/2 (50.0%)" in (tmp_path / "tables" / "success_table.md").read_text()
 

@@ -17,7 +17,7 @@ from conftest import FIXTURES, REPORTS, SCRIPTED, VERILOG
 import rtlflow
 from rtlflow.cli import main
 from rtlflow.config import RunConfig, load_config
-from rtlflow.errors import ConfigParseError
+from rtlflow.errors import BadInput
 from rtlflow.gateway import ScriptedBackend
 
 
@@ -290,6 +290,51 @@ def test_optimize_bad_baseline_spec_is_usage_error(tmp_path, runner, passing_wor
     assert not (passing_workspace / "opt_timing").exists()
 
 
+CARD_DIR = Path(rtlflow.__file__).resolve().parent / "cards"
+
+
+def no_front_matter(cards):
+    (cards / "clock_gating.md").write_text("a card without front-matter\n")
+    return cards / "clock_gating.md"
+
+
+def duplicate_id(cards):
+    shutil.copy(cards / "clock_gating.md", cards / "clock_gating_copy.md")
+    return cards
+
+
+def missing_required(cards):
+    (cards / "clock_gating.md").unlink()
+    return cards
+
+
+@pytest.mark.parametrize("fault, needle", [
+    pytest.param(no_front_matter, "missing front-matter", id="no-front-matter"),
+    pytest.param(duplicate_id, "two cards have id 'clock_gating'", id="duplicate-id"),
+    pytest.param(missing_required, "no power card covers ['clock_gating']",
+                 id="missing-required-technique"),
+])
+def test_optimize_bad_catalog_is_usage_error(tmp_path, runner, passing_workspace, monkeypatch,
+                                             fault, needle):
+    calls = []
+    monkeypatch.setattr(ScriptedBackend, "complete", lambda self, *a: calls.append(a))
+    cards = tmp_path / "cards"
+    shutil.copytree(CARD_DIR, cards)
+    named = fault(cards)
+    cfg_file = tmp_path / "run.yaml"
+    cfg_file.write_text(f"paths:\n  catalog_dir: {cards}\n")
+    result = runner.invoke(main, [
+        "optimize", "--baseline", str(passing_workspace), "--goal", "timing",
+        "--base-report", str(REPORTS / "adder_16bit_base.rpt"), "--config", str(cfg_file),
+        "--scripted", str(SCRIPTED / "signal_generator"),
+    ])
+    assert result.exit_code == 2, result.output
+    assert f"bad technique catalog {cards}: " in result.output
+    assert str(named) in result.output and needle in result.output
+    assert calls == []  # rejected before the first LLM call
+    assert not (passing_workspace / "opt_timing").exists()
+
+
 def test_optimize_reports_improvement(tmp_path, runner, passing_workspace):
     script = tmp_path / "opt_script"
     script.mkdir()
@@ -362,7 +407,7 @@ BAD_CONFIGS = [
 def test_config_bad_input_is_rejected(tmp_path, body, needle):
     cfg_file = tmp_path / "run.yaml"
     cfg_file.write_text(body)
-    with pytest.raises(ConfigParseError, match=re.escape(f"{cfg_file}: {needle}")):
+    with pytest.raises(BadInput, match=re.escape(f"{cfg_file}: {needle}")):
         load_config(cfg_file)
 
 
@@ -405,14 +450,14 @@ def test_config_invalid_budget_surfaces(tmp_path):
     cfg_file = tmp_path / "run.yaml"
     for key in ("max_fix_iterations", "max_review_rounds"):
         cfg_file.write_text(f"budget:\n  {key}: 0\n")
-        with pytest.raises(ConfigParseError, match=re.escape(f"{cfg_file}: budget: {key} must be >= 1")):
+        with pytest.raises(BadInput, match=re.escape(f"{cfg_file}: budget: {key} must be >= 1")):
             load_config(cfg_file)
 
 
 def test_config_bad_yaml(tmp_path):
     cfg_file = tmp_path / "run.yaml"
     cfg_file.write_text("backend: [unclosed\n")
-    with pytest.raises(ConfigParseError):
+    with pytest.raises(BadInput):
         load_config(cfg_file)
 
 
@@ -464,7 +509,10 @@ def test_bench_scripted_suite(tmp_path, runner, caplog):
     assert status["per_case"]["sig_pass"] == "Pass"
     # no script directory for sig_error: the set-up failed, not the design
     assert status["per_case"]["sig_error"] == "InfraError"
-    assert status["failure_reasons"]["sig_error"].startswith("FileNotFoundError:")
+    turns = scripted_root / "turns.json"
+    assert status["failure_reasons"]["sig_error"] == (
+        f"BadInput: {turns}: [Errno 2] No such file or directory: '{turns}'"
+    )
     assert "Traceback" not in caplog.text
     assert (out / "success_table.md").exists()
     assert (out / "ppa_table.csv").exists()

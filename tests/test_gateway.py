@@ -161,7 +161,7 @@ def test_scripted_transcripts_are_byte_identical(tmp_path):
 class _FlakyHandler(BaseHTTPRequestHandler):
     failures_left = 2
     failure_status = 500
-    reply_content = "stub reply"
+    reply_content = "stub reply"  # bytes are served as the whole body
     retry_after = None  # Retry-After header value sent with each failure
     hits = 0
 
@@ -175,9 +175,9 @@ class _FlakyHandler(BaseHTTPRequestHandler):
                 self.send_header("Retry-After", type(self).retry_after)
             self.end_headers()
             return
-        body = json.dumps(
-            {"choices": [{"message": {"role": "assistant",
-                                      "content": type(self).reply_content}}]}
+        content = type(self).reply_content
+        body = content if isinstance(content, bytes) else json.dumps(
+            {"choices": [{"message": {"role": "assistant", "content": content}}]}
         ).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -295,7 +295,13 @@ def test_http_connection_refused_is_retried():
         backend.complete("Planner", [user("hello")])
 
 
-@pytest.mark.parametrize("content", [None, ""])
+@pytest.mark.parametrize("content", [
+    None,
+    "",
+    pytest.param(5, id="content-not-a-string"),
+    pytest.param(b"[]", id="body-a-list"),
+    pytest.param(b'{"choices": [{"message": null}]}', id="message-null"),
+])
 def test_http_empty_reply_is_retried_then_unavailable(flaky_server, content):
     _FlakyHandler.failures_left = 0
     _FlakyHandler.reply_content = content

@@ -70,6 +70,7 @@ def test_parse_card_ok():
     (lambda t: t.replace("---\n", "", 1), "front-matter"),
     (lambda t: t.replace("```verilog\nalways @(posedge clk) if (en) q <= d;\n```\n", ""), "snippet"),
     (lambda t: t.replace("id: demo_card\n", ""), "missing field"),
+    (lambda t: t.replace("aliases: []", "aliases: 5"), "bad or missing field"),
     (lambda t: t.replace("goal: power", "goal: speed"), "unknown goal"),
     (lambda t: t.replace("Gate idle registers to cut switching power.\n", ""), "summary"),
 ])

@@ -15,7 +15,7 @@ import rtlflow
 from rtlflow import yamlload
 from rtlflow.bench import load_manifest
 from rtlflow.config import load_config
-from rtlflow.errors import ConfigParseError, MalformedCard
+from rtlflow.errors import BadInput, MalformedCard
 from rtlflow.optimizer import _parse_card, load_catalog
 
 SRC = Path(rtlflow.__file__).resolve().parent.parent
@@ -98,5 +98,5 @@ def test_malformed_config_yaml(monkeypatch, loader, tmp_path):
     monkeypatch.setattr(yamlload, "LOADER", loader)
     cfg_file = tmp_path / "run.yaml"
     cfg_file.write_text("backend: [unclosed\n")
-    with pytest.raises(ConfigParseError):
+    with pytest.raises(BadInput):
         load_config(cfg_file)

@@ -274,6 +274,16 @@ def test_stand_in_verify_tool_error_on_timeout(tmp_path):
     assert sim["timed_out"] is True
 
 
+def test_stand_in_verify_survives_non_utf8_output(tmp_path):
+    # a simulator printing a latin-1 micro sign: the byte is replaced, not fatal
+    latin1 = ["-c", "import sys; sys.stdout.buffer.write(b'value 19.62 \\xb5W\\nPASS\\n')",
+              "{image}"]
+    outcome = verify_text(tmp_path, "PASS\n", stand_in(simulate_args=latin1))
+    assert outcome.kind == "Pass"
+    sim = json.loads((tmp_path / "verify" / "inv_1.json").read_text())
+    assert sim["stdout"] == "value 19.62 \ufffdW\nPASS\n"
+
+
 # --- real simulator (skipped where Icarus Verilog is absent) ---
 
 @needs_icarus
