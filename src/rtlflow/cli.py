@@ -43,12 +43,14 @@ class _Group(click.Group):
 
 
 def _read_spec(path: Path) -> DesignSpec:
-    """Load a spec file; a bad one, or one naming a missing testbench, is a
-    usage error."""
+    """Load a spec file; a bad one, one naming a missing testbench, or an
+    unreadable testbench is a usage error."""
     with _usage_error("bad spec file "):
         spec = DesignSpec.from_json(path)
-    if not Path(spec.testbench_path).is_file():
+    if not Path(spec.testbench_path).exists():
         raise click.UsageError(f"bad spec file {path}: no testbench at {spec.testbench_path}")
+    with _usage_error("bad testbench "):
+        read_input(spec.testbench_path)
     return spec
 
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 import json
 import logging
 import re
+import threading
 from dataclasses import dataclass, field, asdict
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 from typing import Optional, TextIO
 
@@ -340,26 +341,66 @@ def _event(events: TextIO, event: str, revision: int, /, **fields) -> None:
     events.flush()
 
 
-def _review_loop(plan, gateway, budget, events, rtl):
+class _Verify(threading.Thread):
+    """`toolchain.verify(*args)` on a helper thread. `outcome()` joins it
+    and returns the outcome, or re-raises its exception on the calling
+    thread."""
+
+    def __init__(self, toolchain, *args):
+        super().__init__()
+        self._verify = partial(toolchain.verify, *args)
+        self._outcome: Optional[VerificationOutcome] = None
+        self._raised: Optional[BaseException] = None
+        self.start()
+
+    def run(self) -> None:
+        try:
+            self._outcome = self._verify()
+        except BaseException as exc:  # handed to the calling thread, which re-raises it
+            self._raised = exc
+
+    def outcome(self) -> VerificationOutcome:
+        self.join()
+        if self._raised is not None:
+            raise self._raised
+        return self._outcome
+
+
+def _review_loop(plan, gateway, budget, events, rtl, start_verify):
     """Review; on incompleteness, route the missing list back to the
-    Programmer up to max_review_rounds times. Returns the artifact to verify."""
-    for round_no in range(1, budget.max_review_rounds + 1):
-        verdict = review_rtl(plan, rtl, gateway)
-        _event(events, "verdict", rtl.revision, round=round_no, **asdict(verdict))
-        if verdict.complete:
-            return rtl
-        if round_no >= budget.max_review_rounds:
-            break
-        prompt = render_prompt(
-            "reprogrammer",
-            code=rtl.verilog_text,
-            missing="\n".join(f"{i}. {plan.steps[i - 1]}" for i in verdict.missing),
-            plan=plan.as_text(),
-        )
-        reply = gateway.session("Programmer").send(prompt)
-        rtl = _note_missing_steps(plan, artifact_from_reply(reply, rtl.revision))
-    log.warning("review never converged after %d rounds; proceeding", budget.max_review_rounds)
-    return rtl
+    Programmer up to max_review_rounds times. `start_verify(rtl)` verifies
+    the artifact under review on a helper thread while the Reviewer reads
+    it. A rewrite byte-identical to that artifact keeps its verify; a
+    rewrite that changes the code supersedes it, so its outcome is appended
+    with `superseded: true` and the rewrite is verified in turn. Returns the
+    artifact to verify and its verify, joined; the verify is joined too when
+    the loop raises."""
+    verify = start_verify(rtl)
+    try:
+        for round_no in range(1, budget.max_review_rounds + 1):
+            verdict = review_rtl(plan, rtl, gateway)
+            _event(events, "verdict", rtl.revision, round=round_no, **asdict(verdict))
+            if verdict.complete:
+                return rtl, verify
+            if round_no >= budget.max_review_rounds:
+                break
+            prompt = render_prompt(
+                "reprogrammer",
+                code=rtl.verilog_text,
+                missing="\n".join(f"{i}. {plan.steps[i - 1]}" for i in verdict.missing),
+                plan=plan.as_text(),
+            )
+            reply = gateway.session("Programmer").send(prompt)
+            rewrite = _note_missing_steps(plan, artifact_from_reply(reply, rtl.revision))
+            if rewrite.verilog_text != rtl.verilog_text:
+                superseded = verify.outcome()
+                _event(events, "outcome", rtl.revision, **superseded.to_dict(), superseded=True)
+                verify = start_verify(rewrite)
+            rtl = rewrite
+        log.warning("review never converged after %d rounds; proceeding", budget.max_review_rounds)
+        return rtl, verify
+    finally:
+        verify.join()
 
 
 def fix_loop(
@@ -377,22 +418,36 @@ def fix_loop(
     `tb_path` (whose text is `tb_text`), then diagnose and fix, until the
     candidate passes, the toolchain errors, or `revision >= max_fix_iterations`.
 
+    With a plan, each revision is verified on one helper thread while its
+    review runs; a review rewrite that changes the code costs one more
+    verify, whose superseded outcome is kept as an event. Without a plan
+    (the optimize path) each revision is verified on the calling thread.
+
     Writes `rev_N.v` and `verify_N/` into `workspace` per revision N, and
     appends to `events` (the caller's open `events.jsonl`) a `notes` event
     when revision N's artifact has notes, its `outcome` event and, when a
     fix follows, its `diagnosis` event. Returns the revisions and the final
     status: Pass, ToolError or BudgetExhausted."""
     tb_path = Path(tb_path)
+
+    def write_rev(rtl: RtlArtifact) -> tuple[Path, Path, Path]:
+        """Write `rev_N.v`; returns the arguments of its verify."""
+        rtl_path = workspace / f"rev_{rtl.revision}.v"
+        rtl_path.write_text(rtl.verilog_text, encoding="utf-8")
+        return rtl_path, tb_path, workspace / f"verify_{rtl.revision}"
+
     revisions: list[Revision] = []
     while True:
         rev = rtl.revision
-        if plan is not None:
-            rtl = _review_loop(plan, gateway, budget, events, rtl)
-        rtl_path = workspace / f"rev_{rev}.v"
-        rtl_path.write_text(rtl.verilog_text, encoding="utf-8")
+        if plan is None:
+            verify = partial(toolchain.verify, *write_rev(rtl))
+        else:
+            rtl, reviewed = _review_loop(plan, gateway, budget, events, rtl,
+                                         lambda r: _Verify(toolchain, *write_rev(r)))
+            verify = reviewed.outcome
         if rtl.notes:
             _event(events, "notes", rev, notes=rtl.notes)
-        outcome = toolchain.verify(rtl_path, tb_path, workspace / f"verify_{rev}")
+        outcome = verify()
         _event(events, "outcome", rev, **outcome.to_dict())
         revisions.append(Revision(rtl=rtl, outcome=outcome))
         if outcome.kind in ("Pass", "ToolError"):

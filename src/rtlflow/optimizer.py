@@ -112,6 +112,9 @@ class OptimizedVariant:
 
 _FRONT_RE = re.compile(r"\A---\n(.*?)\n---\n(.*)\Z", re.DOTALL)
 _SNIPPET_RE = re.compile(r"```(?:verilog)?\n(.*?)```", re.DOTALL)
+_PRED_RE = re.compile(
+    r"^\s*(not\s+)?([a-z_]\w*)\s*(?:(>=|<=|>|<|==)\s*(-?(?:\d+(?:\.\d*)?|\.\d+)))?\s*$"
+)
 
 
 def _parse_card(text: str, origin: str) -> TechniqueCard:
@@ -148,6 +151,9 @@ def _parse_card(text: str, origin: str) -> TechniqueCard:
         raise MalformedCard(f"{origin}: unknown goal {card.goal!r}")
     if not card.applicability:
         raise MalformedCard(f"{origin}: needs at least one predicate")
+    for pred in card.applicability + card.boosts:
+        if not (isinstance(pred, str) and _PRED_RE.match(pred)):
+            raise MalformedCard(f"{origin}: unparseable predicate: {pred!r}")
     return card
 
 
@@ -195,11 +201,6 @@ def load_catalog(card_dir: Optional[str | Path] = None) -> Catalog:
 
 
 # --- predicate evaluation ---
-
-_PRED_RE = re.compile(
-    r"^\s*(not\s+)?([a-z_]\w*)\s*(?:(>=|<=|>|<|==)\s*(-?[\d.]+))?\s*$"
-)
-
 
 def _context(fp: DesignFingerprint, report: Optional[PpaMetrics]) -> dict:
     ctx: dict[str, float | bool] = {

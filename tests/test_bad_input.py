@@ -42,6 +42,7 @@ INPUTS = [
     ("generate", "spec.json", 2, True, '{"name": "sig"'),
     ("generate", "scripted/turns.json", 2, True, NO_REPLY),
     ("generate", "scripted/outcomes.json", 2, True, '[{"diagnostics": []}]'),
+    ("generate", "tb.v", 2, True, None),
     ("optimize", "run.yaml", 2, True, "paths: 5\n"),
     ("optimize", "ws/status.json", 2, True, '{"final_status": "Pass"'),
     ("optimize", "ws/spec.json", 2, True, "[1]"),
@@ -50,6 +51,7 @@ INPUTS = [
     ("optimize", "opt.rpt", 2, True, JUNK_REPORT),
     ("optimize", "cards/clock_gating.md", 2, True, "a card without front-matter\n"),
     ("optimize", "opt_script/turns.json", 2, True, '[{"reply": "x"}]'),
+    ("optimize", "tb.v", 2, True, None),
     ("inspect", "top.v", 1, True, "module m;\n"),
     ("report compare", "base.rpt", 1, True, JUNK_REPORT),
     ("report compare", "opt.rpt", 1, True, JUNK_REPORT),
@@ -161,3 +163,14 @@ def test_bad_input_file_is_named_without_traceback(inputs, llm_calls, command, r
     assert str(target) in shown
     if before_run:
         assert llm_calls == []
+
+
+def test_unparseable_card_predicate_is_named_before_the_run(inputs, llm_calls):
+    # a catalog fault is a usage error naming the card, not a failed optimize run
+    card = inputs / "cards" / "clock_gating.md"
+    card.write_text(card.read_text().replace("- register_bits > 0", "- 2 < cp_length"))
+    result = run("optimize", inputs)
+    assert result.exit_code == 2, result.output
+    assert f"{card}: unparseable predicate: '2 < cp_length'" in result.output
+    assert llm_calls == []
+    assert not (inputs / "ws" / "opt_timing" / "status.json").exists()

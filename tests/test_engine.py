@@ -1,5 +1,7 @@
 import json
 import random
+import threading
+import time
 
 import pytest
 
@@ -8,7 +10,7 @@ from conftest import (
 )
 
 from rtlflow import engine
-
+from rtlflow.bench import BenchCase, run_suite
 from rtlflow.engine import (
     DesignSpec,
     FixDiagnosis,
@@ -411,7 +413,8 @@ def test_review_rewrite_keeps_missing_step_note(tmp_path):
         ("Programmer", CODE_REPLY.replace("// STEP 2: always block\n    ", "")),
         ("Reviewer", REVIEW_OK),
     ]
-    toolchain = ScriptedToolchain([VerificationOutcome("Pass")])
+    # the rewrite changes the code, so the first artifact's verify is superseded
+    toolchain = ScriptedToolchain([VerificationOutcome("Pass"), VerificationOutcome("Pass")])
     ws = tmp_path / "ws"
     revisions, _ = run_pipeline(make_spec(tmp_path), PipelineBudget(),
                                 Gateway(ScriptedBackend(turns)), toolchain, ws)
@@ -442,3 +445,152 @@ def test_pipeline_crash_leaves_events_closed(tmp_path, monkeypatch):
     assert len({id(h) for h in handles}) == 1 and handles[0].closed
     last = read_events(ws)[-1]
     assert (last["event"], last["revision"], last["kind"]) == ("outcome", 0, "FunctionalFail")
+
+
+# --- verify during review ---
+
+MEET_S = 5.0  # how long each side waits for the other before the test fails
+
+
+class MeetingToolchain(ScriptedToolchain):
+    """Each verify waits for a Reviewer call to start, then lets it reply;
+    `met` records whether each verify saw the Reviewer in its call."""
+
+    def __init__(self, outcomes):
+        super().__init__(outcomes)
+        self.reviewing = threading.Event()
+        self.verified = threading.Event()
+        self.met: list[bool] = []
+
+    def verify(self, rtl_path, tb_path, workspace):
+        self.met.append(self.reviewing.wait(MEET_S))
+        try:
+            return super().verify(rtl_path, tb_path, workspace)
+        finally:
+            self.verified.set()
+
+
+class MeetingBackend(ScriptedBackend):
+    """Each Reviewer call waits for a verify to end during it; `met` records
+    whether one did. A verify that waits for the verdict makes both time out."""
+
+    def __init__(self, turns, toolchain: MeetingToolchain):
+        super().__init__(turns)
+        self.toolchain = toolchain
+        self.met: list[bool] = []
+
+    def complete(self, role_name, messages):
+        if role_name == "Reviewer":
+            self.toolchain.reviewing.set()
+            self.met.append(self.toolchain.verified.wait(MEET_S))
+            self.toolchain.verified.clear()
+            self.toolchain.reviewing.clear()
+        return super().complete(role_name, messages)
+
+
+def test_verify_runs_while_the_reviewer_reads(tmp_path, signal_generator_spec):
+    toolchain = MeetingToolchain(scripted_toolchain(SCRIPTED / "signal_generator").outcomes)
+    turns = ScriptedBackend.from_file(SCRIPTED / "signal_generator" / "turns.json").turns
+    backend = MeetingBackend(turns, toolchain)
+    revisions, final = run_pipeline(signal_generator_spec, PipelineBudget(), Gateway(backend),
+                                    toolchain, tmp_path / "ws")
+    assert final == "Pass" and len(revisions) == 2
+    assert backend.met == [True, True] and toolchain.met == [True, True]
+
+
+REVIEW_MISSING_4 = REVIEW_OK.replace("STEP 4: IMPLEMENTED - evidence 4", "STEP 4: MISSING - none")
+CHANGED_REPLY = CODE_REPLY.replace("count <= count + 1;", "count <= count + 4'd1;")
+
+
+@pytest.mark.parametrize("rewrite, outcomes, expected", [
+    # a byte-identical rewrite keeps the verify already run on that text
+    (CODE_REPLY, [VerificationOutcome("Pass")], [(0, "Pass", None)]),
+    # a rewrite that changes the code supersedes it and is verified in turn
+    (CHANGED_REPLY, [failing_outcome(), VerificationOutcome("Pass")],
+     [(0, "FunctionalFail", True), (0, "Pass", None)]),
+], ids=["identical", "changed"])
+def test_review_rewrite_keeps_or_supersedes_verify(tmp_path, rewrite, outcomes, expected):
+    assert CHANGED_REPLY != CODE_REPLY
+    turns = [
+        ("Planner", "1. a\n2. b\n3. c\n4. d"),
+        ("Programmer", CODE_REPLY),
+        ("Reviewer", REVIEW_MISSING_4),
+        ("Programmer", rewrite),
+        ("Reviewer", REVIEW_OK),
+    ]
+    toolchain = ScriptedToolchain(outcomes)
+    ws = tmp_path / "ws"
+    revisions, final = run_pipeline(make_spec(tmp_path), PipelineBudget(),
+                                    Gateway(ScriptedBackend(turns)), toolchain, ws)
+    assert final == "Pass" and len(revisions) == 1
+    assert toolchain.cursor == len(outcomes)
+    events = read_events(ws)
+    assert [(e["revision"], e["kind"], e.get("superseded"))
+            for e in events if e["event"] == "outcome"] == expected
+    # the superseded outcome follows the verdict that asked for the rewrite
+    assert [e["event"] for e in events] == (
+        ["plan", "verdict"] + ["outcome"] * (len(outcomes) - 1) + ["verdict", "outcome"])
+    assert (ws / "rev_0.v").read_text() == extract_verilog(rewrite)
+    assert revisions[0].rtl.verilog_text == extract_verilog(rewrite)
+
+
+def test_toolchain_outage_during_review_is_infra_error(tmp_path):
+    toolchain = MeetingToolchain([])  # out of outcomes: raises ToolchainUnavailable
+    backend = MeetingBackend([
+        ("Planner", "1. a\n2. b\n3. c\n4. d"),
+        ("Programmer", CODE_REPLY),
+        ("Reviewer", REVIEW_OK),
+    ], toolchain)
+    summary = run_suite([BenchCase(spec=make_spec(tmp_path))], lambda design: Gateway(backend),
+                        lambda design: toolchain, PipelineBudget(), tmp_path / "out")
+    assert backend.met == [True] and toolchain.met == [True]
+    assert summary.per_case == {"toy": "InfraError"}
+    assert summary.failure_reasons == {
+        "toy": "ToolchainUnavailable: scripted toolchain out of outcomes"}
+    assert [e["event"] for e in read_events(tmp_path / "out" / "toy")] == ["plan", "verdict"]
+
+
+class HeldToolchain(ScriptedToolchain):
+    """Each verify takes half a second; `done` is set when one ends."""
+
+    def __init__(self, outcomes):
+        super().__init__(outcomes)
+        self.done = threading.Event()
+
+    def verify(self, rtl_path, tb_path, workspace):
+        time.sleep(0.5)
+        outcome = super().verify(rtl_path, tb_path, workspace)
+        self.done.set()
+        return outcome
+
+
+def test_unparseable_review_joins_the_verify_in_flight(tmp_path, monkeypatch):
+    handles = []
+    real_event = engine._event
+
+    def spy(events, *args, **kwargs):
+        handles.append(events)
+        real_event(events, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "_event", spy)
+    toolchain = HeldToolchain([VerificationOutcome("Pass")])
+    in_flight = []
+
+    class Backend(ScriptedBackend):
+        def complete(self, role_name, messages):
+            if role_name == "Reviewer":
+                in_flight.append(not toolchain.done.is_set())
+            return super().complete(role_name, messages)
+
+    turns = [
+        ("Planner", "1. a\n2. b\n3. c\n4. d"),
+        ("Programmer", CODE_REPLY),
+        ("Reviewer", "STEP 9: IMPLEMENTED - out of range"),
+    ]
+    threads_before = threading.active_count()
+    with pytest.raises(UnparseableReview):
+        run_pipeline(make_spec(tmp_path), PipelineBudget(), Gateway(Backend(turns)),
+                     toolchain, tmp_path / "ws")
+    assert in_flight == [True]
+    assert toolchain.done.is_set() and threading.active_count() == threads_before
+    assert len({id(h) for h in handles}) == 1 and handles[0].closed

@@ -73,6 +73,13 @@ def test_parse_card_ok():
     (lambda t: t.replace("aliases: []", "aliases: 5"), "bad or missing field"),
     (lambda t: t.replace("goal: power", "goal: speed"), "unknown goal"),
     (lambda t: t.replace("Gate idle registers to cut switching power.\n", ""), "summary"),
+    (lambda t: t.replace("register_bits > 0", "2 < cp_length"),
+     "demo.md: unparseable predicate: '2 < cp_length'"),
+    (lambda t: t.replace("clocked_always >= 1", "clocked_always >="),
+     "unparseable predicate: 'clocked_always >='"),
+    (lambda t: t.replace("clocked_always >= 1", "clocked_always >= 1.2.3"),
+     "unparseable predicate: 'clocked_always >= 1.2.3'"),
+    (lambda t: t.replace("- register_bits > 0", "- 5"), "unparseable predicate: 5"),
 ])
 def test_parse_card_malformed(mutation, needle):
     with pytest.raises(MalformedCard) as exc:
