@@ -14,7 +14,7 @@ import threading
 from dataclasses import dataclass, field, asdict
 from functools import cache, partial
 from pathlib import Path
-from typing import Optional, TextIO
+from typing import Callable, Optional, TextIO
 
 from .errors import (
     NoCodeBlock,
@@ -23,7 +23,7 @@ from .errors import (
     UnparseableReview,
     read_input,
 )
-from .gateway import Gateway
+from .gateway import Gateway, RoleSession
 from .prompts import render_prompt
 from .toolchain import VerificationOutcome
 
@@ -294,24 +294,32 @@ def review_rtl(plan: ImplementationPlan, rtl: RtlArtifact, gateway: Gateway) -> 
     return ReviewVerdict(per_step=per_step, complete=complete)
 
 
+def _evaluator_prompt(rtl: RtlArtifact, outcome: VerificationOutcome, testbench_text: str) -> str:
+    if outcome.kind not in ("SyntaxFail", "FunctionalFail"):
+        raise ValueError(f"diagnose called on outcome {outcome.kind}")
+    error_log = "\n".join(
+        [d.raw for d in outcome.diagnostics] + list(outcome.failing_checks)
+    ) or "(no captured log lines)"
+    return render_prompt(
+        "evaluator", code=rtl.verilog_text, errors=error_log, testbench=testbench_text
+    )
+
+
+def _parse_diagnosis(reply: str) -> FixDiagnosis:
+    items = parse_numbered_list(reply)
+    if not items:
+        raise UnparseableDiagnosis("evaluator reply has no numbered fixes")
+    return FixDiagnosis(fixes=items)
+
+
 def diagnose_failures(
     rtl: RtlArtifact,
     outcome: VerificationOutcome,
     testbench_text: str,
     gateway: Gateway,
 ) -> FixDiagnosis:
-    if outcome.kind not in ("SyntaxFail", "FunctionalFail"):
-        raise ValueError(f"diagnose called on outcome {outcome.kind}")
-    error_log = "\n".join(
-        [d.raw for d in outcome.diagnostics] + list(outcome.failing_checks)
-    ) or "(no captured log lines)"
-    prompt = render_prompt(
-        "evaluator", code=rtl.verilog_text, errors=error_log, testbench=testbench_text
-    )
-    items = parse_numbered_list(gateway.session("Evaluator").send(prompt))
-    if not items:
-        raise UnparseableDiagnosis("evaluator reply has no numbered fixes")
-    return FixDiagnosis(fixes=items)
+    prompt = _evaluator_prompt(rtl, outcome, testbench_text)
+    return _parse_diagnosis(gateway.session("Evaluator").send(prompt))
 
 
 def apply_fixes(rtl: RtlArtifact, diagnosis: FixDiagnosis, gateway: Gateway) -> RtlArtifact:
@@ -341,23 +349,43 @@ def _event(events: TextIO, event: str, revision: int, /, **fields) -> None:
     events.flush()
 
 
-class _Verify(threading.Thread):
-    """`toolchain.verify(*args)` on a helper thread. `outcome()` joins it
-    and returns the outcome, or re-raises its exception on the calling
-    thread."""
+# a revision whose outcome is one of these gets no diagnosis
+_FINAL_KINDS = ("Pass", "ToolError")
 
-    def __init__(self, toolchain, *args):
+
+class _Verify(threading.Thread):
+    """`verify()` on a helper thread, then, when `evaluator` is given and the
+    outcome is not final, `evaluator.ask(prompt_for(outcome))`: the
+    Evaluator's call, made while the Reviewer still reads the revision. The
+    helper writes nothing. `outcome()` joins it and returns the outcome, or
+    re-raises the verify's exception on the calling thread."""
+
+    def __init__(self, verify: Callable[[], VerificationOutcome],
+                 evaluator: Optional[RoleSession] = None,
+                 prompt_for: Optional[Callable[[VerificationOutcome], str]] = None):
         super().__init__()
-        self._verify = partial(toolchain.verify, *args)
+        self._verify = verify
+        self._evaluator = evaluator
+        self._prompt_for = prompt_for
         self._outcome: Optional[VerificationOutcome] = None
         self._raised: Optional[BaseException] = None
+        self._exchange: Optional[tuple[list, str]] = None  # the Evaluator's request and reply
+        self._evaluator_raised: Optional[BaseException] = None
         self.start()
 
     def run(self) -> None:
+        # each exception is handed to the calling thread, which re-raises it
         try:
             self._outcome = self._verify()
-        except BaseException as exc:  # handed to the calling thread, which re-raises it
+        except BaseException as exc:
             self._raised = exc
+            return
+        if self._evaluator is None or self._outcome.kind in _FINAL_KINDS:
+            return
+        try:
+            self._exchange = self._evaluator.ask(self._prompt_for(self._outcome))
+        except BaseException as exc:
+            self._evaluator_raised = exc
 
     def outcome(self) -> VerificationOutcome:
         self.join()
@@ -365,16 +393,29 @@ class _Verify(threading.Thread):
             raise self._raised
         return self._outcome
 
+    def evaluator_reply(self) -> Optional[str]:
+        """After `outcome()`: append the Evaluator exchange to the transcript
+        and return its reply, or re-raise the call's exception; None when no
+        Evaluator call was made."""
+        if self._evaluator_raised is not None:
+            raise self._evaluator_raised
+        if self._exchange is None:
+            return None
+        self._evaluator.record(*self._exchange)
+        return self._exchange[1]
+
 
 def _review_loop(plan, gateway, budget, events, rtl, start_verify):
     """Review; on incompleteness, route the missing list back to the
     Programmer up to max_review_rounds times. `start_verify(rtl)` verifies
     the artifact under review on a helper thread while the Reviewer reads
-    it. A rewrite byte-identical to that artifact keeps its verify; a
-    rewrite that changes the code supersedes it, so its outcome is appended
-    with `superseded: true` and the rewrite is verified in turn. Returns the
-    artifact to verify and its verify, joined; the verify is joined too when
-    the loop raises."""
+    it, and asks the Evaluator there when that verify fails. A rewrite
+    byte-identical to that artifact keeps its verify; a rewrite that changes
+    the code supersedes it, so its outcome is appended with
+    `superseded: true`, followed by its Evaluator exchange and a `diagnosis`
+    event with `superseded: true` when one was asked, and the rewrite is
+    verified in turn. Returns the artifact to verify and its verify, joined;
+    the verify is joined too when the loop raises."""
     verify = start_verify(rtl)
     try:
         for round_no in range(1, budget.max_review_rounds + 1):
@@ -395,6 +436,10 @@ def _review_loop(plan, gateway, budget, events, rtl, start_verify):
             if rewrite.verilog_text != rtl.verilog_text:
                 superseded = verify.outcome()
                 _event(events, "outcome", rtl.revision, **superseded.to_dict(), superseded=True)
+                unused = verify.evaluator_reply()
+                if unused is not None:  # parsed for the record only, so it may hold no fixes
+                    _event(events, "diagnosis", rtl.revision, superseded=True,
+                           fixes=[{"description": f} for f in parse_numbered_list(unused)])
                 verify = start_verify(rewrite)
             rtl = rewrite
         log.warning("review never converged after %d rounds; proceeding", budget.max_review_rounds)
@@ -419,9 +464,13 @@ def fix_loop(
     candidate passes, the toolchain errors, or `revision >= max_fix_iterations`.
 
     With a plan, each revision is verified on one helper thread while its
-    review runs; a review rewrite that changes the code costs one more
-    verify, whose superseded outcome is kept as an event. Without a plan
-    (the optimize path) each revision is verified on the calling thread.
+    review runs, and when the verify fails and a fix may follow, the same
+    thread asks the Evaluator while the review still runs. A review rewrite
+    that changes the code costs one more verify, whose superseded outcome
+    (and diagnosis, when one was asked) is kept as an event. Without a plan
+    (the optimize path) each revision is verified and diagnosed on the
+    calling thread. Only the calling thread writes the transcript and
+    `events`, in the same order either way.
 
     Writes `rev_N.v` and `verify_N/` into `workspace` per revision N, and
     appends to `events` (the caller's open `events.jsonl`) a `notes` event
@@ -436,26 +485,35 @@ def fix_loop(
         rtl_path.write_text(rtl.verilog_text, encoding="utf-8")
         return rtl_path, tb_path, workspace / f"verify_{rtl.revision}"
 
+    def start_verify(rtl: RtlArtifact) -> _Verify:
+        verify = partial(toolchain.verify, *write_rev(rtl))
+        if rtl.revision >= budget.max_fix_iterations:  # no fix follows: nothing to diagnose
+            return _Verify(verify)
+        return _Verify(verify, gateway.session("Evaluator"),
+                       lambda outcome: _evaluator_prompt(rtl, outcome, tb_text))
+
     revisions: list[Revision] = []
     while True:
         rev = rtl.revision
         if plan is None:
             verify = partial(toolchain.verify, *write_rev(rtl))
         else:
-            rtl, reviewed = _review_loop(plan, gateway, budget, events, rtl,
-                                         lambda r: _Verify(toolchain, *write_rev(r)))
+            rtl, reviewed = _review_loop(plan, gateway, budget, events, rtl, start_verify)
             verify = reviewed.outcome
         if rtl.notes:
             _event(events, "notes", rev, notes=rtl.notes)
         outcome = verify()
         _event(events, "outcome", rev, **outcome.to_dict())
         revisions.append(Revision(rtl=rtl, outcome=outcome))
-        if outcome.kind in ("Pass", "ToolError"):
+        if outcome.kind in _FINAL_KINDS:
             return revisions, outcome.kind
         if rev >= budget.max_fix_iterations:
             return revisions, "BudgetExhausted"
 
-        diagnosis = diagnose_failures(rtl, outcome, tb_text, gateway)
+        if plan is None:
+            diagnosis = diagnose_failures(rtl, outcome, tb_text, gateway)
+        else:
+            diagnosis = _parse_diagnosis(reviewed.evaluator_reply())
         _event(events, "diagnosis", rev, **diagnosis.to_dict())
         rtl = apply_fixes(rtl, diagnosis, gateway)
 

@@ -12,7 +12,9 @@ import json
 import logging
 import os
 import random
+import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -146,8 +148,11 @@ class HttpBackend:
 class ScriptedBackend:
     """Deterministic replay backend.
 
-    Matches on role name and turn order, never on prompt text, so prompt
-    templates can evolve without breaking recorded scripts.
+    Replays each role's turns in script order, matching on role name, never
+    on prompt text, so prompt templates can evolve without breaking recorded
+    scripts. Roles may call from different threads at once: each call takes
+    its role's next turn under a lock, so how calls of different roles
+    interleave does not change any reply. `cursor` counts the turns consumed.
     """
 
     def __init__(self, turns: list[tuple[str, str]]):
@@ -158,6 +163,10 @@ class ScriptedBackend:
                 raise ValueError("scripted reply must be non-empty")
         self.turns = list(turns)
         self.cursor = 0
+        self._replies: dict[str, deque[str]] = {}
+        for role_name, reply in self.turns:
+            self._replies.setdefault(role_name, deque()).append(reply)
+        self._lock = threading.Lock()
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedBackend":
@@ -165,15 +174,15 @@ class ScriptedBackend:
                                                   for t in json.loads(text)]))
 
     def complete(self, role_name: str, messages: list[ChatMessage]) -> str:
-        if self.cursor >= len(self.turns):
-            raise ScriptExhausted(f"no scripted turns left (role {role_name})")
-        expected_role, reply = self.turns[self.cursor]
-        if expected_role != role_name:
-            raise RoleMismatch(
-                f"script turn {self.cursor} expects {expected_role}, got {role_name}"
-            )
-        self.cursor += 1
-        return reply
+        with self._lock:
+            replies = self._replies.get(role_name)
+            if not replies:
+                if self.cursor >= len(self.turns):
+                    raise ScriptExhausted(f"no scripted turns left (role {role_name})")
+                left = sorted(role for role, rest in self._replies.items() if rest)
+                raise RoleMismatch(f"no {role_name} turn left; the script still has {left} turns")
+            self.cursor += 1
+            return replies.popleft()
 
 
 class TranscriptWriter:
@@ -212,7 +221,9 @@ class TranscriptWriter:
 @dataclass
 class RoleSession:
     """One role call: each send is one request carrying the optional system
-    message and the prompt text, and one transcript append."""
+    message and the prompt text, and one transcript append. `ask` and
+    `record` are its two halves, so a call made on a helper thread can be
+    recorded by the thread that owns the transcript."""
 
     role_name: str
     backend: object
@@ -225,11 +236,19 @@ class RoleSession:
 
     def send(self, prompt: str) -> str:
         """The reply text to `prompt`, sent as the user message."""
+        request, reply = self.ask(prompt)
+        self.record(request, reply)
+        return reply
+
+    def ask(self, prompt: str) -> tuple[list[ChatMessage], str]:
+        """The request for `prompt` and the backend's reply text; writes nothing."""
         request = [user(prompt)] if self.system is None else [self.system, user(prompt)]
-        reply = self.backend.complete(self.role_name, request)
+        return request, self.backend.complete(self.role_name, request)
+
+    def record(self, request: list[ChatMessage], reply: str) -> None:
+        """Append one exchange to the transcript, when the session has one."""
         if self.transcript is not None:
             self.transcript.write(self.role_name, *request, ChatMessage("assistant", reply))
-        return reply
 
 
 class Gateway:

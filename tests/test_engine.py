@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import threading
@@ -9,7 +10,7 @@ from conftest import (
     FIXTURES, SCRIPTED, RecordingBackend, read_events, scripted_gateway, scripted_toolchain,
 )
 
-from rtlflow import engine
+from rtlflow import bench, engine
 from rtlflow.bench import BenchCase, run_suite
 from rtlflow.engine import (
     DesignSpec,
@@ -28,12 +29,13 @@ from rtlflow.engine import (
     write_rtl,
 )
 from rtlflow.errors import (
+    BackendUnavailable,
     NoCodeBlock,
     UnparseableDiagnosis,
     UnparseablePlan,
     UnparseableReview,
 )
-from rtlflow.gateway import Gateway, ScriptedBackend
+from rtlflow.gateway import Gateway, ScriptedBackend, TranscriptWriter
 from rtlflow.toolchain import ScriptedToolchain, VerificationOutcome
 
 
@@ -47,6 +49,12 @@ def make_spec(tmp_path, name="toy"):
         ports=[Port("clk", "in"), Port("q", "out", 4)],
         testbench_path=str(tb),
     )
+
+
+def spec_named(name: str) -> DesignSpec:
+    """The signal generator fixture's spec under another design name."""
+    return dataclasses.replace(DesignSpec.from_json(FIXTURES / "signal_generator_spec.json"),
+                               name=name)
 
 
 def gateway_for(role, reply):
@@ -502,20 +510,23 @@ REVIEW_MISSING_4 = REVIEW_OK.replace("STEP 4: IMPLEMENTED - evidence 4", "STEP 4
 CHANGED_REPLY = CODE_REPLY.replace("count <= count + 1;", "count <= count + 4'd1;")
 
 
-@pytest.mark.parametrize("rewrite, outcomes, expected", [
+@pytest.mark.parametrize("rewrite, outcomes, expected, superseded", [
     # a byte-identical rewrite keeps the verify already run on that text
-    (CODE_REPLY, [VerificationOutcome("Pass")], [(0, "Pass", None)]),
-    # a rewrite that changes the code supersedes it and is verified in turn
+    (CODE_REPLY, [VerificationOutcome("Pass")], [(0, "Pass", None)], []),
+    # a rewrite that changes the code supersedes it and is verified in turn;
+    # the superseded verify failed, so its Evaluator call is kept as well
     (CHANGED_REPLY, [failing_outcome(), VerificationOutcome("Pass")],
-     [(0, "FunctionalFail", True), (0, "Pass", None)]),
+     [(0, "FunctionalFail", True), (0, "Pass", None)], ["outcome", "diagnosis"]),
 ], ids=["identical", "changed"])
-def test_review_rewrite_keeps_or_supersedes_verify(tmp_path, rewrite, outcomes, expected):
+def test_review_rewrite_keeps_or_supersedes_verify(tmp_path, rewrite, outcomes, expected,
+                                                   superseded):
     assert CHANGED_REPLY != CODE_REPLY
     turns = [
         ("Planner", "1. a\n2. b\n3. c\n4. d"),
         ("Programmer", CODE_REPLY),
         ("Reviewer", REVIEW_MISSING_4),
         ("Programmer", rewrite),
+        *[("Evaluator", "1. widen the counter")] * ("diagnosis" in superseded),
         ("Reviewer", REVIEW_OK),
     ]
     toolchain = ScriptedToolchain(outcomes)
@@ -529,7 +540,10 @@ def test_review_rewrite_keeps_or_supersedes_verify(tmp_path, rewrite, outcomes, 
             for e in events if e["event"] == "outcome"] == expected
     # the superseded outcome follows the verdict that asked for the rewrite
     assert [e["event"] for e in events] == (
-        ["plan", "verdict"] + ["outcome"] * (len(outcomes) - 1) + ["verdict", "outcome"])
+        ["plan", "verdict"] + superseded + ["verdict", "outcome"])
+    assert [(e["revision"], e["fixes"], e["superseded"])
+            for e in events if e["event"] == "diagnosis"] == (
+        [(0, [{"description": "widen the counter"}], True)] * ("diagnosis" in superseded))
     assert (ws / "rev_0.v").read_text() == extract_verilog(rewrite)
     assert revisions[0].rtl.verilog_text == extract_verilog(rewrite)
 
@@ -594,3 +608,210 @@ def test_unparseable_review_joins_the_verify_in_flight(tmp_path, monkeypatch):
     assert in_flight == [True]
     assert toolchain.done.is_set() and threading.active_count() == threads_before
     assert len({id(h) for h in handles}) == 1 and handles[0].closed
+
+
+# --- the Evaluator during review ---
+
+class OverlapBackend(ScriptedBackend):
+    """The first `overlaps` Reviewer calls each wait for an Evaluator call to
+    start during them, and each Evaluator call waits for a Reviewer call to
+    be in flight; `met` records whether each side saw the other. An
+    Evaluator call that waits for the verdict makes both time out."""
+
+    def __init__(self, turns, overlaps: int):
+        super().__init__(turns)
+        self.overlaps = overlaps
+        self.reviewing = threading.Event()
+        self.evaluating = threading.Event()
+        self.met: list[tuple[str, bool]] = []
+
+    def complete(self, role_name, messages):
+        if role_name == "Reviewer" and self.overlaps:
+            self.overlaps -= 1
+            self.reviewing.set()
+            self.met.append((role_name, self.evaluating.wait(MEET_S)))
+            self.evaluating.clear()
+            self.reviewing.clear()
+        elif role_name == "Evaluator":
+            self.met.append((role_name, self.reviewing.wait(MEET_S)))
+            self.evaluating.set()
+        return super().complete(role_name, messages)
+
+
+def transcript_roles(path) -> list[str]:
+    """The role of each exchange in a transcript, in order."""
+    return [line["role"] for line in map(json.loads, path.read_text().splitlines())
+            if line["direction"] == "reply"]
+
+
+def test_evaluator_runs_while_the_reviewer_reads(tmp_path, signal_generator_spec):
+    # revision 0 fails, so its Evaluator call overlaps its Reviewer call
+    turns = ScriptedBackend.from_file(SCRIPTED / "signal_generator" / "turns.json").turns
+    backend = OverlapBackend(turns, overlaps=1)
+    gateway = Gateway(backend, transcript_path=tmp_path / "transcript.jsonl")
+    revisions, final = run_pipeline(signal_generator_spec, PipelineBudget(), gateway,
+                                    scripted_toolchain(SCRIPTED / "signal_generator"),
+                                    tmp_path / "ws")
+    assert final == "Pass" and len(revisions) == 2
+    assert sorted(backend.met) == [("Evaluator", True), ("Reviewer", True)]
+    # the calling thread records the exchange where the sequential loop did
+    assert transcript_roles(tmp_path / "transcript.jsonl") == [role for role, _ in turns]
+    assert [e["event"] for e in read_events(tmp_path / "ws")] == [
+        "plan", "verdict", "outcome", "diagnosis", "verdict", "outcome"]
+
+
+class EvaluatorDown(ScriptedBackend):
+    """Every Evaluator call fails as an unreachable backend does."""
+
+    def complete(self, role_name, messages):
+        if role_name == "Evaluator":
+            raise BackendUnavailable("backend failed after 4 attempt(s): 503")
+        return super().complete(role_name, messages)
+
+
+# the review's rounds and the Programmer's rewrites, and the exchanges each leaves
+REVIEWS = {
+    "accepts": ([("Reviewer", REVIEW_OK)], ["Reviewer"]),
+    "identical_rewrite": (
+        [("Reviewer", REVIEW_MISSING_4), ("Programmer", CODE_REPLY), ("Reviewer", REVIEW_OK)],
+        ["Reviewer", "Programmer", "Reviewer"]),
+}
+EVALUATOR_FAULTS = {
+    "unavailable": (EvaluatorDown, [], "InfraError",
+                    "BackendUnavailable: backend failed after 4 attempt(s): 503"),
+    "unparseable": (ScriptedBackend, ["Evaluator"], "Fail",
+                    "UnparseableDiagnosis: evaluator reply has no numbered fixes"),
+}
+
+
+@pytest.mark.parametrize("fault", EVALUATOR_FAULTS)
+@pytest.mark.parametrize("review", REVIEWS)
+def test_evaluator_fault_surfaces_after_the_outcome(tmp_path, monkeypatch, review, fault):
+    # the fault is raised on the calling thread where the sequential loop
+    # raised it, with the same case status, events and transcript
+    handles = []
+    real_event = engine._event
+
+    def spy(events, *args, **kwargs):
+        handles.append(events)
+        real_event(events, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "_event", spy)
+    review_turns, review_roles = REVIEWS[review]
+    backend_type, evaluator_roles, status, reason = EVALUATOR_FAULTS[fault]
+    turns = [("Planner", "1. a\n2. b\n3. c\n4. d"), ("Programmer", CODE_REPLY),
+             *review_turns, ("Evaluator", "The counter looks wrong; widen it.")]
+    transcript = tmp_path / "transcript.jsonl"
+    threads_before = threading.active_count()
+    summary = run_suite(
+        [BenchCase(spec=make_spec(tmp_path))],
+        lambda design: Gateway(backend_type(turns), transcript_path=transcript),
+        lambda design: ScriptedToolchain([failing_outcome()]),
+        PipelineBudget(), tmp_path / "out")
+    assert threading.active_count() == threads_before
+    assert summary.per_case == {"toy": status}
+    assert summary.failure_reasons == {"toy": reason}
+    assert len({id(h) for h in handles}) == 1 and handles[0].closed
+    events = read_events(tmp_path / "out" / "toy")
+    rounds = len([role for role in review_roles if role == "Reviewer"])
+    assert [e["event"] for e in events] == ["plan"] + ["verdict"] * rounds + ["outcome"]
+    assert (events[-1]["kind"], events[-1].get("superseded")) == ("FunctionalFail", None)
+    assert transcript_roles(transcript) == (
+        ["Planner", "Programmer"] + review_roles + evaluator_roles)
+
+
+@pytest.mark.parametrize("backend_type, status, kept", [
+    # the superseded revision's reply is kept but not used, so it may hold no fixes
+    (ScriptedBackend, "Pass", ["outcome", "diagnosis", "verdict", "outcome"]),
+    # a backend failure fails the run, as any Evaluator call's does
+    (EvaluatorDown, "InfraError", ["outcome"]),
+], ids=["unparseable", "unavailable"])
+def test_superseded_evaluator_fault(tmp_path, backend_type, status, kept):
+    turns = [("Planner", "1. a\n2. b\n3. c\n4. d"), ("Programmer", CODE_REPLY),
+             ("Reviewer", REVIEW_MISSING_4), ("Programmer", CHANGED_REPLY),
+             ("Evaluator", "The counter looks wrong; widen it."), ("Reviewer", REVIEW_OK)]
+    summary = run_suite(
+        [BenchCase(spec=make_spec(tmp_path))], lambda design: Gateway(backend_type(turns)),
+        lambda design: ScriptedToolchain([failing_outcome(), VerificationOutcome("Pass")]),
+        PipelineBudget(), tmp_path / "out")
+    assert summary.per_case == {"toy": status}
+    events = read_events(tmp_path / "out" / "toy")
+    assert [e["event"] for e in events] == ["plan", "verdict"] + kept
+    assert events[2]["superseded"] is True
+    assert [(e["fixes"], e["superseded"]) for e in events if e["event"] == "diagnosis"] == (
+        [([], True)] * ("diagnosis" in kept))
+
+
+class JitteredToolchain(ScriptedToolchain):
+    """Each verify first sleeps a seeded random 0-5 ms."""
+
+    def __init__(self, outcomes, seed: int):
+        super().__init__(outcomes)
+        self.rng = random.Random(seed)
+
+    def verify(self, rtl_path, tb_path, workspace):
+        time.sleep(self.rng.uniform(0.0, 0.005))
+        return super().verify(rtl_path, tb_path, workspace)
+
+
+def test_only_the_pipeline_thread_writes_and_runs_repeat(tmp_path, monkeypatch):
+    # verify latency varies between repeats; what a run writes must not
+    pipeline_thread = threading.local()
+    off_thread: list[str] = []
+    real_run_pipeline, real_write, real_event = (
+        engine.run_pipeline, TranscriptWriter.write, engine._event)
+
+    def entered(*args, **kwargs):
+        pipeline_thread.inside = True
+        try:
+            return real_run_pipeline(*args, **kwargs)
+        finally:
+            pipeline_thread.inside = False
+
+    def on_thread(name, real):
+        def check(*args, **kwargs):
+            if not getattr(pipeline_thread, "inside", False):
+                off_thread.append(name)
+            return real(*args, **kwargs)
+        return check
+
+    monkeypatch.setattr(bench, "run_pipeline", entered)
+    monkeypatch.setattr(TranscriptWriter, "write", on_thread("write", real_write))
+    monkeypatch.setattr(engine, "_event", on_thread("_event", real_event))
+    fixtures = {"sig_pass": "signal_generator", "sig_fail": "signal_generator_fail"}
+
+    def gateways(ws):
+        def factory(design):
+            turns = SCRIPTED / fixtures[design] / "turns.json" if design in fixtures else None
+            backend = ScriptedBackend.from_file(turns) if turns else ScriptedBackend([])
+            return Gateway(backend, transcript_path=ws / design / "transcript.jsonl",
+                           run_id="0", clock=lambda: 0.0)
+        return factory
+
+    def toolchains(seed):
+        def factory(design):
+            outcomes = (scripted_toolchain(SCRIPTED / fixtures[design]).outcomes
+                        if design in fixtures else [])
+            return JitteredToolchain(outcomes, seed)
+        return factory
+
+    def written(root) -> dict[str, str]:  # run id and clock are fixed, so no line varies
+        return {path.relative_to(root).as_posix(): path.read_text()
+                for path in sorted(root.rglob("*.jsonl"))}
+
+    runs = []
+    for repeat in range(10):
+        root = tmp_path / str(repeat)
+        for design in fixtures:  # the generate fixtures, each on this thread
+            entered(spec_named(design), PipelineBudget(), gateways(root)(design),
+                    toolchains(repeat)(design), root / design)
+        cases = [BenchCase(spec=spec_named(name)) for name in [*fixtures, "sig_error"]]
+        summary = run_suite(cases, gateways(root / "bench"), toolchains(repeat),
+                            PipelineBudget(), root / "bench", workers=2)
+        assert summary.per_case == {"sig_pass": "Pass", "sig_fail": "Fail",
+                                    "sig_error": "InfraError"}
+        runs.append(written(root))
+    assert off_thread == []
+    # a transcript and events per run, but the unscripted case never calls the backend
+    assert len(runs[0]) == 9
+    assert all(run == runs[0] for run in runs[1:])

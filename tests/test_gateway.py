@@ -1,5 +1,6 @@
 import json
 import socket
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
@@ -52,6 +53,46 @@ def test_scripted_role_mismatch():
     session = RoleSession("Reviewer", backend)
     with pytest.raises(RoleMismatch):
         session.send("review this")
+
+
+def test_scripted_replays_each_role_in_order():
+    backend = ScriptedBackend([("Planner", "p1"), ("Reviewer", "r1"), ("Evaluator", "e1"),
+                               ("Reviewer", "r2")])
+    replies = []
+    for role in ("Evaluator", "Reviewer", "Planner", "Reviewer"):
+        replies.append(backend.complete(role, [user("q")]))
+        assert backend.cursor == len(replies)  # the turns consumed, whatever their order
+    assert replies == ["e1", "r1", "p1", "r2"]
+    with pytest.raises(ScriptExhausted):
+        backend.complete("Reviewer", [user("q")])
+
+
+def test_scripted_concurrent_roles_get_their_own_replies():
+    # calls of four roles at once, switching threads as often as the
+    # interpreter allows: a lost update would repeat or drop a reply
+    roles = ("Planner", "Programmer", "Reviewer", "Evaluator")
+    calls = 2000
+    backend = ScriptedBackend([(role, f"{role} {i}") for i in range(calls) for role in roles])
+    start = threading.Barrier(len(roles), timeout=5)
+    got: dict[str, list[str]] = {}
+
+    def call(role):
+        start.wait()
+        got[role] = [backend.complete(role, [user("q")]) for _ in range(calls)]
+
+    threads = [threading.Thread(target=call, args=(role,)) for role in roles]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == {role: [f"{role} {i}" for i in range(calls)] for role in roles}
+    assert backend.cursor == len(roles) * calls
 
 
 def test_each_send_is_one_request():
