@@ -11,6 +11,7 @@ import json
 import logging
 import re
 import threading
+from contextlib import suppress
 from dataclasses import dataclass, field, asdict
 from functools import cache, partial
 from pathlib import Path
@@ -368,28 +369,23 @@ class _Verify(threading.Thread):
         self._evaluator = evaluator
         self._prompt_for = prompt_for
         self._outcome: Optional[VerificationOutcome] = None
-        self._raised: Optional[BaseException] = None
         self._exchange: Optional[tuple[list, str]] = None  # the Evaluator's request and reply
-        self._evaluator_raised: Optional[BaseException] = None
+        self._raised: Optional[BaseException] = None  # the verify's, or else the Evaluator's
+        self._retired = False
         self.start()
 
     def run(self) -> None:
-        # each exception is handed to the calling thread, which re-raises it
+        # the exception is handed to the calling thread, which re-raises it
         try:
             self._outcome = self._verify()
+            if self._evaluator is not None and self._outcome.kind not in _FINAL_KINDS:
+                self._exchange = self._evaluator.ask(self._prompt_for(self._outcome))
         except BaseException as exc:
             self._raised = exc
-            return
-        if self._evaluator is None or self._outcome.kind in _FINAL_KINDS:
-            return
-        try:
-            self._exchange = self._evaluator.ask(self._prompt_for(self._outcome))
-        except BaseException as exc:
-            self._evaluator_raised = exc
 
     def outcome(self) -> VerificationOutcome:
         self.join()
-        if self._raised is not None:
+        if self._outcome is None:
             raise self._raised
         return self._outcome
 
@@ -397,26 +393,35 @@ class _Verify(threading.Thread):
         """After `outcome()`: append the Evaluator exchange to the transcript
         and return its reply, or re-raise the call's exception; None when no
         Evaluator call was made."""
-        if self._evaluator_raised is not None:
-            raise self._evaluator_raised
+        if self._raised is not None:
+            raise self._raised
         if self._exchange is None:
             return None
         self._evaluator.record(*self._exchange)
         return self._exchange[1]
 
+    def retire(self, events: TextIO, revision: int) -> None:
+        """Give this verify up, once: append its outcome, then its Evaluator
+        exchange when one was asked, with `superseded: true`. Raises as
+        `outcome()` and `evaluator_reply()` do; a second call does nothing."""
+        if self._retired:
+            return
+        self._retired = True
+        _event(events, "outcome", revision, **self.outcome().to_dict(), superseded=True)
+        reply = self.evaluator_reply()
+        if reply is not None:  # parsed for the record only, so it may hold no fixes
+            _event(events, "diagnosis", revision, superseded=True,
+                   fixes=[{"description": f} for f in parse_numbered_list(reply)])
 
-def _review_loop(plan, gateway, budget, events, rtl, start_verify):
-    """Review; on incompleteness, route the missing list back to the
-    Programmer up to max_review_rounds times. `start_verify(rtl)` verifies
-    the artifact under review on a helper thread while the Reviewer reads
-    it, and asks the Evaluator there when that verify fails. A rewrite
-    byte-identical to that artifact keeps its verify; a rewrite that changes
-    the code supersedes it, so its outcome is appended with
-    `superseded: true`, followed by its Evaluator exchange and a `diagnosis`
-    event with `superseded: true` when one was asked, and the rewrite is
-    verified in turn. Returns the artifact to verify and its verify, joined;
-    the verify is joined too when the loop raises."""
-    verify = start_verify(rtl)
+
+def _review_loop(plan, gateway, budget, events, rtl, verify, start_verify):
+    """Review `rtl` while `verify`, its started `_Verify`, runs; on
+    incompleteness, route the missing list back to the Programmer up to
+    max_review_rounds times. A rewrite byte-identical to the artifact keeps
+    its verify; a rewrite that changes the code retires it, and
+    `start_verify(rewrite)` verifies the rewrite in turn. When the loop
+    raises, the verify in flight is retired too and the loop's own exception
+    re-raised. Returns the artifact to verify and its verify."""
     try:
         for round_no in range(1, budget.max_review_rounds + 1):
             verdict = review_rtl(plan, rtl, gateway)
@@ -434,18 +439,15 @@ def _review_loop(plan, gateway, budget, events, rtl, start_verify):
             reply = gateway.session("Programmer").send(prompt)
             rewrite = _note_missing_steps(plan, artifact_from_reply(reply, rtl.revision))
             if rewrite.verilog_text != rtl.verilog_text:
-                superseded = verify.outcome()
-                _event(events, "outcome", rtl.revision, **superseded.to_dict(), superseded=True)
-                unused = verify.evaluator_reply()
-                if unused is not None:  # parsed for the record only, so it may hold no fixes
-                    _event(events, "diagnosis", rtl.revision, superseded=True,
-                           fixes=[{"description": f} for f in parse_numbered_list(unused)])
+                verify.retire(events, rtl.revision)
                 verify = start_verify(rewrite)
             rtl = rewrite
         log.warning("review never converged after %d rounds; proceeding", budget.max_review_rounds)
         return rtl, verify
-    finally:
-        verify.join()
+    except BaseException:
+        with suppress(Exception):  # the helper's exception never replaces the loop's
+            verify.retire(events, rtl.revision)
+        raise
 
 
 def fix_loop(
@@ -463,14 +465,13 @@ def fix_loop(
     `tb_path` (whose text is `tb_text`), then diagnose and fix, until the
     candidate passes, the toolchain errors, or `revision >= max_fix_iterations`.
 
-    With a plan, each revision is verified on one helper thread while its
-    review runs, and when the verify fails and a fix may follow, the same
-    thread asks the Evaluator while the review still runs. A review rewrite
-    that changes the code costs one more verify, whose superseded outcome
-    (and diagnosis, when one was asked) is kept as an event. Without a plan
-    (the optimize path) each revision is verified and diagnosed on the
-    calling thread. Only the calling thread writes the transcript and
-    `events`, in the same order either way.
+    Each revision is verified on one helper thread, which asks the Evaluator
+    as soon as the verify fails and a fix may follow; with a plan, the review
+    runs meanwhile. A review rewrite that changes the code, or a review that
+    raises, retires the verify in flight: its outcome (and diagnosis, when
+    one was asked) is kept as a superseded event. Only the calling thread
+    writes the transcript and `events`, where a sequential loop would, so
+    neither depends on thread timing.
 
     Writes `rev_N.v` and `verify_N/` into `workspace` per revision N, and
     appends to `events` (the caller's open `events.jsonl`) a `notes` event
@@ -479,30 +480,26 @@ def fix_loop(
     status: Pass, ToolError or BudgetExhausted."""
     tb_path = Path(tb_path)
 
-    def write_rev(rtl: RtlArtifact) -> tuple[Path, Path, Path]:
-        """Write `rev_N.v`; returns the arguments of its verify."""
+    def start_verify(rtl: RtlArtifact) -> _Verify:
+        """Write `rev_N.v` and start its verify."""
         rtl_path = workspace / f"rev_{rtl.revision}.v"
         rtl_path.write_text(rtl.verilog_text, encoding="utf-8")
-        return rtl_path, tb_path, workspace / f"verify_{rtl.revision}"
-
-    def start_verify(rtl: RtlArtifact) -> _Verify:
-        verify = partial(toolchain.verify, *write_rev(rtl))
+        verify = partial(toolchain.verify, rtl_path, tb_path, workspace / f"verify_{rtl.revision}")
         if rtl.revision >= budget.max_fix_iterations:  # no fix follows: nothing to diagnose
             return _Verify(verify)
         return _Verify(verify, gateway.session("Evaluator"),
-                       lambda outcome: _evaluator_prompt(rtl, outcome, tb_text))
+                       partial(_evaluator_prompt, rtl, testbench_text=tb_text))
 
     revisions: list[Revision] = []
     while True:
         rev = rtl.revision
-        if plan is None:
-            verify = partial(toolchain.verify, *write_rev(rtl))
-        else:
-            rtl, reviewed = _review_loop(plan, gateway, budget, events, rtl, start_verify)
-            verify = reviewed.outcome
+        verify = start_verify(rtl)
+        if plan is not None:
+            rtl, verify = _review_loop(plan, gateway, budget, events, rtl, verify, start_verify)
+        verify.join()  # before any write below, which may raise
         if rtl.notes:
             _event(events, "notes", rev, notes=rtl.notes)
-        outcome = verify()
+        outcome = verify.outcome()
         _event(events, "outcome", rev, **outcome.to_dict())
         revisions.append(Revision(rtl=rtl, outcome=outcome))
         if outcome.kind in _FINAL_KINDS:
@@ -510,10 +507,7 @@ def fix_loop(
         if rev >= budget.max_fix_iterations:
             return revisions, "BudgetExhausted"
 
-        if plan is None:
-            diagnosis = diagnose_failures(rtl, outcome, tb_text, gateway)
-        else:
-            diagnosis = _parse_diagnosis(reviewed.evaluator_reply())
+        diagnosis = _parse_diagnosis(verify.evaluator_reply())
         _event(events, "diagnosis", rev, **diagnosis.to_dict())
         rtl = apply_fixes(rtl, diagnosis, gateway)
 

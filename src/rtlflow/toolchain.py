@@ -72,6 +72,10 @@ class VerificationOutcome:
     diagnostics: list[DiagnosticRecord] = field(default_factory=list)
     failing_checks: list[str] = field(default_factory=list)
 
+    def __post_init__(self):
+        if self.kind not in ("Pass", "SyntaxFail", "FunctionalFail", "ToolError"):
+            raise ValueError(f"unknown outcome kind {self.kind!r}")
+
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,

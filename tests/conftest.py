@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from rtlflow.engine import DesignSpec, PipelineBudget
+from rtlflow.errors import BackendUnavailable
 from rtlflow.gateway import Gateway, ScriptedBackend
 from rtlflow.toolchain import ScriptedToolchain
 
@@ -41,6 +42,15 @@ class RecordingBackend(ScriptedBackend):
         return super().complete(role_name, messages)
 
 
+class EvaluatorDown(ScriptedBackend):
+    """Every Evaluator call fails as an unreachable backend does."""
+
+    def complete(self, role_name, messages):
+        if role_name == "Evaluator":
+            raise BackendUnavailable("backend failed after 4 attempt(s): 503")
+        return super().complete(role_name, messages)
+
+
 def scripted_gateway(script_dir: Path, tmp_path: Path, run_id="test-run") -> Gateway:
     """Gateway over the recorded turns with a deterministic clock."""
     backend = ScriptedBackend.from_file(script_dir / "turns.json")
@@ -64,3 +74,9 @@ def read_events(workspace: Path) -> list[dict]:
 
 def load_table3():
     return json.loads((DATA / "table3.json").read_text())
+
+
+def transcript_roles(path) -> list[str]:
+    """The role of each exchange in a transcript, in order."""
+    return [line["role"] for line in map(json.loads, path.read_text().splitlines())
+            if line["direction"] == "reply"]

@@ -33,6 +33,7 @@ COMMANDS = {  # "{}" is the directory the inputs fixture fills
 }
 
 NO_REPLY = '[{"role": "Planner"}]'
+UNKNOWN_KIND = '[{"kind": "Passed"}]'
 JUNK_REPORT = "nothing here\n"
 
 # (command, input file, exit code, read before the first LLM call, malformed
@@ -60,6 +61,7 @@ INPUTS = [
     ("bench", "spec.json", 2, True, '{"ports": []}'),
     # read by run_suite: the case is charged, the suite goes on
     ("bench", "scripted/turns.json", 0, True, NO_REPLY),
+    ("bench", "scripted/outcomes.json", 0, True, UNKNOWN_KIND),
     ("bench", "tb.v", 0, True, None),
     ("bench", "base.rpt", 0, False, JUNK_REPORT),
 ]
@@ -174,3 +176,14 @@ def test_unparseable_card_predicate_is_named_before_the_run(inputs, llm_calls):
     assert f"{card}: unparseable predicate: '2 < cp_length'" in result.output
     assert llm_calls == []
     assert not (inputs / "ws" / "opt_timing" / "status.json").exists()
+
+
+def test_unknown_outcome_kind_is_named_before_the_run(inputs, llm_calls):
+    # an outcome the loop cannot act on is a bad replay, not a failed run
+    outcomes = inputs / "scripted" / "outcomes.json"
+    outcomes.write_text(UNKNOWN_KIND)
+    result = run("generate", inputs)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"{outcomes}: unknown outcome kind 'Passed'" in result.output
+    assert llm_calls == []

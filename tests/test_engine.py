@@ -7,10 +7,11 @@ import time
 import pytest
 
 from conftest import (
-    FIXTURES, SCRIPTED, RecordingBackend, read_events, scripted_gateway, scripted_toolchain,
+    FIXTURES, REPORTS, SCRIPTED, VERILOG, EvaluatorDown, RecordingBackend, read_events,
+    scripted_gateway, scripted_toolchain, transcript_roles,
 )
 
-from rtlflow import bench, engine
+from rtlflow import bench, engine, optimizer
 from rtlflow.bench import BenchCase, run_suite
 from rtlflow.engine import (
     DesignSpec,
@@ -36,6 +37,8 @@ from rtlflow.errors import (
     UnparseableReview,
 )
 from rtlflow.gateway import Gateway, ScriptedBackend, TranscriptWriter
+from rtlflow.metrics import parse_report
+from rtlflow.optimizer import OptimizationGoal
 from rtlflow.toolchain import ScriptedToolchain, VerificationOutcome
 
 
@@ -67,6 +70,20 @@ def sent_prompt(gateway) -> str:
     [[prompt]] = gateway.backend.requests
     assert prompt.role_tag == "user"
     return prompt.content
+
+
+@pytest.fixture
+def event_handles(monkeypatch):
+    """The `events` handle of every `engine._event` call, in order."""
+    handles = []
+    real_event = engine._event
+
+    def spy(events, *args, **kwargs):
+        handles.append(events)
+        real_event(events, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "_event", spy)
+    return handles
 
 
 # --- spec / budget validation ---
@@ -430,16 +447,8 @@ def test_review_rewrite_keeps_missing_step_note(tmp_path):
     assert notes_events(ws) == [(0, ["MissingStepTags: [2]"])]
 
 
-def test_pipeline_crash_leaves_events_closed(tmp_path, monkeypatch):
+def test_pipeline_crash_leaves_events_closed(tmp_path, event_handles):
     # an unparseable diagnosis ends the run after revision 0's outcome event
-    handles = []
-    real_event = engine._event
-
-    def spy(events, *args, **kwargs):
-        handles.append(events)
-        real_event(events, *args, **kwargs)
-
-    monkeypatch.setattr(engine, "_event", spy)
     turns = [
         ("Planner", "1. a\n2. b\n3. c\n4. d"),
         ("Programmer", CODE_REPLY),
@@ -450,7 +459,7 @@ def test_pipeline_crash_leaves_events_closed(tmp_path, monkeypatch):
     with pytest.raises(UnparseableDiagnosis):
         run_pipeline(make_spec(tmp_path), PipelineBudget(), Gateway(ScriptedBackend(turns)),
                      ScriptedToolchain([failing_outcome()]), ws)
-    assert len({id(h) for h in handles}) == 1 and handles[0].closed
+    assert len({id(h) for h in event_handles}) == 1 and event_handles[0].closed
     last = read_events(ws)[-1]
     assert (last["event"], last["revision"], last["kind"]) == ("outcome", 0, "FunctionalFail")
 
@@ -578,15 +587,7 @@ class HeldToolchain(ScriptedToolchain):
         return outcome
 
 
-def test_unparseable_review_joins_the_verify_in_flight(tmp_path, monkeypatch):
-    handles = []
-    real_event = engine._event
-
-    def spy(events, *args, **kwargs):
-        handles.append(events)
-        real_event(events, *args, **kwargs)
-
-    monkeypatch.setattr(engine, "_event", spy)
+def test_unparseable_review_joins_the_verify_in_flight(tmp_path, event_handles):
     toolchain = HeldToolchain([VerificationOutcome("Pass")])
     in_flight = []
 
@@ -607,7 +608,7 @@ def test_unparseable_review_joins_the_verify_in_flight(tmp_path, monkeypatch):
                      toolchain, tmp_path / "ws")
     assert in_flight == [True]
     assert toolchain.done.is_set() and threading.active_count() == threads_before
-    assert len({id(h) for h in handles}) == 1 and handles[0].closed
+    assert len({id(h) for h in event_handles}) == 1 and event_handles[0].closed
 
 
 # --- the Evaluator during review ---
@@ -638,12 +639,6 @@ class OverlapBackend(ScriptedBackend):
         return super().complete(role_name, messages)
 
 
-def transcript_roles(path) -> list[str]:
-    """The role of each exchange in a transcript, in order."""
-    return [line["role"] for line in map(json.loads, path.read_text().splitlines())
-            if line["direction"] == "reply"]
-
-
 def test_evaluator_runs_while_the_reviewer_reads(tmp_path, signal_generator_spec):
     # revision 0 fails, so its Evaluator call overlaps its Reviewer call
     turns = ScriptedBackend.from_file(SCRIPTED / "signal_generator" / "turns.json").turns
@@ -658,15 +653,6 @@ def test_evaluator_runs_while_the_reviewer_reads(tmp_path, signal_generator_spec
     assert transcript_roles(tmp_path / "transcript.jsonl") == [role for role, _ in turns]
     assert [e["event"] for e in read_events(tmp_path / "ws")] == [
         "plan", "verdict", "outcome", "diagnosis", "verdict", "outcome"]
-
-
-class EvaluatorDown(ScriptedBackend):
-    """Every Evaluator call fails as an unreachable backend does."""
-
-    def complete(self, role_name, messages):
-        if role_name == "Evaluator":
-            raise BackendUnavailable("backend failed after 4 attempt(s): 503")
-        return super().complete(role_name, messages)
 
 
 # the review's rounds and the Programmer's rewrites, and the exchanges each leaves
@@ -686,17 +672,9 @@ EVALUATOR_FAULTS = {
 
 @pytest.mark.parametrize("fault", EVALUATOR_FAULTS)
 @pytest.mark.parametrize("review", REVIEWS)
-def test_evaluator_fault_surfaces_after_the_outcome(tmp_path, monkeypatch, review, fault):
+def test_evaluator_fault_surfaces_after_the_outcome(tmp_path, event_handles, review, fault):
     # the fault is raised on the calling thread where the sequential loop
     # raised it, with the same case status, events and transcript
-    handles = []
-    real_event = engine._event
-
-    def spy(events, *args, **kwargs):
-        handles.append(events)
-        real_event(events, *args, **kwargs)
-
-    monkeypatch.setattr(engine, "_event", spy)
     review_turns, review_roles = REVIEWS[review]
     backend_type, evaluator_roles, status, reason = EVALUATOR_FAULTS[fault]
     turns = [("Planner", "1. a\n2. b\n3. c\n4. d"), ("Programmer", CODE_REPLY),
@@ -711,7 +689,7 @@ def test_evaluator_fault_surfaces_after_the_outcome(tmp_path, monkeypatch, revie
     assert threading.active_count() == threads_before
     assert summary.per_case == {"toy": status}
     assert summary.failure_reasons == {"toy": reason}
-    assert len({id(h) for h in handles}) == 1 and handles[0].closed
+    assert len({id(h) for h in event_handles}) == 1 and event_handles[0].closed
     events = read_events(tmp_path / "out" / "toy")
     rounds = len([role for role in review_roles if role == "Reviewer"])
     assert [e["event"] for e in events] == ["plan"] + ["verdict"] * rounds + ["outcome"]
@@ -742,6 +720,111 @@ def test_superseded_evaluator_fault(tmp_path, backend_type, status, kept):
         [([], True)] * ("diagnosis" in kept))
 
 
+# --- retiring a verify in flight ---
+
+class ReviewerDown(RecordingBackend):
+    """Every Reviewer call fails as an unreachable backend does, and is not
+    counted among the requests that got a reply."""
+
+    def complete(self, role_name, messages):
+        if role_name == "Reviewer":
+            raise BackendUnavailable("backend failed after 4 attempt(s): 503")
+        return super().complete(role_name, messages)
+
+
+OPENING = [("Planner", "1. a\n2. b\n3. c\n4. d"), ("Programmer", CODE_REPLY)]
+# the review's turns, the backend, the events the review leaves, the
+# exchanges it leaves, and the case's status and reason, as at the parent
+REVIEW_FAULTS = {
+    "out-of-range": (
+        [("Reviewer", "STEP 9: IMPLEMENTED - out of range")], RecordingBackend, [],
+        ["Reviewer"], "Fail", "UnparseableReview: review cites step 9 outside the plan"),
+    "reviewer-unavailable": (
+        [("Reviewer", REVIEW_OK)], ReviewerDown, [], [],
+        "InfraError", "BackendUnavailable: backend failed after 4 attempt(s): 503"),
+    "rewrite-without-module": (
+        [("Reviewer", REVIEW_MISSING_4), ("Programmer", "No code, sorry.")], RecordingBackend,
+        ["verdict"], ["Reviewer", "Programmer"],
+        "Fail", "NoCodeBlock: reply contains no Verilog module"),
+}
+
+
+@pytest.mark.parametrize("fault", REVIEW_FAULTS)
+def test_review_fault_retires_the_verify_in_flight(tmp_path, event_handles, fault):
+    # the Evaluator call made during the review is recorded, not dropped
+    review_turns, backend_type, review_events, review_roles, status, reason = (
+        REVIEW_FAULTS[fault])
+    backend = backend_type([*OPENING, *review_turns, ("Evaluator", "1. widen the counter")])
+    transcript = tmp_path / "transcript.jsonl"
+    threads_before = threading.active_count()
+    summary = run_suite(
+        [BenchCase(spec=make_spec(tmp_path))],
+        lambda design: Gateway(backend, transcript_path=transcript),
+        lambda design: ScriptedToolchain([failing_outcome()]),
+        PipelineBudget(), tmp_path / "out")
+    assert threading.active_count() == threads_before
+    assert summary.per_case == {"toy": status}
+    assert summary.failure_reasons == {"toy": reason}
+    assert len({id(h) for h in event_handles}) == 1 and event_handles[0].closed
+    # every reply the backend gave is in the transcript, the Evaluator's last
+    roles = transcript_roles(transcript)
+    assert roles == ["Planner", "Programmer", *review_roles, "Evaluator"]
+    assert len(backend.requests) == len(roles)
+    events = read_events(tmp_path / "out" / "toy")
+    assert [e["event"] for e in events] == ["plan", *review_events, "outcome", "diagnosis"]
+    assert [(e["revision"], e["superseded"]) for e in events[-2:]] == [(0, True), (0, True)]
+    assert events[-2]["kind"] == "FunctionalFail"
+    assert events[-1]["fixes"] == [{"description": "widen the counter"}]
+
+
+# a verify that raises, or an Evaluator call that does, and the events it leaves
+HELPER_FAULTS = {
+    "verify": (ScriptedBackend, [], ["plan"]),
+    "evaluator": (EvaluatorDown, [failing_outcome()], ["plan", "outcome"]),
+}
+
+
+@pytest.mark.parametrize("fault", HELPER_FAULTS)
+def test_helper_fault_never_replaces_the_review_fault(tmp_path, event_handles, fault):
+    backend_type, outcomes, expected = HELPER_FAULTS[fault]
+    turns = [*OPENING, ("Reviewer", "STEP 9: IMPLEMENTED - out of range"),
+             ("Evaluator", "1. widen the counter")]
+    threads_before = threading.active_count()
+    with pytest.raises(UnparseableReview):
+        run_pipeline(make_spec(tmp_path), PipelineBudget(), Gateway(backend_type(turns)),
+                     ScriptedToolchain(outcomes), tmp_path / "ws")
+    assert threading.active_count() == threads_before
+    assert len({id(h) for h in event_handles}) == 1 and event_handles[0].closed
+    assert [e["event"] for e in read_events(tmp_path / "ws")] == expected
+
+
+def test_a_verify_is_retired_once(tmp_path, event_handles, monkeypatch):
+    # the rewrite's `rev_0.v` cannot be written after the first verify is
+    # retired; the failure does not retire that verify a second time
+    real_write_text = engine.Path.write_text
+    writes = []
+
+    def write_text(path, *args, **kwargs):
+        if path.name == "rev_0.v":
+            writes.append(path)
+            if len(writes) == 2:
+                raise OSError(28, "No space left on device")
+        return real_write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(engine.Path, "write_text", write_text)
+    turns = [*OPENING, ("Reviewer", REVIEW_MISSING_4), ("Programmer", CHANGED_REPLY),
+             ("Evaluator", "1. widen the counter"), ("Reviewer", REVIEW_OK)]
+    threads_before = threading.active_count()
+    with pytest.raises(OSError, match="No space left"):
+        run_pipeline(make_spec(tmp_path), PipelineBudget(), Gateway(ScriptedBackend(turns)),
+                     ScriptedToolchain([failing_outcome()]), tmp_path / "ws")
+    assert threading.active_count() == threads_before
+    assert len({id(h) for h in event_handles}) == 1 and event_handles[0].closed
+    events = read_events(tmp_path / "ws")
+    assert [(e["event"], e.get("superseded")) for e in events] == [
+        ("plan", None), ("verdict", None), ("outcome", True), ("diagnosis", True)]
+
+
 class JitteredToolchain(ScriptedToolchain):
     """Each verify first sleeps a seeded random 0-5 ms."""
 
@@ -754,19 +837,33 @@ class JitteredToolchain(ScriptedToolchain):
         return super().verify(rtl_path, tb_path, workspace)
 
 
+ADDER_TB = VERILOG / "adder_16bit_tb.v"
+ADDER_REPORT = parse_report((REPORTS / "adder_16bit_base.rpt").read_text())
+CLA_REPLY = "```verilog\n" + (VERILOG / "adder_16bit_cla.v").read_text() + "```"
+FIXED_CLA_REPLY = CLA_REPLY.replace("```verilog\n", "```verilog\n// FIX 1: carry\n")
+# optimize runs: the replies, and the outcomes of their verifies
+OPTIMIZE_RUNS = {
+    "opt_pass": ([("Optimizer", CLA_REPLY)], [VerificationOutcome("Pass")]),
+    "opt_fix": ([("Optimizer", CLA_REPLY), ("Evaluator", "1. carry"),
+                 ("Programmer", FIXED_CLA_REPLY)],
+                [failing_outcome(), VerificationOutcome("Pass")]),
+}
+
+
 def test_only_the_pipeline_thread_writes_and_runs_repeat(tmp_path, monkeypatch):
     # verify latency varies between repeats; what a run writes must not
     pipeline_thread = threading.local()
     off_thread: list[str] = []
-    real_run_pipeline, real_write, real_event = (
-        engine.run_pipeline, TranscriptWriter.write, engine._event)
+    real_write, real_event = TranscriptWriter.write, engine._event
 
-    def entered(*args, **kwargs):
-        pipeline_thread.inside = True
-        try:
-            return real_run_pipeline(*args, **kwargs)
-        finally:
-            pipeline_thread.inside = False
+    def on_pipeline_thread(run):
+        def entered(*args, **kwargs):
+            pipeline_thread.inside = True
+            try:
+                return run(*args, **kwargs)
+            finally:
+                pipeline_thread.inside = False
+        return entered
 
     def on_thread(name, real):
         def check(*args, **kwargs):
@@ -775,6 +872,8 @@ def test_only_the_pipeline_thread_writes_and_runs_repeat(tmp_path, monkeypatch):
             return real(*args, **kwargs)
         return check
 
+    entered = on_pipeline_thread(engine.run_pipeline)
+    optimize = on_pipeline_thread(optimizer.optimize)
     monkeypatch.setattr(bench, "run_pipeline", entered)
     monkeypatch.setattr(TranscriptWriter, "write", on_thread("write", real_write))
     monkeypatch.setattr(engine, "_event", on_thread("_event", real_event))
@@ -805,6 +904,12 @@ def test_only_the_pipeline_thread_writes_and_runs_repeat(tmp_path, monkeypatch):
         for design in fixtures:  # the generate fixtures, each on this thread
             entered(spec_named(design), PipelineBudget(), gateways(root)(design),
                     toolchains(repeat)(design), root / design)
+        for name, (turns, outcomes) in OPTIMIZE_RUNS.items():
+            gateway = Gateway(ScriptedBackend(turns), run_id="0", clock=lambda: 0.0,
+                              transcript_path=root / name / "transcript.jsonl")
+            optimize(RtlArtifact((VERILOG / "adder_16bit.v").read_text()), ADDER_REPORT,
+                     OptimizationGoal("timing"), gateway, JitteredToolchain(outcomes, repeat),
+                     PipelineBudget(), ADDER_TB, root / name)
         cases = [BenchCase(spec=spec_named(name)) for name in [*fixtures, "sig_error"]]
         summary = run_suite(cases, gateways(root / "bench"), toolchains(repeat),
                             PipelineBudget(), root / "bench", workers=2)
@@ -813,5 +918,5 @@ def test_only_the_pipeline_thread_writes_and_runs_repeat(tmp_path, monkeypatch):
         runs.append(written(root))
     assert off_thread == []
     # a transcript and events per run, but the unscripted case never calls the backend
-    assert len(runs[0]) == 9
+    assert len(runs[0]) == 13
     assert all(run == runs[0] for run in runs[1:])

@@ -1,14 +1,18 @@
+import threading
+
 import pytest
 
-from conftest import REPORTS, VERILOG, read_events
+from conftest import REPORTS, VERILOG, EvaluatorDown, read_events, transcript_roles
 
 from rtlflow.engine import PipelineBudget, RtlArtifact
 from rtlflow.errors import (
+    BackendUnavailable,
     DuplicateId,
     FunctionalRegressionUnrecoverable,
     MalformedCard,
     MissingRequiredTechnique,
     PromptOverBudget,
+    UnparseableDiagnosis,
 )
 from rtlflow.gateway import Gateway, ScriptedBackend
 from rtlflow.inspect_rtl import fingerprint
@@ -244,6 +248,30 @@ def test_optimize_recovers_through_fix_loop(tmp_path, catalog):
     assert [(e["event"], e["revision"]) for e in events] == [
         ("outcome", 0), ("diagnosis", 0), ("outcome", 1)]
     assert events[0]["kind"] == "FunctionalFail"
+
+
+@pytest.mark.parametrize("backend_type, error, evaluator_roles", [
+    (EvaluatorDown, BackendUnavailable, []),
+    (ScriptedBackend, UnparseableDiagnosis, ["Evaluator"]),
+], ids=["unavailable", "unparseable"])
+def test_optimize_evaluator_fault_surfaces_after_the_outcome(tmp_path, catalog, backend_type,
+                                                             error, evaluator_roles):
+    turns = [("Optimizer", CLA_REPLY), ("Evaluator", "The carry looks wrong; regroup it.")]
+    transcript = tmp_path / "transcript.jsonl"
+    toolchain = ScriptedToolchain(
+        [VerificationOutcome("FunctionalFail", failing_checks=["ERROR: x"])])
+    threads_before = threading.active_count()
+    with pytest.raises(error):
+        optimize(
+            baseline_artifact(), BASE_REPORT, OptimizationGoal("timing"),
+            Gateway(backend_type(turns), transcript_path=transcript), toolchain,
+            PipelineBudget(), VERILOG / "adder_16bit_tb.v", tmp_path / "ws", catalog,
+        )
+    assert threading.active_count() == threads_before
+    events = read_events(tmp_path / "ws")
+    assert [(e["event"], e["revision"], e["kind"]) for e in events] == [
+        ("outcome", 0, "FunctionalFail")]
+    assert transcript_roles(transcript) == ["Optimizer", *evaluator_roles]
 
 
 def test_optimize_unrecoverable_regression(tmp_path, catalog):
