@@ -26,7 +26,7 @@ log = logging.getLogger(__name__)
 
 
 @contextmanager
-def _usage_error(label: str = "", errors: type = BadInput):
+def _usage_error(label: str, errors: type = BadInput):
     """`errors` raised in the block become a usage error (exit 2) led by `label`."""
     try:
         yield
@@ -35,11 +35,18 @@ def _usage_error(label: str = "", errors: type = BadInput):
 
 
 class _Group(click.Group):
-    """A bad input file no command labels is a usage error naming the file."""
+    """The one place an error becomes an exit code: a bad input file no
+    command labels is a usage error naming the file (exit 2); any other
+    rtlflow error or OSError prints an `error:` line and exits 1."""
 
     def invoke(self, ctx):
-        with _usage_error():
+        try:
             return super().invoke(ctx)
+        except BadInput as exc:
+            raise click.UsageError(str(exc)) from exc
+        except (RtlflowError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
 
 
 def _read_spec(path: Path) -> DesignSpec:
@@ -118,16 +125,7 @@ def generate(spec_path, workspace, budget, config_path, scripted):
     ws = Path(workspace)
     gateway = _make_gateway(cfg, scripted, spec.name, ws / "transcript.jsonl")
     toolchain = _make_toolchain(cfg, scripted, spec.name)
-    try:
-        revisions, final = run_pipeline(spec, cfg.budget, gateway, toolchain, ws)
-    except RtlflowError as exc:
-        write_json(ws / "status.json",
-                   {"design": spec.name, "final_status": "Error", "error": str(exc)})
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-    except OSError as exc:  # e.g. a workspace path under a file
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    revisions, final = run_pipeline(spec, cfg.budget, gateway, toolchain, ws)
     click.echo(f"{spec.name}: {final} after {len(revisions)} iteration(s)")
     sys.exit(0 if final == "Pass" else 1)
 
@@ -189,8 +187,7 @@ def optimize_cmd(baseline_dir, goal, base_report, opt_report, config_path, scrip
     except RtlflowError as exc:
         write_json(out / "status.json", {"design": spec.name, "goal": goal,
                                          "final_status": "Fail", "error": str(exc)})
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+        raise
 
     payload = {
         "design": spec.name,
@@ -212,11 +209,7 @@ def optimize_cmd(baseline_dir, goal, base_report, opt_report, config_path, scrip
 @click.argument("verilog_file", type=click.Path(exists=True))
 def inspect_cmd(verilog_file):
     """Emit the structural fingerprint of a Verilog file as JSON."""
-    try:
-        fp = read_input(verilog_file, fingerprint)
-    except RtlflowError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    fp = read_input(verilog_file, fingerprint)
     click.echo(json.dumps(fp.to_dict(), indent=2))
 
 
@@ -231,12 +224,8 @@ def report():
 @click.option("--design", default="design")
 def report_compare(base_path, opt_path, design):
     """Improvement row (JSON + Markdown) between two synthesis reports."""
-    try:
-        base = read_input(base_path, parse_report)
-        row = build_comparison(design, base, read_input(opt_path, parse_report))
-    except RtlflowError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    base = read_input(base_path, parse_report)
+    row = build_comparison(design, base, read_input(opt_path, parse_report))
     click.echo(json.dumps(row.to_dict(), indent=2))
     cells = " | ".join(render_pct(row.per_metric[m]) for m in HEADLINE_METRICS)
     click.echo(f"| {design} | {cells} |")

@@ -17,13 +17,7 @@ from functools import cache, partial
 from pathlib import Path
 from typing import Callable, Optional, TextIO
 
-from .errors import (
-    NoCodeBlock,
-    UnparseableDiagnosis,
-    UnparseablePlan,
-    UnparseableReview,
-    read_input,
-)
+from .errors import UnparseableReply, read_input
 from .gateway import Gateway, RoleSession
 from .prompts import render_prompt
 from .toolchain import VerificationOutcome
@@ -202,7 +196,7 @@ def extract_verilog(text: str) -> str:
         end = text.rfind("endmodule")
         if end > m.start():
             return text[m.start(): end + len("endmodule")].strip() + "\n"
-    raise NoCodeBlock("reply contains no Verilog module")
+    raise UnparseableReply("reply contains no Verilog module")
 
 
 @cache
@@ -247,7 +241,7 @@ def make_plan(spec: DesignSpec, gateway: Gateway) -> ImplementationPlan:
     )
     items = parse_numbered_list(gateway.session("Planner").send(prompt))
     if not items:
-        raise UnparseablePlan("planner reply has no numbered steps")
+        raise UnparseableReply("planner reply has no numbered steps")
     return ImplementationPlan(items)
 
 
@@ -283,11 +277,11 @@ def review_rtl(plan: ImplementationPlan, rtl: RtlArtifact, gateway: Gateway) -> 
             continue
         idx = int(m.group(1))
         if idx not in valid:
-            raise UnparseableReview(f"review cites step {idx} outside the plan")
+            raise UnparseableReply(f"review cites step {idx} outside the plan")
         status = "Implemented" if m.group(2).upper() == "IMPLEMENTED" else "Missing"
         per_step[idx] = StepReview(status, m.group(3).strip())
     if set(per_step) != valid:
-        raise UnparseableReview(
+        raise UnparseableReply(
             f"review covers steps {sorted(per_step)}, plan has {sorted(valid)}"
         )
     # aggregate flag is always recomputed, never taken from the reply
@@ -309,7 +303,7 @@ def _evaluator_prompt(rtl: RtlArtifact, outcome: VerificationOutcome, testbench_
 def _parse_diagnosis(reply: str) -> FixDiagnosis:
     items = parse_numbered_list(reply)
     if not items:
-        raise UnparseableDiagnosis("evaluator reply has no numbered fixes")
+        raise UnparseableReply("evaluator reply has no numbered fixes")
     return FixDiagnosis(fixes=items)
 
 
@@ -520,28 +514,33 @@ def run_pipeline(
     workspace: str | Path,
 ) -> tuple[list[Revision], str]:
     """Plan, program, then run `fix_loop` with review in `workspace`; writes
-    `spec.json` and `status.json` there and returns what `fix_loop` returns."""
+    `spec.json` and `status.json` there and returns what `fix_loop` returns.
+    A run that raises still ends with a `status.json`, whose `final_status`
+    is `Error` and whose `error` is the exception's message; the exception
+    is then re-raised."""
     workspace = Path(workspace)
-    workspace.mkdir(parents=True, exist_ok=True)
-    tb_path = Path(spec.testbench_path)
-    tb_text = read_input(tb_path)  # a bad testbench fails the run before the first LLM call
-
-    write_json(workspace / "spec.json", spec.to_dict())
-
-    with (workspace / "events.jsonl").open("a", encoding="utf-8") as events:
-        plan = make_plan(spec, gateway)
-        _event(events, "plan", 0, steps=plan.steps)
-        rtl = write_rtl(plan, spec, gateway)
-        revisions, final = fix_loop(
-            rtl, tb_path, tb_text, gateway, toolchain, budget, workspace, events, plan
-        )
-    write_json(
-        workspace / "status.json",
-        {
+    try:
+        workspace.mkdir(parents=True, exist_ok=True)
+        tb_path = Path(spec.testbench_path)
+        tb_text = read_input(tb_path)  # a bad testbench fails the run before the first LLM call
+        write_json(workspace / "spec.json", spec.to_dict())
+        with (workspace / "events.jsonl").open("a", encoding="utf-8") as events:
+            plan = make_plan(spec, gateway)
+            _event(events, "plan", 0, steps=plan.steps)
+            rtl = write_rtl(plan, spec, gateway)
+            revisions, final = fix_loop(
+                rtl, tb_path, tb_text, gateway, toolchain, budget, workspace, events, plan
+            )
+        status = {
             "design": spec.name,
             "final_status": final,
             "iterations_used": len(revisions),
             "revisions": [r.rtl.revision for r in revisions],
-        },
-    )
+        }
+    except Exception as exc:
+        with suppress(OSError):  # e.g. a workspace under a file: the run's error is raised
+            write_json(workspace / "status.json",
+                       {"design": spec.name, "final_status": "Error", "error": str(exc)})
+        raise
+    write_json(workspace / "status.json", status)
     return revisions, final

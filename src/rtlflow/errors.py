@@ -34,20 +34,9 @@ class SinkWriteError(InfraError):
 
 # --- role engine ---
 
-class UnparseablePlan(RtlflowError):
-    """Planner reply contains no recognizable numbered list."""
-
-
-class NoCodeBlock(RtlflowError):
-    """Programmer reply lacks a Verilog module."""
-
-
-class UnparseableReview(RtlflowError):
-    """Reviewer reply could not be mapped onto the plan's step indices."""
-
-
-class UnparseableDiagnosis(RtlflowError):
-    """Evaluator reply contains no recognizable fix list."""
+class UnparseableReply(RtlflowError):
+    """A role's reply lacks the form its parser needs: numbered plan steps or
+    fixes, a Verilog module, or a review that maps onto the plan's steps."""
 
 
 # --- toolchain ---

@@ -1,7 +1,8 @@
 """Every input file a command reads, under three faults: a directory where
 the file should be, one byte that is not UTF-8, and malformed content. Each
 fault ends the command with its stated exit code, the file named and no
-traceback; a file read before the run costs no LLM call."""
+traceback; a file read before the run costs no LLM call. Last, the one exit
+code rule over every command: a bad input file exits 2, a failed run 1."""
 
 import json
 import shutil
@@ -53,9 +54,9 @@ INPUTS = [
     ("optimize", "cards/clock_gating.md", 2, True, "a card without front-matter\n"),
     ("optimize", "opt_script/turns.json", 2, True, '[{"reply": "x"}]'),
     ("optimize", "tb.v", 2, True, None),
-    ("inspect", "top.v", 1, True, "module m;\n"),
-    ("report compare", "base.rpt", 1, True, JUNK_REPORT),
-    ("report compare", "opt.rpt", 1, True, JUNK_REPORT),
+    ("inspect", "top.v", 2, True, "module m;\n"),
+    ("report compare", "base.rpt", 2, True, JUNK_REPORT),
+    ("report compare", "opt.rpt", 2, True, JUNK_REPORT),
     ("bench", "suite.yaml", 2, True, "cases: [\n"),
     ("bench", "run.yaml", 2, True, "budget: 5\n"),
     ("bench", "spec.json", 2, True, '{"ports": []}'),
@@ -187,3 +188,62 @@ def test_unknown_outcome_kind_is_named_before_the_run(inputs, llm_calls):
     assert isinstance(result.exception, SystemExit)
     assert f"{outcomes}: unknown outcome kind 'Passed'" in result.output
     assert llm_calls == []
+
+
+def _planner_without_steps(root: Path, args: list[str]) -> str:
+    turns = root / "scripted" / "turns.json"
+    script = json.loads(turns.read_text())
+    assert script[0]["role"] == "Planner"
+    turns.write_text(json.dumps([dict(script[0], reply="no steps needed"), *script[1:]]))
+    return "planner reply has no numbered steps"
+
+
+def _variant_never_passes(root: Path, args: list[str]) -> str:
+    (root / "opt_script" / "outcomes.json").write_text('[{"kind": "ToolError"}]')
+    return "timing variant never passed: ToolError after 1 verification(s)"
+
+
+def _zero_baseline(root: Path, args: list[str]) -> str:
+    base = root / "base.rpt"
+    base.write_text(base.read_text().replace("dynamic_power: 19.62", "dynamic_power: 0"))
+    return "dynamic_power: baseline is zero"
+
+
+def _out_under_a_file(root: Path, args: list[str]) -> str:
+    (root / "file").write_text("")
+    out = root / "file" / "out"
+    args[args.index(f"{root}/out")] = str(out)
+    return f"[Errno 20] Not a directory: '{out}'"
+
+
+# how each command's run fails other than on a bad input file, and the
+# message of its error; `inspect` only reads its one file
+FAILED_RUNS = {
+    "generate": _planner_without_steps,
+    "optimize": _variant_never_passes,
+    "report compare": _zero_baseline,
+    "bench": _out_under_a_file,
+}
+# an input file of each command, faulted by a directory in its place
+BAD_FILES = {"generate": "spec.json", "optimize": "ws/status.json", "inspect": "top.v",
+             "report compare": "opt.rpt", "bench": "suite.yaml"}
+ENDS = ([pytest.param(command, "bad-input", id=f"{command.replace(' ', '-')}:bad-input")
+         for command in BAD_FILES]
+        + [pytest.param(command, "failed-run", id=f"{command.replace(' ', '-')}:failed-run")
+           for command in FAILED_RUNS])
+
+
+@pytest.mark.parametrize("command, end", ENDS)
+def test_exit_code_rule(inputs, command, end):
+    args = [a.format(inputs) for a in COMMANDS[command]]
+    if end == "bad-input":
+        target = inputs / BAD_FILES[command]
+        _directory(target, None)
+        code, prefix, named = 2, "Error: ", str(target)  # click's usage error
+    else:
+        code, prefix, named = 1, "error: ", FAILED_RUNS[command](inputs, args)
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert any(line.startswith(prefix) and named in line
+               for line in result.output.splitlines()), result.output

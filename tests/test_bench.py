@@ -19,7 +19,7 @@ from rtlflow.bench import (
 from rtlflow.engine import DesignSpec, PipelineBudget
 from rtlflow.errors import ZeroTotal
 from rtlflow.gateway import Gateway, ScriptedBackend
-from rtlflow.toolchain import ScriptedToolchain
+from rtlflow.toolchain import ScriptedToolchain, VerificationOutcome
 
 
 # --- success rate ---
@@ -103,7 +103,12 @@ def test_run_suite_unparseable_reply_is_fail(tmp_path):
         tmp_path,
     )
     assert summary.per_case == {"sig_prose": "Fail"}
-    assert summary.failure_reasons["sig_prose"].startswith("UnparseablePlan:")
+    assert summary.failure_reasons["sig_prose"] == (
+        "UnparseableReply: planner reply has no numbered steps")
+    # the case's own workspace records how the run ended
+    assert json.loads((tmp_path / "sig_prose" / "status.json").read_text()) == {
+        "design": "sig_prose", "final_status": "Error",
+        "error": "planner reply has no numbered steps"}
 
 
 def test_run_suite_unparseable_diagnosis_is_fail(tmp_path):
@@ -120,7 +125,25 @@ def test_run_suite_unparseable_diagnosis_is_fail(tmp_path):
         tmp_path,
     )
     assert summary.per_case == {"sig_prose": "Fail"}
-    assert summary.failure_reasons["sig_prose"].startswith("UnparseableDiagnosis:")
+    assert summary.failure_reasons["sig_prose"] == (
+        "UnparseableReply: evaluator reply has no numbered fixes")
+
+
+def test_run_suite_syntax_fail_at_budget_is_syntax_fail(tmp_path):
+    # both revisions fail to compile, and revision 1 reaches the budget
+    compile_error = VerificationOutcome("SyntaxFail", failing_checks=["sig.v:3: syntax error"])
+    summary = run_suite(
+        [BenchCase(spec=spec_named("sig_syntax"))],
+        lambda design: Gateway(
+            ScriptedBackend.from_file(SCRIPTED / "signal_generator" / "turns.json")),
+        lambda design: ScriptedToolchain([compile_error] * 2),
+        PipelineBudget(max_fix_iterations=1),
+        tmp_path,
+    )
+    assert summary.per_case == {"sig_syntax": "SyntaxFail"}
+    assert summary.failure_reasons == {"sig_syntax": "compile-stage failure"}
+    status = json.loads((tmp_path / "sig_syntax" / "status.json").read_text())
+    assert (status["final_status"], status["revisions"]) == ("BudgetExhausted", [0, 1])
 
 
 def test_run_suite_improvement_rows_only_for_passing(tmp_path):

@@ -165,16 +165,16 @@ def test_report_compare_unparseable(tmp_path, runner):
     result = runner.invoke(main, [
         "report", "compare", "--base", str(junk), "--opt", str(junk),
     ])
-    assert result.exit_code == 1
-    assert "error" in result.output
+    assert result.exit_code == 2  # a bad input file is a usage error
+    assert f"{junk}: " in result.output
 
 
 def test_report_compare_unreadable_path(runner):
     result = runner.invoke(main, [
         "report", "compare", "--base", str(FIXTURES), "--opt", str(REPORTS / "adder_16bit_base.rpt"),
     ])
-    assert result.exit_code == 1
-    assert "error:" in result.output
+    assert result.exit_code == 2  # a bad input file is a usage error
+    assert f"{FIXTURES}: " in result.output
     assert isinstance(result.exception, SystemExit)  # no traceback
 
 
@@ -335,25 +335,56 @@ def test_optimize_bad_catalog_is_usage_error(tmp_path, runner, passing_workspace
     assert not (passing_workspace / "opt_timing").exists()
 
 
-def test_optimize_reports_improvement(tmp_path, runner, passing_workspace):
+def optimize_script(tmp_path, workspace, outcome_kind):
+    """A script whose Optimizer replies with the baseline's last revision,
+    verified once with `outcome_kind`."""
     script = tmp_path / "opt_script"
     script.mkdir()
-    rtl = (passing_workspace / "rev_1.v").read_text()
+    rtl = (workspace / "rev_1.v").read_text()
     (script / "turns.json").write_text(
         json.dumps([{"role": "Optimizer", "reply": f"```verilog\n{rtl}```"}]))
-    (script / "outcomes.json").write_text(
-        json.dumps([{"kind": "Pass", "diagnostics": [], "failing_checks": []}]))
+    (script / "outcomes.json").write_text(json.dumps([{"kind": outcome_kind}]))
+    return script
+
+
+def test_optimize_reports_improvement(tmp_path, runner, passing_workspace):
     result = runner.invoke(main, [
         "optimize", "--baseline", str(passing_workspace), "--goal", "timing",
         "--base-report", str(REPORTS / "adder_16bit_base.rpt"),
         "--opt-report", str(REPORTS / "adder_16bit_opt_timing.rpt"),
-        "--scripted", str(script),
+        "--scripted", str(optimize_script(tmp_path, passing_workspace, "Pass")),
     ])
     assert result.exit_code == 0, result.output
     status = json.loads((passing_workspace / "opt_timing" / "status.json").read_text())
     assert status["final_status"] == "Pass"
     assert status["improvement"]["cell_area"] == "58.7"
     assert "awaiting_report" not in status
+
+
+def test_optimize_without_opt_report_awaits_it(tmp_path, runner, passing_workspace):
+    result = runner.invoke(main, [
+        "optimize", "--baseline", str(passing_workspace), "--goal", "timing",
+        "--base-report", str(REPORTS / "adder_16bit_base.rpt"),
+        "--scripted", str(optimize_script(tmp_path, passing_workspace, "Pass")),
+    ])
+    assert result.exit_code == 0, result.output
+    status = json.loads((passing_workspace / "opt_timing" / "status.json").read_text())
+    assert json.loads(result.output) == status
+    assert (status["final_status"], status["awaiting_report"]) == ("Pass", True)
+    assert "improvement" not in status
+
+
+def test_optimize_failed_run_records_fail_status(tmp_path, runner, passing_workspace):
+    result = runner.invoke(main, [
+        "optimize", "--baseline", str(passing_workspace), "--goal", "timing",
+        "--base-report", str(REPORTS / "adder_16bit_base.rpt"),
+        "--scripted", str(optimize_script(tmp_path, passing_workspace, "ToolError")),
+    ])
+    error = "timing variant never passed: ToolError after 1 verification(s)"
+    assert result.exit_code == 1, result.output
+    assert result.output == f"error: {error}\n"
+    assert json.loads((passing_workspace / "opt_timing" / "status.json").read_text()) == {
+        "design": "signal_generator", "goal": "timing", "final_status": "Fail", "error": error}
 
 
 # --- config file ---

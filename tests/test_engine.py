@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import re
 import threading
 import time
 
@@ -29,13 +30,7 @@ from rtlflow.engine import (
     run_pipeline,
     write_rtl,
 )
-from rtlflow.errors import (
-    BackendUnavailable,
-    NoCodeBlock,
-    UnparseableDiagnosis,
-    UnparseablePlan,
-    UnparseableReview,
-)
+from rtlflow.errors import BackendUnavailable, UnparseableReply
 from rtlflow.gateway import Gateway, ScriptedBackend, TranscriptWriter
 from rtlflow.metrics import parse_report
 from rtlflow.optimizer import OptimizationGoal
@@ -123,7 +118,7 @@ def test_make_plan_four_steps(tmp_path):
 
 
 def test_make_plan_unparseable(tmp_path):
-    with pytest.raises(UnparseablePlan):
+    with pytest.raises(UnparseableReply, match="planner reply has no numbered steps"):
         make_plan(make_spec(tmp_path), gateway_for("Planner", "no steps needed"))
 
 
@@ -194,7 +189,7 @@ def test_write_rtl_extracts_step_tags(tmp_path):
 
 
 def test_write_rtl_no_code_block(tmp_path):
-    with pytest.raises(NoCodeBlock):
+    with pytest.raises(UnparseableReply, match="reply contains no Verilog module"):
         write_rtl(four_step_plan(), make_spec(tmp_path), gateway_for("Programmer", "just prose"))
 
 
@@ -240,7 +235,7 @@ def test_review_missing_step():
 
 def test_review_out_of_range_index():
     reply = REVIEW_OK + "\nSTEP 5: IMPLEMENTED - phantom"
-    with pytest.raises(UnparseableReview):
+    with pytest.raises(UnparseableReply, match="review cites step 5 outside the plan"):
         review_rtl(four_step_plan(), RtlArtifact(CODE_REPLY), gateway_for("Reviewer", reply))
 
 
@@ -252,8 +247,15 @@ def test_review_fuzz_out_of_range():
         reply = "\n".join(f"STEP {i}: IMPLEMENTED - x" for i in indices)
         if set(indices) == {1, 2, 3, 4}:
             continue
-        with pytest.raises(UnparseableReview):
+        with pytest.raises(UnparseableReply, match=r"review cites step \d+ outside the plan"):
             review_rtl(plan, RtlArtifact(CODE_REPLY), gateway_for("Reviewer", reply))
+
+
+def test_review_must_cover_every_step():
+    reply = REVIEW_OK.replace("STEP 4: IMPLEMENTED - evidence 4", "")
+    with pytest.raises(UnparseableReply,
+                       match=re.escape("review covers steps [1, 2, 3], plan has [1, 2, 3, 4]")):
+        review_rtl(four_step_plan(), RtlArtifact(CODE_REPLY), gateway_for("Reviewer", reply))
 
 
 def test_review_complete_flag_is_recomputed():
@@ -282,7 +284,7 @@ def test_diagnose_parses_fixes():
 
 
 def test_diagnose_unparseable_reply():
-    with pytest.raises(UnparseableDiagnosis):
+    with pytest.raises(UnparseableReply, match="evaluator reply has no numbered fixes"):
         diagnose_failures(
             RtlArtifact("module m; endmodule"), failing_outcome(), "tb text",
             gateway_for("Evaluator", "The counter looks wrong; widen it."),
@@ -323,6 +325,15 @@ def test_apply_fixes_increments_revision():
     assert fixed.revision == 1
     assert set(fixed.fix_tags) == {1, 2, 3}
     assert set(fixed.step_tags) == {1, 2, 3, 4}
+
+
+def test_apply_fixes_notes_missing_fix_and_step_tags():
+    base = RtlArtifact("module toy; endmodule", step_tags={1, 2, 3, 4}, revision=0)
+    diagnosis = FixDiagnosis(fixes=["f1", "f2"])
+    untagged = CODE_REPLY.replace("// STEP 4: output\n        ", "")
+    fixed = apply_fixes(base, diagnosis, gateway_for("Programmer", untagged))
+    assert fixed.notes == ["MissingFixTags: got [], expected 2",
+                           "MissingStepTags: rewrite dropped step tags"]
 
 
 # --- full pipeline ---
@@ -381,6 +392,25 @@ def test_pipeline_rereviews_after_incomplete_round(tmp_path):
     assert [(v["revision"], v["round"], v["complete"]) for v in verdicts] == [
         (0, 1, False), (0, 2, True)]
     assert [k for k, r in verdicts[0]["per_step"].items() if r["status"] == "Missing"] == ["3"]
+
+
+def test_pipeline_proceeds_when_review_never_converges(tmp_path, caplog):
+    turns = [
+        ("Planner", "1. a\n2. b\n3. c\n4. d"),
+        ("Programmer", CODE_REPLY),
+        ("Reviewer", REVIEW_MISSING_4),
+        ("Programmer", CODE_REPLY),
+        ("Reviewer", REVIEW_MISSING_4),  # the last round: no rewrite follows
+    ]
+    ws = tmp_path / "ws"
+    revisions, final = run_pipeline(make_spec(tmp_path), PipelineBudget(max_review_rounds=2),
+                                    Gateway(ScriptedBackend(turns)),
+                                    ScriptedToolchain([VerificationOutcome("Pass")]), ws)
+    assert final == "Pass" and len(revisions) == 1
+    assert "review never converged after 2 rounds; proceeding" in caplog.text
+    assert [(e["event"], e.get("round"), e.get("complete")) for e in read_events(ws)] == [
+        ("plan", None, None), ("verdict", 1, False), ("verdict", 2, False),
+        ("outcome", None, None)]
 
 
 def test_pipeline_audit_count_matches_transcript(tmp_path, signal_generator_spec):
@@ -456,12 +486,15 @@ def test_pipeline_crash_leaves_events_closed(tmp_path, event_handles):
         ("Evaluator", "The counter looks wrong; widen it."),
     ]
     ws = tmp_path / "ws"
-    with pytest.raises(UnparseableDiagnosis):
+    with pytest.raises(UnparseableReply, match="evaluator reply has no numbered fixes"):
         run_pipeline(make_spec(tmp_path), PipelineBudget(), Gateway(ScriptedBackend(turns)),
                      ScriptedToolchain([failing_outcome()]), ws)
     assert len({id(h) for h in event_handles}) == 1 and event_handles[0].closed
     last = read_events(ws)[-1]
     assert (last["event"], last["revision"], last["kind"]) == ("outcome", 0, "FunctionalFail")
+    # the run's own workspace records how it ended
+    assert json.loads((ws / "status.json").read_text()) == {
+        "design": "toy", "final_status": "Error", "error": "evaluator reply has no numbered fixes"}
 
 
 # --- verify during review ---
@@ -603,7 +636,7 @@ def test_unparseable_review_joins_the_verify_in_flight(tmp_path, event_handles):
         ("Reviewer", "STEP 9: IMPLEMENTED - out of range"),
     ]
     threads_before = threading.active_count()
-    with pytest.raises(UnparseableReview):
+    with pytest.raises(UnparseableReply, match="review cites step 9 outside the plan"):
         run_pipeline(make_spec(tmp_path), PipelineBudget(), Gateway(Backend(turns)),
                      toolchain, tmp_path / "ws")
     assert in_flight == [True]
@@ -666,7 +699,7 @@ EVALUATOR_FAULTS = {
     "unavailable": (EvaluatorDown, [], "InfraError",
                     "BackendUnavailable: backend failed after 4 attempt(s): 503"),
     "unparseable": (ScriptedBackend, ["Evaluator"], "Fail",
-                    "UnparseableDiagnosis: evaluator reply has no numbered fixes"),
+                    "UnparseableReply: evaluator reply has no numbered fixes"),
 }
 
 
@@ -738,14 +771,14 @@ OPENING = [("Planner", "1. a\n2. b\n3. c\n4. d"), ("Programmer", CODE_REPLY)]
 REVIEW_FAULTS = {
     "out-of-range": (
         [("Reviewer", "STEP 9: IMPLEMENTED - out of range")], RecordingBackend, [],
-        ["Reviewer"], "Fail", "UnparseableReview: review cites step 9 outside the plan"),
+        ["Reviewer"], "Fail", "UnparseableReply: review cites step 9 outside the plan"),
     "reviewer-unavailable": (
         [("Reviewer", REVIEW_OK)], ReviewerDown, [], [],
         "InfraError", "BackendUnavailable: backend failed after 4 attempt(s): 503"),
     "rewrite-without-module": (
         [("Reviewer", REVIEW_MISSING_4), ("Programmer", "No code, sorry.")], RecordingBackend,
         ["verdict"], ["Reviewer", "Programmer"],
-        "Fail", "NoCodeBlock: reply contains no Verilog module"),
+        "Fail", "UnparseableReply: reply contains no Verilog module"),
 }
 
 
@@ -790,7 +823,7 @@ def test_helper_fault_never_replaces_the_review_fault(tmp_path, event_handles, f
     turns = [*OPENING, ("Reviewer", "STEP 9: IMPLEMENTED - out of range"),
              ("Evaluator", "1. widen the counter")]
     threads_before = threading.active_count()
-    with pytest.raises(UnparseableReview):
+    with pytest.raises(UnparseableReply, match="review cites step 9 outside the plan"):
         run_pipeline(make_spec(tmp_path), PipelineBudget(), Gateway(backend_type(turns)),
                      ScriptedToolchain(outcomes), tmp_path / "ws")
     assert threading.active_count() == threads_before

@@ -12,7 +12,7 @@ from rtlflow.errors import (
     MalformedCard,
     MissingRequiredTechnique,
     PromptOverBudget,
-    UnparseableDiagnosis,
+    UnparseableReply,
 )
 from rtlflow.gateway import Gateway, ScriptedBackend
 from rtlflow.inspect_rtl import fingerprint
@@ -250,18 +250,18 @@ def test_optimize_recovers_through_fix_loop(tmp_path, catalog):
     assert events[0]["kind"] == "FunctionalFail"
 
 
-@pytest.mark.parametrize("backend_type, error, evaluator_roles", [
-    (EvaluatorDown, BackendUnavailable, []),
-    (ScriptedBackend, UnparseableDiagnosis, ["Evaluator"]),
+@pytest.mark.parametrize("backend_type, error, message, evaluator_roles", [
+    (EvaluatorDown, BackendUnavailable, "backend failed after 4 attempt", []),
+    (ScriptedBackend, UnparseableReply, "evaluator reply has no numbered fixes", ["Evaluator"]),
 ], ids=["unavailable", "unparseable"])
 def test_optimize_evaluator_fault_surfaces_after_the_outcome(tmp_path, catalog, backend_type,
-                                                             error, evaluator_roles):
+                                                             error, message, evaluator_roles):
     turns = [("Optimizer", CLA_REPLY), ("Evaluator", "The carry looks wrong; regroup it.")]
     transcript = tmp_path / "transcript.jsonl"
     toolchain = ScriptedToolchain(
         [VerificationOutcome("FunctionalFail", failing_checks=["ERROR: x"])])
     threads_before = threading.active_count()
-    with pytest.raises(error):
+    with pytest.raises(error, match=message):
         optimize(
             baseline_artifact(), BASE_REPORT, OptimizationGoal("timing"),
             Gateway(backend_type(turns), transcript_path=transcript), toolchain,
