@@ -141,10 +141,11 @@ def run_suite(
     workers: int = 1,
 ) -> BenchSummary:
     """Run `workers` (>= 1) cases at a time: on the calling thread plus
-    `workers - 1` helper threads, so one worker starts no thread. A case's
-    failure, or a bad synthesis report, is recorded against that case; an
-    exception `_run_case` lets through (e.g. KeyboardInterrupt) stops every
-    thread from taking another case and is re-raised here once they end."""
+    `workers - 1` helper threads, so one worker runs every case on the
+    calling thread. A case's failure, or a bad synthesis report, is
+    recorded against that case; an exception `_run_case` lets through (e.g.
+    KeyboardInterrupt) stops every thread from taking another case and is
+    re-raised here once they end."""
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
 

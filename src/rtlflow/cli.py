@@ -169,12 +169,7 @@ def optimize_cmd(baseline_dir, goal, base_report, opt_report, config_path, scrip
     with _usage_error("bad synthesis report "):
         report = read_input(report_path, parse_report)
         opt = read_input(opt_report, parse_report) if opt_report else None
-    row = None
-    if opt is not None:
-        try:
-            row = build_comparison(spec.name, report, opt)
-        except RtlflowError as exc:  # e.g. a zero baseline metric
-            raise click.UsageError(f"cannot compare {report_path} with {opt_report}: {exc}")
+    row = build_comparison(spec.name, report, opt) if opt is not None else None
 
     out = base / f"opt_{goal}"
     gateway = _make_gateway(cfg, scripted, spec.name, out / "transcript.jsonl")

@@ -10,12 +10,11 @@ from __future__ import annotations
 import json
 import logging
 import re
-import threading
 from contextlib import suppress
 from dataclasses import dataclass, field, asdict
 from functools import cache, partial
 from pathlib import Path
-from typing import Callable, Optional, TextIO
+from typing import Optional, TextIO
 
 from .errors import UnparseableReply, read_input
 from .gateway import Gateway, RoleSession
@@ -348,68 +347,48 @@ def _event(events: TextIO, event: str, revision: int, /, **fields) -> None:
 _FINAL_KINDS = ("Pass", "ToolError")
 
 
-class _Verify(threading.Thread):
-    """`verify()` on a helper thread, then, when `evaluator` is given and the
-    outcome is not final, `evaluator.ask(prompt_for(outcome))`: the
-    Evaluator's call, made while the Reviewer still reads the revision. The
-    helper writes nothing. `outcome()` joins it and returns the outcome, or
-    re-raises the verify's exception on the calling thread."""
+def _verify_and_ask(verify, evaluator: Optional[RoleSession], prompt_for):
+    """`verify()`, then, when `evaluator` is given and the outcome is not
+    final, `evaluator.ask(prompt_for(outcome))`: the Evaluator's call, made
+    while the Reviewer still reads the revision. Runs on the helper thread
+    and writes nothing. Returns the outcome paired with the Evaluator's
+    exchange, the exception its call raised, or None."""
+    outcome = verify()
+    if evaluator is None or outcome.kind in _FINAL_KINDS:
+        return outcome, None
+    try:
+        return outcome, evaluator.ask(prompt_for(outcome))
+    except BaseException as exc:  # re-raised by `_settle` once the outcome is recorded
+        return outcome, exc
 
-    def __init__(self, verify: Callable[[], VerificationOutcome],
-                 evaluator: Optional[RoleSession] = None,
-                 prompt_for: Optional[Callable[[VerificationOutcome], str]] = None):
-        super().__init__()
-        self._verify = verify
-        self._evaluator = evaluator
-        self._prompt_for = prompt_for
-        self._outcome: Optional[VerificationOutcome] = None
-        self._exchange: Optional[tuple[list, str]] = None  # the Evaluator's request and reply
-        self._raised: Optional[BaseException] = None  # the verify's, or else the Evaluator's
-        self._retired = False
-        self.start()
 
-    def run(self) -> None:
-        # the exception is handed to the calling thread, which re-raises it
-        try:
-            self._outcome = self._verify()
-            if self._evaluator is not None and self._outcome.kind not in _FINAL_KINDS:
-                self._exchange = self._evaluator.ask(self._prompt_for(self._outcome))
-        except BaseException as exc:
-            self._raised = exc
+def _settle(future, gateway: Gateway, events: TextIO, revision: int,
+            **superseded) -> tuple[VerificationOutcome, Optional[str]]:
+    """End a verify on the calling thread: wait for it, append its `outcome`
+    event (with `superseded`), record its Evaluator exchange and return the
+    outcome with the Evaluator's reply, or None when no call was made. The
+    verify's exception is re-raised before the event, the Evaluator's after."""
+    outcome, asked = future.result()
+    _event(events, "outcome", revision, **outcome.to_dict(), **superseded)
+    if isinstance(asked, BaseException):
+        raise asked
+    if asked is None:
+        return outcome, None
+    gateway.session("Evaluator").record(*asked)
+    return outcome, asked[1]
 
-    def outcome(self) -> VerificationOutcome:
-        self.join()
-        if self._outcome is None:
-            raise self._raised
-        return self._outcome
 
-    def evaluator_reply(self) -> Optional[str]:
-        """After `outcome()`: append the Evaluator exchange to the transcript
-        and return its reply, or re-raise the call's exception; None when no
-        Evaluator call was made."""
-        if self._raised is not None:
-            raise self._raised
-        if self._exchange is None:
-            return None
-        self._evaluator.record(*self._exchange)
-        return self._exchange[1]
-
-    def retire(self, events: TextIO, revision: int) -> None:
-        """Give this verify up, once: append its outcome, then its Evaluator
-        exchange when one was asked, with `superseded: true`. Raises as
-        `outcome()` and `evaluator_reply()` do; a second call does nothing."""
-        if self._retired:
-            return
-        self._retired = True
-        _event(events, "outcome", revision, **self.outcome().to_dict(), superseded=True)
-        reply = self.evaluator_reply()
-        if reply is not None:  # parsed for the record only, so it may hold no fixes
-            _event(events, "diagnosis", revision, superseded=True,
-                   fixes=[{"description": f} for f in parse_numbered_list(reply)])
+def _retire(future, gateway: Gateway, events: TextIO, revision: int) -> None:
+    """Give a verify up: its outcome, then its Evaluator exchange when one
+    was asked, are kept as superseded events. Raises as `_settle` does."""
+    _, reply = _settle(future, gateway, events, revision, superseded=True)
+    if reply is not None:  # parsed for the record only, so it may hold no fixes
+        _event(events, "diagnosis", revision, superseded=True,
+               fixes=[{"description": f} for f in parse_numbered_list(reply)])
 
 
 def _review_loop(plan, gateway, budget, events, rtl, verify, start_verify):
-    """Review `rtl` while `verify`, its started `_Verify`, runs; on
+    """Review `rtl` while `verify`, its started verify, runs; on
     incompleteness, route the missing list back to the Programmer up to
     max_review_rounds times. A rewrite byte-identical to the artifact keeps
     its verify; a rewrite that changes the code retires it, and
@@ -433,14 +412,16 @@ def _review_loop(plan, gateway, budget, events, rtl, verify, start_verify):
             reply = gateway.session("Programmer").send(prompt)
             rewrite = _note_missing_steps(plan, artifact_from_reply(reply, rtl.revision))
             if rewrite.verilog_text != rtl.verilog_text:
-                verify.retire(events, rtl.revision)
+                retired, verify = verify, None  # retired once, even if this raises
+                _retire(retired, gateway, events, rtl.revision)
                 verify = start_verify(rewrite)
             rtl = rewrite
         log.warning("review never converged after %d rounds; proceeding", budget.max_review_rounds)
         return rtl, verify
     except BaseException:
-        with suppress(Exception):  # the helper's exception never replaces the loop's
-            verify.retire(events, rtl.revision)
+        if verify is not None:
+            with suppress(Exception):  # the helper's exception never replaces the loop's
+                _retire(verify, gateway, events, rtl.revision)
         raise
 
 
@@ -459,51 +440,58 @@ def fix_loop(
     `tb_path` (whose text is `tb_text`), then diagnose and fix, until the
     candidate passes, the toolchain errors, or `revision >= max_fix_iterations`.
 
-    Each revision is verified on one helper thread, which asks the Evaluator
-    as soon as the verify fails and a fix may follow; with a plan, the review
-    runs meanwhile. A review rewrite that changes the code, or a review that
+    Each revision is verified on the run's one helper thread, a pooled
+    worker reused across revisions, which asks the Evaluator as soon as the
+    verify fails and a fix may follow; with a plan, the review runs
+    meanwhile. A review rewrite that changes the code, or a review that
     raises, retires the verify in flight: its outcome (and diagnosis, when
     one was asked) is kept as a superseded event. Only the calling thread
     writes the transcript and `events`, where a sequential loop would, so
-    neither depends on thread timing.
+    neither depends on thread timing. The helper has ended when this
+    returns or raises.
 
     Writes `rev_N.v` and `verify_N/` into `workspace` per revision N, and
     appends to `events` (the caller's open `events.jsonl`) a `notes` event
     when revision N's artifact has notes, its `outcome` event and, when a
     fix follows, its `diagnosis` event. Returns the revisions and the final
     status: Pass, ToolError or BudgetExhausted."""
+    # imported here, not at module level: a library import need not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
     tb_path = Path(tb_path)
+    with ThreadPoolExecutor(max_workers=1) as helper:
 
-    def start_verify(rtl: RtlArtifact) -> _Verify:
-        """Write `rev_N.v` and start its verify."""
-        rtl_path = workspace / f"rev_{rtl.revision}.v"
-        rtl_path.write_text(rtl.verilog_text, encoding="utf-8")
-        verify = partial(toolchain.verify, rtl_path, tb_path, workspace / f"verify_{rtl.revision}")
-        if rtl.revision >= budget.max_fix_iterations:  # no fix follows: nothing to diagnose
-            return _Verify(verify)
-        return _Verify(verify, gateway.session("Evaluator"),
-                       partial(_evaluator_prompt, rtl, testbench_text=tb_text))
+        def start_verify(rtl: RtlArtifact):
+            """Write `rev_N.v` and start its verify; returns its future."""
+            rtl_path = workspace / f"rev_{rtl.revision}.v"
+            rtl_path.write_text(rtl.verilog_text, encoding="utf-8")
+            verify = partial(toolchain.verify, rtl_path, tb_path,
+                             workspace / f"verify_{rtl.revision}")
+            # no fix follows the last revision, so nothing asks for its diagnosis
+            evaluator = (gateway.session("Evaluator")
+                         if rtl.revision < budget.max_fix_iterations else None)
+            return helper.submit(_verify_and_ask, verify, evaluator,
+                                 partial(_evaluator_prompt, rtl, testbench_text=tb_text))
 
-    revisions: list[Revision] = []
-    while True:
-        rev = rtl.revision
-        verify = start_verify(rtl)
-        if plan is not None:
-            rtl, verify = _review_loop(plan, gateway, budget, events, rtl, verify, start_verify)
-        verify.join()  # before any write below, which may raise
-        if rtl.notes:
-            _event(events, "notes", rev, notes=rtl.notes)
-        outcome = verify.outcome()
-        _event(events, "outcome", rev, **outcome.to_dict())
-        revisions.append(Revision(rtl=rtl, outcome=outcome))
-        if outcome.kind in _FINAL_KINDS:
-            return revisions, outcome.kind
-        if rev >= budget.max_fix_iterations:
-            return revisions, "BudgetExhausted"
+        revisions: list[Revision] = []
+        while True:
+            rev = rtl.revision
+            verify = start_verify(rtl)
+            if plan is not None:
+                rtl, verify = _review_loop(plan, gateway, budget, events, rtl, verify,
+                                           start_verify)
+            if rtl.notes:
+                _event(events, "notes", rev, notes=rtl.notes)
+            outcome, reply = _settle(verify, gateway, events, rev)
+            revisions.append(Revision(rtl=rtl, outcome=outcome))
+            if outcome.kind in _FINAL_KINDS:
+                return revisions, outcome.kind
+            if rev >= budget.max_fix_iterations:
+                return revisions, "BudgetExhausted"
 
-        diagnosis = _parse_diagnosis(verify.evaluator_reply())
-        _event(events, "diagnosis", rev, **diagnosis.to_dict())
-        rtl = apply_fixes(rtl, diagnosis, gateway)
+            diagnosis = _parse_diagnosis(reply)
+            _event(events, "diagnosis", rev, **diagnosis.to_dict())
+            rtl = apply_fixes(rtl, diagnosis, gateway)
 
 
 def run_pipeline(
@@ -524,7 +512,7 @@ def run_pipeline(
         tb_path = Path(spec.testbench_path)
         tb_text = read_input(tb_path)  # a bad testbench fails the run before the first LLM call
         write_json(workspace / "spec.json", spec.to_dict())
-        with (workspace / "events.jsonl").open("a", encoding="utf-8") as events:
+        with (workspace / "events.jsonl").open("w", encoding="utf-8") as events:
             plan = make_plan(spec, gateway)
             _event(events, "plan", 0, steps=plan.steps)
             rtl = write_rtl(plan, spec, gateway)

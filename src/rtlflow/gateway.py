@@ -186,7 +186,8 @@ class ScriptedBackend:
 
 
 class TranscriptWriter:
-    """Append-only JSONL sink; one line per message, one append per call."""
+    """JSONL sink; one line per message, one append per call. The first
+    write truncates the file, so a transcript holds one run."""
 
     def __init__(self, path: str | Path, run_id: str, clock: Callable[[], float] = time.time):
         self.path = Path(path)
@@ -211,7 +212,7 @@ class TranscriptWriter:
             for i, message in enumerate(messages)
         )
         try:
-            with self.path.open("a", encoding="utf-8") as fh:
+            with self.path.open("a" if self._seq else "w", encoding="utf-8") as fh:
                 fh.write(lines)
         except OSError as exc:
             raise SinkWriteError(str(exc)) from exc

@@ -368,7 +368,7 @@ def optimize(
 
     session = gateway.session("Optimizer", system_prompt=messages[0].content)
     rtl = artifact_from_reply(session.send(messages[1].content), 0)
-    with (workspace / "events.jsonl").open("a", encoding="utf-8") as events:
+    with (workspace / "events.jsonl").open("w", encoding="utf-8") as events:
         revisions, final = fix_loop(
             rtl, testbench_path, tb_text, gateway, toolchain, budget, workspace, events
         )

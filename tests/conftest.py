@@ -1,4 +1,5 @@
 import json
+import threading
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,16 @@ DATA = Path(__file__).parent / "data"
 VERILOG = FIXTURES / "verilog"
 REPORTS = FIXTURES / "reports"
 SCRIPTED = FIXTURES / "scripted"
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left():
+    """Fail a test that leaves alive a thread it did not find: a helper that
+    outlives its run is a leak, however the run ended."""
+    before = set(threading.enumerate())
+    yield
+    left = [t for t in threading.enumerate() if t not in before]
+    assert left == [], f"threads left alive: {left}"
 
 
 @pytest.fixture

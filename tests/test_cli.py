@@ -49,6 +49,23 @@ def test_generate_scripted_pass(tmp_path, runner):
     assert (ws / "rev_1.v").exists()
 
 
+def test_generate_rerun_starts_both_logs_afresh(tmp_path, runner):
+    # a workspace explains its last run only
+    ws = tmp_path / "ws"
+    args = ["generate", "--spec", str(FIXTURES / "signal_generator_spec.json"),
+            "--workspace", str(ws), "--scripted", str(SCRIPTED / "signal_generator")]
+    for _ in range(2):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+    events = [json.loads(line) for line in (ws / "events.jsonl").read_text().splitlines()]
+    assert [e["event"] for e in events].count("plan") == 1
+    status = json.loads((ws / "status.json").read_text())
+    assert [e["revision"] for e in events if e["event"] == "outcome"] == status["revisions"]
+    lines = [json.loads(line) for line in (ws / "transcript.jsonl").read_text().splitlines()]
+    assert len({line["run_id"] for line in lines}) == 1
+    assert [line["seq"] for line in lines] == list(range(len(lines)))
+
+
 def test_generate_scripted_budget_exhausted(tmp_path, runner):
     result = runner.invoke(main, [
         "generate",
@@ -201,24 +218,43 @@ ZERO_REPORT = GOOD_REPORT.replace("dynamic_power: 19.62", "dynamic_power: 0")
 @pytest.mark.parametrize("base_text, opt_text, needle", [
     pytest.param(JUNK_REPORT, GOOD_REPORT, "bad synthesis report {base}", id="junk-base"),
     pytest.param(GOOD_REPORT, JUNK_REPORT, "bad synthesis report {opt}", id="junk-opt"),
-    pytest.param(ZERO_REPORT, GOOD_REPORT, "cannot compare {base} with {opt}", id="zero-base"),
 ])
 def test_optimize_bad_report_is_usage_error(tmp_path, runner, passing_workspace, monkeypatch,
                                             base_text, opt_text, needle):
+    result, calls = optimize_with_reports(tmp_path, runner, passing_workspace, monkeypatch,
+                                          base_text, opt_text)
+    assert result.exit_code == 2, result.output
+    assert needle.format(base=tmp_path / "base.rpt", opt=tmp_path / "opt.rpt") in result.output
+    assert calls == []  # rejected before the first LLM call
+    assert not (passing_workspace / "opt_timing").exists()
+
+
+def test_optimize_zero_baseline_fails_before_the_run(tmp_path, runner, passing_workspace,
+                                                     monkeypatch):
+    # both reports parse, so this is a failed comparison, as in `report compare`
+    result, calls = optimize_with_reports(tmp_path, runner, passing_workspace, monkeypatch,
+                                          ZERO_REPORT, GOOD_REPORT)
+    assert result.exit_code == 1, result.output
+    assert "error: dynamic_power: baseline is zero" in result.output.splitlines()
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert calls == []
+    assert not (passing_workspace / "opt_timing").exists()
+
+
+def optimize_with_reports(tmp_path, runner, workspace, monkeypatch, base_text, opt_text):
+    """Run `optimize` on the two report texts; returns the result and the
+    LLM calls made."""
     calls = []
     monkeypatch.setattr(ScriptedBackend, "complete", lambda self, *a: calls.append(a))
     base, opt = tmp_path / "base.rpt", tmp_path / "opt.rpt"
     base.write_text(base_text)
     opt.write_text(opt_text)
     result = runner.invoke(main, [
-        "optimize", "--baseline", str(passing_workspace), "--goal", "timing",
+        "optimize", "--baseline", str(workspace), "--goal", "timing",
         "--base-report", str(base), "--opt-report", str(opt),
         "--scripted", str(SCRIPTED / "signal_generator"),
     ])
-    assert result.exit_code == 2, result.output
-    assert needle.format(base=base, opt=opt) in result.output
-    assert calls == []  # rejected before the first LLM call
-    assert not (passing_workspace / "opt_timing").exists()
+    return result, calls
 
 
 @pytest.mark.parametrize("body, needle", [

@@ -635,12 +635,11 @@ def test_unparseable_review_joins_the_verify_in_flight(tmp_path, event_handles):
         ("Programmer", CODE_REPLY),
         ("Reviewer", "STEP 9: IMPLEMENTED - out of range"),
     ]
-    threads_before = threading.active_count()
     with pytest.raises(UnparseableReply, match="review cites step 9 outside the plan"):
         run_pipeline(make_spec(tmp_path), PipelineBudget(), Gateway(Backend(turns)),
                      toolchain, tmp_path / "ws")
     assert in_flight == [True]
-    assert toolchain.done.is_set() and threading.active_count() == threads_before
+    assert toolchain.done.is_set()
     assert len({id(h) for h in event_handles}) == 1 and event_handles[0].closed
 
 
@@ -713,13 +712,11 @@ def test_evaluator_fault_surfaces_after_the_outcome(tmp_path, event_handles, rev
     turns = [("Planner", "1. a\n2. b\n3. c\n4. d"), ("Programmer", CODE_REPLY),
              *review_turns, ("Evaluator", "The counter looks wrong; widen it.")]
     transcript = tmp_path / "transcript.jsonl"
-    threads_before = threading.active_count()
     summary = run_suite(
         [BenchCase(spec=make_spec(tmp_path))],
         lambda design: Gateway(backend_type(turns), transcript_path=transcript),
         lambda design: ScriptedToolchain([failing_outcome()]),
         PipelineBudget(), tmp_path / "out")
-    assert threading.active_count() == threads_before
     assert summary.per_case == {"toy": status}
     assert summary.failure_reasons == {"toy": reason}
     assert len({id(h) for h in event_handles}) == 1 and event_handles[0].closed
@@ -789,13 +786,11 @@ def test_review_fault_retires_the_verify_in_flight(tmp_path, event_handles, faul
         REVIEW_FAULTS[fault])
     backend = backend_type([*OPENING, *review_turns, ("Evaluator", "1. widen the counter")])
     transcript = tmp_path / "transcript.jsonl"
-    threads_before = threading.active_count()
     summary = run_suite(
         [BenchCase(spec=make_spec(tmp_path))],
         lambda design: Gateway(backend, transcript_path=transcript),
         lambda design: ScriptedToolchain([failing_outcome()]),
         PipelineBudget(), tmp_path / "out")
-    assert threading.active_count() == threads_before
     assert summary.per_case == {"toy": status}
     assert summary.failure_reasons == {"toy": reason}
     assert len({id(h) for h in event_handles}) == 1 and event_handles[0].closed
@@ -822,11 +817,9 @@ def test_helper_fault_never_replaces_the_review_fault(tmp_path, event_handles, f
     backend_type, outcomes, expected = HELPER_FAULTS[fault]
     turns = [*OPENING, ("Reviewer", "STEP 9: IMPLEMENTED - out of range"),
              ("Evaluator", "1. widen the counter")]
-    threads_before = threading.active_count()
     with pytest.raises(UnparseableReply, match="review cites step 9 outside the plan"):
         run_pipeline(make_spec(tmp_path), PipelineBudget(), Gateway(backend_type(turns)),
                      ScriptedToolchain(outcomes), tmp_path / "ws")
-    assert threading.active_count() == threads_before
     assert len({id(h) for h in event_handles}) == 1 and event_handles[0].closed
     assert [e["event"] for e in read_events(tmp_path / "ws")] == expected
 
@@ -847,11 +840,9 @@ def test_a_verify_is_retired_once(tmp_path, event_handles, monkeypatch):
     monkeypatch.setattr(engine.Path, "write_text", write_text)
     turns = [*OPENING, ("Reviewer", REVIEW_MISSING_4), ("Programmer", CHANGED_REPLY),
              ("Evaluator", "1. widen the counter"), ("Reviewer", REVIEW_OK)]
-    threads_before = threading.active_count()
     with pytest.raises(OSError, match="No space left"):
         run_pipeline(make_spec(tmp_path), PipelineBudget(), Gateway(ScriptedBackend(turns)),
                      ScriptedToolchain([failing_outcome()]), tmp_path / "ws")
-    assert threading.active_count() == threads_before
     assert len({id(h) for h in event_handles}) == 1 and event_handles[0].closed
     events = read_events(tmp_path / "ws")
     assert [(e["event"], e.get("superseded")) for e in events] == [
@@ -953,3 +944,69 @@ def test_only_the_pipeline_thread_writes_and_runs_repeat(tmp_path, monkeypatch):
     # a transcript and events per run, but the unscripted case never calls the backend
     assert len(runs[0]) == 13
     assert all(run == runs[0] for run in runs[1:])
+
+
+# --- the run's one helper thread ---
+
+class ThreadRecordingToolchain(ScriptedToolchain):
+    """Records the thread each verify runs on."""
+
+    def __init__(self, outcomes):
+        super().__init__(outcomes)
+        self.threads: list[threading.Thread] = []
+
+    def verify(self, rtl_path, tb_path, workspace):
+        self.threads.append(threading.current_thread())
+        return super().verify(rtl_path, tb_path, workspace)
+
+
+def optimize_adder(gateway, toolchain, workspace):
+    return optimizer.optimize(
+        RtlArtifact((VERILOG / "adder_16bit.v").read_text()), ADDER_REPORT,
+        OptimizationGoal("timing"), gateway, toolchain, PipelineBudget(), ADDER_TB, workspace)
+
+
+def test_each_run_verifies_on_one_helper_thread(tmp_path, signal_generator_spec):
+    # one worker per run, reused for every revision, and never the caller
+    generate = ThreadRecordingToolchain(scripted_toolchain(SCRIPTED / "signal_generator").outcomes)
+    revisions, final = run_pipeline(
+        signal_generator_spec, PipelineBudget(),
+        scripted_gateway(SCRIPTED / "signal_generator", tmp_path), generate, tmp_path / "gen")
+    assert final == "Pass" and len(revisions) == 2
+    turns, outcomes = OPTIMIZE_RUNS["opt_fix"]
+    fix = ThreadRecordingToolchain(outcomes)
+    variant = optimize_adder(Gateway(ScriptedBackend(turns)), fix, tmp_path / "opt")
+    assert variant.rtl.revision == 1
+    for toolchain in (generate, fix):
+        assert len(toolchain.threads) == 2
+        assert len(set(toolchain.threads)) == 1
+        assert toolchain.threads[0] is not threading.current_thread()
+
+
+class EvaluatorInterrupted(ScriptedBackend):
+    """The Evaluator's call is interrupted, as by Ctrl-C."""
+
+    def complete(self, role_name, messages):
+        if role_name == "Evaluator":
+            raise KeyboardInterrupt
+        return super().complete(role_name, messages)
+
+
+@pytest.mark.parametrize("command, recorded", [
+    ("generate", ["plan", "verdict", "outcome"]),
+    ("optimize", ["outcome"]),
+])
+def test_interrupted_evaluator_still_records_the_outcome(tmp_path, command, recorded):
+    before = set(threading.enumerate())
+    with pytest.raises(KeyboardInterrupt):
+        if command == "generate":
+            backend = EvaluatorInterrupted([*OPENING, ("Reviewer", REVIEW_OK)])
+            run_pipeline(make_spec(tmp_path), PipelineBudget(), Gateway(backend),
+                         ScriptedToolchain([failing_outcome()]), tmp_path / "ws")
+        else:
+            optimize_adder(Gateway(EvaluatorInterrupted([("Optimizer", CLA_REPLY)])),
+                           ScriptedToolchain([failing_outcome()]), tmp_path / "ws")
+    assert [t for t in threading.enumerate() if t not in before] == []
+    events = read_events(tmp_path / "ws")
+    assert [e["event"] for e in events] == recorded
+    assert events[-1]["kind"] == "FunctionalFail"

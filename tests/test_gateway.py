@@ -142,7 +142,7 @@ def test_exchange_is_one_append(tmp_path, opens):
                           transcript=sink)
     session.send("q1")
     session.send("q2")
-    assert opens[path] == [("a",), ("a",)]
+    assert opens[path] == [("w",), ("a",)]  # the first write starts the transcript afresh
     lines = [json.loads(l) for l in path.read_text().splitlines()]
     assert [(l["seq"], l["direction"], l["content"]) for l in lines] == [
         (0, "prompt", "q1"), (1, "reply", "a"), (2, "prompt", "q2"), (3, "reply", "b"),
@@ -157,7 +157,7 @@ def test_system_session_is_one_request_and_one_append(tmp_path, opens):
     assert path not in opens  # opening a session writes nothing
     session.send("baseline")
     assert backend.requests == [[system("cards"), user("baseline")]]
-    assert opens[path] == [("a",)]
+    assert opens[path] == [("w",)]
     lines = [json.loads(l) for l in path.read_text().splitlines()]
     assert [(l["seq"], l["role"], l["direction"], l["content"]) for l in lines] == [
         (0, "Optimizer", "prompt", "cards"),
@@ -245,6 +245,7 @@ def flaky_server():
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
     server.server_close()
+    thread.join()
 
 
 def test_http_retry_recovers_after_two_failures(flaky_server):

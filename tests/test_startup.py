@@ -53,8 +53,9 @@ def test_import_does_not_load_requests():
 
 def test_library_import_does_not_load_subprocess_or_uuid():
     """`subprocess` is loaded by the first real tool run, run ids come from
-    os.urandom and `bench` runs its cases on plain threads, so a library
-    import needs none of these three modules."""
+    os.urandom, `bench` runs its cases on plain threads and `fix_loop`
+    imports `concurrent.futures` for its helper only when a run starts, so
+    a library import needs none of these three modules."""
     assert modules_loaded_by(
         "import rtlflow.bench, rtlflow.optimizer", ("subprocess", "uuid", "concurrent.futures")
     ) == []
