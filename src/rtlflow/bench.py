@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from .engine import DesignSpec, PipelineBudget, run_pipeline
-from .errors import InfraError, RtlflowError, ZeroTotal, read_input
+from .errors import InfraError, RtlflowError, read_input
 from .metrics import (
     HEADLINE_METRICS,
     ImprovementRow,
@@ -94,7 +94,7 @@ def load_manifest(path: str | Path) -> list[BenchCase]:
 def success_rate(passed: int, total: int) -> float:
     """Pass percentage at one-decimal rounding."""
     if total < 1:
-        raise ZeroTotal("total must be >= 1")
+        raise ValueError("total must be >= 1")
     if passed > total:
         raise ValueError("passed cannot exceed total")
     return round(passed / total * 100.0, 1)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+import shutil
 from contextlib import suppress
 from dataclasses import dataclass, field, asdict
 from functools import cache, partial
@@ -335,6 +336,19 @@ def write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, ensure_ascii=False, indent=2, default=str), encoding="utf-8")
 
 
+def start_run(workspace: Path) -> TextIO:
+    """Start a run in `workspace`: create it, remove an earlier run's
+    `rev_N.v` files and `verify_N/` directories, and open `events.jsonl`
+    afresh. Returns the open handle; the caller closes it."""
+    workspace.mkdir(parents=True, exist_ok=True)
+    for path in workspace.iterdir():
+        if re.fullmatch(r"rev_[0-9]+\.v", path.name) and path.is_file():
+            path.unlink()
+        elif re.fullmatch(r"verify_[0-9]+", path.name) and path.is_dir():
+            shutil.rmtree(path)
+    return (workspace / "events.jsonl").open("w", encoding="utf-8")
+
+
 def _event(events: TextIO, event: str, revision: int, /, **fields) -> None:
     """Append one record to the run's `events.jsonl` as a compact JSON line
     and flush it, so a crash leaves every earlier record on disk."""
@@ -501,18 +515,18 @@ def run_pipeline(
     toolchain,
     workspace: str | Path,
 ) -> tuple[list[Revision], str]:
-    """Plan, program, then run `fix_loop` with review in `workspace`; writes
-    `spec.json` and `status.json` there and returns what `fix_loop` returns.
+    """Start `workspace` with `start_run`, then plan, program and run
+    `fix_loop` with review in it; writes `spec.json` and `status.json` there
+    and returns what `fix_loop` returns.
     A run that raises still ends with a `status.json`, whose `final_status`
     is `Error` and whose `error` is the exception's message; the exception
     is then re-raised."""
     workspace = Path(workspace)
     try:
-        workspace.mkdir(parents=True, exist_ok=True)
-        tb_path = Path(spec.testbench_path)
-        tb_text = read_input(tb_path)  # a bad testbench fails the run before the first LLM call
-        write_json(workspace / "spec.json", spec.to_dict())
-        with (workspace / "events.jsonl").open("w", encoding="utf-8") as events:
+        with start_run(workspace) as events:
+            write_json(workspace / "spec.json", spec.to_dict())
+            tb_path = Path(spec.testbench_path)
+            tb_text = read_input(tb_path)  # a bad testbench fails the run before the first LLM call
             plan = make_plan(spec, gateway)
             _event(events, "plan", 0, steps=plan.steps)
             rtl = write_rtl(plan, spec, gateway)

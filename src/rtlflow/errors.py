@@ -11,7 +11,7 @@ class RtlflowError(Exception):
 
 class InfraError(RtlflowError):
     """A failure of what surrounds the design (backend, script, toolchain,
-    sink), not of the design itself."""
+    input file), not of the design itself."""
 
 
 # --- gateway ---
@@ -28,10 +28,6 @@ class RoleMismatch(InfraError):
     """Scripted turn expected a different role than the one sending."""
 
 
-class SinkWriteError(InfraError):
-    """Transcript sink could not be written."""
-
-
 # --- role engine ---
 
 class UnparseableReply(RtlflowError):
@@ -45,60 +41,10 @@ class ToolchainUnavailable(InfraError):
     """Configured compiler/simulator executable is missing."""
 
 
-# --- rtl inspection ---
-
-class EmptySource(RtlflowError):
-    """Verilog source is empty or whitespace-only."""
-
-
-class UnbalancedModule(RtlflowError):
-    """module/endmodule keywords do not balance."""
-
-
 # --- synthesis metrics ---
-
-class MissingMetric(RtlflowError):
-    def __init__(self, name: str):
-        super().__init__(f"required metric missing from report: {name}")
-        self.name = name
-
-
-class AmbiguousUnit(RtlflowError):
-    """A metric value carries a unit this parser cannot normalize."""
-
-
-class UnknownDialect(RtlflowError):
-    """Report text matches no supported synthesis-report dialect."""
-
 
 class ZeroBaseline(RtlflowError):
     """Ratio improvement undefined for a zero baseline value."""
-
-
-class ZeroTotal(RtlflowError):
-    """Success rate undefined over an empty suite."""
-
-
-# --- optimizer ---
-
-class MalformedCard(RtlflowError):
-    """Technique card file is missing a required section."""
-
-
-class DuplicateId(RtlflowError):
-    """Two technique cards share the same id."""
-
-
-class MissingRequiredTechnique(RtlflowError):
-    """Catalog does not cover one of the required technique names."""
-
-
-class PromptOverBudget(RtlflowError):
-    """ICL prompt exceeds the character budget even after truncation."""
-
-
-class FunctionalRegressionUnrecoverable(RtlflowError):
-    """Optimized variant never passed re-verification within budget."""
 
 
 # --- input files ---

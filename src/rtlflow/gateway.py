@@ -19,13 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
-from .errors import (
-    BackendUnavailable,
-    RoleMismatch,
-    ScriptExhausted,
-    SinkWriteError,
-    read_input,
-)
+from .errors import BackendUnavailable, RoleMismatch, ScriptExhausted, read_input
 
 log = logging.getLogger(__name__)
 
@@ -196,7 +190,8 @@ class TranscriptWriter:
         self._seq = 0
 
     def write(self, role_name: str, *messages: ChatMessage) -> None:
-        """Append the messages in order; `seq` advances only once they are written."""
+        """Append the messages in order; `seq` advances only once they are
+        written. A failed write raises its `OSError`."""
         lines = "".join(
             json.dumps(
                 {
@@ -211,11 +206,8 @@ class TranscriptWriter:
             ) + "\n"
             for i, message in enumerate(messages)
         )
-        try:
-            with self.path.open("a" if self._seq else "w", encoding="utf-8") as fh:
-                fh.write(lines)
-        except OSError as exc:
-            raise SinkWriteError(str(exc)) from exc
+        with self.path.open("a" if self._seq else "w", encoding="utf-8") as fh:
+            fh.write(lines)
         self._seq += len(messages)
 
 

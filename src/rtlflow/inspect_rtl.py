@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, asdict
 
-from .errors import EmptySource, UnbalancedModule
+from .errors import RtlflowError
 
 VERILOG_KEYWORDS = {
     "module", "endmodule", "input", "output", "inout", "wire", "reg",
@@ -210,12 +210,12 @@ def _pipeline_stages(always_bodies: list[str]) -> int:
 
 def fingerprint(verilog_text: str) -> DesignFingerprint:
     if not verilog_text or not verilog_text.strip():
-        raise EmptySource("empty Verilog source")
+        raise RtlflowError("empty Verilog source")
     body = strip_comments(verilog_text)
     n_mod = len(re.findall(r"\bmodule\b", body))
     n_end = len(re.findall(r"\bendmodule\b", body))
     if n_mod == 0 or n_mod != n_end:
-        raise UnbalancedModule(f"{n_mod} module vs {n_end} endmodule")
+        raise RtlflowError(f"{n_mod} module vs {n_end} endmodule")
 
     warnings = []
     for construct in ("generate", "function", "task"):

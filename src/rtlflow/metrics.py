@@ -13,7 +13,7 @@ from dataclasses import MISSING, dataclass, asdict, fields
 from decimal import Decimal, ROUND_HALF_UP
 from typing import Optional
 
-from .errors import AmbiguousUnit, MissingMetric, UnknownDialect, ZeroBaseline
+from .errors import RtlflowError, ZeroBaseline
 
 # the six headline comparison metrics, in table order
 HEADLINE_METRICS = (
@@ -124,7 +124,7 @@ def _normalize(name: str, num: str, unit: str = "") -> float:
         return value  # unitless, or canonical units assumed
     factors = _UNITS[name][1]
     if unit not in factors:
-        raise AmbiguousUnit(f"{name}: unknown unit {unit!r}")
+        raise RtlflowError(f"{name}: unknown unit {unit!r}")
     return value * factors[unit]
 
 
@@ -135,7 +135,7 @@ def parse_report(text: str) -> PpaMetrics:
     otherwise two DC-style matches, or a DC slack line, make it DC-style.
     Units are normalised only once the dialect is chosen."""
     if not text or not text.strip():
-        raise UnknownDialect("empty report text")
+        raise RtlflowError("empty report text")
     canon = [
         m.groups() for line in text.splitlines()
         if (m := _CANON_LINE.match(line)) and m.group(1) in ALL_FIELDS
@@ -146,14 +146,14 @@ def parse_report(text: str) -> PpaMetrics:
         found = {name: m for name, pat in _DC_PATTERNS.items() if (m := pat.search(text))}
         slack = _DC_SLACK.search(text)
         if len(found) < 2 and not slack:
-            raise UnknownDialect("report matches neither canonical nor DC-style grammar")
+            raise RtlflowError("report matches neither canonical nor DC-style grammar")
         values = {name: _normalize(name, *m.groups()) for name, m in found.items()}
         if slack:
             values["cp_slack"] = float(slack.group(2))
 
     for name in REQUIRED_FIELDS:
         if name not in values:
-            raise MissingMetric(name)
+            raise RtlflowError(f"required metric missing from report: {name}")
     if "levels_of_logic" in values:
         values["levels_of_logic"] = int(values["levels_of_logic"])
     return PpaMetrics(**values)

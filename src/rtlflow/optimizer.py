@@ -16,17 +16,10 @@ from typing import Optional
 
 import yaml
 
-from .engine import PipelineBudget, RtlArtifact, artifact_from_reply, fix_loop
+from .engine import PipelineBudget, RtlArtifact, artifact_from_reply, fix_loop, start_run
 # not called here: kept because perfbench/trace.py wraps them as optimizer attributes
 from .engine import apply_fixes, diagnose_failures, extract_tags, extract_verilog  # noqa: F401
-from .errors import (
-    DuplicateId,
-    FunctionalRegressionUnrecoverable,
-    MalformedCard,
-    MissingRequiredTechnique,
-    PromptOverBudget,
-    read_input,
-)
+from .errors import RtlflowError, read_input
 from .gateway import ChatMessage, Gateway, system, user
 from .inspect_rtl import DesignFingerprint, fingerprint
 from .metrics import PpaMetrics, emit_canonical
@@ -120,20 +113,20 @@ _PRED_RE = re.compile(
 def _parse_card(text: str, origin: str) -> TechniqueCard:
     m = _FRONT_RE.match(text)
     if not m:
-        raise MalformedCard(f"{origin}: missing front-matter")
+        raise RtlflowError(f"{origin}: missing front-matter")
     try:
         meta = safe_load(m.group(1))
     except yaml.YAMLError as exc:
-        raise MalformedCard(f"{origin}: bad front-matter: {exc}") from exc
+        raise RtlflowError(f"{origin}: bad front-matter: {exc}") from exc
     if not isinstance(meta, dict):
-        raise MalformedCard(f"{origin}: front-matter is not a mapping")
+        raise RtlflowError(f"{origin}: front-matter is not a mapping")
     body = m.group(2)
     sm = _SNIPPET_RE.search(body)
     if not sm or not sm.group(1).strip():
-        raise MalformedCard(f"{origin}: missing Verilog snippet")
+        raise RtlflowError(f"{origin}: missing Verilog snippet")
     summary = _SNIPPET_RE.sub("", body).strip()
     if not summary:
-        raise MalformedCard(f"{origin}: missing summary text")
+        raise RtlflowError(f"{origin}: missing summary text")
     try:
         card = TechniqueCard(
             id=meta["id"],
@@ -146,14 +139,14 @@ def _parse_card(text: str, origin: str) -> TechniqueCard:
             aliases=list(meta.get("aliases", [])),
         )
     except (KeyError, TypeError) as exc:  # e.g. `predicates: 5`
-        raise MalformedCard(f"{origin}: bad or missing field {exc}") from exc
+        raise RtlflowError(f"{origin}: bad or missing field {exc}") from exc
     if card.goal not in GOALS:
-        raise MalformedCard(f"{origin}: unknown goal {card.goal!r}")
+        raise RtlflowError(f"{origin}: unknown goal {card.goal!r}")
     if not card.applicability:
-        raise MalformedCard(f"{origin}: needs at least one predicate")
+        raise RtlflowError(f"{origin}: needs at least one predicate")
     for pred in card.applicability + card.boosts:
         if not (isinstance(pred, str) and _PRED_RE.match(pred)):
-            raise MalformedCard(f"{origin}: unparseable predicate: {pred!r}")
+            raise RtlflowError(f"{origin}: unparseable predicate: {pred!r}")
     return card
 
 
@@ -162,7 +155,7 @@ class Catalog:
         self.cards: dict[str, TechniqueCard] = {}
         for card in cards:
             if card.id in self.cards:
-                raise DuplicateId(f"two cards have id {card.id!r}")
+                raise RtlflowError(f"two cards have id {card.id!r}")
             self.cards[card.id] = card
 
     def __contains__(self, card_id):
@@ -184,7 +177,7 @@ class Catalog:
                 covered.update(card.aliases)
             missing = set(names) - covered
             if missing:
-                raise MissingRequiredTechnique(f"no {goal} card covers {sorted(missing)}")
+                raise RtlflowError(f"no {goal} card covers {sorted(missing)}")
 
 
 def load_catalog(card_dir: Optional[str | Path] = None) -> Catalog:
@@ -194,7 +187,7 @@ def load_catalog(card_dir: Optional[str | Path] = None) -> Catalog:
     entries = sorted(root.iterdir(), key=lambda e: e.name) if root.is_dir() else []
     cards = [_parse_card(read_input(e), str(e)) for e in entries if e.name.endswith(".md")]
     if not cards:
-        raise MalformedCard(f"no card files in {root}")
+        raise RtlflowError(f"no card files in {root}")
     catalog = Catalog(cards)
     catalog.check_required()
     return catalog
@@ -229,7 +222,7 @@ def eval_predicate(pred: str, ctx: dict) -> bool:
     """Evaluate one predicate string; unknown or absent names are False."""
     m = _PRED_RE.match(pred)
     if not m:
-        raise MalformedCard(f"unparseable predicate: {pred!r}")
+        raise RtlflowError(f"unparseable predicate: {pred!r}")
     negate, name, op, num = m.groups()
     value = ctx.get(name)
     if value is None:
@@ -333,7 +326,7 @@ def build_icl_prompt(
         overhead = len(assemble([""] * len(cards))) + len(user_text)
         room = char_budget - overhead
         if room < _MIN_SNIPPET * len(cards):
-            raise PromptOverBudget(
+            raise RtlflowError(
                 f"prompt needs {overhead} chars before snippets; budget {char_budget}"
             )
         per_card = room // len(cards)
@@ -356,24 +349,23 @@ def optimize(
 ) -> OptimizedVariant:
     """Generate one goal-optimized variant and re-verify it against the
     same golden testbench through the fix loop, persisting its revisions in
-    `workspace`; functionality must not regress."""
+    `workspace`, which `start_run` starts first; functionality must not
+    regress."""
     catalog = catalog or load_catalog()
     workspace = Path(workspace)
-    workspace.mkdir(parents=True, exist_ok=True)
-    tb_text = read_input(testbench_path)
+    with start_run(workspace) as events:
+        tb_text = read_input(testbench_path)
+        fp = fingerprint(baseline.verilog_text)
+        rec = select_techniques(fp, report, goal, catalog)
+        messages = build_icl_prompt(rec, baseline, report, catalog)
 
-    fp = fingerprint(baseline.verilog_text)
-    rec = select_techniques(fp, report, goal, catalog)
-    messages = build_icl_prompt(rec, baseline, report, catalog)
-
-    session = gateway.session("Optimizer", system_prompt=messages[0].content)
-    rtl = artifact_from_reply(session.send(messages[1].content), 0)
-    with (workspace / "events.jsonl").open("w", encoding="utf-8") as events:
+        session = gateway.session("Optimizer", system_prompt=messages[0].content)
+        rtl = artifact_from_reply(session.send(messages[1].content), 0)
         revisions, final = fix_loop(
             rtl, testbench_path, tb_text, gateway, toolchain, budget, workspace, events
         )
     if final != "Pass":
-        raise FunctionalRegressionUnrecoverable(
+        raise RtlflowError(
             f"{goal.kind} variant never passed: {final} after {len(revisions)} verification(s)"
         )
     last = revisions[-1]

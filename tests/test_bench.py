@@ -17,7 +17,6 @@ from rtlflow.bench import (
     success_rate,
 )
 from rtlflow.engine import DesignSpec, PipelineBudget
-from rtlflow.errors import ZeroTotal
 from rtlflow.gateway import Gateway, ScriptedBackend
 from rtlflow.toolchain import ScriptedToolchain, VerificationOutcome
 
@@ -36,7 +35,7 @@ def test_success_rate_full_marks():
 
 
 def test_success_rate_guards():
-    with pytest.raises(ZeroTotal):
+    with pytest.raises(ValueError, match="total must be >= 1"):
         success_rate(0, 0)
     with pytest.raises(ValueError):
         success_rate(5, 3)

@@ -594,6 +594,29 @@ def test_bench_strict_exit_code(tmp_path, runner):
     assert result.exit_code == 1
 
 
+def test_failed_transcript_write_is_named_by_its_os_error(tmp_path, runner, caplog):
+    # the transcript cannot be written: the workspace failed, not the design
+    manifest, scripted_root = make_suite(tmp_path)
+    out = tmp_path / "out"
+    (out / "sig_pass" / "transcript.jsonl").mkdir(parents=True)
+    result = runner.invoke(main, [
+        "bench", "--manifest", str(manifest), "--out", str(out),
+        "--scripted", str(scripted_root),
+    ])
+    assert result.exit_code == 0, result.output
+    status = json.loads((out / "status.json").read_text())
+    assert status["per_case"]["sig_pass"] == "InfraError"
+    assert status["failure_reasons"]["sig_pass"].startswith("IsADirectoryError:")
+    assert "Traceback" not in caplog.text
+    result = runner.invoke(main, [
+        "generate", "--spec", str(tmp_path / "sig_pass.json"),
+        "--workspace", str(out / "sig_pass"), "--scripted", str(scripted_root),
+    ])
+    assert result.exit_code == 1
+    assert [line for line in result.output.splitlines() if line.startswith("error:")] == [
+        f"error: [Errno 21] Is a directory: '{out / 'sig_pass' / 'transcript.jsonl'}'"]
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_bench_workers_below_one_is_usage_error(tmp_path, runner, workers):
     manifest, scripted_root = make_suite(tmp_path)

@@ -30,7 +30,7 @@ from rtlflow.engine import (
     run_pipeline,
     write_rtl,
 )
-from rtlflow.errors import BackendUnavailable, UnparseableReply
+from rtlflow.errors import BackendUnavailable, BadInput, UnparseableReply
 from rtlflow.gateway import Gateway, ScriptedBackend, TranscriptWriter
 from rtlflow.metrics import parse_report
 from rtlflow.optimizer import OptimizationGoal
@@ -438,6 +438,56 @@ def test_pipeline_workspace_artifacts(tmp_path, signal_generator_spec):
     assert len(events[0]["steps"]) == 4
     # every reply carries its tags, so no revision has notes
     assert not [e for e in events if e["event"] == "notes"]
+
+
+class DirToolchain(ScriptedToolchain):
+    """ScriptedToolchain that leaves a `verify_N/` directory, as a simulator does."""
+
+    def verify(self, rtl_path, tb_path, workspace):
+        workspace.mkdir(exist_ok=True)
+        (workspace / "sim.log").write_text("")
+        return super().verify(rtl_path, tb_path, workspace)
+
+
+def run_fixture(tmp_path, fixture, ws, budget=PipelineBudget()):
+    script = SCRIPTED / fixture
+    toolchain = DirToolchain(scripted_toolchain(script).outcomes)
+    spec = DesignSpec.from_json(FIXTURES / "signal_generator_spec.json")
+    return run_pipeline(spec, budget, scripted_gateway(script, tmp_path), toolchain, ws)
+
+
+def test_rerun_removes_the_earlier_runs_revisions(tmp_path):
+    # a BudgetExhausted run leaves rev_0..3; a passing rerun makes rev_0..1 only
+    ws = tmp_path / "ws"
+    run_fixture(tmp_path, "signal_generator_fail", ws, PipelineBudget(max_fix_iterations=3))
+    assert (ws / "rev_3.v").is_file() and (ws / "verify_3" / "sim.log").is_file()
+    (ws / "rev_final.v").write_text("kept")  # not a revision: N is not an integer
+    (ws / "verify_notes").mkdir()
+    revisions, final = run_fixture(tmp_path, "signal_generator", ws)
+    assert final == "Pass"
+    status = json.loads((ws / "status.json").read_text())
+    assert status["revisions"] == [0, 1]
+    assert sorted(p.name for p in ws.glob("rev_*")) == ["rev_0.v", "rev_1.v", "rev_final.v"]
+    assert sorted(p.name for p in ws.glob("verify_*")) == ["verify_0", "verify_1",
+                                                           "verify_notes"]
+
+
+def test_run_failing_before_its_first_call_leaves_no_old_events(tmp_path):
+    # a rerun whose testbench is not UTF-8 ends before the Planner is asked
+    ws = tmp_path / "ws"
+    run_fixture(tmp_path, "signal_generator", ws)
+    assert len(read_events(ws)) == 6
+    bad_tb = tmp_path / "tb.v"
+    bad_tb.write_bytes(b"\xff\xfe module tb;")
+    spec = dataclasses.replace(DesignSpec.from_json(FIXTURES / "signal_generator_spec.json"),
+                               testbench_path=str(bad_tb))
+    gateway = Gateway(ScriptedBackend([]))
+    with pytest.raises(BadInput, match="tb.v: 'utf-8' codec can't decode"):
+        run_pipeline(spec, PipelineBudget(), gateway, ScriptedToolchain([]), ws)
+    assert read_events(ws) == []
+    assert json.loads((ws / "status.json").read_text())["final_status"] == "Error"
+    assert json.loads((ws / "spec.json").read_text())["testbench_path"] == str(bad_tb)
+    assert not list(ws.glob("rev_*")) and not list(ws.glob("verify_*"))
 
 
 def notes_events(ws) -> list[tuple[int, list[str]]]:

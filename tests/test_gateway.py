@@ -11,7 +11,7 @@ from conftest import FIXTURES, RecordingBackend
 
 from rtlflow.bench import BenchCase, run_suite
 from rtlflow.engine import DesignSpec, PipelineBudget
-from rtlflow.errors import BackendUnavailable, RoleMismatch, ScriptExhausted, SinkWriteError
+from rtlflow.errors import BackendUnavailable, RoleMismatch, ScriptExhausted
 from rtlflow.gateway import (
     BackendConfig,
     ChatMessage,
@@ -171,7 +171,7 @@ def test_failing_sink_does_not_advance_seq(tmp_path):
     sink = TranscriptWriter(path, run_id="r1", clock=lambda: 0.0)
     session = RoleSession("Planner", ScriptedBackend([("Planner", "a"), ("Planner", "b")]),
                           transcript=sink)
-    with pytest.raises(SinkWriteError):
+    with pytest.raises(FileNotFoundError):
         session.send("q1")
     path.parent.mkdir()
     session.send("q2")

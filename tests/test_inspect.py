@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import VERILOG
 
-from rtlflow.errors import EmptySource, UnbalancedModule
+from rtlflow.errors import RtlflowError
 from rtlflow.inspect_rtl import _instances, fingerprint, strip_comments
 
 ADDER = (VERILOG / "adder_16bit.v").read_text()
@@ -32,9 +32,9 @@ endmodule
 
 
 def test_empty_and_unbalanced():
-    with pytest.raises(EmptySource):
+    with pytest.raises(RtlflowError, match="^empty Verilog source$"):
         fingerprint("   \n")
-    with pytest.raises(UnbalancedModule):
+    with pytest.raises(RtlflowError, match="^1 module vs 0 endmodule$"):
         fingerprint("module m; wire x;")
 
 

@@ -3,15 +3,7 @@ import pytest
 from conftest import REPORTS, VERILOG, EvaluatorDown, read_events, transcript_roles
 
 from rtlflow.engine import PipelineBudget, RtlArtifact
-from rtlflow.errors import (
-    BackendUnavailable,
-    DuplicateId,
-    FunctionalRegressionUnrecoverable,
-    MalformedCard,
-    MissingRequiredTechnique,
-    PromptOverBudget,
-    UnparseableReply,
-)
+from rtlflow.errors import BackendUnavailable, RtlflowError, UnparseableReply
 from rtlflow.gateway import Gateway, ScriptedBackend
 from rtlflow.inspect_rtl import fingerprint
 from rtlflow.metrics import parse_report
@@ -84,27 +76,27 @@ def test_parse_card_ok():
     (lambda t: t.replace("- register_bits > 0", "- 5"), "unparseable predicate: 5"),
 ])
 def test_parse_card_malformed(mutation, needle):
-    with pytest.raises(MalformedCard) as exc:
+    with pytest.raises(RtlflowError) as exc:
         _parse_card(mutation(CARD_OK), "demo.md")
     assert needle in str(exc.value)
 
 
 def test_duplicate_id_rejected():
     card = _parse_card(CARD_OK, "demo.md")
-    with pytest.raises(DuplicateId):
+    with pytest.raises(RtlflowError, match="two cards have id 'demo_card'"):
         Catalog([card, card])
 
 
 def test_custom_dir_without_cards(tmp_path):
     (tmp_path / "notes.txt").write_text(CARD_OK)
     for card_dir in (tmp_path, tmp_path / "absent"):
-        with pytest.raises(MalformedCard, match="no card files"):
+        with pytest.raises(RtlflowError, match="no card files"):
             load_catalog(card_dir)
 
 
 def test_custom_dir_missing_required(tmp_path):
     (tmp_path / "only.md").write_text(CARD_OK)
-    with pytest.raises(MissingRequiredTechnique):
+    with pytest.raises(RtlflowError, match="^no power card covers"):
         load_catalog(tmp_path)
 
 
@@ -118,7 +110,7 @@ def test_eval_predicate_forms():
     assert not eval_predicate("cp_length < 5", ctx)
     assert not eval_predicate("unknown_name", ctx)  # absent names are False
     assert eval_predicate("not unknown_name", ctx)
-    with pytest.raises(MalformedCard):
+    with pytest.raises(RtlflowError, match="^unparseable predicate: '3 > register_bits'$"):
         eval_predicate("3 > register_bits", ctx)
 
 
@@ -192,7 +184,7 @@ def test_icl_prompt_budget_truncates_snippets_only(adder_fp, catalog):
 
 def test_icl_prompt_over_budget(adder_fp, catalog):
     rec = select_techniques(adder_fp, BASE_REPORT, OptimizationGoal("timing"), catalog)
-    with pytest.raises(PromptOverBudget):
+    with pytest.raises(RtlflowError, match="before snippets; budget 500$"):
         build_icl_prompt(rec, baseline_artifact(), BASE_REPORT, catalog, char_budget=500)
 
 
@@ -279,7 +271,7 @@ def test_optimize_unrecoverable_regression(tmp_path, catalog):
     toolchain = ScriptedToolchain(
         [VerificationOutcome("FunctionalFail", failing_checks=["ERROR: x"])] * 3
     )
-    with pytest.raises(FunctionalRegressionUnrecoverable, match="BudgetExhausted after 3"):
+    with pytest.raises(RtlflowError, match="BudgetExhausted after 3"):
         optimize(
             baseline_artifact(), BASE_REPORT, OptimizationGoal("timing"), gateway,
             toolchain, budget, VERILOG / "adder_16bit_tb.v", tmp_path, catalog,
@@ -290,7 +282,7 @@ def test_optimize_tool_error_is_unrecoverable(tmp_path, catalog):
     # a toolchain failure ends the loop at once; it is not charged to the budget
     gateway = Gateway(ScriptedBackend([("Optimizer", CLA_REPLY)]))
     toolchain = ScriptedToolchain([VerificationOutcome("ToolError")])
-    with pytest.raises(FunctionalRegressionUnrecoverable, match="ToolError after 1") as info:
+    with pytest.raises(RtlflowError, match="ToolError after 1") as info:
         optimize(
             baseline_artifact(), BASE_REPORT, OptimizationGoal("timing"), gateway,
             toolchain, PipelineBudget(), VERILOG / "adder_16bit_tb.v", tmp_path, catalog,

@@ -15,7 +15,7 @@ import rtlflow
 from rtlflow import yamlload
 from rtlflow.bench import load_manifest
 from rtlflow.config import load_config
-from rtlflow.errors import BadInput, MalformedCard
+from rtlflow.errors import BadInput, RtlflowError
 from rtlflow.optimizer import _parse_card, load_catalog
 
 SRC = Path(rtlflow.__file__).resolve().parent.parent
@@ -90,7 +90,7 @@ def test_libyaml_and_python_loaders_agree(monkeypatch):
 def test_malformed_card_yaml(monkeypatch, loader):
     monkeypatch.setattr(yamlload, "LOADER", loader)
     text = "---\nid: [unclosed\ngoal: power\n---\nSummary.\n\n```verilog\nx\n```\n"
-    with pytest.raises(MalformedCard, match="bad front-matter"):
+    with pytest.raises(RtlflowError, match="bad front-matter"):
         _parse_card(text, "bad.md")
 
 
