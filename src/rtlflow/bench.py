@@ -52,10 +52,8 @@ def load_manifest(path: str | Path) -> list[BenchCase]:
     names the spec file when that is missing or bad."""
     base = Path(path).parent
 
-    def resolve(p: Optional[str]) -> Optional[str]:
-        if p is None:
-            return None
-        if not isinstance(p, str):
+    def resolve(p: str) -> str:
+        if not isinstance(p, str):  # a null too: only leaving the key out means "absent"
             raise ValueError(f"a path must be a string, got {p!r}")
         q = Path(p)
         return str(q if q.is_absolute() else (base / q).resolve())
@@ -82,7 +80,8 @@ def load_manifest(path: str | Path) -> list[BenchCase]:
             cases.append(
                 BenchCase(
                     spec=spec,
-                    baseline_report=resolve(entry.get("baseline_report")),
+                    baseline_report=(resolve(entry["baseline_report"])
+                                     if "baseline_report" in entry else None),
                     optimized_reports={goal: resolve(p) for goal, p in optimized.items()},
                 )
             )

@@ -13,12 +13,12 @@ import re
 import shutil
 from contextlib import suppress
 from dataclasses import dataclass, field, asdict
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 from typing import Optional, TextIO
 
 from .errors import UnparseableReply, read_input
-from .gateway import Gateway, RoleSession
+from .gateway import Gateway
 from .prompts import render_prompt
 from .toolchain import VerificationOutcome
 
@@ -336,17 +336,25 @@ def write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, ensure_ascii=False, indent=2, default=str), encoding="utf-8")
 
 
-def start_run(workspace: Path) -> TextIO:
+def start_run(workspace: Path, gateway: Gateway) -> TextIO:
     """Start a run in `workspace`: create it, remove an earlier run's
     `rev_N.v` files and `verify_N/` directories, and open `events.jsonl`
-    afresh. Returns the open handle; the caller closes it."""
+    and the gateway's transcript, when it has one, afresh. Returns the open
+    `events.jsonl` handle; the caller closes it."""
     workspace.mkdir(parents=True, exist_ok=True)
     for path in workspace.iterdir():
         if re.fullmatch(r"rev_[0-9]+\.v", path.name) and path.is_file():
             path.unlink()
         elif re.fullmatch(r"verify_[0-9]+", path.name) and path.is_dir():
             shutil.rmtree(path)
-    return (workspace / "events.jsonl").open("w", encoding="utf-8")
+    events = (workspace / "events.jsonl").open("w", encoding="utf-8")
+    try:
+        if gateway.transcript is not None:
+            gateway.transcript.start()
+    except BaseException:
+        events.close()
+        raise
+    return events
 
 
 def _event(events: TextIO, event: str, revision: int, /, **fields) -> None:
@@ -361,82 +369,27 @@ def _event(events: TextIO, event: str, revision: int, /, **fields) -> None:
 _FINAL_KINDS = ("Pass", "ToolError")
 
 
-def _verify_and_ask(verify, evaluator: Optional[RoleSession], prompt_for):
-    """`verify()`, then, when `evaluator` is given and the outcome is not
-    final, `evaluator.ask(prompt_for(outcome))`: the Evaluator's call, made
-    while the Reviewer still reads the revision. Runs on the helper thread
-    and writes nothing. Returns the outcome paired with the Evaluator's
-    exchange, the exception its call raised, or None."""
-    outcome = verify()
-    if evaluator is None or outcome.kind in _FINAL_KINDS:
-        return outcome, None
-    try:
-        return outcome, evaluator.ask(prompt_for(outcome))
-    except BaseException as exc:  # re-raised by `_settle` once the outcome is recorded
-        return outcome, exc
-
-
 def _settle(future, gateway: Gateway, events: TextIO, revision: int,
-            **superseded) -> tuple[VerificationOutcome, Optional[str]]:
-    """End a verify on the calling thread: wait for it, append its `outcome`
-    event (with `superseded`), record its Evaluator exchange and return the
-    outcome with the Evaluator's reply, or None when no call was made. The
-    verify's exception is re-raised before the event, the Evaluator's after."""
+            superseded: bool = False) -> tuple[VerificationOutcome, Optional[FixDiagnosis]]:
+    """End a verify on the calling thread, the one writer of its events: wait
+    for it, append its `outcome` event and, when the Evaluator was asked,
+    record the exchange and append a `diagnosis` event; with `superseded`,
+    both events say so. Returns the outcome and the diagnosis a fix follows,
+    or None, which ends the loop. The verify's exception is re-raised before
+    the outcome event, the Evaluator's after it."""
     outcome, asked = future.result()
-    _event(events, "outcome", revision, **outcome.to_dict(), **superseded)
+    mark = {"superseded": True} if superseded else {}
+    _event(events, "outcome", revision, **outcome.to_dict(), **mark)
     if isinstance(asked, BaseException):
         raise asked
     if asked is None:
         return outcome, None
     gateway.session("Evaluator").record(*asked)
-    return outcome, asked[1]
-
-
-def _retire(future, gateway: Gateway, events: TextIO, revision: int) -> None:
-    """Give a verify up: its outcome, then its Evaluator exchange when one
-    was asked, are kept as superseded events. Raises as `_settle` does."""
-    _, reply = _settle(future, gateway, events, revision, superseded=True)
-    if reply is not None:  # parsed for the record only, so it may hold no fixes
-        _event(events, "diagnosis", revision, superseded=True,
-               fixes=[{"description": f} for f in parse_numbered_list(reply)])
-
-
-def _review_loop(plan, gateway, budget, events, rtl, verify, start_verify):
-    """Review `rtl` while `verify`, its started verify, runs; on
-    incompleteness, route the missing list back to the Programmer up to
-    max_review_rounds times. A rewrite byte-identical to the artifact keeps
-    its verify; a rewrite that changes the code retires it, and
-    `start_verify(rewrite)` verifies the rewrite in turn. When the loop
-    raises, the verify in flight is retired too and the loop's own exception
-    re-raised. Returns the artifact to verify and its verify."""
-    try:
-        for round_no in range(1, budget.max_review_rounds + 1):
-            verdict = review_rtl(plan, rtl, gateway)
-            _event(events, "verdict", rtl.revision, round=round_no, **asdict(verdict))
-            if verdict.complete:
-                return rtl, verify
-            if round_no >= budget.max_review_rounds:
-                break
-            prompt = render_prompt(
-                "reprogrammer",
-                code=rtl.verilog_text,
-                missing="\n".join(f"{i}. {plan.steps[i - 1]}" for i in verdict.missing),
-                plan=plan.as_text(),
-            )
-            reply = gateway.session("Programmer").send(prompt)
-            rewrite = _note_missing_steps(plan, artifact_from_reply(reply, rtl.revision))
-            if rewrite.verilog_text != rtl.verilog_text:
-                retired, verify = verify, None  # retired once, even if this raises
-                _retire(retired, gateway, events, rtl.revision)
-                verify = start_verify(rewrite)
-            rtl = rewrite
-        log.warning("review never converged after %d rounds; proceeding", budget.max_review_rounds)
-        return rtl, verify
-    except BaseException:
-        if verify is not None:
-            with suppress(Exception):  # the helper's exception never replaces the loop's
-                _retire(verify, gateway, events, rtl.revision)
-        raise
+    # a superseded reply is parsed for the record only, so it may hold no fixes
+    diagnosis = None if superseded else _parse_diagnosis(asked[1])
+    fixes = parse_numbered_list(asked[1]) if superseded else diagnosis.fixes
+    _event(events, "diagnosis", revision, **mark, fixes=[{"description": f} for f in fixes])
+    return outcome, diagnosis
 
 
 def fix_loop(
@@ -458,17 +411,16 @@ def fix_loop(
     worker reused across revisions, which asks the Evaluator as soon as the
     verify fails and a fix may follow; with a plan, the review runs
     meanwhile. A review rewrite that changes the code, or a review that
-    raises, retires the verify in flight: its outcome (and diagnosis, when
-    one was asked) is kept as a superseded event. Only the calling thread
-    writes the transcript and `events`, where a sequential loop would, so
-    neither depends on thread timing. The helper has ended when this
-    returns or raises.
+    raises, gives the verify in flight up. Only the calling thread writes
+    the transcript and `events`, where a sequential loop would, so neither
+    depends on thread timing. The helper has ended when this returns or
+    raises.
 
     Writes `rev_N.v` and `verify_N/` into `workspace` per revision N, and
-    appends to `events` (the caller's open `events.jsonl`) a `notes` event
-    when revision N's artifact has notes, its `outcome` event and, when a
-    fix follows, its `diagnosis` event. Returns the revisions and the final
-    status: Pass, ToolError or BudgetExhausted."""
+    appends to `events` (the caller's open `events.jsonl`) a `verdict` event
+    per review round, a `notes` event when revision N's artifact has notes,
+    and the events of `_settle`, which ends each verify. Returns the
+    revisions and the final status: Pass, ToolError or BudgetExhausted."""
     # imported here, not at module level: a library import need not pay for it
     from concurrent.futures import ThreadPoolExecutor
 
@@ -476,35 +428,61 @@ def fix_loop(
     with ThreadPoolExecutor(max_workers=1) as helper:
 
         def start_verify(rtl: RtlArtifact):
-            """Write `rev_N.v` and start its verify; returns its future."""
+            """Write `rev_N.v` and submit its verify; returns its future."""
             rtl_path = workspace / f"rev_{rtl.revision}.v"
             rtl_path.write_text(rtl.verilog_text, encoding="utf-8")
-            verify = partial(toolchain.verify, rtl_path, tb_path,
-                             workspace / f"verify_{rtl.revision}")
             # no fix follows the last revision, so nothing asks for its diagnosis
             evaluator = (gateway.session("Evaluator")
                          if rtl.revision < budget.max_fix_iterations else None)
-            return helper.submit(_verify_and_ask, verify, evaluator,
-                                 partial(_evaluator_prompt, rtl, testbench_text=tb_text))
+
+            def verify_and_ask():
+                """Runs on the helper thread and writes nothing: the outcome
+                paired with the Evaluator's exchange, the exception its call
+                raised, or None when no call is made."""
+                outcome = toolchain.verify(rtl_path, tb_path, workspace / f"verify_{rtl.revision}")
+                if evaluator is None or outcome.kind in _FINAL_KINDS:
+                    return outcome, None
+                try:
+                    return outcome, evaluator.ask(_evaluator_prompt(rtl, outcome, tb_text))
+                except BaseException as exc:  # re-raised by `_settle` once the outcome is recorded
+                    return outcome, exc
+
+            return helper.submit(verify_and_ask)
 
         revisions: list[Revision] = []
         while True:
-            rev = rtl.revision
             verify = start_verify(rtl)
-            if plan is not None:
-                rtl, verify = _review_loop(plan, gateway, budget, events, rtl, verify,
-                                           start_verify)
+            try:
+                # each incomplete round but the last asks the Programmer for the missing steps
+                for round_no in range(1, budget.max_review_rounds + 1) if plan else ():
+                    verdict = review_rtl(plan, rtl, gateway)
+                    _event(events, "verdict", rtl.revision, round=round_no, **asdict(verdict))
+                    if verdict.complete:
+                        break
+                    if round_no == budget.max_review_rounds:
+                        log.warning("review never converged after %d rounds; proceeding", round_no)
+                        break
+                    missing = "\n".join(f"{i}. {plan.steps[i - 1]}" for i in verdict.missing)
+                    prompt = render_prompt("reprogrammer", code=rtl.verilog_text,
+                                           missing=missing, plan=plan.as_text())
+                    reply = gateway.session("Programmer").send(prompt)
+                    rewrite = _note_missing_steps(plan, artifact_from_reply(reply, rtl.revision))
+                    if rewrite.verilog_text != rtl.verilog_text:  # an identical one keeps it
+                        given_up, verify = verify, None  # given up once, even if this raises
+                        _settle(given_up, gateway, events, rtl.revision, superseded=True)
+                        verify = start_verify(rewrite)
+                    rtl = rewrite
+            except BaseException:
+                if verify is not None:
+                    with suppress(Exception):  # the helper's exception never replaces the review's
+                        _settle(verify, gateway, events, rtl.revision, superseded=True)
+                raise
             if rtl.notes:
-                _event(events, "notes", rev, notes=rtl.notes)
-            outcome, reply = _settle(verify, gateway, events, rev)
+                _event(events, "notes", rtl.revision, notes=rtl.notes)
+            outcome, diagnosis = _settle(verify, gateway, events, rtl.revision)
             revisions.append(Revision(rtl=rtl, outcome=outcome))
-            if outcome.kind in _FINAL_KINDS:
-                return revisions, outcome.kind
-            if rev >= budget.max_fix_iterations:
-                return revisions, "BudgetExhausted"
-
-            diagnosis = _parse_diagnosis(reply)
-            _event(events, "diagnosis", rev, **diagnosis.to_dict())
+            if diagnosis is None:
+                return revisions, outcome.kind if outcome.kind in _FINAL_KINDS else "BudgetExhausted"
             rtl = apply_fixes(rtl, diagnosis, gateway)
 
 
@@ -523,7 +501,7 @@ def run_pipeline(
     is then re-raised."""
     workspace = Path(workspace)
     try:
-        with start_run(workspace) as events:
+        with start_run(workspace, gateway) as events:
             write_json(workspace / "spec.json", spec.to_dict())
             tb_path = Path(spec.testbench_path)
             tb_text = read_input(tb_path)  # a bad testbench fails the run before the first LLM call

@@ -180,13 +180,18 @@ class ScriptedBackend:
 
 
 class TranscriptWriter:
-    """JSONL sink; one line per message, one append per call. The first
-    write truncates the file, so a transcript holds one run."""
+    """JSONL sink; one line per message, one append per call. `start`
+    begins the file afresh, so a transcript holds one run."""
 
     def __init__(self, path: str | Path, run_id: str, clock: Callable[[], float] = time.time):
         self.path = Path(path)
         self.run_id = run_id
         self.clock = clock
+        self._seq = 0
+
+    def start(self) -> None:
+        """Empty the file and number the next message 0."""
+        self.path.open("w", encoding="utf-8").close()
         self._seq = 0
 
     def write(self, role_name: str, *messages: ChatMessage) -> None:
@@ -206,7 +211,7 @@ class TranscriptWriter:
             ) + "\n"
             for i, message in enumerate(messages)
         )
-        with self.path.open("a" if self._seq else "w", encoding="utf-8") as fh:
+        with self.path.open("a", encoding="utf-8") as fh:
             fh.write(lines)
         self._seq += len(messages)
 

@@ -353,7 +353,7 @@ def optimize(
     regress."""
     catalog = catalog or load_catalog()
     workspace = Path(workspace)
-    with start_run(workspace) as events:
+    with start_run(workspace, gateway) as events:
         tb_text = read_input(testbench_path)
         fp = fingerprint(baseline.verilog_text)
         rec = select_techniques(fp, report, goal, catalog)

@@ -14,6 +14,7 @@ import shutil
 import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
+from string import Formatter
 from typing import Optional
 
 from .errors import ToolchainUnavailable, read_input
@@ -188,6 +189,17 @@ class ToolchainConfig:
     sim_timeout: float = DEFAULT_SIM_TIMEOUT
     pass_marker: str = DEFAULT_PASS_MARKER
     fail_pattern: str = DEFAULT_FAIL_PATTERN
+
+    def __post_init__(self):
+        # the placeholders `IcarusToolchain.verify` fills in
+        for key, known in (("compile_args", ("image", "rtl", "tb")), ("simulate_args", ("image",))):
+            args = getattr(self, key)
+            if not isinstance(args, list) or not all(isinstance(a, str) for a in args):
+                raise ValueError(f"{key} must be a list of strings, got {args!r}")
+            for arg in args:
+                for _, name, _, _ in Formatter().parse(arg):
+                    if name is not None and name not in known:
+                        raise ValueError(f"{key}: unknown placeholder {{{name}}} in {arg!r}")
 
 
 def _run(tool: str, argv: list[str], cwd: Path, timeout: Optional[float]) -> ToolInvocation:

@@ -66,6 +66,26 @@ def test_generate_rerun_starts_both_logs_afresh(tmp_path, runner):
     assert [line["seq"] for line in lines] == list(range(len(lines)))
 
 
+def test_rerun_failing_at_its_first_call_leaves_no_old_exchange(tmp_path, runner):
+    # the rerun's Planner call raises, so the rerun writes no exchange
+    ws = tmp_path / "ws"
+    spec = str(FIXTURES / "signal_generator_spec.json")
+    result = runner.invoke(main, ["generate", "--spec", spec, "--workspace", str(ws),
+                                  "--scripted", str(SCRIPTED / "signal_generator")])
+    assert result.exit_code == 0, result.output
+    assert len((ws / "transcript.jsonl").read_text().splitlines()) == 12
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "turns.json").write_text("[]")
+    result = runner.invoke(main, ["generate", "--spec", spec, "--workspace", str(ws),
+                                  "--scripted", str(empty)])
+    assert result.exit_code == 1
+    assert "error: no scripted turns left (role Planner)" in result.output
+    assert (ws / "events.jsonl").read_text() == ""
+    assert (ws / "transcript.jsonl").read_text() == ""
+    assert json.loads((ws / "status.json").read_text())["final_status"] == "Error"
+
+
 def test_generate_scripted_budget_exhausted(tmp_path, runner):
     result = runner.invoke(main, [
         "generate",
@@ -467,6 +487,19 @@ BAD_CONFIGS = [
                  "budget.max_review_rounds: invalid literal for int()", id="bad-number"),
     pytest.param("budget:\n  max_fix_iterations: 0\n",
                  "budget: max_fix_iterations must be >= 1", id="out-of-range"),
+    pytest.param("budget:\n  max_fix_iterations: 2.7\n",
+                 "budget.max_fix_iterations: expected int, got 2.7", id="fraction-for-int"),
+    pytest.param("backend:\n  max_retries: true\n",
+                 "backend.max_retries: expected int, got True", id="bool-for-int"),
+    pytest.param("toolchain:\n  compile_args: ['-c', 'pass', '{img}']\n",
+                 "toolchain: compile_args: unknown placeholder {img} in '{img}'",
+                 id="unknown-placeholder"),
+    pytest.param("toolchain:\n  simulate_args: ['{rtl}']\n",
+                 "toolchain: simulate_args: unknown placeholder {rtl} in '{rtl}'",
+                 id="compile-placeholder-in-simulate"),
+    pytest.param("toolchain:\n  compile_args: -o sim.out\n",
+                 "toolchain: compile_args must be a list of strings, got '-o sim.out'",
+                 id="args-not-a-list"),
 ]
 
 
@@ -476,6 +509,15 @@ def test_config_bad_input_is_rejected(tmp_path, body, needle):
     cfg_file.write_text(body)
     with pytest.raises(BadInput, match=re.escape(f"{cfg_file}: {needle}")):
         load_config(cfg_file)
+
+
+def test_config_numbers_convert_only_when_nothing_is_lost(tmp_path):
+    cfg_file = tmp_path / "run.yaml"
+    cfg_file.write_text("budget:\n  max_fix_iterations: '3'\n  max_review_rounds: 2.0\n"
+                        "backend:\n  timeout: 5\n")
+    cfg = load_config(cfg_file)
+    assert (cfg.budget.max_fix_iterations, cfg.budget.max_review_rounds) == (3, 2)
+    assert type(cfg.backend.timeout) is float and cfg.backend.timeout == 5.0
 
 
 @pytest.mark.parametrize("body, needle", BAD_CONFIGS)
@@ -642,6 +684,12 @@ def test_bench_workers_below_one_is_usage_error(tmp_path, runner, workers):
                  id="case-without-spec"),
     pytest.param("cases:\n  - spec: a.json\n    testbench: 5\n",
                  "suite.yaml: a path must be a string, got 5", id="path-not-a-string"),
+    pytest.param("cases:\n  - spec: a.json\n    testbench:\n",
+                 "suite.yaml: a path must be a string, got None", id="null-testbench"),
+    pytest.param("cases:\n  - spec: a.json\n    optimized_reports: {timing: null}\n",
+                 "suite.yaml: a path must be a string, got None", id="null-optimized-report"),
+    pytest.param("cases:\n  - spec: a.json\n    baseline_report: null\n",
+                 "suite.yaml: a path must be a string, got None", id="null-baseline-report"),
     pytest.param("cases:\n  - spec: name5.json\n", "name5.json: name must be a string, got 5",
                  id="name-not-a-string"),
     pytest.param("cases:\n  - spec: a.json\n    optimized_reports: [x]\n",

@@ -991,8 +991,9 @@ def test_only_the_pipeline_thread_writes_and_runs_repeat(tmp_path, monkeypatch):
                                     "sig_error": "InfraError"}
         runs.append(written(root))
     assert off_thread == []
-    # a transcript and events per run, but the unscripted case never calls the backend
-    assert len(runs[0]) == 13
+    # a transcript and events per run; the unscripted case's transcript stays empty
+    assert len(runs[0]) == 14
+    assert runs[0]["bench/sig_error/transcript.jsonl"] == ""
     assert all(run == runs[0] for run in runs[1:])
 
 

@@ -140,9 +140,10 @@ def test_exchange_is_one_append(tmp_path, opens):
     sink = TranscriptWriter(path, run_id="r1", clock=lambda: 0.0)
     session = RoleSession("Planner", ScriptedBackend([("Planner", "a"), ("Planner", "b")]),
                           transcript=sink)
+    sink.start()
     session.send("q1")
     session.send("q2")
-    assert opens[path] == [("w",), ("a",)]  # the first write starts the transcript afresh
+    assert opens[path] == [("w",), ("a",), ("a",)]  # `start` empties it, each exchange appends
     lines = [json.loads(l) for l in path.read_text().splitlines()]
     assert [(l["seq"], l["direction"], l["content"]) for l in lines] == [
         (0, "prompt", "q1"), (1, "reply", "a"), (2, "prompt", "q2"), (3, "reply", "b"),
@@ -157,7 +158,7 @@ def test_system_session_is_one_request_and_one_append(tmp_path, opens):
     assert path not in opens  # opening a session writes nothing
     session.send("baseline")
     assert backend.requests == [[system("cards"), user("baseline")]]
-    assert opens[path] == [("w",)]
+    assert opens[path] == [("a",)]
     lines = [json.loads(l) for l in path.read_text().splitlines()]
     assert [(l["seq"], l["role"], l["direction"], l["content"]) for l in lines] == [
         (0, "Optimizer", "prompt", "cards"),
