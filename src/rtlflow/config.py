@@ -38,8 +38,8 @@ class RunConfig:
 
 def _build(cls: type, where: str, mapping) -> object:
     """`cls(**mapping)`, with int and float fields coerced by their declared
-    type; an unknown key, a non-mapping, a bool for a number or a fraction
-    for an int is a ValueError naming `where`."""
+    type; an unknown key, a non-mapping, a bool for a number, a fraction for
+    an int or a non-string for a string is a ValueError naming `where`."""
     if mapping is None:  # a section whose keys are all commented out
         mapping = {}
     if not isinstance(mapping, dict):
@@ -55,6 +55,8 @@ def _build(cls: type, where: str, mapping) -> object:
             if kind in (int, float) and (isinstance(value, bool) or kind is int and
                                          isinstance(value, float) and not value.is_integer()):
                 raise ValueError(f"expected {kind.__name__}, got {value!r}")
+            if kind is str and not isinstance(value, str):
+                raise ValueError(f"expected str, got {value!r}")
             kwargs[key] = kind(value) if kind in (int, float) else value
         except (TypeError, ValueError) as exc:  # name the key the value belongs to
             raise ValueError(f"{where}.{key}: {exc}") from exc

@@ -144,9 +144,6 @@ class FixDiagnosis:
     def as_text(self) -> str:
         return "\n".join(f"{i}. {f}" for i, f in enumerate(self.fixes, 1))
 
-    def to_dict(self) -> dict:
-        return {"fixes": [{"description": f} for f in self.fixes]}
-
 
 @dataclass
 class PipelineBudget:

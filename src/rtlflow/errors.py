@@ -21,11 +21,7 @@ class BackendUnavailable(InfraError):
 
 
 class ScriptExhausted(InfraError):
-    """Scripted backend has no canned turns left."""
-
-
-class RoleMismatch(InfraError):
-    """Scripted turn expected a different role than the one sending."""
+    """The scripted backend has no turn left for the role that asks."""
 
 
 # --- role engine ---

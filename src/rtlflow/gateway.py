@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
-from .errors import BackendUnavailable, RoleMismatch, ScriptExhausted, read_input
+from .errors import BackendUnavailable, ScriptExhausted, read_input
 
 log = logging.getLogger(__name__)
 
@@ -145,8 +145,9 @@ class ScriptedBackend:
     Replays each role's turns in script order, matching on role name, never
     on prompt text, so prompt templates can evolve without breaking recorded
     scripts. Roles may call from different threads at once: each call takes
-    its role's next turn under a lock, so how calls of different roles
-    interleave does not change any reply. `cursor` counts the turns consumed.
+    its role's next turn under a lock, or raises `ScriptExhausted` when its
+    role has none left, so how calls of different roles interleave changes
+    no reply and no error. `cursor` counts the turns consumed.
     """
 
     def __init__(self, turns: list[tuple[str, str]]):
@@ -171,10 +172,7 @@ class ScriptedBackend:
         with self._lock:
             replies = self._replies.get(role_name)
             if not replies:
-                if self.cursor >= len(self.turns):
-                    raise ScriptExhausted(f"no scripted turns left (role {role_name})")
-                left = sorted(role for role, rest in self._replies.items() if rest)
-                raise RoleMismatch(f"no {role_name} turn left; the script still has {left} turns")
+                raise ScriptExhausted(f"no scripted turns left (role {role_name})")
             self.cursor += 1
             return replies.popleft()
 

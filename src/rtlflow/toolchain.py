@@ -191,13 +191,19 @@ class ToolchainConfig:
     fail_pattern: str = DEFAULT_FAIL_PATTERN
 
     def __post_init__(self):
+        if self.sim_timeout <= 0:
+            raise ValueError("sim_timeout must be positive")
         # the placeholders `IcarusToolchain.verify` fills in
         for key, known in (("compile_args", ("image", "rtl", "tb")), ("simulate_args", ("image",))):
             args = getattr(self, key)
             if not isinstance(args, list) or not all(isinstance(a, str) for a in args):
                 raise ValueError(f"{key} must be a list of strings, got {args!r}")
             for arg in args:
-                for _, name, _, _ in Formatter().parse(arg):
+                try:
+                    names = [name for _, name, _, _ in Formatter().parse(arg)]
+                except ValueError as exc:  # e.g. a lone brace
+                    raise ValueError(f"{key}: {exc} in {arg!r}") from None
+                for name in names:
                     if name is not None and name not in known:
                         raise ValueError(f"{key}: unknown placeholder {{{name}}} in {arg!r}")
 

@@ -1,5 +1,7 @@
 import json
+import random
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -60,6 +62,30 @@ class EvaluatorDown(ScriptedBackend):
         if role_name == "Evaluator":
             raise BackendUnavailable("backend failed after 4 attempt(s): 503")
         return super().complete(role_name, messages)
+
+
+class JitteredBackend(ScriptedBackend):
+    """Each call first sleeps a random 0 to `most` seconds drawn from `rng`."""
+
+    def __init__(self, turns, rng: random.Random, most: float = 0.003):
+        super().__init__(turns)
+        self.rng, self.most = rng, most
+
+    def complete(self, role_name, messages):
+        time.sleep(self.rng.uniform(0.0, self.most))
+        return super().complete(role_name, messages)
+
+
+class JitteredToolchain(ScriptedToolchain):
+    """Each verify first sleeps a random 0 to `most` seconds drawn from `rng`."""
+
+    def __init__(self, outcomes, rng: random.Random, most: float = 0.003):
+        super().__init__(outcomes)
+        self.rng, self.most = rng, most
+
+    def verify(self, rtl_path, tb_path, workspace):
+        time.sleep(self.rng.uniform(0.0, self.most))
+        return super().verify(rtl_path, tb_path, workspace)
 
 
 def scripted_gateway(script_dir: Path, tmp_path: Path, run_id="test-run") -> Gateway:

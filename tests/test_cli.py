@@ -500,6 +500,19 @@ BAD_CONFIGS = [
     pytest.param("toolchain:\n  compile_args: -o sim.out\n",
                  "toolchain: compile_args must be a list of strings, got '-o sim.out'",
                  id="args-not-a-list"),
+    pytest.param("toolchain:\n  compile_args: ['{']\n",
+                 "toolchain: compile_args: Single '{' encountered in format string in '{'",
+                 id="lone-brace"),
+    pytest.param("toolchain:\n  compiler: 7\n", "toolchain.compiler: expected str, got 7",
+                 id="int-for-compiler"),
+    pytest.param("toolchain:\n  pass_marker: 5\n", "toolchain.pass_marker: expected str, got 5",
+                 id="int-for-pass-marker"),
+    pytest.param("backend:\n  model_name: 3\n", "backend.model_name: expected str, got 3",
+                 id="int-for-model-name"),
+    pytest.param("toolchain:\n  sim_timeout: 0\n", "toolchain: sim_timeout must be positive",
+                 id="zero-sim-timeout"),
+    pytest.param("toolchain:\n  sim_timeout: -5\n", "toolchain: sim_timeout must be positive",
+                 id="negative-sim-timeout"),
 ]
 
 

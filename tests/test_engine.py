@@ -8,8 +8,8 @@ import time
 import pytest
 
 from conftest import (
-    FIXTURES, REPORTS, SCRIPTED, VERILOG, EvaluatorDown, RecordingBackend, read_events,
-    scripted_gateway, scripted_toolchain, transcript_roles,
+    FIXTURES, REPORTS, SCRIPTED, VERILOG, EvaluatorDown, JitteredToolchain, RecordingBackend,
+    read_events, scripted_gateway, scripted_toolchain, transcript_roles,
 )
 
 from rtlflow import bench, engine, optimizer
@@ -899,18 +899,6 @@ def test_a_verify_is_retired_once(tmp_path, event_handles, monkeypatch):
         ("plan", None), ("verdict", None), ("outcome", True), ("diagnosis", True)]
 
 
-class JitteredToolchain(ScriptedToolchain):
-    """Each verify first sleeps a seeded random 0-5 ms."""
-
-    def __init__(self, outcomes, seed: int):
-        super().__init__(outcomes)
-        self.rng = random.Random(seed)
-
-    def verify(self, rtl_path, tb_path, workspace):
-        time.sleep(self.rng.uniform(0.0, 0.005))
-        return super().verify(rtl_path, tb_path, workspace)
-
-
 ADDER_TB = VERILOG / "adder_16bit_tb.v"
 ADDER_REPORT = parse_report((REPORTS / "adder_16bit_base.rpt").read_text())
 CLA_REPLY = "```verilog\n" + (VERILOG / "adder_16bit_cla.v").read_text() + "```"
@@ -965,7 +953,7 @@ def test_only_the_pipeline_thread_writes_and_runs_repeat(tmp_path, monkeypatch):
         def factory(design):
             outcomes = (scripted_toolchain(SCRIPTED / fixtures[design]).outcomes
                         if design in fixtures else [])
-            return JitteredToolchain(outcomes, seed)
+            return JitteredToolchain(outcomes, random.Random(seed), most=0.005)
         return factory
 
     def written(root) -> dict[str, str]:  # run id and clock are fixed, so no line varies
@@ -982,7 +970,8 @@ def test_only_the_pipeline_thread_writes_and_runs_repeat(tmp_path, monkeypatch):
             gateway = Gateway(ScriptedBackend(turns), run_id="0", clock=lambda: 0.0,
                               transcript_path=root / name / "transcript.jsonl")
             optimize(RtlArtifact((VERILOG / "adder_16bit.v").read_text()), ADDER_REPORT,
-                     OptimizationGoal("timing"), gateway, JitteredToolchain(outcomes, repeat),
+                     OptimizationGoal("timing"), gateway,
+                     JitteredToolchain(outcomes, random.Random(repeat), most=0.005),
                      PipelineBudget(), ADDER_TB, root / name)
         cases = [BenchCase(spec=spec_named(name)) for name in [*fixtures, "sig_error"]]
         summary = run_suite(cases, gateways(root / "bench"), toolchains(repeat),

@@ -11,7 +11,7 @@ from conftest import FIXTURES, RecordingBackend
 
 from rtlflow.bench import BenchCase, run_suite
 from rtlflow.engine import DesignSpec, PipelineBudget
-from rtlflow.errors import BackendUnavailable, RoleMismatch, ScriptExhausted
+from rtlflow.errors import BackendUnavailable, ScriptExhausted
 from rtlflow.gateway import (
     BackendConfig,
     ChatMessage,
@@ -49,10 +49,12 @@ def test_scripted_exhaustion():
 
 
 def test_scripted_role_mismatch():
+    # the error names only the asking role, whatever turns other roles have left
     backend = ScriptedBackend([("Programmer", "module m; endmodule")])
     session = RoleSession("Reviewer", backend)
-    with pytest.raises(RoleMismatch):
+    with pytest.raises(ScriptExhausted, match=r"^no scripted turns left \(role Reviewer\)$"):
         session.send("review this")
+    assert backend.complete("Programmer", [user("q")]) == "module m; endmodule"
 
 
 def test_scripted_replays_each_role_in_order():

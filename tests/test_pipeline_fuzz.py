@@ -6,23 +6,32 @@ states: `status.json` agrees with the last `outcome` record that was not
 superseded, or is an `Error` naming the exception the case was charged
 with. No case may reach `bench._run_case`'s generic crash branch, and no
 helper thread or `events.jsonl` handle may outlive the suite.
+
+Nor may thread timing change a run: the same suites, and `optimize` runs
+over the adder, give the same statuses, reasons and files when every
+backend and toolchain call is first delayed by a random few milliseconds.
 """
 
 import json
+import random
 import tempfile
 import threading
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import read_events
+from conftest import REPORTS, VERILOG, JitteredBackend, JitteredToolchain, read_events
 
 from rtlflow import bench, engine
 from rtlflow.bench import BenchCase, run_suite
-from rtlflow.engine import DesignSpec, PipelineBudget, Port
+from rtlflow.engine import DesignSpec, PipelineBudget, Port, RtlArtifact
+from rtlflow.errors import RtlflowError
 from rtlflow.gateway import Gateway, ScriptedBackend
+from rtlflow.metrics import parse_report
+from rtlflow.optimizer import OptimizationGoal, load_catalog, optimize
 from rtlflow.toolchain import ScriptedToolchain, VerificationOutcome
 
 CODE = """```verilog
@@ -140,3 +149,129 @@ def test_every_case_end_is_recorded_in_its_workspace(cases, max_fix_iterations,
             for design in designs:
                 check_case(design, out / design, summary.per_case[design],
                            summary.failure_reasons.get(design, ""))
+
+
+# --- thread timing ---
+
+def doubles(turns: dict[str, list[str]], outcomes, workspace: Path, rng=None):
+    """A gateway with a fixed run id and clock, writing its transcript in
+    `workspace`, and a toolchain; with `rng`, each of their calls first
+    sleeps a random 0-3 ms."""
+    flat = [(role, reply) for role, replies in turns.items() for reply in replies]
+    backend = ScriptedBackend(flat) if rng is None else JitteredBackend(flat, rng)
+    toolchain = ScriptedToolchain(outcomes) if rng is None else JitteredToolchain(outcomes, rng)
+    gateway = Gateway(backend, transcript_path=workspace / "transcript.jsonl", run_id="fuzz",
+                      clock=lambda: 0.0)
+    return gateway, toolchain
+
+
+def written(root: Path) -> dict[str, bytes]:
+    """The bytes of every run log and status under `root`, by relative path."""
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*"))
+            if path.name in ("events.jsonl", "transcript.jsonl", "status.json")}
+
+
+CLA_REPLY = "```verilog\n" + (VERILOG / "adder_16bit_cla.v").read_text() + "```"
+FIXED_CLA_REPLY = CLA_REPLY.replace("```verilog\n", "```verilog\n// FIX 1: carry\n")
+ADDER = RtlArtifact((VERILOG / "adder_16bit.v").read_text())
+ADDER_REPORT = parse_report((REPORTS / "adder_16bit_base.rpt").read_text())
+CATALOG = load_catalog()
+
+
+@st.composite
+def optimize_scripts(draw) -> tuple[dict[str, list[str]], list[VerificationOutcome]]:
+    """An `optimize` run's script over the adder: perhaps no variant, fixes
+    and rewrites that may not parse, and the outcomes of its verifies."""
+    code = [CLA_REPLY, FIXED_CLA_REPLY, "No code, sorry."]
+    turns = {"Optimizer": draw(st.lists(st.sampled_from(code), max_size=1)),
+             "Evaluator": draw(st.lists(st.sampled_from([*VALID["Evaluator"], MISFIT[-1]]),
+                                        max_size=3)),
+             "Programmer": draw(st.lists(st.sampled_from(code), max_size=3))}
+    return turns, draw(st.lists(st.sampled_from(OUTCOMES), min_size=1, max_size=4))
+
+
+def optimize_end(turns, outcomes, budget, workspace: Path, rng) -> str:
+    """How an `optimize` run ends: its variant's revision, or its error."""
+    gateway, toolchain = doubles(turns, outcomes, workspace, rng)
+    try:
+        variant = optimize(ADDER, ADDER_REPORT, OptimizationGoal("timing"), gateway, toolchain,
+                           budget, VERILOG / "adder_16bit_tb.v", workspace, CATALOG)
+    except RtlflowError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return f"Pass at revision {variant.rtl.revision}"
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(cases=st.lists(scripts(), min_size=1, max_size=3),
+       runs=st.lists(optimize_scripts(), max_size=2),
+       max_fix_iterations=st.integers(1, 3), max_review_rounds=st.integers(1, 2),
+       seed=st.integers(0, 2**32 - 1))
+def test_thread_timing_changes_no_status_and_no_file(cases, runs, max_fix_iterations,
+                                                     max_review_rounds, seed):
+    budget = PipelineBudget(max_fix_iterations, max_review_rounds)
+    designs = [f"case{i}" for i in range(len(cases))]
+    script = dict(zip(designs, cases))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "tb.v").write_text("module tb; endmodule\n")
+        suite = [BenchCase(DesignSpec(d, "toy design", "toy", [Port("clk", "in")],
+                                      str(root / "tb.v"))) for d in designs]
+
+        def run(out: Path, rng):
+            gateways, toolchains = {}, {}
+            for design, (turns, outcomes) in script.items():
+                gateways[design], toolchains[design] = doubles(turns, outcomes, out / design, rng)
+            summary = run_suite(suite, gateways.__getitem__, toolchains.__getitem__, budget, out,
+                                workers=2)
+            ends = [optimize_end(turns, outcomes, budget, out / f"opt{i}", rng)
+                    for i, (turns, outcomes) in enumerate(runs)]
+            return summary.per_case, summary.failure_reasons, ends, written(out)
+
+        plain = run(root / "plain", None)
+        jittered = run(root / "jittered", random.Random(seed))
+        assert jittered[:3] == plain[:3]
+        assert jittered[3] == plain[3]
+
+
+class Ordered(ScriptedBackend):
+    """The `second` role's call waits until the `first` role's call has
+    ended, returned or raised, so the two end in that order."""
+
+    def __init__(self, turns, first: str, second: str):
+        super().__init__(turns)
+        self.first, self.second = first, second
+        self.ended = threading.Event()
+
+    def complete(self, role_name, messages):
+        if role_name == self.second and not self.ended.wait(5):
+            raise TimeoutError(f"{self.first} never called")
+        try:
+            return super().complete(role_name, messages)
+        finally:
+            if role_name == self.first:
+                self.ended.set()
+
+
+@pytest.mark.parametrize("first, second", [("Evaluator", "Reviewer"), ("Reviewer", "Evaluator")],
+                         ids=["evaluator-first", "reviewer-first"])
+def test_a_role_out_of_turns_fails_alike_in_either_order(tmp_path, first, second):
+    # the script has no Reviewer turn; the Evaluator is asked about the
+    # failing verify while the review is under way, and takes its turn
+    # before or after the Reviewer finds none
+    turns = [("Planner", VALID["Planner"][0]), ("Programmer", CODE),
+             ("Evaluator", VALID["Evaluator"][0])]
+    (tmp_path / "tb.v").write_text("module tb; endmodule\n")
+    spec = DesignSpec("toy", "toy design", "toy", [Port("clk", "in")], str(tmp_path / "tb.v"))
+    out = tmp_path / "out"
+    gateway = Gateway(Ordered(turns, first, second),
+                      transcript_path=out / "toy" / "transcript.jsonl", run_id="fuzz",
+                      clock=lambda: 0.0)
+    summary = run_suite([BenchCase(spec)], lambda _: gateway,
+                        lambda _: ScriptedToolchain([OUTCOMES[2]]), PipelineBudget(), out)
+    assert summary.per_case == {"toy": "InfraError"}
+    assert summary.failure_reasons == {
+        "toy": "ScriptExhausted: no scripted turns left (role Reviewer)"}
+    assert gateway.backend.ended.is_set()
+    assert [(e["event"], e.get("superseded")) for e in read_events(out / "toy")] == [
+        ("plan", None), ("outcome", True), ("diagnosis", True)]

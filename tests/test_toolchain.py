@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from conftest import VERILOG
 
-from rtlflow.engine import FixDiagnosis
 from rtlflow.errors import ToolchainUnavailable
 from rtlflow.toolchain import (
     DEFAULT_FAIL_PATTERN,
@@ -156,18 +155,14 @@ records = st.lists(st.builds(
 
 
 @settings(max_examples=200, deadline=None)
-@given(diagnostics=records, checks=st.lists(st.text(max_size=20), max_size=5),
-       fixes=st.lists(st.text(min_size=1, max_size=20), min_size=1, max_size=4))
-def test_records_serialise_as_asdict(diagnostics, checks, fixes):
+@given(diagnostics=records, checks=st.lists(st.text(max_size=20), max_size=5))
+def test_records_serialise_as_asdict(diagnostics, checks):
     """The shallow copies write the same JSON, key order included, as asdict()."""
     def dumped(obj):
         return json.dumps(obj, ensure_ascii=False, indent=2, default=str)
 
     outcome = VerificationOutcome("FunctionalFail", diagnostics, checks)
     assert dumped(outcome.to_dict()) == dumped(asdict(outcome))
-    # a fix's record keeps the shape asdict() gave the one-field fix type it once had
-    diagnosis = FixDiagnosis(fixes)
-    assert dumped(diagnosis.to_dict()) == dumped({"fixes": [{"description": f} for f in fixes]})
 
 
 # --- subprocess runner ---
