@@ -39,7 +39,8 @@ class RunConfig:
 def _build(cls: type, where: str, mapping) -> object:
     """`cls(**mapping)`, with int and float fields coerced by their declared
     type; an unknown key, a non-mapping, a bool for a number, a fraction for
-    an int or a non-string for a string is a ValueError naming `where`."""
+    an int or a non-string for a string (a null is fine for an optional
+    string) is a ValueError naming `where`."""
     if mapping is None:  # a section whose keys are all commented out
         mapping = {}
     if not isinstance(mapping, dict):
@@ -51,6 +52,8 @@ def _build(cls: type, where: str, mapping) -> object:
         if key not in types:
             raise ValueError(f"{where}: unknown key {key!r}")
         kind = types[key]
+        if kind == Optional[str] and value is not None:
+            kind = str
         try:
             if kind in (int, float) and (isinstance(value, bool) or kind is int and
                                          isinstance(value, float) and not value.is_integer()):

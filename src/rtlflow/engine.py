@@ -46,6 +46,11 @@ class DesignSpec:
         for key in ("name", "description", "module_name", "testbench_path"):
             if not isinstance(getattr(self, key), str):
                 raise ValueError(f"{key} must be a string, got {getattr(self, key)!r}")
+        # the name is the design's workspace directory under a bench --out
+        if self.name in ("", ".", "..") or "/" in self.name:
+            raise ValueError(f"name must be one path component, got {self.name!r}")
+        if not self.testbench_path:
+            raise ValueError("testbench_path must not be empty")
         if not self.ports:
             raise ValueError("spec needs at least one port")
         names = [p.name for p in self.ports]
@@ -82,7 +87,7 @@ class DesignSpec:
                 ports=[Port(**p) for p in d["ports"]],
                 testbench_path=d["testbench_path"],
             )
-            if spec.testbench_path and not Path(spec.testbench_path).is_absolute():
+            if not Path(spec.testbench_path).is_absolute():
                 spec.testbench_path = str((Path(path).parent / spec.testbench_path).resolve())
             return spec
 

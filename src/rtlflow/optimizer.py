@@ -57,7 +57,7 @@ REQUIRED_TECHNIQUES = {
 }
 
 MAX_TECHNIQUES_PER_PASS = 2
-DEFAULT_PROMPT_BUDGET = 24_000  # characters
+PROMPT_BUDGET = 24_000  # characters
 _MIN_SNIPPET = 120  # keep at least the snippet's head when truncating
 
 
@@ -91,7 +91,6 @@ class Recommendation:
 
 @dataclass
 class OptimizedVariant:
-    goal: OptimizationGoal
     rtl: RtlArtifact
     verification: VerificationOutcome
     applied: Recommendation
@@ -150,52 +149,36 @@ def _parse_card(text: str, origin: str) -> TechniqueCard:
     return card
 
 
-class Catalog:
-    def __init__(self, cards: list[TechniqueCard]):
-        self.cards: dict[str, TechniqueCard] = {}
-        for card in cards:
-            if card.id in self.cards:
-                raise RtlflowError(f"two cards have id {card.id!r}")
-            self.cards[card.id] = card
-
-    def __contains__(self, card_id):
-        return card_id in self.cards
-
-    def __getitem__(self, card_id) -> TechniqueCard:
-        return self.cards[card_id]
-
-    def for_goal(self, goal: str) -> list[TechniqueCard]:
-        return sorted(
-            (c for c in self.cards.values() if c.goal == goal), key=lambda c: c.id
-        )
-
-    def check_required(self) -> None:
-        for goal, names in REQUIRED_TECHNIQUES.items():
-            covered = set()
-            for card in self.for_goal(goal):
-                covered.add(card.id)
-                covered.update(card.aliases)
-            missing = set(names) - covered
-            if missing:
-                raise RtlflowError(f"no {goal} card covers {sorted(missing)}")
-
-
-def load_catalog(card_dir: Optional[str | Path] = None) -> Catalog:
+def load_catalog(card_dir: Optional[str | Path] = None) -> dict[str, TechniqueCard]:
     """Load all *.md cards, in name order, from a directory (default: the
-    bundled catalog); an error names the card file or the directory."""
+    bundled catalog) and return them by id, in id order, once no two share
+    an id and they cover REQUIRED_TECHNIQUES; an error names the card file
+    or the directory."""
     root = resources.files("rtlflow") / "cards" if card_dir is None else Path(card_dir)
     entries = sorted(root.iterdir(), key=lambda e: e.name) if root.is_dir() else []
     cards = [_parse_card(read_input(e), str(e)) for e in entries if e.name.endswith(".md")]
     if not cards:
         raise RtlflowError(f"no card files in {root}")
-    catalog = Catalog(cards)
-    catalog.check_required()
+    catalog: dict[str, TechniqueCard] = {}
+    for card in cards:
+        if catalog.setdefault(card.id, card) is not card:
+            raise RtlflowError(f"two cards have id {card.id!r}")
+    catalog = dict(sorted(catalog.items()))
+    for goal, names in REQUIRED_TECHNIQUES.items():
+        covered = {n for card in for_goal(catalog, goal) for n in (card.id, *card.aliases)}
+        missing = set(names) - covered
+        if missing:
+            raise RtlflowError(f"no {goal} card covers {sorted(missing)}")
     return catalog
+
+
+def for_goal(catalog: dict[str, TechniqueCard], goal: str) -> list[TechniqueCard]:
+    return [card for card in catalog.values() if card.goal == goal]
 
 
 # --- predicate evaluation ---
 
-def _context(fp: DesignFingerprint, report: Optional[PpaMetrics]) -> dict:
+def _context(fp: DesignFingerprint, report: PpaMetrics) -> dict:
     ctx: dict[str, float | bool] = {
         "is_combinational": fp.is_combinational,
         "clocked_always": fp.clocked_always,
@@ -211,10 +194,7 @@ def _context(fp: DesignFingerprint, report: Optional[PpaMetrics]) -> dict:
     }
     for op, count in fp.operator_census.items():
         ctx[f"{op}_ops"] = count
-    if report is not None:
-        for name, value in report.to_dict().items():
-            if value is not None:
-                ctx[name] = value
+    ctx.update(report.to_dict())  # a metric the report lacks is None, which reads as False
     return ctx
 
 
@@ -241,16 +221,16 @@ def eval_predicate(pred: str, ctx: dict) -> bool:
 
 def select_techniques(
     fp: DesignFingerprint,
-    report: Optional[PpaMetrics],
+    report: PpaMetrics,
     goal: OptimizationGoal,
-    catalog: Catalog,
+    catalog: dict[str, TechniqueCard],
 ) -> Recommendation:
     """Rank the goal's cards by satisfied-predicate count, then by report
     boost signals, then by id; keep at most two."""
     ctx = _context(fp, report)
     scored = []
     evidence: dict[str, list[str]] = {}
-    for card in catalog.for_goal(goal.kind):
+    for card in for_goal(catalog, goal.kind):
         hits = [p for p in card.applicability if eval_predicate(p, ctx)]
         if not hits:
             continue
@@ -260,7 +240,7 @@ def select_techniques(
     scored.sort(key=lambda t: (-t[0], t[1]))
     chosen = [card_id for _, card_id in scored[:MAX_TECHNIQUES_PER_PASS]]
     if not chosen:
-        fallback = catalog.for_goal(goal.kind)[0]
+        fallback = for_goal(catalog, goal.kind)[0]
         log.warning(
             "no applicable %s technique; falling back to %s", goal.kind, fallback.id
         )
@@ -281,12 +261,11 @@ def build_icl_prompt(
     rec: Recommendation,
     baseline: RtlArtifact,
     report: PpaMetrics,
-    catalog: Catalog,
-    char_budget: int = DEFAULT_PROMPT_BUDGET,
+    catalog: dict[str, TechniqueCard],
 ) -> list[ChatMessage]:
     """System message carries the recommended cards only; user message
     carries baseline code, the canonical report and the goal directive.
-    Card snippets are the only truncatable content."""
+    Card snippets are the only truncatable content, cut to fit PROMPT_BUDGET."""
     for card_id in rec.techniques:
         if card_id not in catalog:
             raise KeyError(f"recommendation references unknown card {card_id}")
@@ -321,13 +300,13 @@ def build_icl_prompt(
         )
 
     total = len(assemble(snippets)) + len(user_text)
-    if total > char_budget:
+    if total > PROMPT_BUDGET:
         # snippets are truncated last (and are the only thing truncated)
         overhead = len(assemble([""] * len(cards))) + len(user_text)
-        room = char_budget - overhead
+        room = PROMPT_BUDGET - overhead
         if room < _MIN_SNIPPET * len(cards):
             raise RtlflowError(
-                f"prompt needs {overhead} chars before snippets; budget {char_budget}"
+                f"prompt needs {overhead} chars before snippets; budget {PROMPT_BUDGET}"
             )
         per_card = room // len(cards)
         snippets = [s[:per_card] for s in snippets]
@@ -345,13 +324,12 @@ def optimize(
     budget: PipelineBudget,
     testbench_path: str | Path,
     workspace: str | Path,
-    catalog: Optional[Catalog] = None,
+    catalog: dict[str, TechniqueCard],
 ) -> OptimizedVariant:
     """Generate one goal-optimized variant and re-verify it against the
     same golden testbench through the fix loop, persisting its revisions in
     `workspace`, which `start_run` starts first; functionality must not
     regress."""
-    catalog = catalog or load_catalog()
     workspace = Path(workspace)
     with start_run(workspace, gateway) as events:
         tb_text = read_input(testbench_path)
@@ -369,4 +347,4 @@ def optimize(
             f"{goal.kind} variant never passed: {final} after {len(revisions)} verification(s)"
         )
     last = revisions[-1]
-    return OptimizedVariant(goal=goal, rtl=last.rtl, verification=last.outcome, applied=rec)
+    return OptimizedVariant(rtl=last.rtl, verification=last.outcome, applied=rec)

@@ -125,7 +125,9 @@ def test_generate_bad_spec(tmp_path, runner):
     bad = tmp_path / "spec.json"
     spec = json.loads((FIXTURES / "signal_generator_spec.json").read_text())
     for body in ("{not json", "[1]", json.dumps(dict(spec, testbench_path=5)),
-                 json.dumps(dict(spec, name=5))):
+                 json.dumps(dict(spec, name=5)), json.dumps(dict(spec, testbench_path="")),
+                 *(json.dumps(dict(spec, name=name))
+                   for name in ("", ".", "..", "../escape", "a/b", "/abs"))):
         bad.write_text(body)
         result = runner.invoke(main, [
             "generate", "--spec", str(bad), "--workspace", str(tmp_path / "ws"),
@@ -509,6 +511,8 @@ BAD_CONFIGS = [
                  id="int-for-pass-marker"),
     pytest.param("backend:\n  model_name: 3\n", "backend.model_name: expected str, got 3",
                  id="int-for-model-name"),
+    pytest.param("paths:\n  catalog_dir: 7\n", "paths.catalog_dir: expected str, got 7",
+                 id="int-for-catalog-dir"),
     pytest.param("toolchain:\n  sim_timeout: 0\n", "toolchain: sim_timeout must be positive",
                  id="zero-sim-timeout"),
     pytest.param("toolchain:\n  sim_timeout: -5\n", "toolchain: sim_timeout must be positive",
@@ -705,6 +709,11 @@ def test_bench_workers_below_one_is_usage_error(tmp_path, runner, workers):
                  "suite.yaml: a path must be a string, got None", id="null-baseline-report"),
     pytest.param("cases:\n  - spec: name5.json\n", "name5.json: name must be a string, got 5",
                  id="name-not-a-string"),
+    pytest.param("cases:\n  - spec: escape.json\n",
+                 "escape.json: name must be one path component, got '../escape'",
+                 id="name-not-one-component"),
+    pytest.param("cases:\n  - spec: notb.json\n",
+                 "notb.json: testbench_path must not be empty", id="empty-testbench-path"),
     pytest.param("cases:\n  - spec: a.json\n    optimized_reports: [x]\n",
                  "suite.yaml: optimized_reports must be a mapping, got ['x']",
                  id="optimized-reports-not-a-mapping"),
@@ -715,6 +724,8 @@ def test_bench_bad_manifest_is_usage_error(tmp_path, runner, body, needle):
     (tmp_path / "top.json").write_text("[1]")
     spec = json.loads((FIXTURES / "signal_generator_spec.json").read_text())
     (tmp_path / "name5.json").write_text(json.dumps(dict(spec, name=5)))
+    (tmp_path / "escape.json").write_text(json.dumps(dict(spec, name="../escape")))
+    (tmp_path / "notb.json").write_text(json.dumps(dict(spec, testbench_path="")))
     manifest = tmp_path / "suite.yaml"
     manifest.write_text(body)
     result = runner.invoke(main, [

@@ -22,7 +22,6 @@ from rtlflow.engine import (
     Port,
     RtlArtifact,
     apply_fixes,
-    diagnose_failures,
     extract_tags,
     extract_verilog,
     make_plan,
@@ -275,28 +274,19 @@ def failing_outcome():
 
 
 def test_diagnose_parses_fixes():
-    reply = "1. fix the carry\n2. widen the register\n3. reset properly"
-    diagnosis = diagnose_failures(
-        RtlArtifact("module m; endmodule"), failing_outcome(), "tb text",
-        gateway_for("Evaluator", reply),
-    )
+    diagnosis = engine._parse_diagnosis(
+        "1. fix the carry\n2. widen the register\n3. reset properly")
     assert len(diagnosis.fixes) == 3
 
 
 def test_diagnose_unparseable_reply():
     with pytest.raises(UnparseableReply, match="evaluator reply has no numbered fixes"):
-        diagnose_failures(
-            RtlArtifact("module m; endmodule"), failing_outcome(), "tb text",
-            gateway_for("Evaluator", "The counter looks wrong; widen it."),
-        )
+        engine._parse_diagnosis("The counter looks wrong; widen it.")
 
 
 def test_diagnose_rejects_pass_outcome():
     with pytest.raises(ValueError):
-        diagnose_failures(
-            RtlArtifact("x"), VerificationOutcome("Pass"), "tb",
-            gateway_for("Evaluator", "1. nothing"),
-        )
+        engine._evaluator_prompt(RtlArtifact("x"), VerificationOutcome("Pass"), "tb")
 
 
 def test_diagnosis_requires_fixes():
@@ -305,9 +295,8 @@ def test_diagnosis_requires_fixes():
 
 
 def test_diagnose_prompt_contains_log_and_testbench():
-    gateway = gateway_for("Evaluator", "1. a fix")
-    diagnose_failures(RtlArtifact("module m; endmodule"), failing_outcome(), "TB_SENTINEL", gateway)
-    prompt = sent_prompt(gateway)
+    prompt = engine._evaluator_prompt(
+        RtlArtifact("module m; endmodule"), failing_outcome(), "TB_SENTINEL")
     assert "ERROR: mismatch at vector 7" in prompt
     assert "TB_SENTINEL" in prompt
 
@@ -901,6 +890,7 @@ def test_a_verify_is_retired_once(tmp_path, event_handles, monkeypatch):
 
 ADDER_TB = VERILOG / "adder_16bit_tb.v"
 ADDER_REPORT = parse_report((REPORTS / "adder_16bit_base.rpt").read_text())
+CATALOG = optimizer.load_catalog()
 CLA_REPLY = "```verilog\n" + (VERILOG / "adder_16bit_cla.v").read_text() + "```"
 FIXED_CLA_REPLY = CLA_REPLY.replace("```verilog\n", "```verilog\n// FIX 1: carry\n")
 # optimize runs: the replies, and the outcomes of their verifies
@@ -972,7 +962,7 @@ def test_only_the_pipeline_thread_writes_and_runs_repeat(tmp_path, monkeypatch):
             optimize(RtlArtifact((VERILOG / "adder_16bit.v").read_text()), ADDER_REPORT,
                      OptimizationGoal("timing"), gateway,
                      JitteredToolchain(outcomes, random.Random(repeat), most=0.005),
-                     PipelineBudget(), ADDER_TB, root / name)
+                     PipelineBudget(), ADDER_TB, root / name, CATALOG)
         cases = [BenchCase(spec=spec_named(name)) for name in [*fixtures, "sig_error"]]
         summary = run_suite(cases, gateways(root / "bench"), toolchains(repeat),
                             PipelineBudget(), root / "bench", workers=2)
@@ -1003,7 +993,8 @@ class ThreadRecordingToolchain(ScriptedToolchain):
 def optimize_adder(gateway, toolchain, workspace):
     return optimizer.optimize(
         RtlArtifact((VERILOG / "adder_16bit.v").read_text()), ADDER_REPORT,
-        OptimizationGoal("timing"), gateway, toolchain, PipelineBudget(), ADDER_TB, workspace)
+        OptimizationGoal("timing"), gateway, toolchain, PipelineBudget(), ADDER_TB, workspace,
+        CATALOG)
 
 
 def test_each_run_verifies_on_one_helper_thread(tmp_path, signal_generator_spec):

@@ -65,7 +65,7 @@ def test_library_import_does_not_load_subprocess_or_uuid():
 
 def load_everything():
     return (
-        load_catalog().cards,
+        load_catalog(),
         load_manifest(FIXTURES / "suite.yaml"),
         load_config(FIXTURES / "run.yaml"),
     )
@@ -83,6 +83,7 @@ def test_libyaml_and_python_loaders_agree(monkeypatch):
     assert [c.spec.name for c in cases] == ["signal_generator", "adder_16bit"]
     assert cfg.toolchain.compile_args[0] == "-g2012"
     assert cfg.budget.max_review_rounds == 1
+    assert cfg.paths.catalog_dir is None  # `catalog_dir: null` loads
     assert libyaml_side == python_side
 
 

@@ -20,7 +20,7 @@ from collections import Counter
 from rtlflow.engine import DesignSpec, PipelineBudget, RtlArtifact, run_pipeline
 from rtlflow.gateway import Gateway, ScriptedBackend
 from rtlflow.metrics import parse_report
-from rtlflow.optimizer import OptimizationGoal, optimize
+from rtlflow.optimizer import OptimizationGoal, load_catalog, optimize
 from rtlflow.toolchain import ScriptedToolchain, VerificationOutcome
 
 fixtures, out = Path(sys.argv[1]), Path(sys.argv[2])
@@ -39,7 +39,8 @@ outcomes = [VerificationOutcome("FunctionalFail", failing_checks=["ERROR: mismat
 optimize(RtlArtifact((verilog / "adder_16bit.v").read_text()),
          parse_report((fixtures / "reports" / "adder_16bit_base.rpt").read_text()),
          OptimizationGoal("timing"), Gateway(ScriptedBackend(turns)),
-         ScriptedToolchain(outcomes), PipelineBudget(), verilog / "adder_16bit_tb.v", out / "opt")
+         ScriptedToolchain(outcomes), PipelineBudget(), verilog / "adder_16bit_tb.v", out / "opt",
+         load_catalog())
 print(json.dumps(Counter(span.name for span in tracer.spans)))
 """
 
