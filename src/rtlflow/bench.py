@@ -7,7 +7,7 @@ import csv
 import logging
 import threading
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -47,9 +47,10 @@ def load_manifest(path: str | Path) -> list[BenchCase]:
     """Manifest is a single YAML file; relative paths resolve against it.
     A BadInput (a ValueError) names the manifest when it is not valid YAML,
     lists no cases, or has a case that is not a mapping with a `spec` entry,
-    `optimized_reports` that are not a mapping, a path that is not a string
-    or a design name another case has (their workspaces would collide); it
-    names the spec file when that is missing or bad."""
+    `optimized_reports` that are not a mapping, a path that is not a string,
+    an empty `testbench` or a design name another case has (their
+    workspaces would collide); it names the spec file when that is missing
+    or bad."""
     base = Path(path).parent
 
     def resolve(p: str) -> str:
@@ -72,8 +73,9 @@ def load_manifest(path: str | Path) -> list[BenchCase]:
             if spec.name in names:
                 raise ValueError(f"duplicate design name {spec.name!r}")
             names.add(spec.name)
-            if "testbench" in entry:
-                spec.testbench_path = resolve(entry["testbench"])
+            if "testbench" in entry:  # "" is left for the spec's checks to reject
+                tb = entry["testbench"]
+                spec = replace(spec, testbench_path=tb if tb == "" else resolve(tb))
             optimized = entry.get("optimized_reports") or {}
             if not isinstance(optimized, dict):
                 raise ValueError(f"optimized_reports must be a mapping, got {optimized!r}")

@@ -136,12 +136,11 @@ def generate(spec_path, workspace, budget, config_path, scripted):
 @click.option("--goal", required=True, type=click.Choice(GOALS))
 @click.option("--base-report", type=click.Path(exists=True), default=None,
               help="Baseline synthesis report (default: <baseline>/synth_report.txt).")
-@click.option("--opt-report", type=click.Path(exists=True), default=None,
-              help="Externally produced synthesis report for the variant.")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--scripted", type=click.Path(exists=True), default=None)
-def optimize_cmd(baseline_dir, goal, base_report, opt_report, config_path, scripted):
-    """Produce one goal-optimized, re-verified variant of a baseline."""
+def optimize_cmd(baseline_dir, goal, base_report, config_path, scripted):
+    """Produce one goal-optimized, re-verified variant of a baseline and
+    echo the status it writes in <baseline>/opt_<goal>/."""
     cfg = load_config(config_path)
     base = Path(baseline_dir)
     status_file = base / "status.json"
@@ -165,38 +164,15 @@ def optimize_cmd(baseline_dir, goal, base_report, opt_report, config_path, scrip
             f"awaiting baseline synthesis report: place it at {report_path} "
             "or pass --base-report"
         )
-    # both reports are checked before the first LLM call
-    with _usage_error("bad synthesis report "):
+    with _usage_error("bad synthesis report "):  # checked before the first LLM call
         report = read_input(report_path, parse_report)
-        opt = read_input(opt_report, parse_report) if opt_report else None
-    row = build_comparison(spec.name, report, opt) if opt is not None else None
 
     out = base / f"opt_{goal}"
     gateway = _make_gateway(cfg, scripted, spec.name, out / "transcript.jsonl")
     toolchain = _make_toolchain(cfg, scripted, spec.name)
-    try:
-        variant = optimize(
-            baseline_rtl, report, OptimizationGoal(goal), gateway, toolchain,
-            cfg.budget, spec.testbench_path, out, catalog,
-        )
-    except RtlflowError as exc:
-        write_json(out / "status.json", {"design": spec.name, "goal": goal,
-                                         "final_status": "Fail", "error": str(exc)})
-        raise
-
-    payload = {
-        "design": spec.name,
-        "goal": goal,
-        "final_status": "Pass",
-        "techniques": variant.applied.techniques,
-        "rationale": variant.applied.rationale,
-    }
-    if row is not None:
-        payload["improvement"] = row.rendered()
-    else:
-        payload["awaiting_report"] = True
-    write_json(out / "status.json", payload)
-    click.echo(json.dumps(payload, indent=2))
+    optimize(baseline_rtl, report, OptimizationGoal(goal), gateway, toolchain,
+             cfg.budget, spec.testbench_path, out, catalog)
+    click.echo(read_input(out / "status.json"))
     sys.exit(0)
 
 

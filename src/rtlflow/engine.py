@@ -11,11 +11,11 @@ import json
 import logging
 import re
 import shutil
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, asdict
 from functools import cache
 from pathlib import Path
-from typing import Optional, TextIO
+from typing import Iterator, Optional, TextIO
 
 from .errors import UnparseableReply, read_input
 from .gateway import Gateway
@@ -338,33 +338,55 @@ def write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, ensure_ascii=False, indent=2, default=str), encoding="utf-8")
 
 
-def start_run(workspace: Path, gateway: Gateway) -> TextIO:
-    """Start a run in `workspace`: create it, remove an earlier run's
-    `rev_N.v` files and `verify_N/` directories, and open `events.jsonl`
-    and the gateway's transcript, when it has one, afresh. Returns the open
-    `events.jsonl` handle; the caller closes it."""
+def _event(events: TextIO, event: str, /, **fields) -> None:
+    """Append one record to the run's `events.jsonl` as a compact JSON line
+    and flush it, so a crash leaves every earlier record on disk."""
+    events.write(json.dumps({"event": event, **fields},
+                            ensure_ascii=False, separators=(",", ":")) + "\n")
+    events.flush()
+
+
+@contextmanager
+def run_log(workspace: Path, gateway: Gateway, status: dict) -> Iterator[TextIO]:
+    """The one start and end of a run: `run_pipeline`'s and `optimize`'s.
+
+    Creates `workspace`, removes an earlier run's `rev_N.v` files, `verify_N/`
+    directories and `status.json`, starts `events.jsonl` and the gateway's
+    transcript, when it has one, afresh, and yields the open `events.jsonl`.
+    The block puts how the run ended into `status`. When the block raises,
+    `status` gains `final_status` `Error`, the exception's `error_type` and
+    its message as `error`, and the exception is re-raised once the run has
+    ended. At every end, `status` is appended as the `end` record, the last
+    line of `events.jsonl`, and then written as `status.json`."""
     workspace.mkdir(parents=True, exist_ok=True)
     for path in workspace.iterdir():
-        if re.fullmatch(r"rev_[0-9]+\.v", path.name) and path.is_file():
+        if re.fullmatch(r"rev_[0-9]+\.v|status\.json", path.name) and path.is_file():
             path.unlink()
         elif re.fullmatch(r"verify_[0-9]+", path.name) and path.is_dir():
             shutil.rmtree(path)
     events = (workspace / "events.jsonl").open("w", encoding="utf-8")
+
+    def end() -> None:
+        with events:
+            _event(events, "end", **status)
+        write_json(workspace / "status.json", status)
+
     try:
         if gateway.transcript is not None:
             gateway.transcript.start()
-    except BaseException:
-        events.close()
+        yield events
+    except BaseException as exc:
+        status.update(final_status="Error", error_type=type(exc).__name__, error=str(exc))
+        with suppress(OSError):  # e.g. a full disk: the run's own exception is raised
+            end()
         raise
-    return events
+    end()
 
 
-def _event(events: TextIO, event: str, revision: int, /, **fields) -> None:
-    """Append one record to the run's `events.jsonl` as a compact JSON line
-    and flush it, so a crash leaves every earlier record on disk."""
-    events.write(json.dumps({"event": event, "revision": revision, **fields},
-                            ensure_ascii=False, separators=(",", ":")) + "\n")
-    events.flush()
+def loop_status(revisions: list[Revision], final: str) -> dict:
+    """The `status` fields of a run that `fix_loop` ended."""
+    return {"final_status": final, "iterations_used": len(revisions),
+            "revisions": [r.rtl.revision for r in revisions]}
 
 
 # a revision whose outcome is one of these gets no diagnosis
@@ -381,7 +403,7 @@ def _settle(future, gateway: Gateway, events: TextIO, revision: int,
     the outcome event, the Evaluator's after it."""
     outcome, asked = future.result()
     mark = {"superseded": True} if superseded else {}
-    _event(events, "outcome", revision, **outcome.to_dict(), **mark)
+    _event(events, "outcome", revision=revision, **outcome.to_dict(), **mark)
     if isinstance(asked, BaseException):
         raise asked
     if asked is None:
@@ -390,7 +412,8 @@ def _settle(future, gateway: Gateway, events: TextIO, revision: int,
     # a superseded reply is parsed for the record only, so it may hold no fixes
     diagnosis = None if superseded else _parse_diagnosis(asked[1])
     fixes = parse_numbered_list(asked[1]) if superseded else diagnosis.fixes
-    _event(events, "diagnosis", revision, **mark, fixes=[{"description": f} for f in fixes])
+    _event(events, "diagnosis", revision=revision, **mark,
+           fixes=[{"description": f} for f in fixes])
     return outcome, diagnosis
 
 
@@ -458,7 +481,8 @@ def fix_loop(
                 # each incomplete round but the last asks the Programmer for the missing steps
                 for round_no in range(1, budget.max_review_rounds + 1) if plan else ():
                     verdict = review_rtl(plan, rtl, gateway)
-                    _event(events, "verdict", rtl.revision, round=round_no, **asdict(verdict))
+                    _event(events, "verdict", revision=rtl.revision, round=round_no,
+                           **asdict(verdict))
                     if verdict.complete:
                         break
                     if round_no == budget.max_review_rounds:
@@ -480,7 +504,7 @@ def fix_loop(
                         _settle(verify, gateway, events, rtl.revision, superseded=True)
                 raise
             if rtl.notes:
-                _event(events, "notes", rtl.revision, notes=rtl.notes)
+                _event(events, "notes", revision=rtl.revision, notes=rtl.notes)
             outcome, diagnosis = _settle(verify, gateway, events, rtl.revision)
             revisions.append(Revision(rtl=rtl, outcome=outcome))
             if diagnosis is None:
@@ -495,34 +519,20 @@ def run_pipeline(
     toolchain,
     workspace: str | Path,
 ) -> tuple[list[Revision], str]:
-    """Start `workspace` with `start_run`, then plan, program and run
-    `fix_loop` with review in it; writes `spec.json` and `status.json` there
-    and returns what `fix_loop` returns.
-    A run that raises still ends with a `status.json`, whose `final_status`
-    is `Error` and whose `error` is the exception's message; the exception
-    is then re-raised."""
+    """Plan, program and run `fix_loop` with review in it, in a `run_log`
+    over `workspace`, which also gets `spec.json`; returns what `fix_loop`
+    returns. The status names the design."""
     workspace = Path(workspace)
-    try:
-        with start_run(workspace, gateway) as events:
-            write_json(workspace / "spec.json", spec.to_dict())
-            tb_path = Path(spec.testbench_path)
-            tb_text = read_input(tb_path)  # a bad testbench fails the run before the first LLM call
-            plan = make_plan(spec, gateway)
-            _event(events, "plan", 0, steps=plan.steps)
-            rtl = write_rtl(plan, spec, gateway)
-            revisions, final = fix_loop(
-                rtl, tb_path, tb_text, gateway, toolchain, budget, workspace, events, plan
-            )
-        status = {
-            "design": spec.name,
-            "final_status": final,
-            "iterations_used": len(revisions),
-            "revisions": [r.rtl.revision for r in revisions],
-        }
-    except Exception as exc:
-        with suppress(OSError):  # e.g. a workspace under a file: the run's error is raised
-            write_json(workspace / "status.json",
-                       {"design": spec.name, "final_status": "Error", "error": str(exc)})
-        raise
-    write_json(workspace / "status.json", status)
+    status = {"design": spec.name}
+    with run_log(workspace, gateway, status) as events:
+        write_json(workspace / "spec.json", spec.to_dict())
+        tb_path = Path(spec.testbench_path)
+        tb_text = read_input(tb_path)  # a bad testbench fails the run before the first LLM call
+        plan = make_plan(spec, gateway)
+        _event(events, "plan", revision=0, steps=plan.steps)
+        rtl = write_rtl(plan, spec, gateway)
+        revisions, final = fix_loop(
+            rtl, tb_path, tb_text, gateway, toolchain, budget, workspace, events, plan
+        )
+        status.update(loop_status(revisions, final))
     return revisions, final

@@ -16,7 +16,8 @@ from typing import Optional
 
 import yaml
 
-from .engine import PipelineBudget, RtlArtifact, artifact_from_reply, fix_loop, start_run
+from .engine import (PipelineBudget, RtlArtifact, artifact_from_reply, fix_loop, loop_status,
+                     run_log)
 # not called here: kept because perfbench/trace.py wraps them as optimizer attributes
 from .engine import apply_fixes, diagnose_failures, extract_tags, extract_verilog  # noqa: F401
 from .errors import RtlflowError, read_input
@@ -126,18 +127,22 @@ def _parse_card(text: str, origin: str) -> TechniqueCard:
     summary = _SNIPPET_RE.sub("", body).strip()
     if not summary:
         raise RtlflowError(f"{origin}: missing summary text")
+    for key in ("predicates", "boost", "aliases"):
+        value = meta.get(key, [])
+        if not isinstance(value, list):  # list() would split a string into characters
+            raise RtlflowError(f"{origin}: bad or missing field '{key}': {value!r} is not a list")
     try:
         card = TechniqueCard(
             id=meta["id"],
             goal=meta["goal"],
             summary=summary,
-            applicability=list(meta["predicates"]),
+            applicability=meta["predicates"],
             example_snippet=sm.group(1).strip(),
             caveats=meta.get("caveats", ""),
-            boosts=list(meta.get("boost", [])),
-            aliases=list(meta.get("aliases", [])),
+            boosts=meta.get("boost", []),
+            aliases=meta.get("aliases", []),
         )
-    except (KeyError, TypeError) as exc:  # e.g. `predicates: 5`
+    except KeyError as exc:
         raise RtlflowError(f"{origin}: bad or missing field {exc}") from exc
     if card.goal not in GOALS:
         raise RtlflowError(f"{origin}: unknown goal {card.goal!r}")
@@ -302,7 +307,7 @@ def build_icl_prompt(
     total = len(assemble(snippets)) + len(user_text)
     if total > PROMPT_BUDGET:
         # snippets are truncated last (and are the only thing truncated)
-        overhead = len(assemble([""] * len(cards))) + len(user_text)
+        overhead = total - sum(map(len, snippets))  # an Example fence included
         room = PROMPT_BUDGET - overhead
         if room < _MIN_SNIPPET * len(cards):
             raise RtlflowError(
@@ -327,14 +332,17 @@ def optimize(
     catalog: dict[str, TechniqueCard],
 ) -> OptimizedVariant:
     """Generate one goal-optimized variant and re-verify it against the
-    same golden testbench through the fix loop, persisting its revisions in
-    `workspace`, which `start_run` starts first; functionality must not
-    regress."""
+    same golden testbench through the fix loop, in a `run_log` over
+    `workspace`; functionality must not regress. The status names the goal
+    and, once they are chosen, the techniques and their rationale. A variant
+    that never passes raises once the run has ended."""
     workspace = Path(workspace)
-    with start_run(workspace, gateway) as events:
+    status = {"goal": goal.kind}
+    with run_log(workspace, gateway, status) as events:
         tb_text = read_input(testbench_path)
         fp = fingerprint(baseline.verilog_text)
         rec = select_techniques(fp, report, goal, catalog)
+        status.update(techniques=rec.techniques, rationale=rec.rationale)
         messages = build_icl_prompt(rec, baseline, report, catalog)
 
         session = gateway.session("Optimizer", system_prompt=messages[0].content)
@@ -342,6 +350,7 @@ def optimize(
         revisions, final = fix_loop(
             rtl, testbench_path, tb_text, gateway, toolchain, budget, workspace, events
         )
+        status.update(loop_status(revisions, final))
     if final != "Pass":
         raise RtlflowError(
             f"{goal.kind} variant never passed: {final} after {len(revisions)} verification(s)"

@@ -105,8 +105,18 @@ def scripted_toolchain(script_dir: Path) -> ScriptedToolchain:
 
 
 def read_events(workspace: Path) -> list[dict]:
-    """The records of a run's `events.jsonl`, in order."""
-    return [json.loads(line) for line in (workspace / "events.jsonl").read_text().splitlines()]
+    """The records of a run's `events.jsonl` before its `end` record, in
+    order, once the `end` record is found last and equal to the run's
+    `status.json`, as every end of a run leaves them."""
+    *records, end = [json.loads(line)
+                     for line in (workspace / "events.jsonl").read_text().splitlines()]
+    assert end == {"event": "end", **read_status(workspace)}
+    return records
+
+
+def read_status(workspace: Path) -> dict:
+    """A run's `status.json`."""
+    return json.loads((workspace / "status.json").read_text())
 
 
 def load_table3():

@@ -25,7 +25,7 @@ COMMANDS = {  # "{}" is the directory the inputs fixture fills
                  "--config", "{}/run.yaml", "--scripted", "{}/scripted"],
     # the baseline report is ws/synth_report.txt, the default
     "optimize": ["optimize", "--baseline", "{}/ws", "--goal", "timing",
-                 "--opt-report", "{}/opt.rpt", "--config", "{}/run.yaml",
+                 "--config", "{}/run.yaml",
                  "--scripted", "{}/opt_script"],
     "inspect": ["inspect", "{}/top.v"],
     "report compare": ["report", "compare", "--base", "{}/base.rpt", "--opt", "{}/opt.rpt"],
@@ -50,7 +50,6 @@ INPUTS = [
     ("optimize", "ws/spec.json", 2, True, "[1]"),
     ("optimize", "ws/rev_1.v", 2, True, None),
     ("optimize", "ws/synth_report.txt", 2, True, JUNK_REPORT),
-    ("optimize", "opt.rpt", 2, True, JUNK_REPORT),
     ("optimize", "cards/clock_gating.md", 2, True, "a card without front-matter\n"),
     ("optimize", "opt_script/turns.json", 2, True, '[{"reply": "x"}]'),
     ("optimize", "tb.v", 2, True, None),

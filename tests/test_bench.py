@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import shutil
 import sys
 import threading
@@ -7,7 +8,7 @@ import time
 
 import pytest
 
-from conftest import FIXTURES, REPORTS, SCRIPTED
+from conftest import FIXTURES, REPORTS, SCRIPTED, read_events, read_status
 
 from rtlflow.bench import (
     BenchCase,
@@ -17,6 +18,7 @@ from rtlflow.bench import (
     success_rate,
 )
 from rtlflow.engine import DesignSpec, PipelineBudget
+from rtlflow.errors import BadInput
 from rtlflow.gateway import Gateway, ScriptedBackend
 from rtlflow.toolchain import ScriptedToolchain, VerificationOutcome
 
@@ -105,8 +107,9 @@ def test_run_suite_unparseable_reply_is_fail(tmp_path):
     assert summary.failure_reasons["sig_prose"] == (
         "UnparseableReply: planner reply has no numbered steps")
     # the case's own workspace records how the run ended
-    assert json.loads((tmp_path / "sig_prose" / "status.json").read_text()) == {
-        "design": "sig_prose", "final_status": "Error",
+    assert read_events(tmp_path / "sig_prose") == []  # but the `end` record of the status
+    assert read_status(tmp_path / "sig_prose") == {
+        "design": "sig_prose", "final_status": "Error", "error_type": "UnparseableReply",
         "error": "planner reply has no numbered steps"}
 
 
@@ -335,4 +338,18 @@ def test_load_manifest_rejects_duplicate_designs(tmp_path):
     manifest = tmp_path / "suite.yaml"
     manifest.write_text("cases:\n  - spec: a.json\n  - spec: b.json\n")
     with pytest.raises(ValueError, match="duplicate design name 'signal_generator'"):
+        load_manifest(manifest)
+
+
+@pytest.mark.parametrize("testbench, needle", [
+    pytest.param('""', "testbench_path must not be empty", id="empty"),
+    pytest.param("5", "a path must be a string, got 5", id="not-a-string"),
+    pytest.param("", "a path must be a string, got None", id="null"),
+])
+def test_load_manifest_rejects_a_bad_testbench(tmp_path, testbench, needle):
+    # the override meets the spec's own checks: a bad manifest, not a failed case
+    shutil.copy(FIXTURES / "signal_generator_spec.json", tmp_path / "spec.json")
+    manifest = tmp_path / "suite.yaml"
+    manifest.write_text(f"cases:\n  - spec: spec.json\n    testbench: {testbench}\n")
+    with pytest.raises(BadInput, match=f"^{re.escape(f'{manifest}: {needle}')}$"):
         load_manifest(manifest)

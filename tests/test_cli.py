@@ -12,7 +12,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from conftest import FIXTURES, REPORTS, SCRIPTED, VERILOG
+from conftest import FIXTURES, REPORTS, SCRIPTED, VERILOG, read_events, read_status
 
 import rtlflow
 from rtlflow.cli import main
@@ -81,9 +81,9 @@ def test_rerun_failing_at_its_first_call_leaves_no_old_exchange(tmp_path, runner
                                   "--scripted", str(empty)])
     assert result.exit_code == 1
     assert "error: no scripted turns left (role Planner)" in result.output
-    assert (ws / "events.jsonl").read_text() == ""
+    assert read_events(ws) == []  # but the one `end` record
     assert (ws / "transcript.jsonl").read_text() == ""
-    assert json.loads((ws / "status.json").read_text())["final_status"] == "Error"
+    assert read_status(ws)["final_status"] == "Error"
 
 
 def test_generate_scripted_budget_exhausted(tmp_path, runner):
@@ -232,51 +232,26 @@ def passing_workspace(tmp_path, runner):
     return ws
 
 
-GOOD_REPORT = (REPORTS / "adder_16bit_base.rpt").read_text()
 JUNK_REPORT = "nothing here\n"
-ZERO_REPORT = GOOD_REPORT.replace("dynamic_power: 19.62", "dynamic_power: 0")
 
 
-@pytest.mark.parametrize("base_text, opt_text, needle", [
-    pytest.param(JUNK_REPORT, GOOD_REPORT, "bad synthesis report {base}", id="junk-base"),
-    pytest.param(GOOD_REPORT, JUNK_REPORT, "bad synthesis report {opt}", id="junk-opt"),
+@pytest.mark.parametrize("base_text, needle", [
+    pytest.param(JUNK_REPORT, "bad synthesis report {base}", id="junk-base"),
 ])
 def test_optimize_bad_report_is_usage_error(tmp_path, runner, passing_workspace, monkeypatch,
-                                            base_text, opt_text, needle):
-    result, calls = optimize_with_reports(tmp_path, runner, passing_workspace, monkeypatch,
-                                          base_text, opt_text)
-    assert result.exit_code == 2, result.output
-    assert needle.format(base=tmp_path / "base.rpt", opt=tmp_path / "opt.rpt") in result.output
-    assert calls == []  # rejected before the first LLM call
-    assert not (passing_workspace / "opt_timing").exists()
-
-
-def test_optimize_zero_baseline_fails_before_the_run(tmp_path, runner, passing_workspace,
-                                                     monkeypatch):
-    # both reports parse, so this is a failed comparison, as in `report compare`
-    result, calls = optimize_with_reports(tmp_path, runner, passing_workspace, monkeypatch,
-                                          ZERO_REPORT, GOOD_REPORT)
-    assert result.exit_code == 1, result.output
-    assert "error: dynamic_power: baseline is zero" in result.output.splitlines()
-    assert isinstance(result.exception, SystemExit)  # no traceback
-    assert calls == []
-    assert not (passing_workspace / "opt_timing").exists()
-
-
-def optimize_with_reports(tmp_path, runner, workspace, monkeypatch, base_text, opt_text):
-    """Run `optimize` on the two report texts; returns the result and the
-    LLM calls made."""
+                                            base_text, needle):
     calls = []
     monkeypatch.setattr(ScriptedBackend, "complete", lambda self, *a: calls.append(a))
-    base, opt = tmp_path / "base.rpt", tmp_path / "opt.rpt"
+    base = tmp_path / "base.rpt"
     base.write_text(base_text)
-    opt.write_text(opt_text)
     result = runner.invoke(main, [
-        "optimize", "--baseline", str(workspace), "--goal", "timing",
-        "--base-report", str(base), "--opt-report", str(opt),
-        "--scripted", str(SCRIPTED / "signal_generator"),
+        "optimize", "--baseline", str(passing_workspace), "--goal", "timing",
+        "--base-report", str(base), "--scripted", str(SCRIPTED / "signal_generator"),
     ])
-    return result, calls
+    assert result.exit_code == 2, result.output
+    assert needle.format(base=base) in result.output
+    assert calls == []  # rejected before the first LLM call
+    assert not (passing_workspace / "opt_timing").exists()
 
 
 @pytest.mark.parametrize("body, needle", [
@@ -405,31 +380,20 @@ def optimize_script(tmp_path, workspace, outcome_kind):
     return script
 
 
-def test_optimize_reports_improvement(tmp_path, runner, passing_workspace):
-    result = runner.invoke(main, [
-        "optimize", "--baseline", str(passing_workspace), "--goal", "timing",
-        "--base-report", str(REPORTS / "adder_16bit_base.rpt"),
-        "--opt-report", str(REPORTS / "adder_16bit_opt_timing.rpt"),
-        "--scripted", str(optimize_script(tmp_path, passing_workspace, "Pass")),
-    ])
-    assert result.exit_code == 0, result.output
-    status = json.loads((passing_workspace / "opt_timing" / "status.json").read_text())
-    assert status["final_status"] == "Pass"
-    assert status["improvement"]["cell_area"] == "58.7"
-    assert "awaiting_report" not in status
-
-
-def test_optimize_without_opt_report_awaits_it(tmp_path, runner, passing_workspace):
+def test_optimize_echoes_the_status_it_writes(tmp_path, runner, passing_workspace):
     result = runner.invoke(main, [
         "optimize", "--baseline", str(passing_workspace), "--goal", "timing",
         "--base-report", str(REPORTS / "adder_16bit_base.rpt"),
         "--scripted", str(optimize_script(tmp_path, passing_workspace, "Pass")),
     ])
     assert result.exit_code == 0, result.output
-    status = json.loads((passing_workspace / "opt_timing" / "status.json").read_text())
+    status = read_status(passing_workspace / "opt_timing")
     assert json.loads(result.output) == status
-    assert (status["final_status"], status["awaiting_report"]) == ("Pass", True)
-    assert "improvement" not in status
+    assert list(status) == ["goal", "techniques", "rationale", "final_status",
+                            "iterations_used", "revisions"]
+    assert (status["goal"], status["final_status"], status["revisions"]) == (
+        "timing", "Pass", [0])
+    read_events(passing_workspace / "opt_timing")  # which ends in a record equal to it
 
 
 def test_optimize_failed_run_records_fail_status(tmp_path, runner, passing_workspace):
@@ -441,8 +405,11 @@ def test_optimize_failed_run_records_fail_status(tmp_path, runner, passing_works
     error = "timing variant never passed: ToolError after 1 verification(s)"
     assert result.exit_code == 1, result.output
     assert result.output == f"error: {error}\n"
-    assert json.loads((passing_workspace / "opt_timing" / "status.json").read_text()) == {
-        "design": "signal_generator", "goal": "timing", "final_status": "Fail", "error": error}
+    ws = passing_workspace / "opt_timing"
+    assert [e["event"] for e in read_events(ws)] == ["outcome"]
+    status = read_status(ws)
+    assert (status["final_status"], status["iterations_used"], status["revisions"]) == (
+        "ToolError", 1, [0])
 
 
 # --- config file ---
@@ -703,6 +670,8 @@ def test_bench_workers_below_one_is_usage_error(tmp_path, runner, workers):
                  "suite.yaml: a path must be a string, got 5", id="path-not-a-string"),
     pytest.param("cases:\n  - spec: a.json\n    testbench:\n",
                  "suite.yaml: a path must be a string, got None", id="null-testbench"),
+    pytest.param('cases:\n  - spec: a.json\n    testbench: ""\n',
+                 "suite.yaml: testbench_path must not be empty", id="empty-testbench"),
     pytest.param("cases:\n  - spec: a.json\n    optimized_reports: {timing: null}\n",
                  "suite.yaml: a path must be a string, got None", id="null-optimized-report"),
     pytest.param("cases:\n  - spec: a.json\n    baseline_report: null\n",

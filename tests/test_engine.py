@@ -9,7 +9,7 @@ import pytest
 
 from conftest import (
     FIXTURES, REPORTS, SCRIPTED, VERILOG, EvaluatorDown, JitteredToolchain, RecordingBackend,
-    read_events, scripted_gateway, scripted_toolchain, transcript_roles,
+    read_events, read_status, scripted_gateway, scripted_toolchain, transcript_roles,
 )
 
 from rtlflow import bench, engine, optimizer
@@ -532,8 +532,9 @@ def test_pipeline_crash_leaves_events_closed(tmp_path, event_handles):
     last = read_events(ws)[-1]
     assert (last["event"], last["revision"], last["kind"]) == ("outcome", 0, "FunctionalFail")
     # the run's own workspace records how it ended
-    assert json.loads((ws / "status.json").read_text()) == {
-        "design": "toy", "final_status": "Error", "error": "evaluator reply has no numbered fixes"}
+    assert read_status(ws) == {
+        "design": "toy", "final_status": "Error", "error_type": "UnparseableReply",
+        "error": "evaluator reply has no numbered fixes"}
 
 
 # --- verify during review ---

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import REPORTS, VERILOG, EvaluatorDown, read_events, transcript_roles
+from conftest import REPORTS, VERILOG, EvaluatorDown, read_events, read_status, transcript_roles
 
 from rtlflow.engine import PipelineBudget, RtlArtifact
 from rtlflow.errors import BackendUnavailable, RtlflowError, UnparseableReply
@@ -75,6 +75,15 @@ def test_parse_card_ok():
     (lambda t: t.replace("clocked_always >= 1", "clocked_always >= 1.2.3"),
      "unparseable predicate: 'clocked_always >= 1.2.3'"),
     (lambda t: t.replace("- register_bits > 0", "- 5"), "unparseable predicate: 5"),
+    # a string where a list belongs is not read as a list of its characters
+    (lambda t: t.replace("boost:\n  - clocked_always >= 1", "boost: fsm_detected"),
+     "demo.md: bad or missing field 'boost': 'fsm_detected' is not a list"),
+    (lambda t: t.replace("predicates:\n  - register_bits > 0", "predicates: register_bits > 0"),
+     "demo.md: bad or missing field 'predicates': 'register_bits > 0' is not a list"),
+    (lambda t: t.replace("aliases: []", "aliases: gating"),
+     "demo.md: bad or missing field 'aliases': 'gating' is not a list"),
+    (lambda t: t.replace("predicates:\n  - register_bits > 0", "predicates:"),
+     "demo.md: bad or missing field 'predicates': None is not a list"),
 ])
 def test_parse_card_malformed(mutation, needle):
     with pytest.raises(RtlflowError) as exc:
@@ -177,15 +186,25 @@ def test_icl_prompt_contains_only_selected_cards(adder_fp, catalog):
 
 
 def test_icl_prompt_budget_truncates_snippets_only(adder_fp, catalog, monkeypatch):
-    rec = select_techniques(adder_fp, BASE_REPORT, OptimizationGoal("timing"), catalog)
-    full = build_icl_prompt(rec, baseline_artifact(), BASE_REPORT, catalog)
-    budget = sum(len(m.content) for m in full) - 50
-    monkeypatch.setattr(optimizer, "PROMPT_BUDGET", budget)
-    tight = build_icl_prompt(rec, baseline_artifact(), BASE_REPORT, catalog)
-    assert sum(len(m.content) for m in tight) <= budget
-    # baseline code and report survive untouched
-    assert "module adder_16bit" in tight[1].content
-    assert tight[1].content == full[1].content
+    # each goal's prompt cut by less and by more than a snippet's `Example:`
+    # fence; where the cut leaves no room for every snippet's head, it raises
+    for goal, cut, fits in [("power", 50, True), ("power", 200, False),
+                            ("timing", 50, True), ("timing", 200, True),
+                            ("area", 50, False), ("area", 200, False)]:
+        rec = select_techniques(adder_fp, BASE_REPORT, OptimizationGoal(goal), catalog)
+        monkeypatch.setattr(optimizer, "PROMPT_BUDGET", 24_000)
+        full = build_icl_prompt(rec, baseline_artifact(), BASE_REPORT, catalog)
+        budget = sum(len(m.content) for m in full) - cut
+        monkeypatch.setattr(optimizer, "PROMPT_BUDGET", budget)
+        if not fits:
+            with pytest.raises(RtlflowError, match=f"before snippets; budget {budget}$"):
+                build_icl_prompt(rec, baseline_artifact(), BASE_REPORT, catalog)
+            continue
+        tight = build_icl_prompt(rec, baseline_artifact(), BASE_REPORT, catalog)
+        assert sum(len(m.content) for m in tight) <= budget, (goal, cut)
+        # baseline code and report survive untouched, and every card keeps its example
+        assert tight[1].content == full[1].content
+        assert tight[0].content.count("Example:\n```verilog\n") == len(rec.techniques)
 
 
 def test_icl_prompt_over_budget(adder_fp, catalog, monkeypatch):
@@ -296,3 +315,44 @@ def test_optimize_tool_error_is_unrecoverable(tmp_path, catalog):
         )
     assert "BudgetExhausted" not in str(info.value)
     assert [(e["event"], e["revision"]) for e in read_events(tmp_path)] == [("outcome", 0)]
+
+
+FAILING = VerificationOutcome("FunctionalFail", failing_checks=["ERROR: x"])
+
+
+@pytest.mark.parametrize("backend_type, turns, outcomes, raised, end", [
+    pytest.param(ScriptedBackend, [("Optimizer", CLA_REPLY)], [VerificationOutcome("Pass")],
+                 None, {"final_status": "Pass", "iterations_used": 1, "revisions": [0]},
+                 id="pass"),
+    pytest.param(ScriptedBackend, [("Optimizer", CLA_REPLY), ("Evaluator", "1. still wrong"),
+                                   ("Programmer", FIX_REPLY)], [FAILING] * 2, RtlflowError,
+                 {"final_status": "BudgetExhausted", "iterations_used": 2, "revisions": [0, 1]},
+                 id="budget-exhausted"),
+    pytest.param(ScriptedBackend, [("Optimizer", CLA_REPLY)], [VerificationOutcome("ToolError")],
+                 RtlflowError,
+                 {"final_status": "ToolError", "iterations_used": 1, "revisions": [0]},
+                 id="tool-error"),
+    pytest.param(ScriptedBackend, [("Optimizer", "No code, sorry.")], [], UnparseableReply,
+                 {"final_status": "Error", "error_type": "UnparseableReply",
+                  "error": "reply contains no Verilog module"}, id="unparseable-optimizer-reply"),
+    pytest.param(EvaluatorDown, [("Optimizer", CLA_REPLY)], [FAILING], BackendUnavailable,
+                 {"final_status": "Error", "error_type": "BackendUnavailable",
+                  "error": "backend failed after 4 attempt(s): 503"}, id="backend-outage"),
+])
+def test_optimize_writes_its_status_at_every_end(tmp_path, catalog, adder_fp, backend_type, turns,
+                                                 outcomes, raised, end):
+    # a library call, as a caller other than the command line makes it
+    try:
+        optimize(
+            baseline_artifact(), BASE_REPORT, OptimizationGoal("timing"),
+            Gateway(backend_type(turns)), ScriptedToolchain(outcomes),
+            PipelineBudget(max_fix_iterations=1), VERILOG / "adder_16bit_tb.v", tmp_path, catalog,
+        )
+    except RtlflowError as exc:
+        assert type(exc) is raised
+    else:
+        assert raised is None
+    rec = select_techniques(adder_fp, BASE_REPORT, OptimizationGoal("timing"), catalog)
+    read_events(tmp_path)  # whose last record is the `end` record, equal to status.json
+    assert read_status(tmp_path) == {
+        "goal": "timing", "techniques": rec.techniques, "rationale": rec.rationale, **end}

@@ -2,10 +2,11 @@
 malformed or meant for another role, over any sequence of verify outcomes.
 
 Whatever the script, every case must end in a way its own workspace
-states: `status.json` agrees with the last `outcome` record that was not
-superseded, or is an `Error` naming the exception the case was charged
-with. No case may reach `bench._run_case`'s generic crash branch, and no
-helper thread or `events.jsonl` handle may outlive the suite.
+states: `events.jsonl` ends in an `end` record equal to `status.json`, which
+agrees with the last `outcome` record that was not superseded, or is an
+`Error` whose type and message are the reason the case was charged with.
+No case may reach `bench._run_case`'s generic crash branch, and no helper
+thread or `events.jsonl` handle may outlive the suite.
 
 Nor may thread timing change a run: the same suites, and `optimize` runs
 over the adder, give the same statuses, reasons and files when every
@@ -91,23 +92,25 @@ def scripts(draw) -> tuple[dict[str, list[str]], list[VerificationOutcome]]:
 
 
 def check_case(design: str, ws: Path, status: str, reason: str) -> None:
-    """The case's `status.json` states how it ended, as the suite recorded it."""
-    recorded = json.loads((ws / "status.json").read_text())
-    assert recorded["design"] == design
-    if recorded["final_status"] == "Error":
+    """The case's `events.jsonl` ends in an `end` record, equal to its
+    `status.json`, that states how it ended, as the suite recorded it."""
+    *records, end = [json.loads(line) for line in (ws / "events.jsonl").read_text().splitlines()]
+    assert end == {"event": "end", **json.loads((ws / "status.json").read_text())}
+    assert end["design"] == design
+    if end["final_status"] == "Error":
         assert status in ("Fail", "InfraError")
-        assert reason.endswith(f": {recorded['error']}"), (reason, recorded)
+        assert reason == f"{end['error_type']}: {end['error']}", (reason, end)
         return
-    outcomes = [e for e in read_events(ws) if e["event"] == "outcome" and not e.get("superseded")]
-    assert recorded["revisions"] == [e["revision"] for e in outcomes]
+    outcomes = [e for e in records if e["event"] == "outcome" and not e.get("superseded")]
+    assert end["revisions"] == [e["revision"] for e in outcomes]
     last = outcomes[-1]["kind"]
-    final = recorded["final_status"]
+    final = end["final_status"]
     if final == "BudgetExhausted":
         assert last in ("SyntaxFail", "FunctionalFail")
     else:
         assert final == last and final in ("Pass", "ToolError")
     expected = {"Pass": "Pass", "SyntaxFail": "SyntaxFail"}.get(last, "Fail")
-    assert status == ("Fail" if final == "ToolError" else expected), (status, recorded)
+    assert status == ("Fail" if final == "ToolError" else expected), (status, end)
 
 
 @settings(max_examples=40, deadline=None, database=None)

@@ -63,7 +63,6 @@ def run_workspaces(tmp_path):
         json.dumps([{"kind": "Pass", "diagnostics": [], "failing_checks": []}]))
     result = invoke("optimize", "--baseline", root / "pass", "--goal", "timing",
                     "--base-report", REPORTS / "adder_16bit_base.rpt",
-                    "--opt-report", REPORTS / "adder_16bit_opt_timing.rpt",
                     "--scripted", script)
     assert result.exit_code == 0, result.output
     return root
