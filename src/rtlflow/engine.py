@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterator, Optional, TextIO
 
 from .errors import UnparseableReply, read_input
-from .gateway import Gateway
+from .gateway import Gateway, RoleSession
 from .prompts import render_prompt
 from .toolchain import VerificationOutcome
 
@@ -280,6 +280,8 @@ def review_rtl(plan: ImplementationPlan, rtl: RtlArtifact, gateway: Gateway) -> 
         idx = int(m.group(1))
         if idx not in valid:
             raise UnparseableReply(f"review cites step {idx} outside the plan")
+        if idx in per_step:
+            raise UnparseableReply(f"review names step {idx} twice")
         status = "Implemented" if m.group(2).upper() == "IMPLEMENTED" else "Missing"
         per_step[idx] = StepReview(status, m.group(3).strip())
     if set(per_step) != valid:
@@ -313,10 +315,10 @@ def diagnose_failures(
     rtl: RtlArtifact,
     outcome: VerificationOutcome,
     testbench_text: str,
-    gateway: Gateway,
+    evaluator: RoleSession,
 ) -> FixDiagnosis:
     prompt = _evaluator_prompt(rtl, outcome, testbench_text)
-    return _parse_diagnosis(gateway.session("Evaluator").send(prompt))
+    return _parse_diagnosis(evaluator.send(prompt))
 
 
 def apply_fixes(rtl: RtlArtifact, diagnosis: FixDiagnosis, gateway: Gateway) -> RtlArtifact:
@@ -393,28 +395,37 @@ def loop_status(revisions: list[Revision], final: str) -> dict:
 _FINAL_KINDS = ("Pass", "ToolError")
 
 
+class _HeldWrites(list):
+    """A transcript that holds each write's arguments, so a role called on
+    the helper thread is written by the thread that owns the transcript."""
+
+    def write(self, *args) -> None:
+        self.append(args)
+
+
 def _settle(future, gateway: Gateway, events: TextIO, revision: int,
             superseded: bool = False) -> tuple[VerificationOutcome, Optional[FixDiagnosis]]:
     """End a verify on the calling thread, the one writer of its events: wait
-    for it, append its `outcome` event and, when the Evaluator was asked,
-    record the exchange and append a `diagnosis` event; with `superseded`,
-    both events say so. Returns the outcome and the diagnosis a fix follows,
-    or None, which ends the loop. The verify's exception is re-raised before
-    the outcome event, the Evaluator's after it."""
-    outcome, asked = future.result()
+    for it, append its `outcome` event, then the Evaluator's held exchange
+    to the transcript and, when `diagnose_failures` returned, a `diagnosis`
+    event; with `superseded`, both events say so, and a reply with no fixes
+    is recorded as `fixes: []`, since it is not used. Returns the outcome
+    and the diagnosis a fix follows, or None, which ends the loop. The
+    verify's exception is re-raised before the outcome event, the
+    Evaluator's after its exchange."""
+    outcome, diagnosis, held = future.result()
     mark = {"superseded": True} if superseded else {}
     _event(events, "outcome", revision=revision, **outcome.to_dict(), **mark)
-    if isinstance(asked, BaseException):
-        raise asked
-    if asked is None:
+    for write in held if gateway.transcript is not None else ():
+        gateway.transcript.write(*write)
+    if isinstance(diagnosis, BaseException) and not (superseded and held):
+        raise diagnosis
+    if diagnosis is None:
         return outcome, None
-    gateway.session("Evaluator").record(*asked)
-    # a superseded reply is parsed for the record only, so it may hold no fixes
-    diagnosis = None if superseded else _parse_diagnosis(asked[1])
-    fixes = parse_numbered_list(asked[1]) if superseded else diagnosis.fixes
+    fixes = diagnosis.fixes if isinstance(diagnosis, FixDiagnosis) else []
     _event(events, "diagnosis", revision=revision, **mark,
            fixes=[{"description": f} for f in fixes])
-    return outcome, diagnosis
+    return outcome, None if superseded else diagnosis
 
 
 def fix_loop(
@@ -433,8 +444,8 @@ def fix_loop(
     candidate passes, the toolchain errors, or `revision >= max_fix_iterations`.
 
     Each revision is verified on the run's one helper thread, a pooled
-    worker reused across revisions, which asks the Evaluator as soon as the
-    verify fails and a fix may follow; with a plan, the review runs
+    worker reused across revisions, which calls `diagnose_failures` as soon
+    as the verify fails and a fix may follow; with a plan, the review runs
     meanwhile. A review rewrite that changes the code, or a review that
     raises, gives the verify in flight up. Only the calling thread writes
     the transcript and `events`, where a sequential loop would, so neither
@@ -456,23 +467,24 @@ def fix_loop(
             """Write `rev_N.v` and submit its verify; returns its future."""
             rtl_path = workspace / f"rev_{rtl.revision}.v"
             rtl_path.write_text(rtl.verilog_text, encoding="utf-8")
+            held = _HeldWrites()
             # no fix follows the last revision, so nothing asks for its diagnosis
-            evaluator = (gateway.session("Evaluator")
+            evaluator = (RoleSession("Evaluator", gateway.backend, held)
                          if rtl.revision < budget.max_fix_iterations else None)
 
-            def verify_and_ask():
-                """Runs on the helper thread and writes nothing: the outcome
-                paired with the Evaluator's exchange, the exception its call
-                raised, or None when no call is made."""
+            def verify_and_diagnose():
+                """Runs on the helper thread and writes nothing: the outcome,
+                the diagnosis, the exception `diagnose_failures` raised or
+                None when it is not called, and the held transcript writes."""
                 outcome = toolchain.verify(rtl_path, tb_path, workspace / f"verify_{rtl.revision}")
                 if evaluator is None or outcome.kind in _FINAL_KINDS:
-                    return outcome, None
+                    return outcome, None, held
                 try:
-                    return outcome, evaluator.ask(_evaluator_prompt(rtl, outcome, tb_text))
+                    return outcome, diagnose_failures(rtl, outcome, tb_text, evaluator), held
                 except BaseException as exc:  # re-raised by `_settle` once the outcome is recorded
-                    return outcome, exc
+                    return outcome, exc, held
 
-            return helper.submit(verify_and_ask)
+            return helper.submit(verify_and_diagnose)
 
         revisions: list[Revision] = []
         while True:

@@ -217,9 +217,7 @@ class TranscriptWriter:
 @dataclass
 class RoleSession:
     """One role call: each send is one request carrying the optional system
-    message and the prompt text, and one transcript append. `ask` and
-    `record` are its two halves, so a call made on a helper thread can be
-    recorded by the thread that owns the transcript."""
+    message and the prompt text, and one transcript append."""
 
     role_name: str
     backend: object
@@ -231,20 +229,14 @@ class RoleSession:
             raise ValueError(f"unknown role: {self.role_name!r}")
 
     def send(self, prompt: str) -> str:
-        """The reply text to `prompt`, sent as the user message."""
-        request, reply = self.ask(prompt)
-        self.record(request, reply)
-        return reply
-
-    def ask(self, prompt: str) -> tuple[list[ChatMessage], str]:
-        """The request for `prompt` and the backend's reply text; writes nothing."""
+        """The reply text to `prompt`, sent as the user message. The request
+        and the reply are written to the transcript, when the session has
+        one, in one append."""
         request = [user(prompt)] if self.system is None else [self.system, user(prompt)]
-        return request, self.backend.complete(self.role_name, request)
-
-    def record(self, request: list[ChatMessage], reply: str) -> None:
-        """Append one exchange to the transcript, when the session has one."""
+        reply = self.backend.complete(self.role_name, request)
         if self.transcript is not None:
             self.transcript.write(self.role_name, *request, ChatMessage("assistant", reply))
+        return reply
 
 
 class Gateway:

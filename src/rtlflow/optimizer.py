@@ -313,8 +313,12 @@ def build_icl_prompt(
             raise RtlflowError(
                 f"prompt needs {overhead} chars before snippets; budget {PROMPT_BUDGET}"
             )
-        per_card = room // len(cards)
-        snippets = [s[:per_card] for s in snippets]
+        # shortest first: each takes an even share of the room left, so what
+        # a short snippet does not use goes to the longer ones
+        order = sorted(range(len(snippets)), key=lambda i: len(snippets[i]))
+        for k, i in enumerate(order):
+            snippets[i] = snippets[i][:room // (len(order) - k)]
+            room -= len(snippets[i])
     return [system(assemble(snippets)), user(user_text)]
 
 

@@ -93,6 +93,11 @@ class VerificationOutcome:
         )
 
 
+def _unlocated(message: str, raw: str, severity: str = "Error") -> DiagnosticRecord:
+    """A diagnostic that names no file and no line."""
+    return DiagnosticRecord(file="", line=None, severity=severity, message=message, raw=raw)
+
+
 def parse_diagnostics(stderr: str) -> list[DiagnosticRecord]:
     """Extract file:line:severity records; unmatched error-ish lines are
     preserved whole in raw."""
@@ -103,24 +108,19 @@ def parse_diagnostics(stderr: str) -> list[DiagnosticRecord]:
             continue
         m = _DIAG_RE.match(line)
         if m:
-            sev = (m.group("sev") or "error").capitalize()
             records.append(
                 DiagnosticRecord(
                     file=m.group("file"),
                     line=int(m.group("line")),
-                    severity=sev if sev in ("Error", "Warning") else "Error",
+                    severity=(m.group("sev") or "error").capitalize(),
                     message=m.group("msg").strip(),
                     raw=raw,
                 )
             )
         elif _ERROR_WORD_RE.search(line):
-            records.append(
-                DiagnosticRecord(file="", line=None, severity="Error", message=line, raw=raw)
-            )
+            records.append(_unlocated(line, raw))
         elif _WARNING_WORD_RE.search(line):
-            records.append(
-                DiagnosticRecord(file="", line=None, severity="Warning", message=line, raw=raw)
-            )
+            records.append(_unlocated(line, raw, "Warning"))
     return records
 
 
@@ -133,40 +133,22 @@ def classify(
     """Total classification of recorded invocations into an outcome."""
     if compile_inv.exit_code != 0:
         diags = parse_diagnostics(compile_inv.stderr) or [
-            DiagnosticRecord(
-                file="",
-                line=None,
-                severity="Error",
-                message=f"compile failed with exit code {compile_inv.exit_code}",
-                raw=compile_inv.stderr or f"exit {compile_inv.exit_code}",
-            )
+            _unlocated(f"compile failed with exit code {compile_inv.exit_code}",
+                       compile_inv.stderr or f"exit {compile_inv.exit_code}")
         ]
         return VerificationOutcome("SyntaxFail", diagnostics=diags)
 
     if sim_inv is None:
-        return VerificationOutcome(
-            "ToolError",
-            diagnostics=[
-                DiagnosticRecord(
-                    file="", line=None, severity="Error",
-                    message="compile succeeded but no simulation was recorded",
-                    raw="<missing simulation>",
-                )
-            ],
-        )
+        return VerificationOutcome("ToolError", diagnostics=[
+            _unlocated("compile succeeded but no simulation was recorded", "<missing simulation>")
+        ])
 
     if sim_inv.timed_out or sim_inv.exit_code < 0:
-        return VerificationOutcome(
-            "ToolError",
-            diagnostics=[
-                DiagnosticRecord(
-                    file="", line=None, severity="Error",
-                    message="simulation timed out" if sim_inv.timed_out
-                    else f"simulator killed (exit {sim_inv.exit_code})",
-                    raw=sim_inv.stderr or "<no stderr>",
-                )
-            ],
-        )
+        return VerificationOutcome("ToolError", diagnostics=[
+            _unlocated("simulation timed out" if sim_inv.timed_out
+                       else f"simulator killed (exit {sim_inv.exit_code})",
+                       sim_inv.stderr or "<no stderr>")
+        ])
 
     text = sim_inv.stdout
     fails = re.compile(fail_pattern).search

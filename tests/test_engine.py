@@ -257,6 +257,14 @@ def test_review_must_cover_every_step():
         review_rtl(four_step_plan(), RtlArtifact(CODE_REPLY), gateway_for("Reviewer", reply))
 
 
+def test_review_must_name_each_step_once():
+    # a later line for a step must not override an earlier one
+    reply = "STEP 1: IMPLEMENTED - x\nSTEP 2: MISSING - y\nSTEP 2: IMPLEMENTED - z"
+    with pytest.raises(UnparseableReply, match="^review names step 2 twice$"):
+        review_rtl(ImplementationPlan(["a", "b"]), RtlArtifact(CODE_REPLY),
+                   gateway_for("Reviewer", reply))
+
+
 def test_review_complete_flag_is_recomputed():
     # a reply claiming completeness in prose but marking a step MISSING
     reply = (

@@ -207,6 +207,20 @@ def test_icl_prompt_budget_truncates_snippets_only(adder_fp, catalog, monkeypatc
         assert tight[0].content.count("Example:\n```verilog\n") == len(rec.techniques)
 
 
+def test_icl_prompt_budget_hands_unused_room_on(adder_fp, catalog, monkeypatch):
+    # operand_isolation's 164 characters leave 18 of an even 182 unused, and
+    # clock_gating (251) takes them, so the prompt fills the budget exactly
+    rec = select_techniques(adder_fp, BASE_REPORT, OptimizationGoal("power"), catalog)
+    assert rec.techniques == ["operand_isolation", "clock_gating"]
+    monkeypatch.setattr(optimizer, "PROMPT_BUDGET", 3991)
+    tight = build_icl_prompt(rec, baseline_artifact(), BASE_REPORT, catalog)
+    assert sum(len(m.content) for m in tight) == 3991
+    short, long = (catalog[cid].example_snippet for cid in rec.techniques)
+    assert (len(short), len(long)) == (164, 251)
+    assert f"```verilog\n{short}\n```" in tight[0].content
+    assert f"```verilog\n{long[:201]}\n```" in tight[0].content
+
+
 def test_icl_prompt_over_budget(adder_fp, catalog, monkeypatch):
     rec = select_techniques(adder_fp, BASE_REPORT, OptimizationGoal("timing"), catalog)
     monkeypatch.setattr(optimizer, "PROMPT_BUDGET", 500)

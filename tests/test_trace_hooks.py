@@ -46,10 +46,11 @@ print(json.dumps(Counter(span.name for span in tracer.spans)))
 
 # spans per wrapped name; the names with none are never called by these runs
 SPANS = {
-    "gateway.send": 16,
+    "gateway.send": 21,
     "engine.make_plan": 2,
     "engine.write_rtl": 2,
     "engine.review_rtl": 6,
+    "engine.diagnose_failures": 5,
     "engine.apply_fixes": 5,
     "engine.parse_numbered_list": 7,
     "engine.extract_verilog": 8,
