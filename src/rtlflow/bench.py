@@ -21,6 +21,7 @@ from .metrics import (
     parse_report,
     render_pct,
 )
+from .optimizer import GOALS
 from .yamlload import safe_load
 
 log = logging.getLogger(__name__)
@@ -47,10 +48,10 @@ def load_manifest(path: str | Path) -> list[BenchCase]:
     """Manifest is a single YAML file; relative paths resolve against it.
     A BadInput (a ValueError) names the manifest when it is not valid YAML,
     lists no cases, or has a case that is not a mapping with a `spec` entry,
-    `optimized_reports` that are not a mapping, a path that is not a string,
-    an empty `testbench` or a design name another case has (their
-    workspaces would collide); it names the spec file when that is missing
-    or bad."""
+    `optimized_reports` that are not a mapping keyed by goals, a path that
+    is not a string, an empty `testbench` or a design name another case has
+    (their workspaces would collide); it names the spec file when that is
+    missing or bad."""
     base = Path(path).parent
 
     def resolve(p: str) -> str:
@@ -79,6 +80,9 @@ def load_manifest(path: str | Path) -> list[BenchCase]:
             optimized = entry.get("optimized_reports") or {}
             if not isinstance(optimized, dict):
                 raise ValueError(f"optimized_reports must be a mapping, got {optimized!r}")
+            for goal in optimized:
+                if goal not in GOALS:
+                    raise ValueError(f"optimized_reports key {goal!r} is not one of {GOALS}")
             cases.append(
                 BenchCase(
                     spec=spec,

@@ -15,7 +15,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, asdict
 from functools import cache
 from pathlib import Path
-from typing import Iterator, Optional, TextIO
+from typing import Iterable, Iterator, Optional, TextIO
 
 from .errors import UnparseableReply, read_input
 from .gateway import Gateway, RoleSession
@@ -54,6 +54,9 @@ class DesignSpec:
         if not self.ports:
             raise ValueError("spec needs at least one port")
         names = [p.name for p in self.ports]
+        for what, ident in [("module_name", self.module_name), *(("port name", n) for n in names)]:
+            if not (isinstance(ident, str) and re.fullmatch(r"[A-Za-z_][A-Za-z0-9_$]*", ident)):
+                raise ValueError(f"{what} {ident!r} is not a Verilog identifier")
         if len(names) != len(set(names)):
             raise ValueError("port names must be unique")
         for p in self.ports:
@@ -213,16 +216,21 @@ def extract_tags(verilog: str, kind: str) -> set[int]:
     return {int(m.group(1)) for line in verilog.splitlines() if (m := tag_re.search(line))}
 
 
-def artifact_from_reply(text: str, revision: int) -> RtlArtifact:
-    """The one path from an LLM reply to an artifact: its Verilog plus the
-    STEP and FIX tags found in it."""
+def artifact_from_reply(text: str, revision: int, steps: Iterable[int] = (),
+                        fixes: int = 0) -> RtlArtifact:
+    """The one path from an LLM reply to an artifact, and the one place an
+    artifact gets its notes: its Verilog, the STEP and FIX tags found in it,
+    a `MissingStepTags: [k, ...]` note for the indices in `steps` it has no
+    STEP tag for, and a `MissingFixTags: [k, ...]` note for the fixes
+    1..`fixes` it has no FIX tag for; each note is logged."""
     code = extract_verilog(text)
-    return RtlArtifact(
-        verilog_text=code,
-        step_tags=extract_tags(code, "STEP"),
-        fix_tags=extract_tags(code, "FIX"),
-        revision=revision,
-    )
+    artifact = RtlArtifact(code, extract_tags(code, "STEP"), extract_tags(code, "FIX"), revision)
+    for kind, asked, found in (("Step", set(steps), artifact.step_tags),
+                               ("Fix", set(range(1, fixes + 1)), artifact.fix_tags)):
+        if asked - found:
+            artifact.notes.append(f"Missing{kind}Tags: {sorted(asked - found)}")
+            log.warning("%s", artifact.notes[-1])
+    return artifact
 
 
 _REVIEW_RE = re.compile(
@@ -247,16 +255,6 @@ def make_plan(spec: DesignSpec, gateway: Gateway) -> ImplementationPlan:
     return ImplementationPlan(items)
 
 
-def _note_missing_steps(plan: ImplementationPlan, artifact: RtlArtifact) -> RtlArtifact:
-    """Note the plan steps the artifact carries no STEP tag for."""
-    missing = set(plan.indices) - artifact.step_tags
-    if missing:
-        note = f"MissingStepTags: {sorted(missing)}"
-        artifact.notes.append(note)
-        log.warning("%s", note)
-    return artifact
-
-
 def write_rtl(plan: ImplementationPlan, spec: DesignSpec, gateway: Gateway) -> RtlArtifact:
     prompt = render_prompt(
         "programmer",
@@ -265,7 +263,7 @@ def write_rtl(plan: ImplementationPlan, spec: DesignSpec, gateway: Gateway) -> R
         plan=plan.as_text(),
     )
     reply = gateway.session("Programmer").send(prompt)
-    return _note_missing_steps(plan, artifact_from_reply(reply, 0))
+    return artifact_from_reply(reply, 0, plan.indices)
 
 
 def review_rtl(plan: ImplementationPlan, rtl: RtlArtifact, gateway: Gateway) -> ReviewVerdict:
@@ -323,14 +321,9 @@ def diagnose_failures(
 
 def apply_fixes(rtl: RtlArtifact, diagnosis: FixDiagnosis, gateway: Gateway) -> RtlArtifact:
     prompt = render_prompt("fixer", code=rtl.verilog_text, fixes=diagnosis.as_text())
-    fixed = artifact_from_reply(gateway.session("Programmer").send(prompt), rtl.revision + 1)
-    if len(fixed.fix_tags) < len(diagnosis.fixes):
-        fixed.notes.append(
-            f"MissingFixTags: got {sorted(fixed.fix_tags)}, expected {len(diagnosis.fixes)}"
-        )
-    if len(fixed.step_tags) < len(rtl.step_tags):
-        fixed.notes.append("MissingStepTags: rewrite dropped step tags")
-    return fixed
+    reply = gateway.session("Programmer").send(prompt)
+    # the fixer keeps every STEP tag, so the old revision's tags are asked for
+    return artifact_from_reply(reply, rtl.revision + 1, rtl.step_tags, len(diagnosis.fixes))
 
 
 # --- pipeline ---
@@ -504,7 +497,7 @@ def fix_loop(
                     prompt = render_prompt("reprogrammer", code=rtl.verilog_text,
                                            missing=missing, plan=plan.as_text())
                     reply = gateway.session("Programmer").send(prompt)
-                    rewrite = _note_missing_steps(plan, artifact_from_reply(reply, rtl.revision))
+                    rewrite = artifact_from_reply(reply, rtl.revision, plan.indices)
                     if rewrite.verilog_text != rtl.verilog_text:  # an identical one keeps it
                         given_up, verify = verify, None  # given up once, even if this raises
                         _settle(given_up, gateway, events, rtl.revision, superseded=True)

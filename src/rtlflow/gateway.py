@@ -154,8 +154,8 @@ class ScriptedBackend:
         for role_name, reply in turns:
             if role_name not in ROLE_NAMES:
                 raise ValueError(f"unknown role in script: {role_name!r}")
-            if not reply:
-                raise ValueError("scripted reply must be non-empty")
+            if not (isinstance(reply, str) and reply):
+                raise ValueError(f"scripted reply must be a non-empty string, got {reply!r}")
         self.turns = list(turns)
         self.cursor = 0
         self._replies: dict[str, deque[str]] = {}

@@ -144,6 +144,8 @@ def _parse_card(text: str, origin: str) -> TechniqueCard:
         )
     except KeyError as exc:
         raise RtlflowError(f"{origin}: bad or missing field {exc}") from exc
+    if not isinstance(card.id, str):  # load_catalog sorts the ids
+        raise RtlflowError(f"{origin}: id must be a string, got {card.id!r}")
     if card.goal not in GOALS:
         raise RtlflowError(f"{origin}: unknown goal {card.goal!r}")
     if not card.applicability:

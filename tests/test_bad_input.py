@@ -189,6 +189,24 @@ def test_unknown_outcome_kind_is_named_before_the_run(inputs, llm_calls):
     assert llm_calls == []
 
 
+@pytest.mark.parametrize("command", ["generate", "bench"])
+def test_non_string_scripted_reply_is_named_before_the_run(inputs, llm_calls, command):
+    # a bad replay is a usage error in generate and costs bench the case's set-up
+    turns = inputs / "scripted" / "turns.json"
+    turns.write_text('[{"role": "Planner", "reply": 5}]')
+    result = run(command, inputs)
+    named = f"{turns}: scripted reply must be a non-empty string, got 5"
+    if command == "generate":
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit) and named in result.output
+    else:
+        assert result.exit_code == 0, result.output
+        status = json.loads((inputs / "out" / "status.json").read_text())
+        assert status["per_case"] == {"signal_generator": "InfraError"}
+        assert named in status["failure_reasons"]["signal_generator"]
+    assert llm_calls == []
+
+
 def _planner_without_steps(root: Path, args: list[str]) -> str:
     turns = root / "scripted" / "turns.json"
     script = json.loads(turns.read_text())

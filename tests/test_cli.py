@@ -124,13 +124,18 @@ def test_generate_writes_utf8_under_ascii_locale(tmp_path):
 def test_generate_bad_spec(tmp_path, runner):
     bad = tmp_path / "spec.json"
     spec = json.loads((FIXTURES / "signal_generator_spec.json").read_text())
+    tb = VERILOG / "signal_generator_tb.v"
     for body in ("{not json", "[1]", json.dumps(dict(spec, testbench_path=5)),
                  json.dumps(dict(spec, name=5)), json.dumps(dict(spec, testbench_path="")),
+                 # with a testbench that exists, so only the module name is bad
+                 *(json.dumps(dict(spec, module_name=name, testbench_path=str(tb)))
+                   for name in ("", "2x", "m-1", 5)),
                  *(json.dumps(dict(spec, name=name))
                    for name in ("", ".", "..", "../escape", "a/b", "/abs"))):
         bad.write_text(body)
         result = runner.invoke(main, [
             "generate", "--spec", str(bad), "--workspace", str(tmp_path / "ws"),
+            "--scripted", str(SCRIPTED / "signal_generator"),
         ])
         assert result.exit_code == 2, (body, result.output)
         assert "bad spec" in result.output
@@ -144,6 +149,12 @@ BAD_PORTS = [
     pytest.param(["clk"], "bad port 'clk'", id="not-a-mapping"),
     pytest.param({"clk": CLK}, "ports must be a list", id="ports-not-a-list"),
     pytest.param([dict(CLK, width="8")], "port clk needs an integer width", id="string-width"),
+    pytest.param([dict(CLK, name="")], "port name '' is not a Verilog identifier",
+                 id="empty-name"),
+    pytest.param([dict(CLK, name=["a"])], "port name ['a'] is not a Verilog identifier",
+                 id="list-name"),
+    pytest.param([dict(CLK, name="data out")], "port name 'data out' is not a Verilog identifier",
+                 id="name-with-space"),
 ]
 
 
@@ -336,6 +347,12 @@ def duplicate_id(cards):
     return cards
 
 
+def int_id(cards):
+    card = cards / "operand_isolation.md"
+    card.write_text(card.read_text().replace("id: operand_isolation", "id: 5"))
+    return card
+
+
 def missing_required(cards):
     (cards / "clock_gating.md").unlink()
     return cards
@@ -344,6 +361,7 @@ def missing_required(cards):
 @pytest.mark.parametrize("fault, needle", [
     pytest.param(no_front_matter, "missing front-matter", id="no-front-matter"),
     pytest.param(duplicate_id, "two cards have id 'clock_gating'", id="duplicate-id"),
+    pytest.param(int_id, "id must be a string, got 5", id="int-id"),
     pytest.param(missing_required, "no power card covers ['clock_gating']",
                  id="missing-required-technique"),
 ])
@@ -686,6 +704,9 @@ def test_bench_workers_below_one_is_usage_error(tmp_path, runner, workers):
     pytest.param("cases:\n  - spec: a.json\n    optimized_reports: [x]\n",
                  "suite.yaml: optimized_reports must be a mapping, got ['x']",
                  id="optimized-reports-not-a-mapping"),
+    pytest.param("cases:\n  - spec: a.json\n    optimized_reports: {1: a.rpt, timing: b.rpt}\n",
+                 "suite.yaml: optimized_reports key 1 is not one of ('power', 'timing', 'area')",
+                 id="optimized-reports-key-not-a-goal"),
 ])
 def test_bench_bad_manifest_is_usage_error(tmp_path, runner, body, needle):
     for name in ("a.json", "b.json"):

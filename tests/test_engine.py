@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 import random
 import re
 import threading
@@ -329,8 +330,24 @@ def test_apply_fixes_notes_missing_fix_and_step_tags():
     diagnosis = FixDiagnosis(fixes=["f1", "f2"])
     untagged = CODE_REPLY.replace("// STEP 4: output\n        ", "")
     fixed = apply_fixes(base, diagnosis, gateway_for("Programmer", untagged))
-    assert fixed.notes == ["MissingFixTags: got [], expected 2",
-                           "MissingStepTags: rewrite dropped step tags"]
+    assert fixed.notes == ["MissingStepTags: [4]", "MissingFixTags: [1, 2]"]
+
+
+def test_apply_fixes_notes_tags_by_index_not_count():
+    # as many FIX and STEP tags as asked for, but FIX 3 for FIX 2 and STEP 5 for STEP 4
+    base = RtlArtifact("module toy; endmodule", step_tags={1, 2, 3, 4}, revision=0)
+    swapped = FIXED_REPLY.replace("// FIX 2: width\n        ", "").replace("STEP 4:", "STEP 5:")
+    fixed = apply_fixes(base, FixDiagnosis(fixes=["f1", "f2"]), gateway_for("Programmer", swapped))
+    assert (fixed.step_tags, fixed.fix_tags) == ({1, 2, 3, 5}, {1, 3})
+    assert fixed.notes == ["MissingStepTags: [4]", "MissingFixTags: [2]"]
+
+
+def test_artifact_from_reply_notes_only_the_tags_asked_for(caplog):
+    assert engine.artifact_from_reply(CODE_REPLY.replace("STEP 4", "step"), 0).notes == []
+    with caplog.at_level(logging.WARNING, logger="rtlflow.engine"):
+        artifact = engine.artifact_from_reply(FIXED_REPLY, 2, steps=[1, 4, 6], fixes=5)
+    assert artifact.notes == ["MissingStepTags: [6]", "MissingFixTags: [4, 5]"]
+    assert [r.getMessage() for r in caplog.records] == artifact.notes
 
 
 # --- full pipeline ---

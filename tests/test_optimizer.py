@@ -67,6 +67,7 @@ def test_parse_card_ok():
     (lambda t: t.replace("id: demo_card\n", ""), "missing field"),
     (lambda t: t.replace("aliases: []", "aliases: 5"), "bad or missing field"),
     (lambda t: t.replace("goal: power", "goal: speed"), "unknown goal"),
+    (lambda t: t.replace("id: demo_card", "id: 5"), "demo.md: id must be a string, got 5"),
     (lambda t: t.replace("Gate idle registers to cut switching power.\n", ""), "summary"),
     (lambda t: t.replace("register_bits > 0", "2 < cp_length"),
      "demo.md: unparseable predicate: '2 < cp_length'"),
