@@ -1,8 +1,8 @@
 """Token-level structural analysis of a Verilog module.
 
 Produces the design facts that drive technique selection: combinational vs
-sequential, always-block census, reset style, FSM presence, operator and
-register counts, instance replication, carry chains and pipeline depth.
+sequential, always-block census, FSM presence, operator and register
+counts, instance replication, carry chains and pipeline depth.
 Heuristics over a defined Verilog subset, not a full IEEE-1364 parser.
 """
 
@@ -28,9 +28,7 @@ class DesignFingerprint:
     is_combinational: bool
     clocked_always: int
     comb_always: int
-    reset_style: str  # Async | Sync | None
     fsm_detected: bool
-    fsm_state_register: str
     operator_census: dict[str, int]
     register_bits: int
     instance_groups: dict[str, int]
@@ -62,8 +60,6 @@ def strip_comments(text: str) -> str:
 
 
 _ALWAYS_RE = re.compile(r"\balways\b\s*@\s*\(([^)]*)\)")
-_RESET_NAME_RE = re.compile(r"\b(rst|reset|a?rst_?n?|clear)\w*\b", re.IGNORECASE)
-_CLK_NAME_RE = re.compile(r"\b(clk|clock)\w*\b", re.IGNORECASE)
 _RANGE_RE = re.compile(r"\[\s*(\d+)\s*:\s*(\d+)\s*\]")
 _REG_DECL_RE = re.compile(
     r"\breg\b(?:\s+signed)?\s*(\[\s*\d+\s*:\s*\d+\s*\])?\s*([^;]+);"
@@ -225,30 +221,16 @@ def fingerprint(verilog_text: str) -> DesignFingerprint:
     blocks = _always_blocks(body)
     clocked = [(s, b) for s, b in blocks if re.search(r"\b(pos|neg)edge\b", s)]
 
-    # reset style: edge on a reset-named signal -> async; reset-named signal
-    # tested inside a clocked block -> sync
-    reset_style = "None"
-    for sens, blk in clocked:
-        edge_terms = re.findall(r"\b(?:pos|neg)edge\s+([A-Za-z_]\w*)", sens)
-        if any(_RESET_NAME_RE.fullmatch(t) and not _CLK_NAME_RE.fullmatch(t) for t in edge_terms):
-            reset_style = "Async"
-            break
-        if _RESET_NAME_RE.search(blk):
-            reset_style = "Sync"
-
     is_combinational = not clocked
     register_bits = 0 if is_combinational else _reg_bits(body)
 
     # FSM: a case switching on a register that is also assigned from the arms
     fsm_detected = False
-    fsm_reg = ""
     for m in _CASE_RE.finditer(body):
-        subject = m.group(1)
         case_end = body.find("endcase", m.end())
         arm_text = body[m.end(): case_end if case_end >= 0 else len(body)]
-        if re.search(rf"\b{re.escape(subject)}\b\s*(?:\[[^\]]*\])?\s*<?=", arm_text):
+        if re.search(rf"\b{re.escape(m[1])}\b\s*(?:\[[^\]]*\])?\s*<?=", arm_text):
             fsm_detected = True
-            fsm_reg = subject
             break
 
     groups = _instances(body)
@@ -269,9 +251,7 @@ def fingerprint(verilog_text: str) -> DesignFingerprint:
         is_combinational=is_combinational,
         clocked_always=len(clocked),
         comb_always=len(blocks) - len(clocked),
-        reset_style=reset_style,
         fsm_detected=fsm_detected,
-        fsm_state_register=fsm_reg,
         operator_census=census,
         register_bits=register_bits,
         instance_groups=instance_groups,

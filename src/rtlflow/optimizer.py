@@ -1,8 +1,9 @@
 """Technique knowledge base, goal-directed selection and ICL optimization.
 
 Cards live as markdown files with YAML front-matter; applicability is a
-small declarative predicate language over fingerprint fields and report
-thresholds, so the selection logic stays data, auditable and editable.
+small declarative predicate language over a closed vocabulary of design
+facts and report metrics, so the selection logic stays data, auditable and
+editable.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .engine import (PipelineBudget, RtlArtifact, artifact_from_reply, fix_loop,
 from .engine import apply_fixes, diagnose_failures, extract_tags, extract_verilog  # noqa: F401
 from .errors import RtlflowError, read_input
 from .gateway import ChatMessage, Gateway, system, user
-from .inspect_rtl import DesignFingerprint, fingerprint
-from .metrics import PpaMetrics, emit_canonical
+from .inspect_rtl import _OPERATORS, DesignFingerprint, fingerprint
+from .metrics import ALL_FIELDS, PpaMetrics, emit_canonical
 from .prompts import render_prompt
 from .toolchain import VerificationOutcome
 from .yamlload import safe_load
@@ -108,6 +109,24 @@ _SNIPPET_RE = re.compile(r"```(?:verilog)?\n(.*?)```", re.DOTALL)
 _PRED_RE = re.compile(
     r"^\s*(not\s+)?([a-z_]\w*)\s*(?:(>=|<=|>|<|==)\s*(-?(?:\d+(?:\.\d*)?|\.\d+)))?\s*$"
 )
+_CARD_KEYS = {"id", "goal", "predicates", "boost", "aliases", "caveats"}
+
+# the design facts a predicate may name, each read from the fingerprint: the
+# signals the bundled cards read and the count of each census operator
+_SIGNALS = {
+    "is_combinational": lambda fp: fp.is_combinational,
+    "clocked_always": lambda fp: fp.clocked_always,
+    "fsm_detected": lambda fp: fp.fsm_detected,
+    "register_bits": lambda fp: fp.register_bits,
+    "carry_chain_detected": lambda fp: fp.carry_chain_detected,
+    "pipeline_stages": lambda fp: fp.pipeline_stages,
+    "max_instance_count": lambda fp: max(fp.instance_groups.values(), default=0),
+    "total_instances": lambda fp: sum(fp.instance_groups.values()),
+    **{f"{op}_ops": lambda fp, op=op: fp.operator_census.get(op, 0)
+       for _, op in _OPERATORS if op},
+}
+# every name a card's predicate or boost may read
+VOCABULARY = frozenset(_SIGNALS) | frozenset(ALL_FIELDS)
 
 
 def _parse_card(text: str, origin: str) -> TechniqueCard:
@@ -120,6 +139,9 @@ def _parse_card(text: str, origin: str) -> TechniqueCard:
         raise RtlflowError(f"{origin}: bad front-matter: {exc}") from exc
     if not isinstance(meta, dict):
         raise RtlflowError(f"{origin}: front-matter is not a mapping")
+    for key in meta:
+        if key not in _CARD_KEYS:
+            raise RtlflowError(f"{origin}: unknown field {key!r}")
     body = m.group(2)
     sm = _SNIPPET_RE.search(body)
     if not sm or not sm.group(1).strip():
@@ -151,8 +173,11 @@ def _parse_card(text: str, origin: str) -> TechniqueCard:
     if not card.applicability:
         raise RtlflowError(f"{origin}: needs at least one predicate")
     for pred in card.applicability + card.boosts:
-        if not (isinstance(pred, str) and _PRED_RE.match(pred)):
+        m = isinstance(pred, str) and _PRED_RE.match(pred)
+        if not m:
             raise RtlflowError(f"{origin}: unparseable predicate: {pred!r}")
+        if m.group(2) not in VOCABULARY:
+            raise RtlflowError(f"{origin}: unknown name {m.group(2)!r} in predicate {pred!r}")
     return card
 
 
@@ -186,27 +211,14 @@ def for_goal(catalog: dict[str, TechniqueCard], goal: str) -> list[TechniqueCard
 # --- predicate evaluation ---
 
 def _context(fp: DesignFingerprint, report: PpaMetrics) -> dict:
-    ctx: dict[str, float | bool] = {
-        "is_combinational": fp.is_combinational,
-        "clocked_always": fp.clocked_always,
-        "comb_always": fp.comb_always,
-        "async_reset": fp.reset_style == "Async",
-        "sync_reset": fp.reset_style == "Sync",
-        "fsm_detected": fp.fsm_detected,
-        "register_bits": fp.register_bits,
-        "carry_chain_detected": fp.carry_chain_detected,
-        "pipeline_stages": fp.pipeline_stages,
-        "max_instance_count": max(fp.instance_groups.values(), default=0),
-        "total_instances": sum(fp.instance_groups.values()),
-    }
-    for op, count in fp.operator_census.items():
-        ctx[f"{op}_ops"] = count
+    """The value of each VOCABULARY name for one design and its report."""
+    ctx = {name: read(fp) for name, read in _SIGNALS.items()}
     ctx.update(report.to_dict())  # a metric the report lacks is None, which reads as False
     return ctx
 
 
 def eval_predicate(pred: str, ctx: dict) -> bool:
-    """Evaluate one predicate string; unknown or absent names are False."""
+    """Evaluate one predicate string; a name absent or None in `ctx` is False."""
     m = _PRED_RE.match(pred)
     if not m:
         raise RtlflowError(f"unparseable predicate: {pred!r}")

@@ -76,6 +76,13 @@ class VerificationOutcome:
     def __post_init__(self):
         if self.kind not in ("Pass", "SyntaxFail", "FunctionalFail", "ToolError"):
             raise ValueError(f"unknown outcome kind {self.kind!r}")
+        if not (isinstance(self.failing_checks, list)
+                and all(isinstance(c, str) for c in self.failing_checks)):
+            raise ValueError(f"failing_checks must be a list of strings, got {self.failing_checks!r}")
+        for d in self.diagnostics:
+            if not (isinstance(d.line, (int, type(None)))
+                    and all(isinstance(v, str) for v in (d.file, d.severity, d.message, d.raw))):
+                raise ValueError(f"diagnostic has a field of the wrong type: {d.to_dict()}")
 
     def to_dict(self) -> dict:
         return {
@@ -89,7 +96,7 @@ class VerificationOutcome:
         return cls(
             kind=d["kind"],
             diagnostics=[DiagnosticRecord(**r) for r in d.get("diagnostics", [])],
-            failing_checks=list(d.get("failing_checks", [])),
+            failing_checks=d.get("failing_checks", []),
         )
 
 

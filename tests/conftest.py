@@ -1,5 +1,7 @@
+import ipaddress
 import json
 import random
+import socket
 import threading
 import time
 from pathlib import Path
@@ -26,6 +28,42 @@ def no_thread_left():
     yield
     left = [t for t in threading.enumerate() if t not in before]
     assert left == [], f"threads left alive: {left}"
+
+
+def _loopback(host) -> bool:
+    try:
+        return host in (None, "localhost") or ipaddress.ip_address(host).is_loopback
+    except ValueError:
+        return False
+
+
+@pytest.fixture(autouse=True)
+def no_network(monkeypatch):
+    """Make a name lookup or a connect beyond loopback raise at once, so a
+    test whose input check regresses into a real backend call fails instead
+    of reaching the network. RuntimeError is not an OSError, so no retry
+    loop takes it for a transient failure."""
+    connect, connect_ex, getaddrinfo = (socket.socket.connect, socket.socket.connect_ex,
+                                        socket.getaddrinfo)
+
+    def guard(host):
+        if not _loopback(host):
+            raise RuntimeError(f"tests may not reach the network: {host!r}")
+
+    def guarded(real):
+        def call(sock, address):
+            if sock.family in (socket.AF_INET, socket.AF_INET6):
+                guard(address[0])
+            return real(sock, address)
+        return call
+
+    def guarded_getaddrinfo(host, *args, **kwargs):
+        guard(host)
+        return getaddrinfo(host, *args, **kwargs)
+
+    monkeypatch.setattr(socket.socket, "connect", guarded(connect))
+    monkeypatch.setattr(socket.socket, "connect_ex", guarded(connect_ex))
+    monkeypatch.setattr(socket, "getaddrinfo", guarded_getaddrinfo)
 
 
 @pytest.fixture

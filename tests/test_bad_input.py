@@ -189,21 +189,43 @@ def test_unknown_outcome_kind_is_named_before_the_run(inputs, llm_calls):
     assert llm_calls == []
 
 
-@pytest.mark.parametrize("command", ["generate", "bench"])
-def test_non_string_scripted_reply_is_named_before_the_run(inputs, llm_calls, command):
-    # a bad replay is a usage error in generate and costs bench the case's set-up
-    turns = inputs / "scripted" / "turns.json"
-    turns.write_text('[{"role": "Planner", "reply": 5}]')
-    result = run(command, inputs)
-    named = f"{turns}: scripted reply must be a non-empty string, got 5"
+def _check_bad_replay(root: Path, command: str, named: str) -> None:
+    """A bad replay is a usage error in generate and costs bench the case's set-up."""
+    result = run(command, root)
     if command == "generate":
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit) and named in result.output
     else:
         assert result.exit_code == 0, result.output
-        status = json.loads((inputs / "out" / "status.json").read_text())
+        status = json.loads((root / "out" / "status.json").read_text())
         assert status["per_case"] == {"signal_generator": "InfraError"}
         assert named in status["failure_reasons"]["signal_generator"]
+
+
+@pytest.mark.parametrize("command", ["generate", "bench"])
+def test_non_string_scripted_reply_is_named_before_the_run(inputs, llm_calls, command):
+    turns = inputs / "scripted" / "turns.json"
+    turns.write_text('[{"role": "Planner", "reply": 5}]')
+    _check_bad_replay(inputs, command, f"{turns}: scripted reply must be a non-empty string, got 5")
+    assert llm_calls == []
+
+
+@pytest.mark.parametrize("command", ["generate", "bench"])
+@pytest.mark.parametrize("outcome, named", [
+    ({"kind": "FunctionalFail", "failing_checks": [5]},
+     "failing_checks must be a list of strings, got [5]"),
+    ({"kind": "FunctionalFail", "failing_checks": "mismatch"},
+     "failing_checks must be a list of strings, got 'mismatch'"),
+    ({"kind": "SyntaxFail", "diagnostics": [
+        {"file": "d.v", "line": "7", "severity": "Error", "message": "m", "raw": "r"}]},
+     "diagnostic has a field of the wrong type: {'file': 'd.v', 'line': '7'"),
+], ids=["int-check", "string-checks", "string-line"])
+def test_mistyped_scripted_outcome_is_named_before_the_run(inputs, llm_calls, command, outcome,
+                                                           named):
+    # a field the loop would only trip over after its LLM calls is a bad replay
+    outcomes = inputs / "scripted" / "outcomes.json"
+    outcomes.write_text(json.dumps([outcome]))
+    _check_bad_replay(inputs, command, f"{outcomes}: {named}")
     assert llm_calls == []
 
 

@@ -358,12 +358,27 @@ def missing_required(cards):
     return cards
 
 
+def misspelt_name(cards):
+    card = cards / "pipelining.md"
+    card.write_text(card.read_text().replace("cp_length > 2", "cp_lenght > 2"))
+    return card
+
+
+def misspelt_key(cards):
+    card = cards / "clock_gating.md"
+    card.write_text(card.read_text().replace("boost:", "boosts:"))
+    return card
+
+
 @pytest.mark.parametrize("fault, needle", [
     pytest.param(no_front_matter, "missing front-matter", id="no-front-matter"),
     pytest.param(duplicate_id, "two cards have id 'clock_gating'", id="duplicate-id"),
     pytest.param(int_id, "id must be a string, got 5", id="int-id"),
     pytest.param(missing_required, "no power card covers ['clock_gating']",
                  id="missing-required-technique"),
+    pytest.param(misspelt_name, "unknown name 'cp_lenght' in predicate 'cp_lenght > 2'",
+                 id="misspelt-name"),
+    pytest.param(misspelt_key, "unknown field 'boosts'", id="misspelt-key"),
 ])
 def test_optimize_bad_catalog_is_usage_error(tmp_path, runner, passing_workspace, monkeypatch,
                                              fault, needle):

@@ -340,6 +340,17 @@ def test_http_connection_refused_is_retried():
         backend.complete("Planner", [user("hello")])
 
 
+def test_network_guard_stops_non_loopback_access():
+    # conftest's no_network guard. Neither call leaves the host even unguarded:
+    # a UDP connect sends nothing and a numeric lookup asks no resolver.
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+        with pytest.raises(RuntimeError, match="may not reach the network: '192.0.2.1'"):
+            sock.connect(("192.0.2.1", 9))
+        assert sock.connect_ex(("127.0.0.1", 9)) == 0  # loopback stays open
+    with pytest.raises(RuntimeError, match="may not reach the network: '192.0.2.1'"):
+        socket.getaddrinfo("192.0.2.1", 443, flags=socket.AI_NUMERICHOST)
+
+
 @pytest.mark.parametrize("content", [
     None,
     "",

@@ -52,16 +52,13 @@ def test_sync_reset_counter():
     fp = fingerprint(SYNC_COUNTER)
     assert not fp.is_combinational
     assert fp.clocked_always == 1
-    assert fp.reset_style == "Sync"
     assert fp.register_bits == 8
     assert fp.operator_census.get("add") == 1
 
 
 def test_async_reset_fsm_fixture():
     fp = fingerprint(FSM)
-    assert fp.reset_style == "Async"
     assert fp.fsm_detected
-    assert fp.fsm_state_register == "state"
     assert fp.clocked_always >= 1
 
 

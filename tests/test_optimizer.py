@@ -5,13 +5,15 @@ from conftest import REPORTS, VERILOG, EvaluatorDown, read_events, read_status, 
 from rtlflow.engine import PipelineBudget, RtlArtifact
 from rtlflow.errors import BackendUnavailable, RtlflowError, UnparseableReply
 from rtlflow.gateway import Gateway, ScriptedBackend
-from rtlflow.inspect_rtl import fingerprint
-from rtlflow.metrics import PpaMetrics, parse_report
+from rtlflow.inspect_rtl import _OPERATORS, fingerprint
+from rtlflow.metrics import ALL_FIELDS, PpaMetrics, parse_report
 from rtlflow import optimizer
 from rtlflow.optimizer import (
     GOALS,
     OptimizationGoal,
+    VOCABULARY,
     Recommendation,
+    _PRED_RE,
     _parse_card,
     build_icl_prompt,
     eval_predicate,
@@ -76,6 +78,12 @@ def test_parse_card_ok():
     (lambda t: t.replace("clocked_always >= 1", "clocked_always >= 1.2.3"),
      "unparseable predicate: 'clocked_always >= 1.2.3'"),
     (lambda t: t.replace("- register_bits > 0", "- 5"), "unparseable predicate: 5"),
+    # a name or key outside the vocabulary would load and never fire
+    (lambda t: t.replace("register_bits > 0", "cp_lenght > 2"),
+     "demo.md: unknown name 'cp_lenght' in predicate 'cp_lenght > 2'"),
+    (lambda t: t.replace("clocked_always >= 1", "not sync_reset"),
+     "demo.md: unknown name 'sync_reset' in predicate 'not sync_reset'"),
+    (lambda t: t.replace("boost:", "boosts:"), "demo.md: unknown field 'boosts'"),
     # a string where a list belongs is not read as a list of its characters
     (lambda t: t.replace("boost:\n  - clocked_always >= 1", "boost: fsm_detected"),
      "demo.md: bad or missing field 'boost': 'fsm_detected' is not a list"),
@@ -110,6 +118,15 @@ def test_custom_dir_missing_required(tmp_path):
     (tmp_path / "only.md").write_text(CARD_OK)
     with pytest.raises(RtlflowError, match="^no power card covers"):
         load_catalog(tmp_path)
+
+
+def test_every_vocabulary_signal_has_a_reader():
+    # a design fact no bundled card reads is dead code: it goes with its last reader
+    read = {_PRED_RE.match(p)[2] for card in load_catalog().values()
+            for p in card.applicability + card.boosts}
+    ops = {f"{op}_ops" for _, op in _OPERATORS if op}
+    assert sorted(VOCABULARY - ops - set(ALL_FIELDS) - read) == []
+    assert optimizer._context(fingerprint(ADDER), BASE_REPORT).keys() == VOCABULARY
 
 
 # --- predicates ---
