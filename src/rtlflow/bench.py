@@ -48,10 +48,11 @@ def load_manifest(path: str | Path) -> list[BenchCase]:
     """Manifest is a single YAML file; relative paths resolve against it.
     A BadInput (a ValueError) names the manifest when it is not valid YAML,
     lists no cases, or has a case that is not a mapping with a `spec` entry,
-    `optimized_reports` that are not a mapping keyed by goals, a path that
-    is not a string, an empty `testbench` or a design name another case has
-    (their workspaces would collide); it names the spec file when that is
-    missing or bad."""
+    has a key other than `spec`, `testbench`, `baseline_report` and
+    `optimized_reports`, `optimized_reports` that are not a mapping keyed
+    by goals, a path that is not a string, an empty `testbench` or a design
+    name another case has (their workspaces would collide); it names the
+    spec file when that is missing or bad."""
     base = Path(path).parent
 
     def resolve(p: str) -> str:
@@ -70,6 +71,9 @@ def load_manifest(path: str | Path) -> list[BenchCase]:
         for entry in entries:
             if not isinstance(entry, dict) or entry.get("spec") is None:
                 raise ValueError(f"each case needs a 'spec' entry, got {entry!r}")
+            for key in entry:
+                if key not in ("spec", "testbench", "baseline_report", "optimized_reports"):
+                    raise ValueError(f"unknown key {key!r} in case {entry!r}")
             spec = DesignSpec.from_json(resolve(entry["spec"]))
             if spec.name in names:
                 raise ValueError(f"duplicate design name {spec.name!r}")

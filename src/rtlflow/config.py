@@ -1,15 +1,16 @@
-"""Run configuration: each file section is built by its dataclass, so a
-setting's name, type and default are declared once, on that dataclass."""
+"""Run configuration: each file section is built by its dataclass through
+`errors.build`, so a setting's name, type and default are declared once, on
+that dataclass."""
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, get_type_hints
+from typing import Optional
 
 from .engine import PipelineBudget
-from .errors import read_input
+from .errors import build, read_input
 from .gateway import BackendConfig
 from .toolchain import ToolchainConfig
 from .yamlload import safe_load
@@ -36,48 +37,11 @@ class RunConfig:
     paths: PathsConfig = field(default_factory=PathsConfig)
 
 
-def _build(cls: type, where: str, mapping) -> object:
-    """`cls(**mapping)`, with int and float fields coerced by their declared
-    type; an unknown key, a non-mapping, a bool for a number, a fraction for
-    an int or a non-string for a string (a null is fine for an optional
-    string) is a ValueError naming `where`."""
-    if mapping is None:  # a section whose keys are all commented out
-        mapping = {}
-    if not isinstance(mapping, dict):
-        raise ValueError(f"{where}: section must be a mapping, not {type(mapping).__name__}")
-    hints = get_type_hints(cls)
-    types = {f.name: hints[f.name] for f in fields(cls)}
-    kwargs = {}
-    for key, value in mapping.items():
-        if key not in types:
-            raise ValueError(f"{where}: unknown key {key!r}")
-        kind = types[key]
-        if kind == Optional[str] and value is not None:
-            kind = str
-        try:
-            if kind in (int, float) and (isinstance(value, bool) or kind is int and
-                                         isinstance(value, float) and not value.is_integer()):
-                raise ValueError(f"expected {kind.__name__}, got {value!r}")
-            if kind is str and not isinstance(value, str):
-                raise ValueError(f"expected str, got {value!r}")
-            kwargs[key] = kind(value) if kind in (int, float) else value
-        except (TypeError, ValueError) as exc:  # name the key the value belongs to
-            raise ValueError(f"{where}.{key}: {exc}") from exc
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{where}: {exc}") from exc
-
-
 def _parse(text: str) -> RunConfig:
     doc = safe_load(text) or {}
-    if not isinstance(doc, dict):
-        raise ValueError("top level must be a mapping")
-    sections = get_type_hints(RunConfig)
-    for name in doc:
-        if name not in sections:
-            raise ValueError(f"unknown section {name!r}")
-    return RunConfig(**{name: _build(cls, name, doc.get(name)) for name, cls in sections.items()})
+    if isinstance(doc, dict):  # a section whose keys are all commented out is empty
+        doc = {name: {} if section is None else section for name, section in doc.items()}
+    return build(RunConfig, doc)
 
 
 def load_config(path: Optional[str | Path] = None) -> RunConfig:

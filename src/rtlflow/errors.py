@@ -1,6 +1,10 @@
-"""Exception hierarchy shared across the package, and the one input reader."""
+"""Exception hierarchy shared across the package, the one input reader and
+the one builder of an input record."""
 
+from dataclasses import MISSING, fields, is_dataclass
+from functools import cache
 from pathlib import Path
+from typing import Union, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -64,3 +68,58 @@ def read_input(path, parse=None):
         raise BadInput(f"{path}: missing key {exc}") from exc
     except (OSError, ValueError, TypeError, RtlflowError) as exc:
         raise BadInput(f"{path}: {exc}") from exc
+
+
+@cache
+def _field_types(cls: type) -> tuple[dict[str, object], frozenset[str]]:
+    """The type of each field of the dataclass `cls`, and the fields a
+    mapping must give (those with no default)."""
+    hints = get_type_hints(cls)
+    return ({f.name: hints[f.name] for f in fields(cls)},
+            frozenset(f.name for f in fields(cls)
+                      if f.default is MISSING and f.default_factory is MISSING))
+
+
+def _at(where: str, message) -> str:
+    return f"{where}: {message}" if where else str(message)
+
+
+def build(kind, value, where: str = "", /, **given):
+    """`value`, as parsed from a JSON or YAML input file, as a `kind`: a
+    dataclass, `list[X]`, `Optional[X]`, str, int or float. A dataclass is
+    built from a mapping whose keys are its fields but those in `given`,
+    which the caller fills in. An unknown key, a missing key and a value of
+    the wrong type are each a ValueError led by its key path from `where`
+    (`ports[1].width: expected int, got '8'`), as is a ValueError from the
+    dataclass's `__post_init__`. A bool is no number; an int is a float, and
+    a float is an int when nothing is lost."""
+    if type(value) is kind:
+        return value
+    if is_dataclass(kind):
+        if not isinstance(value, dict):
+            raise ValueError(_at(where, f"expected a mapping, got {value!r}"))
+        types, required = _field_types(kind)
+        for key in value:
+            if key not in types or key in given:
+                raise ValueError(_at(where, f"unknown key {key!r}"))
+        missing = required.difference(value, given)
+        if missing:
+            raise ValueError(_at(where, f"missing key {min(missing)!r}"))
+        # a value already of its field's type, as most are, needs no call
+        args = {key: v if type(v) is types[key]
+                else build(types[key], v, f"{where}.{key}" if where else key)
+                for key, v in value.items()}
+        try:
+            return kind(**args, **given)
+        except ValueError as exc:
+            raise ValueError(_at(where, exc)) from exc
+    origin = get_origin(kind)
+    if origin is list and isinstance(value, list):
+        return [build(get_args(kind)[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
+    if origin is Union:  # Optional[X]
+        return None if value is None else build(get_args(kind)[0], value, where)
+    if kind is float and type(value) is int:
+        return float(value)
+    if kind is int and type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(_at(where, f"expected {(origin or kind).__name__}, got {value!r}"))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
-from .errors import BackendUnavailable, ScriptExhausted, read_input
+from .errors import BackendUnavailable, ScriptExhausted, build, read_input
 
 log = logging.getLogger(__name__)
 
@@ -139,6 +139,14 @@ class HttpBackend:
         raise BackendUnavailable(f"backend failed after {attempt + 1} attempt(s): {last_exc!r}")
 
 
+@dataclass
+class _Turn:
+    """One entry of a scripted `turns.json`."""
+
+    role: str
+    reply: str
+
+
 class ScriptedBackend:
     """Deterministic replay backend.
 
@@ -154,8 +162,8 @@ class ScriptedBackend:
         for role_name, reply in turns:
             if role_name not in ROLE_NAMES:
                 raise ValueError(f"unknown role in script: {role_name!r}")
-            if not (isinstance(reply, str) and reply):
-                raise ValueError(f"scripted reply must be a non-empty string, got {reply!r}")
+            if not reply:
+                raise ValueError("scripted reply must not be empty")
         self.turns = list(turns)
         self.cursor = 0
         self._replies: dict[str, deque[str]] = {}
@@ -165,8 +173,8 @@ class ScriptedBackend:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedBackend":
-        return read_input(path, lambda text: cls([(t["role"], t["reply"])
-                                                  for t in json.loads(text)]))
+        return read_input(path, lambda text: cls([(t.role, t.reply) for t in
+                                                  build(list[_Turn], json.loads(text))]))
 
     def complete(self, role_name: str, messages: list[ChatMessage]) -> str:
         with self._lock:

@@ -21,7 +21,7 @@ from .engine import (PipelineBudget, RtlArtifact, artifact_from_reply, fix_loop,
                      run_log)
 # not called here: kept because perfbench/trace.py wraps them as optimizer attributes
 from .engine import apply_fixes, diagnose_failures, extract_tags, extract_verilog  # noqa: F401
-from .errors import RtlflowError, read_input
+from .errors import RtlflowError, build, read_input
 from .gateway import ChatMessage, Gateway, system, user
 from .inspect_rtl import _OPERATORS, DesignFingerprint, fingerprint
 from .metrics import ALL_FIELDS, PpaMetrics, emit_canonical
@@ -74,14 +74,33 @@ class OptimizationGoal:
 
 @dataclass
 class TechniqueCard:
+    """A card: its front-matter keys are the fields but `summary` and
+    `example_snippet`, which are read from its body."""
+
     id: str
     goal: str
     summary: str
-    applicability: list[str]
+    predicates: list[str]
     example_snippet: str
     caveats: str = ""
-    boosts: list[str] = field(default_factory=list)
+    boost: list[str] = field(default_factory=list)
     aliases: list[str] = field(default_factory=list)
+
+    def __post_init__(self):
+        if self.goal not in GOALS:
+            raise ValueError(f"unknown goal {self.goal!r}")
+        if not self.summary:
+            raise ValueError("missing summary text")
+        if not self.example_snippet:
+            raise ValueError("missing Verilog snippet")
+        if not self.predicates:
+            raise ValueError("needs at least one predicate")
+        for pred in self.predicates + self.boost:
+            m = _PRED_RE.match(pred)
+            if not m:
+                raise ValueError(f"unparseable predicate: {pred!r}")
+            if m.group(2) not in VOCABULARY:
+                raise ValueError(f"unknown name {m.group(2)!r} in predicate {pred!r}")
 
 
 @dataclass
@@ -109,7 +128,6 @@ _SNIPPET_RE = re.compile(r"```(?:verilog)?\n(.*?)```", re.DOTALL)
 _PRED_RE = re.compile(
     r"^\s*(not\s+)?([a-z_]\w*)\s*(?:(>=|<=|>|<|==)\s*(-?(?:\d+(?:\.\d*)?|\.\d+)))?\s*$"
 )
-_CARD_KEYS = {"id", "goal", "predicates", "boost", "aliases", "caveats"}
 
 # the design facts a predicate may name, each read from the fingerprint: the
 # signals the bundled cards read and the count of each census operator
@@ -130,55 +148,19 @@ VOCABULARY = frozenset(_SIGNALS) | frozenset(ALL_FIELDS)
 
 
 def _parse_card(text: str, origin: str) -> TechniqueCard:
+    """Build a card from its text through `errors.build`; an error names `origin`."""
     m = _FRONT_RE.match(text)
     if not m:
         raise RtlflowError(f"{origin}: missing front-matter")
+    sm = _SNIPPET_RE.search(m.group(2))
     try:
-        meta = safe_load(m.group(1))
+        return build(TechniqueCard, safe_load(m.group(1)),
+                     summary=_SNIPPET_RE.sub("", m.group(2)).strip(),
+                     example_snippet=sm.group(1).strip() if sm else "")
     except yaml.YAMLError as exc:
         raise RtlflowError(f"{origin}: bad front-matter: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise RtlflowError(f"{origin}: front-matter is not a mapping")
-    for key in meta:
-        if key not in _CARD_KEYS:
-            raise RtlflowError(f"{origin}: unknown field {key!r}")
-    body = m.group(2)
-    sm = _SNIPPET_RE.search(body)
-    if not sm or not sm.group(1).strip():
-        raise RtlflowError(f"{origin}: missing Verilog snippet")
-    summary = _SNIPPET_RE.sub("", body).strip()
-    if not summary:
-        raise RtlflowError(f"{origin}: missing summary text")
-    for key in ("predicates", "boost", "aliases"):
-        value = meta.get(key, [])
-        if not isinstance(value, list):  # list() would split a string into characters
-            raise RtlflowError(f"{origin}: bad or missing field '{key}': {value!r} is not a list")
-    try:
-        card = TechniqueCard(
-            id=meta["id"],
-            goal=meta["goal"],
-            summary=summary,
-            applicability=meta["predicates"],
-            example_snippet=sm.group(1).strip(),
-            caveats=meta.get("caveats", ""),
-            boosts=meta.get("boost", []),
-            aliases=meta.get("aliases", []),
-        )
-    except KeyError as exc:
-        raise RtlflowError(f"{origin}: bad or missing field {exc}") from exc
-    if not isinstance(card.id, str):  # load_catalog sorts the ids
-        raise RtlflowError(f"{origin}: id must be a string, got {card.id!r}")
-    if card.goal not in GOALS:
-        raise RtlflowError(f"{origin}: unknown goal {card.goal!r}")
-    if not card.applicability:
-        raise RtlflowError(f"{origin}: needs at least one predicate")
-    for pred in card.applicability + card.boosts:
-        m = isinstance(pred, str) and _PRED_RE.match(pred)
-        if not m:
-            raise RtlflowError(f"{origin}: unparseable predicate: {pred!r}")
-        if m.group(2) not in VOCABULARY:
-            raise RtlflowError(f"{origin}: unknown name {m.group(2)!r} in predicate {pred!r}")
-    return card
+    except ValueError as exc:
+        raise RtlflowError(f"{origin}: {exc}") from exc
 
 
 def load_catalog(card_dir: Optional[str | Path] = None) -> dict[str, TechniqueCard]:
@@ -250,10 +232,10 @@ def select_techniques(
     scored = []
     evidence: dict[str, list[str]] = {}
     for card in for_goal(catalog, goal.kind):
-        hits = [p for p in card.applicability if eval_predicate(p, ctx)]
+        hits = [p for p in card.predicates if eval_predicate(p, ctx)]
         if not hits:
             continue
-        boost_hits = [b for b in card.boosts if eval_predicate(b, ctx)]
+        boost_hits = [b for b in card.boost if eval_predicate(b, ctx)]
         scored.append((len(hits) + len(boost_hits), card.id))
         evidence[card.id] = hits + boost_hits
     scored.sort(key=lambda t: (-t[0], t[1]))

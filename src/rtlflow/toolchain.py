@@ -17,7 +17,7 @@ from pathlib import Path
 from string import Formatter
 from typing import Optional
 
-from .errors import ToolchainUnavailable, read_input
+from .errors import ToolchainUnavailable, build, read_input
 
 DEFAULT_PASS_MARKER = "PASS"
 DEFAULT_FAIL_PATTERN = r"(?i)\b(error|fail(?:ed)?|mismatch)\b"
@@ -76,13 +76,6 @@ class VerificationOutcome:
     def __post_init__(self):
         if self.kind not in ("Pass", "SyntaxFail", "FunctionalFail", "ToolError"):
             raise ValueError(f"unknown outcome kind {self.kind!r}")
-        if not (isinstance(self.failing_checks, list)
-                and all(isinstance(c, str) for c in self.failing_checks)):
-            raise ValueError(f"failing_checks must be a list of strings, got {self.failing_checks!r}")
-        for d in self.diagnostics:
-            if not (isinstance(d.line, (int, type(None)))
-                    and all(isinstance(v, str) for v in (d.file, d.severity, d.message, d.raw))):
-                raise ValueError(f"diagnostic has a field of the wrong type: {d.to_dict()}")
 
     def to_dict(self) -> dict:
         return {
@@ -90,14 +83,6 @@ class VerificationOutcome:
             "diagnostics": [d.to_dict() for d in self.diagnostics],
             "failing_checks": list(self.failing_checks),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "VerificationOutcome":
-        return cls(
-            kind=d["kind"],
-            diagnostics=[DiagnosticRecord(**r) for r in d.get("diagnostics", [])],
-            failing_checks=d.get("failing_checks", []),
-        )
 
 
 def _unlocated(message: str, raw: str, severity: str = "Error") -> DiagnosticRecord:
@@ -184,10 +169,7 @@ class ToolchainConfig:
             raise ValueError("sim_timeout must be positive")
         # the placeholders `IcarusToolchain.verify` fills in
         for key, known in (("compile_args", ("image", "rtl", "tb")), ("simulate_args", ("image",))):
-            args = getattr(self, key)
-            if not isinstance(args, list) or not all(isinstance(a, str) for a in args):
-                raise ValueError(f"{key} must be a list of strings, got {args!r}")
-            for arg in args:
+            for arg in getattr(self, key):
                 try:
                     names = [name for _, name, _, _ in Formatter().parse(arg)]
                 except ValueError as exc:  # e.g. a lone brace
@@ -269,8 +251,8 @@ class ScriptedToolchain:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedToolchain":
-        return read_input(path, lambda text: cls([VerificationOutcome.from_dict(d)
-                                                  for d in json.loads(text)]))
+        return read_input(path, lambda text: cls(build(list[VerificationOutcome],
+                                                       json.loads(text))))
 
     def verify(self, rtl_path: Path, tb_path: Path, workspace: Path) -> VerificationOutcome:
         if self.cursor >= len(self.outcomes):

@@ -1,13 +1,18 @@
 import ipaddress
 import json
 import random
+import shutil
 import socket
 import threading
 import time
 from pathlib import Path
 
 import pytest
+import yaml
+from click.testing import CliRunner
 
+import rtlflow
+from rtlflow.cli import main
 from rtlflow.engine import DesignSpec, PipelineBudget
 from rtlflow.errors import BackendUnavailable
 from rtlflow.gateway import Gateway, ScriptedBackend
@@ -18,6 +23,50 @@ DATA = Path(__file__).parent / "data"
 VERILOG = FIXTURES / "verilog"
 REPORTS = FIXTURES / "reports"
 SCRIPTED = FIXTURES / "scripted"
+CARDS = Path(rtlflow.__file__).resolve().parent / "cards"
+
+COMMANDS = {  # "{}" is the directory `make_inputs` fills
+    "generate": ["generate", "--spec", "{}/spec.json", "--workspace", "{}/gen",
+                 "--config", "{}/run.yaml", "--scripted", "{}/scripted"],
+    # the baseline report is ws/synth_report.txt, the default
+    "optimize": ["optimize", "--baseline", "{}/ws", "--goal", "timing",
+                 "--config", "{}/run.yaml",
+                 "--scripted", "{}/opt_script"],
+    "inspect": ["inspect", "{}/top.v"],
+    "report compare": ["report", "compare", "--base", "{}/base.rpt", "--opt", "{}/opt.rpt"],
+    "bench": ["bench", "--manifest", "{}/suite.yaml", "--out", "{}/out",
+              "--config", "{}/run.yaml", "--scripted", "{}/scripted"],
+}
+
+
+def make_inputs(root: Path) -> Path:
+    """Fill the absolute directory `root` with every input file of COMMANDS,
+    each of which then succeeds, and return it."""
+    shutil.copy(VERILOG / "signal_generator_tb.v", root / "tb.v")
+    spec = json.loads((FIXTURES / "signal_generator_spec.json").read_text())
+    (root / "spec.json").write_text(json.dumps(dict(spec, testbench_path=str(root / "tb.v"))))
+    shutil.copytree(SCRIPTED / "signal_generator", root / "scripted")
+    shutil.copytree(CARDS, root / "cards")
+    (root / "run.yaml").write_text(yaml.safe_dump({"paths": {"catalog_dir": str(root / "cards")}}))
+    shutil.copy(REPORTS / "adder_16bit_base.rpt", root / "base.rpt")
+    shutil.copy(REPORTS / "adder_16bit_opt_timing.rpt", root / "opt.rpt")
+    shutil.copy(VERILOG / "adder_16bit.v", root / "top.v")
+    (root / "suite.yaml").write_text(
+        "cases:\n  - spec: spec.json\n    baseline_report: base.rpt\n"
+        "    optimized_reports: {timing: opt.rpt}\n"
+    )
+    result = CliRunner().invoke(main, ["generate", "--spec", str(root / "spec.json"),
+                                       "--workspace", str(root / "ws"),
+                                       "--scripted", str(root / "scripted")])
+    assert result.exit_code == 0, result.output
+    shutil.copy(root / "base.rpt", root / "ws" / "synth_report.txt")
+    rtl = (root / "ws" / "rev_1.v").read_text()
+    (root / "opt_script").mkdir()
+    (root / "opt_script" / "turns.json").write_text(
+        json.dumps([{"role": "Optimizer", "reply": f"```verilog\n{rtl}```"}]))
+    (root / "opt_script" / "outcomes.json").write_text(
+        json.dumps([{"kind": "Pass", "diagnostics": [], "failing_checks": []}]))
+    return root
 
 
 @pytest.fixture(autouse=True)

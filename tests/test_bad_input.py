@@ -5,33 +5,15 @@ traceback; a file read before the run costs no LLM call. Last, the one exit
 code rule over every command: a bad input file exits 2, a failed run 1."""
 
 import json
-import shutil
 from pathlib import Path
 
 import pytest
-import yaml
 from click.testing import CliRunner
 
-from conftest import FIXTURES, REPORTS, SCRIPTED, VERILOG
+from conftest import COMMANDS, make_inputs
 
-import rtlflow
 from rtlflow.cli import main
 from rtlflow.gateway import ScriptedBackend
-
-CARDS = Path(rtlflow.__file__).resolve().parent / "cards"
-
-COMMANDS = {  # "{}" is the directory the inputs fixture fills
-    "generate": ["generate", "--spec", "{}/spec.json", "--workspace", "{}/gen",
-                 "--config", "{}/run.yaml", "--scripted", "{}/scripted"],
-    # the baseline report is ws/synth_report.txt, the default
-    "optimize": ["optimize", "--baseline", "{}/ws", "--goal", "timing",
-                 "--config", "{}/run.yaml",
-                 "--scripted", "{}/opt_script"],
-    "inspect": ["inspect", "{}/top.v"],
-    "report compare": ["report", "compare", "--base", "{}/base.rpt", "--opt", "{}/opt.rpt"],
-    "bench": ["bench", "--manifest", "{}/suite.yaml", "--out", "{}/out",
-              "--config", "{}/run.yaml", "--scripted", "{}/scripted"],
-}
 
 NO_REPLY = '[{"role": "Planner"}]'
 UNKNOWN_KIND = '[{"kind": "Passed"}]'
@@ -90,32 +72,7 @@ CASES = [
 @pytest.fixture
 def inputs(tmp_path):
     """A directory where every command succeeds, as the unfaulted test checks."""
-    root = tmp_path.resolve()
-    shutil.copy(VERILOG / "signal_generator_tb.v", root / "tb.v")
-    spec = json.loads((FIXTURES / "signal_generator_spec.json").read_text())
-    (root / "spec.json").write_text(json.dumps(dict(spec, testbench_path=str(root / "tb.v"))))
-    shutil.copytree(SCRIPTED / "signal_generator", root / "scripted")
-    shutil.copytree(CARDS, root / "cards")
-    (root / "run.yaml").write_text(yaml.safe_dump({"paths": {"catalog_dir": str(root / "cards")}}))
-    shutil.copy(REPORTS / "adder_16bit_base.rpt", root / "base.rpt")
-    shutil.copy(REPORTS / "adder_16bit_opt_timing.rpt", root / "opt.rpt")
-    shutil.copy(VERILOG / "adder_16bit.v", root / "top.v")
-    (root / "suite.yaml").write_text(
-        "cases:\n  - spec: spec.json\n    baseline_report: base.rpt\n"
-        "    optimized_reports: {timing: opt.rpt}\n"
-    )
-    result = CliRunner().invoke(main, ["generate", "--spec", str(root / "spec.json"),
-                                       "--workspace", str(root / "ws"),
-                                       "--scripted", str(root / "scripted")])
-    assert result.exit_code == 0, result.output
-    shutil.copy(root / "base.rpt", root / "ws" / "synth_report.txt")
-    rtl = (root / "ws" / "rev_1.v").read_text()
-    (root / "opt_script").mkdir()
-    (root / "opt_script" / "turns.json").write_text(
-        json.dumps([{"role": "Optimizer", "reply": f"```verilog\n{rtl}```"}]))
-    (root / "opt_script" / "outcomes.json").write_text(
-        json.dumps([{"kind": "Pass", "diagnostics": [], "failing_checks": []}]))
-    return root
+    return make_inputs(tmp_path.resolve())
 
 
 @pytest.fixture
@@ -185,7 +142,7 @@ def test_unknown_outcome_kind_is_named_before_the_run(inputs, llm_calls):
     result = run("generate", inputs)
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
-    assert f"{outcomes}: unknown outcome kind 'Passed'" in result.output
+    assert f"{outcomes}: [0]: unknown outcome kind 'Passed'" in result.output
     assert llm_calls == []
 
 
@@ -206,20 +163,37 @@ def _check_bad_replay(root: Path, command: str, named: str) -> None:
 def test_non_string_scripted_reply_is_named_before_the_run(inputs, llm_calls, command):
     turns = inputs / "scripted" / "turns.json"
     turns.write_text('[{"role": "Planner", "reply": 5}]')
-    _check_bad_replay(inputs, command, f"{turns}: scripted reply must be a non-empty string, got 5")
+    _check_bad_replay(inputs, command, f"{turns}: [0].reply: expected str, got 5")
+    assert llm_calls == []
+
+
+@pytest.mark.parametrize("command", ["generate", "bench"])
+@pytest.mark.parametrize("turns, named", [
+    ([{"role": "Planner", "replies": ["1. a"]}], "[0]: unknown key 'replies'"),
+    ([{"role": "Planner"}], "[0]: missing key 'reply'"),
+    ([{"role": ["Planner"], "reply": "1. a"}], "[0].role: expected str, got ['Planner']"),
+    ({"role": "Planner", "reply": "1. a"}, "expected list, got {'role': 'Planner'"),
+], ids=["unknown-key", "missing-key", "list-role", "not-a-list"])
+def test_mistyped_scripted_turn_is_named_before_the_run(inputs, llm_calls, command, turns,
+                                                        named):
+    path = inputs / "scripted" / "turns.json"
+    path.write_text(json.dumps(turns))
+    _check_bad_replay(inputs, command, f"{path}: {named}")
     assert llm_calls == []
 
 
 @pytest.mark.parametrize("command", ["generate", "bench"])
 @pytest.mark.parametrize("outcome, named", [
     ({"kind": "FunctionalFail", "failing_checks": [5]},
-     "failing_checks must be a list of strings, got [5]"),
+     "[0].failing_checks[0]: expected str, got 5"),
     ({"kind": "FunctionalFail", "failing_checks": "mismatch"},
-     "failing_checks must be a list of strings, got 'mismatch'"),
+     "[0].failing_checks: expected list, got 'mismatch'"),
     ({"kind": "SyntaxFail", "diagnostics": [
         {"file": "d.v", "line": "7", "severity": "Error", "message": "m", "raw": "r"}]},
-     "diagnostic has a field of the wrong type: {'file': 'd.v', 'line': '7'"),
-], ids=["int-check", "string-checks", "string-line"])
+     "[0].diagnostics[0].line: expected int, got '7'"),
+    ({"kind": "FunctionalFail", "failing_check": ["mismatch"]},
+     "[0]: unknown key 'failing_check'"),
+], ids=["int-check", "string-checks", "string-line", "unknown-key"])
 def test_mistyped_scripted_outcome_is_named_before_the_run(inputs, llm_calls, command, outcome,
                                                            named):
     # a field the loop would only trip over after its LLM calls is a bad replay

@@ -144,14 +144,16 @@ def test_generate_bad_spec(tmp_path, runner):
 CLK = {"name": "clk", "direction": "in", "width": 1}
 
 BAD_PORTS = [
-    pytest.param([dict(CLK, bits=1)], "'bits'", id="unknown-key"),
-    pytest.param([{"name": "clk", "width": 1}], "'direction'", id="missing-key"),
-    pytest.param(["clk"], "bad port 'clk'", id="not-a-mapping"),
-    pytest.param({"clk": CLK}, "ports must be a list", id="ports-not-a-list"),
-    pytest.param([dict(CLK, width="8")], "port clk needs an integer width", id="string-width"),
+    pytest.param([dict(CLK, bits=1)], "ports[0]: unknown key 'bits'", id="unknown-key"),
+    pytest.param([{"name": "clk", "width": 1}], "ports[0]: missing key 'direction'",
+                 id="missing-key"),
+    pytest.param(["clk"], "ports[0]: expected a mapping, got 'clk'", id="not-a-mapping"),
+    pytest.param({"clk": CLK}, "ports: expected list, got {'clk': {", id="ports-not-a-list"),
+    pytest.param([CLK, dict(CLK, name="d", width="8")], "ports[1].width: expected int, got '8'",
+                 id="string-width"),
     pytest.param([dict(CLK, name="")], "port name '' is not a Verilog identifier",
                  id="empty-name"),
-    pytest.param([dict(CLK, name=["a"])], "port name ['a'] is not a Verilog identifier",
+    pytest.param([dict(CLK, name=["a"])], "ports[0].name: expected str, got ['a']",
                  id="list-name"),
     pytest.param([dict(CLK, name="data out")], "port name 'data out' is not a Verilog identifier",
                  id="name-with-space"),
@@ -370,15 +372,31 @@ def misspelt_key(cards):
     return card
 
 
+def nested_alias(cards):
+    card = cards / "carry_lookahead_restructuring.md"
+    card.write_text(card.read_text().replace("- path_restructuring", "- [path_restructuring]"))
+    return card
+
+
+def list_caveats(cards):
+    card = cards / "clock_gating.md"
+    card.write_text(re.sub(r"(?m)^caveats: .*$", "caveats: [adds area, {a: 1}]", card.read_text()))
+    return card
+
+
 @pytest.mark.parametrize("fault, needle", [
     pytest.param(no_front_matter, "missing front-matter", id="no-front-matter"),
     pytest.param(duplicate_id, "two cards have id 'clock_gating'", id="duplicate-id"),
-    pytest.param(int_id, "id must be a string, got 5", id="int-id"),
+    pytest.param(int_id, "id: expected str, got 5", id="int-id"),
     pytest.param(missing_required, "no power card covers ['clock_gating']",
                  id="missing-required-technique"),
     pytest.param(misspelt_name, "unknown name 'cp_lenght' in predicate 'cp_lenght > 2'",
                  id="misspelt-name"),
-    pytest.param(misspelt_key, "unknown field 'boosts'", id="misspelt-key"),
+    pytest.param(misspelt_key, "unknown key 'boosts'", id="misspelt-key"),
+    pytest.param(nested_alias, "aliases[0]: expected str, got ['path_restructuring']",
+                 id="nested-alias"),
+    pytest.param(list_caveats, "caveats: expected str, got ['adds area', {'a': 1}]",
+                 id="list-caveats"),
 ])
 def test_optimize_bad_catalog_is_usage_error(tmp_path, runner, passing_workspace, monkeypatch,
                                              fault, needle):
@@ -481,12 +499,14 @@ def test_config_round_trips_every_setting(tmp_path):
 
 
 BAD_CONFIGS = [
-    pytest.param("tools:\n  compiler: iverilog\n", "unknown section 'tools'", id="section"),
+    pytest.param("tools:\n  compiler: iverilog\n", "unknown key 'tools'", id="section"),
     pytest.param("budget:\n  max_fix_iteration: 1\n",
                  "budget: unknown key 'max_fix_iteration'", id="key"),
-    pytest.param("backend: 5\n", "backend: section must be a mapping", id="not-mapping"),
+    pytest.param("backend: 5\n", "backend: expected a mapping, got 5", id="not-mapping"),
     pytest.param("budget:\n  max_review_rounds: many\n",
-                 "budget.max_review_rounds: invalid literal for int()", id="bad-number"),
+                 "budget.max_review_rounds: expected int, got 'many'", id="bad-number"),
+    pytest.param("budget:\n  max_review_rounds: '3'\n",
+                 "budget.max_review_rounds: expected int, got '3'", id="string-for-int"),
     pytest.param("budget:\n  max_fix_iterations: 0\n",
                  "budget: max_fix_iterations must be >= 1", id="out-of-range"),
     pytest.param("budget:\n  max_fix_iterations: 2.7\n",
@@ -500,7 +520,7 @@ BAD_CONFIGS = [
                  "toolchain: simulate_args: unknown placeholder {rtl} in '{rtl}'",
                  id="compile-placeholder-in-simulate"),
     pytest.param("toolchain:\n  compile_args: -o sim.out\n",
-                 "toolchain: compile_args must be a list of strings, got '-o sim.out'",
+                 "toolchain.compile_args: expected list, got '-o sim.out'",
                  id="args-not-a-list"),
     pytest.param("toolchain:\n  compile_args: ['{']\n",
                  "toolchain: compile_args: Single '{' encountered in format string in '{'",
@@ -530,7 +550,7 @@ def test_config_bad_input_is_rejected(tmp_path, body, needle):
 
 def test_config_numbers_convert_only_when_nothing_is_lost(tmp_path):
     cfg_file = tmp_path / "run.yaml"
-    cfg_file.write_text("budget:\n  max_fix_iterations: '3'\n  max_review_rounds: 2.0\n"
+    cfg_file.write_text("budget:\n  max_fix_iterations: 3.0\n  max_review_rounds: 2.0\n"
                         "backend:\n  timeout: 5\n")
     cfg = load_config(cfg_file)
     assert (cfg.budget.max_fix_iterations, cfg.budget.max_review_rounds) == (3, 2)
@@ -692,7 +712,7 @@ def test_bench_workers_below_one_is_usage_error(tmp_path, runner, workers):
     ("cases: []\n", "no cases"),
     ("cases:\n  - spec: a.json\n  - spec: b.json\n", "duplicate design name 'signal_generator'"),
     ("cases: [\n", "invalid YAML"),
-    pytest.param("cases:\n  - spec: top.json\n", "top.json: spec must be a JSON object, got list",
+    pytest.param("cases:\n  - spec: top.json\n", "top.json: expected a mapping, got [1]",
                  id="spec-not-an-object"),
     pytest.param("cases:\n  - spec: nope.json\n", "nope.json: [Errno 2]", id="spec-missing"),
     pytest.param("cases: [1]\n", "suite.yaml: each case needs a 'spec' entry, got 1",
@@ -709,7 +729,7 @@ def test_bench_workers_below_one_is_usage_error(tmp_path, runner, workers):
                  "suite.yaml: a path must be a string, got None", id="null-optimized-report"),
     pytest.param("cases:\n  - spec: a.json\n    baseline_report: null\n",
                  "suite.yaml: a path must be a string, got None", id="null-baseline-report"),
-    pytest.param("cases:\n  - spec: name5.json\n", "name5.json: name must be a string, got 5",
+    pytest.param("cases:\n  - spec: name5.json\n", "name5.json: name: expected str, got 5",
                  id="name-not-a-string"),
     pytest.param("cases:\n  - spec: escape.json\n",
                  "escape.json: name must be one path component, got '../escape'",
@@ -722,6 +742,8 @@ def test_bench_workers_below_one_is_usage_error(tmp_path, runner, workers):
     pytest.param("cases:\n  - spec: a.json\n    optimized_reports: {1: a.rpt, timing: b.rpt}\n",
                  "suite.yaml: optimized_reports key 1 is not one of ('power', 'timing', 'area')",
                  id="optimized-reports-key-not-a-goal"),
+    pytest.param("cases:\n  - spec: a.json\n    optimized_report: {timing: a.rpt}\n",
+                 "suite.yaml: unknown key 'optimized_report' in case", id="unknown-case-key"),
 ])
 def test_bench_bad_manifest_is_usage_error(tmp_path, runner, body, needle):
     for name in ("a.json", "b.json"):

@@ -58,18 +58,22 @@ def test_bundled_catalog_shape():
 def test_parse_card_ok():
     card = _parse_card(CARD_OK, "demo.md")
     assert card.id == "demo_card"
-    assert card.applicability == ["register_bits > 0"]
+    assert card.predicates == ["register_bits > 0"]
     assert "if (en)" in card.example_snippet
     assert card.caveats == "small area overhead"
 
 
+# a row whose message was reworded keeps the id it was first collected under
 @pytest.mark.parametrize("mutation, needle", [
     (lambda t: t.replace("---\n", "", 1), "front-matter"),
     (lambda t: t.replace("```verilog\nalways @(posedge clk) if (en) q <= d;\n```\n", ""), "snippet"),
-    (lambda t: t.replace("id: demo_card\n", ""), "missing field"),
-    (lambda t: t.replace("aliases: []", "aliases: 5"), "bad or missing field"),
+    pytest.param(lambda t: t.replace("id: demo_card\n", ""), "demo.md: missing key 'id'",
+                 id="<lambda>-missing field"),
+    pytest.param(lambda t: t.replace("aliases: []", "aliases: 5"),
+                 "demo.md: aliases: expected list, got 5", id="<lambda>-bad or missing field"),
     (lambda t: t.replace("goal: power", "goal: speed"), "unknown goal"),
-    (lambda t: t.replace("id: demo_card", "id: 5"), "demo.md: id must be a string, got 5"),
+    pytest.param(lambda t: t.replace("id: demo_card", "id: 5"), "demo.md: id: expected str, got 5",
+                 id="<lambda>-demo.md: id must be a string, got 5"),
     (lambda t: t.replace("Gate idle registers to cut switching power.\n", ""), "summary"),
     (lambda t: t.replace("register_bits > 0", "2 < cp_length"),
      "demo.md: unparseable predicate: '2 < cp_length'"),
@@ -77,22 +81,36 @@ def test_parse_card_ok():
      "unparseable predicate: 'clocked_always >='"),
     (lambda t: t.replace("clocked_always >= 1", "clocked_always >= 1.2.3"),
      "unparseable predicate: 'clocked_always >= 1.2.3'"),
-    (lambda t: t.replace("- register_bits > 0", "- 5"), "unparseable predicate: 5"),
+    pytest.param(lambda t: t.replace("- register_bits > 0", "- 5"),
+                 "demo.md: predicates[0]: expected str, got 5",
+                 id="<lambda>-unparseable predicate: 5"),
     # a name or key outside the vocabulary would load and never fire
     (lambda t: t.replace("register_bits > 0", "cp_lenght > 2"),
      "demo.md: unknown name 'cp_lenght' in predicate 'cp_lenght > 2'"),
     (lambda t: t.replace("clocked_always >= 1", "not sync_reset"),
      "demo.md: unknown name 'sync_reset' in predicate 'not sync_reset'"),
-    (lambda t: t.replace("boost:", "boosts:"), "demo.md: unknown field 'boosts'"),
+    pytest.param(lambda t: t.replace("boost:", "boosts:"), "demo.md: unknown key 'boosts'",
+                 id="<lambda>-demo.md: unknown field 'boosts'"),
     # a string where a list belongs is not read as a list of its characters
-    (lambda t: t.replace("boost:\n  - clocked_always >= 1", "boost: fsm_detected"),
-     "demo.md: bad or missing field 'boost': 'fsm_detected' is not a list"),
-    (lambda t: t.replace("predicates:\n  - register_bits > 0", "predicates: register_bits > 0"),
-     "demo.md: bad or missing field 'predicates': 'register_bits > 0' is not a list"),
-    (lambda t: t.replace("aliases: []", "aliases: gating"),
-     "demo.md: bad or missing field 'aliases': 'gating' is not a list"),
-    (lambda t: t.replace("predicates:\n  - register_bits > 0", "predicates:"),
-     "demo.md: bad or missing field 'predicates': None is not a list"),
+    pytest.param(lambda t: t.replace("boost:\n  - clocked_always >= 1", "boost: fsm_detected"),
+                 "demo.md: boost: expected list, got 'fsm_detected'",
+                 id="<lambda>-demo.md: bad or missing field 'boost': 'fsm_detected' is not a list"),
+    pytest.param(lambda t: t.replace("predicates:\n  - register_bits > 0",
+                                     "predicates: register_bits > 0"),
+                 "demo.md: predicates: expected list, got 'register_bits > 0'",
+                 id="<lambda>-demo.md: bad or missing field 'predicates': "
+                    "'register_bits > 0' is not a list"),
+    pytest.param(lambda t: t.replace("aliases: []", "aliases: gating"),
+                 "demo.md: aliases: expected list, got 'gating'",
+                 id="<lambda>-demo.md: bad or missing field 'aliases': 'gating' is not a list"),
+    pytest.param(lambda t: t.replace("predicates:\n  - register_bits > 0", "predicates:"),
+                 "demo.md: predicates: expected list, got None",
+                 id="<lambda>-demo.md: bad or missing field 'predicates': None is not a list"),
+    # every item of a list and every field has its declared type
+    (lambda t: t.replace("aliases: []", "aliases: [[path_restructuring]]"),
+     "demo.md: aliases[0]: expected str, got ['path_restructuring']"),
+    (lambda t: t.replace("caveats: small area overhead", "caveats: [adds area, {a: 1}]"),
+     "demo.md: caveats: expected str, got ['adds area', {'a': 1}]"),
 ])
 def test_parse_card_malformed(mutation, needle):
     with pytest.raises(RtlflowError) as exc:
@@ -123,7 +141,7 @@ def test_custom_dir_missing_required(tmp_path):
 def test_every_vocabulary_signal_has_a_reader():
     # a design fact no bundled card reads is dead code: it goes with its last reader
     read = {_PRED_RE.match(p)[2] for card in load_catalog().values()
-            for p in card.applicability + card.boosts}
+            for p in card.predicates + card.boost}
     ops = {f"{op}_ops" for _, op in _OPERATORS if op}
     assert sorted(VOCABULARY - ops - set(ALL_FIELDS) - read) == []
     assert optimizer._context(fingerprint(ADDER), BASE_REPORT).keys() == VOCABULARY

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import VERILOG
 
-from rtlflow.errors import ToolchainUnavailable
+from rtlflow.errors import ToolchainUnavailable, build
 from rtlflow.toolchain import (
     DEFAULT_FAIL_PATTERN,
     DEFAULT_PASS_MARKER,
@@ -122,7 +122,7 @@ def test_classify_is_total(exit_code, stdout, stderr, sim_present, timed_out):
               stderr=stderr, timed_out=timed_out) if sim_present else None
     outcome = classify(compile_inv, sim)
     assert outcome.kind in ("Pass", "SyntaxFail", "FunctionalFail", "ToolError")
-    round_trip = VerificationOutcome.from_dict(outcome.to_dict())
+    round_trip = build(VerificationOutcome, outcome.to_dict())
     assert round_trip.kind == outcome.kind
     assert round_trip.failing_checks == outcome.failing_checks
 
