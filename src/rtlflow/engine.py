@@ -15,7 +15,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, asdict
 from functools import cache
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, TextIO
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from .errors import UnparseableReply, build, read_input
 from .gateway import Gateway, RoleSession
@@ -89,56 +89,12 @@ class DesignSpec:
 
 
 @dataclass
-class ImplementationPlan:
-    steps: list[str]  # step k is steps[k - 1]
-
-    def __post_init__(self):
-        if not self.steps:
-            raise ValueError("plan needs at least one step")
-
-    def as_text(self) -> str:
-        return "\n".join(f"{i}. {t}" for i, t in enumerate(self.steps, 1))
-
-    @property
-    def indices(self) -> list[int]:
-        return list(range(1, len(self.steps) + 1))
-
-
-@dataclass
 class RtlArtifact:
     verilog_text: str
     step_tags: set[int] = field(default_factory=set)
     fix_tags: set[int] = field(default_factory=set)
     revision: int = 0
     notes: list[str] = field(default_factory=list)
-
-
-@dataclass
-class StepReview:
-    status: str  # Implemented | Missing
-    evidence: str = ""
-
-
-@dataclass
-class ReviewVerdict:
-    per_step: dict[int, StepReview]
-    complete: bool
-
-    @property
-    def missing(self) -> list[int]:
-        return sorted(i for i, r in self.per_step.items() if r.status == "Missing")
-
-
-@dataclass
-class FixDiagnosis:
-    fixes: list[str]  # fix k is fixes[k - 1]
-
-    def __post_init__(self):
-        if not self.fixes:
-            raise ValueError("a diagnosis must contain at least one fix")
-
-    def as_text(self) -> str:
-        return "\n".join(f"{i}. {f}" for i, f in enumerate(self.fixes, 1))
 
 
 @dataclass
@@ -172,6 +128,13 @@ def parse_numbered_list(text: str) -> list[str]:
         if m:
             items.append(m.group(2).strip())
     return items
+
+
+def _numbered(texts: list[str], indices: Sequence[int] = ()) -> str:
+    """One `k. texts[k - 1]` line per index k in `indices`, or in 1..N when
+    none are given: how a plan, its missing steps and a diagnosis's fixes
+    are put in a prompt."""
+    return "\n".join(f"{k}. {texts[k - 1]}" for k in indices or range(1, len(texts) + 1))
 
 
 _FENCE_RE = re.compile(r"```(?:[a-zA-Z]*)\n(.*?)```", re.DOTALL)
@@ -228,8 +191,11 @@ _REVIEW_RE = re.compile(
 
 
 # --- role operations ---
+# A plan is its step texts (step k is plan[k - 1]) and a diagnosis its fix
+# texts (fix k is fixes[k - 1]); each is a non-empty list, as its parser
+# rejects a reply with no numbered lines.
 
-def make_plan(spec: DesignSpec, gateway: Gateway) -> ImplementationPlan:
+def make_plan(spec: DesignSpec, gateway: Gateway) -> list[str]:
     prompt = render_prompt(
         "planner",
         name=spec.name,
@@ -240,25 +206,27 @@ def make_plan(spec: DesignSpec, gateway: Gateway) -> ImplementationPlan:
     items = parse_numbered_list(gateway.session("Planner").send(prompt))
     if not items:
         raise UnparseableReply("planner reply has no numbered steps")
-    return ImplementationPlan(items)
+    return items
 
 
-def write_rtl(plan: ImplementationPlan, spec: DesignSpec, gateway: Gateway) -> RtlArtifact:
+def write_rtl(plan: list[str], spec: DesignSpec, gateway: Gateway) -> RtlArtifact:
     prompt = render_prompt(
         "programmer",
         module_name=spec.module_name,
         ports=spec.port_table(),
-        plan=plan.as_text(),
+        plan=_numbered(plan),
     )
     reply = gateway.session("Programmer").send(prompt)
-    return artifact_from_reply(reply, 0, plan.indices)
+    return artifact_from_reply(reply, 0, range(1, len(plan) + 1))
 
 
-def review_rtl(plan: ImplementationPlan, rtl: RtlArtifact, gateway: Gateway) -> ReviewVerdict:
-    prompt = render_prompt("reviewer", plan=plan.as_text(), code=rtl.verilog_text)
+def review_rtl(plan: list[str], rtl: RtlArtifact, gateway: Gateway) -> dict[int, dict]:
+    """Each plan step's index mapped to its `{"status", "evidence"}`, with
+    status `Implemented` or `Missing`, in the order the reply names them."""
+    prompt = render_prompt("reviewer", plan=_numbered(plan), code=rtl.verilog_text)
     reply = gateway.session("Reviewer").send(prompt)
-    per_step: dict[int, StepReview] = {}
-    valid = set(plan.indices)
+    per_step: dict[int, dict] = {}
+    valid = set(range(1, len(plan) + 1))
     for line in reply.splitlines():
         m = _REVIEW_RE.match(line)
         if not m:
@@ -269,14 +237,12 @@ def review_rtl(plan: ImplementationPlan, rtl: RtlArtifact, gateway: Gateway) -> 
         if idx in per_step:
             raise UnparseableReply(f"review names step {idx} twice")
         status = "Implemented" if m.group(2).upper() == "IMPLEMENTED" else "Missing"
-        per_step[idx] = StepReview(status, m.group(3).strip())
+        per_step[idx] = {"status": status, "evidence": m.group(3).strip()}
     if set(per_step) != valid:
         raise UnparseableReply(
             f"review covers steps {sorted(per_step)}, plan has {sorted(valid)}"
         )
-    # aggregate flag is always recomputed, never taken from the reply
-    complete = all(r.status == "Implemented" for r in per_step.values())
-    return ReviewVerdict(per_step=per_step, complete=complete)
+    return per_step
 
 
 def _evaluator_prompt(rtl: RtlArtifact, outcome: VerificationOutcome, testbench_text: str) -> str:
@@ -290,11 +256,11 @@ def _evaluator_prompt(rtl: RtlArtifact, outcome: VerificationOutcome, testbench_
     )
 
 
-def _parse_diagnosis(reply: str) -> FixDiagnosis:
+def _parse_diagnosis(reply: str) -> list[str]:
     items = parse_numbered_list(reply)
     if not items:
         raise UnparseableReply("evaluator reply has no numbered fixes")
-    return FixDiagnosis(fixes=items)
+    return items
 
 
 def diagnose_failures(
@@ -302,16 +268,16 @@ def diagnose_failures(
     outcome: VerificationOutcome,
     testbench_text: str,
     evaluator: RoleSession,
-) -> FixDiagnosis:
+) -> list[str]:
     prompt = _evaluator_prompt(rtl, outcome, testbench_text)
     return _parse_diagnosis(evaluator.send(prompt))
 
 
-def apply_fixes(rtl: RtlArtifact, diagnosis: FixDiagnosis, gateway: Gateway) -> RtlArtifact:
-    prompt = render_prompt("fixer", code=rtl.verilog_text, fixes=diagnosis.as_text())
+def apply_fixes(rtl: RtlArtifact, fixes: list[str], gateway: Gateway) -> RtlArtifact:
+    prompt = render_prompt("fixer", code=rtl.verilog_text, fixes=_numbered(fixes))
     reply = gateway.session("Programmer").send(prompt)
     # the fixer keeps every STEP tag, so the old revision's tags are asked for
-    return artifact_from_reply(reply, rtl.revision + 1, rtl.step_tags, len(diagnosis.fixes))
+    return artifact_from_reply(reply, rtl.revision + 1, rtl.step_tags, len(fixes))
 
 
 # --- pipeline ---
@@ -385,13 +351,13 @@ class _HeldWrites(list):
 
 
 def _settle(future, gateway: Gateway, events: TextIO, revision: int,
-            superseded: bool = False) -> tuple[VerificationOutcome, Optional[FixDiagnosis]]:
+            superseded: bool = False) -> tuple[VerificationOutcome, Optional[list[str]]]:
     """End a verify on the calling thread, the one writer of its events: wait
     for it, append its `outcome` event, then the Evaluator's held exchange
     to the transcript and, when `diagnose_failures` returned, a `diagnosis`
     event; with `superseded`, both events say so, and a reply with no fixes
     is recorded as `fixes: []`, since it is not used. Returns the outcome
-    and the diagnosis a fix follows, or None, which ends the loop. The
+    and the fixes a fix follows, or None, which ends the loop. The
     verify's exception is re-raised before the outcome event, the
     Evaluator's after its exchange."""
     outcome, diagnosis, held = future.result()
@@ -403,7 +369,7 @@ def _settle(future, gateway: Gateway, events: TextIO, revision: int,
         raise diagnosis
     if diagnosis is None:
         return outcome, None
-    fixes = diagnosis.fixes if isinstance(diagnosis, FixDiagnosis) else []
+    fixes = [] if isinstance(diagnosis, BaseException) else diagnosis
     _event(events, "diagnosis", revision=revision, **mark,
            fixes=[{"description": f} for f in fixes])
     return outcome, None if superseded else diagnosis
@@ -418,7 +384,7 @@ def fix_loop(
     budget: PipelineBudget,
     workspace: Path,
     events: TextIO,
-    plan: Optional[ImplementationPlan] = None,
+    plan: Optional[list[str]] = None,
 ) -> tuple[list[Revision], str]:
     """Review against `plan` (when given), verify against the testbench at
     `tb_path` (whose text is `tb_text`), then diagnose and fix, until the
@@ -473,19 +439,21 @@ def fix_loop(
             try:
                 # each incomplete round but the last asks the Programmer for the missing steps
                 for round_no in range(1, budget.max_review_rounds + 1) if plan else ():
-                    verdict = review_rtl(plan, rtl, gateway)
+                    per_step = review_rtl(plan, rtl, gateway)
+                    # the complete flag is always recomputed, never taken from the reply
+                    missing = sorted(i for i, r in per_step.items() if r["status"] == "Missing")
                     _event(events, "verdict", revision=rtl.revision, round=round_no,
-                           **asdict(verdict))
-                    if verdict.complete:
+                           per_step=per_step, complete=not missing)
+                    if not missing:
                         break
                     if round_no == budget.max_review_rounds:
                         log.warning("review never converged after %d rounds; proceeding", round_no)
                         break
-                    missing = "\n".join(f"{i}. {plan.steps[i - 1]}" for i in verdict.missing)
                     prompt = render_prompt("reprogrammer", code=rtl.verilog_text,
-                                           missing=missing, plan=plan.as_text())
+                                           missing=_numbered(plan, missing),
+                                           plan=_numbered(plan))
                     reply = gateway.session("Programmer").send(prompt)
-                    rewrite = artifact_from_reply(reply, rtl.revision, plan.indices)
+                    rewrite = artifact_from_reply(reply, rtl.revision, range(1, len(plan) + 1))
                     if rewrite.verilog_text != rtl.verilog_text:  # an identical one keeps it
                         given_up, verify = verify, None  # given up once, even if this raises
                         _settle(given_up, gateway, events, rtl.revision, superseded=True)
@@ -498,11 +466,11 @@ def fix_loop(
                 raise
             if rtl.notes:
                 _event(events, "notes", revision=rtl.revision, notes=rtl.notes)
-            outcome, diagnosis = _settle(verify, gateway, events, rtl.revision)
+            outcome, fixes = _settle(verify, gateway, events, rtl.revision)
             revisions.append(Revision(rtl=rtl, outcome=outcome))
-            if diagnosis is None:
+            if fixes is None:
                 return revisions, outcome.kind if outcome.kind in _FINAL_KINDS else "BudgetExhausted"
-            rtl = apply_fixes(rtl, diagnosis, gateway)
+            rtl = apply_fixes(rtl, fixes, gateway)
 
 
 def run_pipeline(
@@ -522,7 +490,7 @@ def run_pipeline(
         tb_path = Path(spec.testbench_path)
         tb_text = read_input(tb_path)  # a bad testbench fails the run before the first LLM call
         plan = make_plan(spec, gateway)
-        _event(events, "plan", revision=0, steps=plan.steps)
+        _event(events, "plan", revision=0, steps=plan)
         rtl = write_rtl(plan, spec, gateway)
         revisions, final = fix_loop(
             rtl, tb_path, tb_text, gateway, toolchain, budget, workspace, events, plan

@@ -167,6 +167,12 @@ class ToolchainConfig:
     def __post_init__(self):
         if self.sim_timeout <= 0:
             raise ValueError("sim_timeout must be positive")
+        if not self.pass_marker:  # every run that ends would be a Pass
+            raise ValueError("pass_marker must not be empty")
+        try:
+            re.compile(self.fail_pattern)
+        except re.error as exc:
+            raise ValueError(f"fail_pattern: {exc} in {self.fail_pattern!r}") from None
         # the placeholders `IcarusToolchain.verify` fills in
         for key, known in (("compile_args", ("image", "rtl", "tb")), ("simulate_args", ("image",))):
             for arg in getattr(self, key):

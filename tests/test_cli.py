@@ -537,6 +537,11 @@ BAD_CONFIGS = [
                  id="zero-sim-timeout"),
     pytest.param("toolchain:\n  sim_timeout: -5\n", "toolchain: sim_timeout must be positive",
                  id="negative-sim-timeout"),
+    pytest.param("toolchain:\n  pass_marker: ''\n", "toolchain: pass_marker must not be empty",
+                 id="empty-pass-marker"),
+    pytest.param("toolchain:\n  fail_pattern: '('\n",
+                 "toolchain: fail_pattern: missing ), unterminated subpattern at position 0 in '('",
+                 id="bad-fail-pattern"),
 ]
 
 

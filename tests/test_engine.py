@@ -17,8 +17,6 @@ from rtlflow import bench, engine, optimizer
 from rtlflow.bench import BenchCase, run_suite
 from rtlflow.engine import (
     DesignSpec,
-    FixDiagnosis,
-    ImplementationPlan,
     PipelineBudget,
     Port,
     RtlArtifact,
@@ -113,8 +111,7 @@ def test_spec_ignores_clocked_key(tmp_path, signal_generator_spec):
 def test_make_plan_four_steps(tmp_path):
     reply = "1. registers\n2. always block\n3. counting\n4. output"
     plan = make_plan(make_spec(tmp_path), gateway_for("Planner", reply))
-    assert plan.indices == [1, 2, 3, 4]
-    assert plan.steps[1] == "always block"
+    assert plan == ["registers", "always block", "counting", "output"]
 
 
 def test_make_plan_unparseable(tmp_path):
@@ -155,7 +152,7 @@ def test_renumbering_matches_oracle(tmp_path):
         lines.insert(rng.randint(0, len(lines)), "free-text commentary")
         reply = "\n".join(lines)
         plan = make_plan(make_spec(tmp_path), gateway_for("Planner", reply))
-        got = list(enumerate(plan.steps, 1))
+        got = list(enumerate(plan, 1))
         assert got == oracle_renumber(lines)
 
 
@@ -178,7 +175,7 @@ endmodule
 
 
 def four_step_plan():
-    return ImplementationPlan([f"step {i}" for i in range(1, 5)])
+    return [f"step {i}" for i in range(1, 5)]
 
 
 def test_write_rtl_extracts_step_tags(tmp_path):
@@ -221,16 +218,17 @@ REVIEW_OK = "\n".join(f"STEP {i}: IMPLEMENTED - evidence {i}" for i in range(1, 
 
 
 def test_review_complete():
-    verdict = review_rtl(four_step_plan(), RtlArtifact(CODE_REPLY), gateway_for("Reviewer", REVIEW_OK))
-    assert verdict.complete
-    assert verdict.per_step[2].evidence == "evidence 2"
+    per_step = review_rtl(four_step_plan(), RtlArtifact(CODE_REPLY),
+                          gateway_for("Reviewer", REVIEW_OK))
+    assert per_step == {i: {"status": "Implemented", "evidence": f"evidence {i}"}
+                        for i in range(1, 5)}
 
 
 def test_review_missing_step():
     reply = REVIEW_OK.replace("STEP 3: IMPLEMENTED - evidence 3", "STEP 3: MISSING - no counter")
-    verdict = review_rtl(four_step_plan(), RtlArtifact(CODE_REPLY), gateway_for("Reviewer", reply))
-    assert not verdict.complete
-    assert verdict.missing == [3]
+    per_step = review_rtl(four_step_plan(), RtlArtifact(CODE_REPLY), gateway_for("Reviewer", reply))
+    assert per_step[3] == {"status": "Missing", "evidence": "no counter"}
+    assert [i for i, r in per_step.items() if r["status"] == "Missing"] == [3]
 
 
 def test_review_out_of_range_index():
@@ -262,18 +260,24 @@ def test_review_must_name_each_step_once():
     # a later line for a step must not override an earlier one
     reply = "STEP 1: IMPLEMENTED - x\nSTEP 2: MISSING - y\nSTEP 2: IMPLEMENTED - z"
     with pytest.raises(UnparseableReply, match="^review names step 2 twice$"):
-        review_rtl(ImplementationPlan(["a", "b"]), RtlArtifact(CODE_REPLY),
-                   gateway_for("Reviewer", reply))
+        review_rtl(["a", "b"], RtlArtifact(CODE_REPLY), gateway_for("Reviewer", reply))
 
 
-def test_review_complete_flag_is_recomputed():
+def test_review_complete_flag_is_recomputed(tmp_path):
     # a reply claiming completeness in prose but marking a step MISSING
     reply = (
         "All steps are done, great work!\n"
         + REVIEW_OK.replace("STEP 1: IMPLEMENTED - evidence 1", "STEP 1: MISSING - nothing")
     )
-    verdict = review_rtl(four_step_plan(), RtlArtifact(CODE_REPLY), gateway_for("Reviewer", reply))
-    assert verdict.complete is False
+    turns = [("Planner", "1. a\n2. b\n3. c\n4. d"), ("Programmer", CODE_REPLY),
+             ("Reviewer", reply)]
+    ws = tmp_path / "ws"
+    run_pipeline(make_spec(tmp_path), PipelineBudget(max_review_rounds=1),
+                 Gateway(ScriptedBackend(turns)), ScriptedToolchain([VerificationOutcome("Pass")]),
+                 ws)
+    [verdict] = [e for e in read_events(ws) if e["event"] == "verdict"]
+    assert verdict["complete"] is False
+    assert verdict["per_step"]["1"] == {"status": "Missing", "evidence": "nothing"}
 
 
 # --- diagnosis / fixes ---
@@ -283,9 +287,8 @@ def failing_outcome():
 
 
 def test_diagnose_parses_fixes():
-    diagnosis = engine._parse_diagnosis(
-        "1. fix the carry\n2. widen the register\n3. reset properly")
-    assert len(diagnosis.fixes) == 3
+    fixes = engine._parse_diagnosis("1. fix the carry\n2. widen the register\n3. reset properly")
+    assert fixes == ["fix the carry", "widen the register", "reset properly"]
 
 
 def test_diagnose_unparseable_reply():
@@ -296,11 +299,6 @@ def test_diagnose_unparseable_reply():
 def test_diagnose_rejects_pass_outcome():
     with pytest.raises(ValueError):
         engine._evaluator_prompt(RtlArtifact("x"), VerificationOutcome("Pass"), "tb")
-
-
-def test_diagnosis_requires_fixes():
-    with pytest.raises(ValueError):
-        FixDiagnosis(fixes=[])
 
 
 def test_diagnose_prompt_contains_log_and_testbench():
@@ -318,8 +316,7 @@ FIXED_REPLY = CODE_REPLY.replace(
 
 def test_apply_fixes_increments_revision():
     base = RtlArtifact("module toy; endmodule", step_tags={1}, revision=0)
-    diagnosis = FixDiagnosis(fixes=[f"f{i}" for i in range(3)])
-    fixed = apply_fixes(base, diagnosis, gateway_for("Programmer", FIXED_REPLY))
+    fixed = apply_fixes(base, [f"f{i}" for i in range(3)], gateway_for("Programmer", FIXED_REPLY))
     assert fixed.revision == 1
     assert set(fixed.fix_tags) == {1, 2, 3}
     assert set(fixed.step_tags) == {1, 2, 3, 4}
@@ -327,9 +324,8 @@ def test_apply_fixes_increments_revision():
 
 def test_apply_fixes_notes_missing_fix_and_step_tags():
     base = RtlArtifact("module toy; endmodule", step_tags={1, 2, 3, 4}, revision=0)
-    diagnosis = FixDiagnosis(fixes=["f1", "f2"])
     untagged = CODE_REPLY.replace("// STEP 4: output\n        ", "")
-    fixed = apply_fixes(base, diagnosis, gateway_for("Programmer", untagged))
+    fixed = apply_fixes(base, ["f1", "f2"], gateway_for("Programmer", untagged))
     assert fixed.notes == ["MissingStepTags: [4]", "MissingFixTags: [1, 2]"]
 
 
@@ -337,7 +333,7 @@ def test_apply_fixes_notes_tags_by_index_not_count():
     # as many FIX and STEP tags as asked for, but FIX 3 for FIX 2 and STEP 5 for STEP 4
     base = RtlArtifact("module toy; endmodule", step_tags={1, 2, 3, 4}, revision=0)
     swapped = FIXED_REPLY.replace("// FIX 2: width\n        ", "").replace("STEP 4:", "STEP 5:")
-    fixed = apply_fixes(base, FixDiagnosis(fixes=["f1", "f2"]), gateway_for("Programmer", swapped))
+    fixed = apply_fixes(base, ["f1", "f2"], gateway_for("Programmer", swapped))
     assert (fixed.step_tags, fixed.fix_tags) == ({1, 2, 3, 5}, {1, 3})
     assert fixed.notes == ["MissingStepTags: [4]", "MissingFixTags: [2]"]
 
