@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from .engine import DesignSpec, PipelineBudget, run_pipeline
-from .errors import InfraError, RtlflowError, read_input
+from .errors import InfraError, RtlflowError, build, read_input
 from .metrics import (
     HEADLINE_METRICS,
     ImprovementRow,
@@ -35,66 +35,58 @@ class BenchCase:
 
 
 @dataclass
+class _ManifestCase:
+    """One entry of a manifest's `cases`, as written. A path left out is
+    absent; a null one is rejected like any value that is not a string."""
+    spec: str
+    testbench: str = None
+    baseline_report: str = None
+    optimized_reports: dict[str, str] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for goal in self.optimized_reports:
+            if goal not in GOALS:
+                raise ValueError(f"optimized_reports key {goal!r} is not one of {GOALS}")
+
+
+@dataclass
 class BenchSummary:
     per_case: dict[str, str]  # design -> Pass | Fail | SyntaxFail | InfraError
     passed: int
     total: int
-    improvement_rows: list[ImprovementRow]
-    tradeoff_pairs: list[tuple[str, PpaMetrics, PpaMetrics]]  # (design, baseline, optimized)
+    # per design, one row and one pair per goal, in GOALS order
+    improvement_rows: list[tuple[str, ImprovementRow]]  # (goal, row)
+    tradeoff_pairs: list[tuple[str, str, PpaMetrics, PpaMetrics]]  # (design, goal, base, opt)
     failure_reasons: dict[str, str] = field(default_factory=dict)
 
 
 def load_manifest(path: str | Path) -> list[BenchCase]:
     """Manifest is a single YAML file; relative paths resolve against it.
     A BadInput (a ValueError) names the manifest when it is not valid YAML,
-    lists no cases, or has a case that is not a mapping with a `spec` entry,
-    has a key other than `spec`, `testbench`, `baseline_report` and
-    `optimized_reports`, `optimized_reports` that are not a mapping keyed
-    by goals, a path that is not a string, an empty `testbench` or a design
-    name another case has (their workspaces would collide); it names the
-    spec file when that is missing or bad."""
+    lists no cases, has a case `errors.build` rejects as a `_ManifestCase`,
+    an empty `testbench` or a design name another case has (their
+    workspaces would collide); it names the spec file when that is missing
+    or bad."""
     base = Path(path).parent
 
-    def resolve(p: str) -> str:
-        if not isinstance(p, str):  # a null too: only leaving the key out means "absent"
-            raise ValueError(f"a path must be a string, got {p!r}")
-        q = Path(p)
-        return str(q if q.is_absolute() else (base / q).resolve())
+    def resolve(p: str | None) -> str | None:
+        return None if p is None else str((base / p).resolve())
 
     def parse(text: str) -> list[BenchCase]:
         doc = safe_load(text)
-        entries = doc.get("cases") if isinstance(doc, dict) else None
-        if not entries or not isinstance(entries, list):
+        if not isinstance(doc, dict) or not doc.get("cases"):
             raise ValueError("manifest lists no cases")
         cases = []
         names: set[str] = set()
-        for entry in entries:
-            if not isinstance(entry, dict) or entry.get("spec") is None:
-                raise ValueError(f"each case needs a 'spec' entry, got {entry!r}")
-            for key in entry:
-                if key not in ("spec", "testbench", "baseline_report", "optimized_reports"):
-                    raise ValueError(f"unknown key {key!r} in case {entry!r}")
-            spec = DesignSpec.from_json(resolve(entry["spec"]))
+        for entry in build(list[_ManifestCase], doc["cases"], "cases"):
+            spec = DesignSpec.from_json(resolve(entry.spec))
             if spec.name in names:
                 raise ValueError(f"duplicate design name {spec.name!r}")
             names.add(spec.name)
-            if "testbench" in entry:  # "" is left for the spec's checks to reject
-                tb = entry["testbench"]
-                spec = replace(spec, testbench_path=tb if tb == "" else resolve(tb))
-            optimized = entry.get("optimized_reports") or {}
-            if not isinstance(optimized, dict):
-                raise ValueError(f"optimized_reports must be a mapping, got {optimized!r}")
-            for goal in optimized:
-                if goal not in GOALS:
-                    raise ValueError(f"optimized_reports key {goal!r} is not one of {GOALS}")
-            cases.append(
-                BenchCase(
-                    spec=spec,
-                    baseline_report=(resolve(entry["baseline_report"])
-                                     if "baseline_report" in entry else None),
-                    optimized_reports={goal: resolve(p) for goal, p in optimized.items()},
-                )
-            )
+            if entry.testbench is not None:  # "" is left for the spec's checks to reject
+                spec = replace(spec, testbench_path=entry.testbench and resolve(entry.testbench))
+            cases.append(BenchCase(spec, resolve(entry.baseline_report), {
+                goal: resolve(p) for goal, p in entry.optimized_reports.items()}))
         return cases
 
     return read_input(path, parse)
@@ -190,24 +182,31 @@ def run_suite(
     per_case = {design: status for design, status, _ in ordered}
     reasons = {design: reason for design, _, reason in ordered if reason}
 
-    rows: list[ImprovementRow] = []
-    pairs: list[tuple[str, PpaMetrics, PpaMetrics]] = []
+    rows: list[tuple[str, ImprovementRow]] = []
+    pairs: list[tuple[str, str, PpaMetrics, PpaMetrics]] = []
     for case in cases:
         design = case.spec.name
         if per_case[design] != "Pass" or not case.baseline_report or not case.optimized_reports:
             continue
-        # one improvement row per case against the first provided optimized report
-        goal = sorted(case.optimized_reports)[0]
+        # one row per goal, from that goal's own report; a bad report costs
+        # its own rows, not the case its other rows or the suite its tables
         try:
             base = read_input(case.baseline_report, parse_report)
-            opt = read_input(case.optimized_reports[goal], parse_report)
-            row = build_comparison(design, base, opt)
         except RtlflowError as exc:
-            # a bad report costs this case its row, not the suite its tables
             reasons[design] = f"report: {type(exc).__name__}: {exc}"
             continue
-        rows.append(row)
-        pairs.append((design, base, opt))
+        bad = []
+        for goal in (g for g in GOALS if g in case.optimized_reports):
+            try:
+                opt = read_input(case.optimized_reports[goal], parse_report)
+                row = build_comparison(design, base, opt)
+            except RtlflowError as exc:
+                bad.append(f"report: {type(exc).__name__}: {exc}")
+            else:
+                rows.append((goal, row))
+                pairs.append((design, goal, base, opt))
+        if bad:  # a zero baseline fails every goal alike: say so once
+            reasons[design] = "; ".join(dict.fromkeys(bad))
 
     passed = sum(1 for s in per_case.values() if s == "Pass")
     return BenchSummary(
@@ -241,20 +240,27 @@ def emit_tables(summary: BenchSummary, out_dir: str | Path) -> list[Path]:
     ppa_csv = out_dir / "ppa_table.csv"
     with ppa_csv.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["design"] + [f"{m}_improvement_pct" for m in HEADLINE_METRICS])
-        for row in summary.improvement_rows:
+        writer.writerow(["design", "goal"] + [f"{m}_improvement_pct" for m in HEADLINE_METRICS])
+        for goal, row in summary.improvement_rows:
             writer.writerow(
-                [row.design] + [render_pct(row.per_metric[m]) for m in HEADLINE_METRICS]
+                [row.design, goal] + [render_pct(row.per_metric[m]) for m in HEADLINE_METRICS]
             )
     written.append(ppa_csv)
 
     tradeoff_csv = out_dir / "tradeoff.csv"
     with tradeoff_csv.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        # raw metric pairs per design and variant; plotting is external
-        writer.writerow(["design", "variant", "dynamic_power_uW", "design_area_um2", "cp_length_ns"])
-        for design, *variants in summary.tradeoff_pairs:
-            for variant, m in zip(("baseline", "optimized"), variants):
-                writer.writerow([design, variant, m.dynamic_power, m.design_area, m.cp_length])
+        # raw metrics per design: its baseline once, then each goal's
+        # optimized variant; plotting is external
+        writer.writerow(["design", "goal", "variant",
+                         "dynamic_power_uW", "design_area_um2", "cp_length_ns"])
+        baselines: set[str] = set()
+        for design, goal, base, opt in summary.tradeoff_pairs:
+            if design not in baselines:
+                baselines.add(design)
+                writer.writerow([design, "", "baseline",
+                                 base.dynamic_power, base.design_area, base.cp_length])
+            writer.writerow([design, goal, "optimized",
+                             opt.dynamic_power, opt.design_area, opt.cp_length])
     written.append(tradeoff_csv)
     return written

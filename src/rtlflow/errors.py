@@ -86,13 +86,13 @@ def _at(where: str, message) -> str:
 
 def build(kind, value, where: str = "", /, **given):
     """`value`, as parsed from a JSON or YAML input file, as a `kind`: a
-    dataclass, `list[X]`, `Optional[X]`, str, int or float. A dataclass is
-    built from a mapping whose keys are its fields but those in `given`,
-    which the caller fills in. An unknown key, a missing key and a value of
-    the wrong type are each a ValueError led by its key path from `where`
-    (`ports[1].width: expected int, got '8'`), as is a ValueError from the
-    dataclass's `__post_init__`. A bool is no number; an int is a float, and
-    a float is an int when nothing is lost."""
+    dataclass, `list[X]`, `dict[K, X]`, `Optional[X]`, str, int or float. A
+    dataclass is built from a mapping whose keys are its fields but those in
+    `given`, which the caller fills in. An unknown key, a missing key and a
+    key or value of the wrong type are each a ValueError led by its key path
+    from `where` (`cases[2].optimized_reports.power: expected str, got 5`),
+    as is a ValueError from the dataclass's `__post_init__`. A bool is no
+    number; an int is a float, and a float is an int when nothing is lost."""
     if type(value) is kind:
         return value
     if is_dataclass(kind):
@@ -116,6 +116,10 @@ def build(kind, value, where: str = "", /, **given):
     origin = get_origin(kind)
     if origin is list and isinstance(value, list):
         return [build(get_args(kind)[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
+    if origin is dict and isinstance(value, dict):
+        key_kind, value_kind = get_args(kind)
+        return {build(key_kind, k, where): build(value_kind, v, f"{where}.{k}" if where else str(k))
+                for k, v in value.items()}
     if origin is Union:  # Optional[X]
         return None if value is None else build(get_args(kind)[0], value, where)
     if kind is float and type(value) is int:

@@ -151,11 +151,43 @@ def test_run_suite_syntax_fail_at_budget_is_syntax_fail(tmp_path):
 def test_run_suite_improvement_rows_only_for_passing(tmp_path):
     gw, tc = factories()
     summary = run_suite(three_cases(), gw, tc, PipelineBudget(), tmp_path)
-    assert [r.design for r in summary.improvement_rows] == ["sig_pass"]
-    row = summary.improvement_rows[0]
+    assert [(goal, r.design) for goal, r in summary.improvement_rows] == [("timing", "sig_pass")]
+    _, row = summary.improvement_rows[0]
     assert row.per_metric["cell_area"] == pytest.approx(58.70, abs=0.05)
     assert row.per_metric["cp_slack"] is None
-    assert [design for design, _, _ in summary.tradeoff_pairs] == ["sig_pass"]
+    assert [pair[:2] for pair in summary.tradeoff_pairs] == [("sig_pass", "timing")]
+
+
+def test_run_suite_one_row_per_goal_from_its_own_report(tmp_path):
+    # three goals' reports, in no particular order: power and timing each
+    # give their own row, and the unreadable area report costs only its own
+    power = tmp_path / "power.rpt"
+    power.write_text("cell_area: 187.05 um2\ndesign_area: 202.13 um2\n"
+                     "dynamic_power: 9.81 uW\nleakage_power: 0.23 uW\ncp_length: 5.77 ns\n")
+    area = tmp_path / "area.rpt"
+    area.write_text("no metrics here\n")
+    passing, failing, _ = three_cases()
+    case = dataclasses.replace(passing, optimized_reports={
+        "area": str(area), "timing": passing.optimized_reports["timing"], "power": str(power)})
+    gw, tc = factories()
+    summary = run_suite([case, failing], gw, tc, PipelineBudget(), tmp_path / "runs")
+    assert summary.per_case == {"sig_pass": "Pass", "sig_fail": "Fail"}
+    assert [(goal, r.design) for goal, r in summary.improvement_rows] == [
+        ("power", "sig_pass"), ("timing", "sig_pass")]
+    (_, by_power), (_, by_timing) = summary.improvement_rows
+    assert by_power.per_metric["dynamic_power"] == pytest.approx(50.0, abs=0.05)
+    assert by_power.per_metric["cp_length"] == pytest.approx(0.0, abs=0.05)
+    assert by_timing.per_metric["cp_length"] == pytest.approx(58.40, abs=0.05)
+    assert summary.failure_reasons["sig_pass"].startswith(f"report: BadInput: {area}: ")
+
+    emit_tables(summary, tmp_path / "tables")
+    ppa = (tmp_path / "tables" / "ppa_table.csv").read_text().splitlines()
+    assert [line.split(",")[:5] for line in ppa[1:]] == [  # to dynamic_power
+        ["sig_pass", "power", "0", "0", "50"], ["sig_pass", "timing", "58.7", "59.11", "57.03"]]
+    tradeoff = (tmp_path / "tables" / "tradeoff.csv").read_text().splitlines()
+    assert [line.split(",")[:4] for line in tradeoff[1:]] == [
+        ["sig_pass", "", "baseline", "19.62"], ["sig_pass", "power", "optimized", "9.81"],
+        ["sig_pass", "timing", "optimized", "8.43"]]
 
 
 def test_run_suite_parallel_matches_serial(tmp_path):
@@ -257,6 +289,24 @@ def test_run_suite_bad_report_costs_one_case(tmp_path):
     assert "1/2 (50.0%)" in (tmp_path / "tables" / "success_table.md").read_text()
 
 
+def test_run_suite_zero_baseline_is_one_reason(tmp_path):
+    # the baseline, not a goal's report, is at fault: every row goes, and
+    # the reason is given once
+    zero = tmp_path / "zero.rpt"
+    zero.write_text("".join(
+        "cell_area: 0 um2\n" if line.startswith("cell_area") else line
+        for line in (REPORTS / "adder_16bit_base.rpt").read_text().splitlines(True)
+    ))
+    passing, _, _ = three_cases()
+    case = dataclasses.replace(passing, baseline_report=str(zero), optimized_reports={
+        "power": passing.optimized_reports["timing"], "timing": passing.optimized_reports["timing"]})
+    gw, tc = factories()
+    summary = run_suite([case], gw, tc, PipelineBudget(), tmp_path / "runs")
+    assert summary.improvement_rows == [] and summary.tradeoff_pairs == []
+    assert summary.failure_reasons == {
+        "sig_pass": "report: ZeroBaseline: cell_area: baseline is zero"}
+
+
 def test_run_suite_workspace_write_error_is_infra(tmp_path, caplog):
     # the first case's events.jsonl cannot be opened: the workspace failed, not the design
     (tmp_path / "runs" / "sig_pass" / "events.jsonl").mkdir(parents=True)
@@ -285,16 +335,16 @@ def test_emit_tables(tmp_path):
     assert "1/3 (33.3%)" in table
 
     csv_lines = (tmp_path / "tables" / "ppa_table.csv").read_text().splitlines()
-    assert csv_lines[0].startswith("design,cell_area_improvement_pct")
+    assert csv_lines[0].startswith("design,goal,cell_area_improvement_pct")
     cells = csv_lines[1].split(",")
-    assert cells[0] == "sig_pass"
-    assert cells[1] == "58.7"
+    assert cells[:2] == ["sig_pass", "timing"]
+    assert cells[2] == "58.7"
     assert cells[-1] == "N/A"  # slack column for a combinational baseline
 
     tradeoff = (tmp_path / "tables" / "tradeoff.csv").read_text().splitlines()
     assert len(tradeoff) == 3  # header + baseline + optimized
-    assert [line.split(",")[:2] for line in tradeoff[1:]] == [
-        ["sig_pass", "baseline"], ["sig_pass", "optimized"]]
+    assert [line.split(",")[:3] for line in tradeoff[1:]] == [
+        ["sig_pass", "", "baseline"], ["sig_pass", "timing", "optimized"]]
 
 
 # --- manifest ---
@@ -343,8 +393,8 @@ def test_load_manifest_rejects_duplicate_designs(tmp_path):
 
 @pytest.mark.parametrize("testbench, needle", [
     pytest.param('""', "testbench_path must not be empty", id="empty"),
-    pytest.param("5", "a path must be a string, got 5", id="not-a-string"),
-    pytest.param("", "a path must be a string, got None", id="null"),
+    pytest.param("5", "cases[0].testbench: expected str, got 5", id="not-a-string"),
+    pytest.param("", "cases[0].testbench: expected str, got None", id="null"),
 ])
 def test_load_manifest_rejects_a_bad_testbench(tmp_path, testbench, needle):
     # the override meets the spec's own checks: a bad manifest, not a failed case

@@ -720,20 +720,24 @@ def test_bench_workers_below_one_is_usage_error(tmp_path, runner, workers):
     pytest.param("cases:\n  - spec: top.json\n", "top.json: expected a mapping, got [1]",
                  id="spec-not-an-object"),
     pytest.param("cases:\n  - spec: nope.json\n", "nope.json: [Errno 2]", id="spec-missing"),
-    pytest.param("cases: [1]\n", "suite.yaml: each case needs a 'spec' entry, got 1",
+    pytest.param("cases:\n  spec: a.json\n", "suite.yaml: cases: expected list, got {'spec'",
+                 id="cases-a-mapping"),
+    pytest.param("cases: [1]\n", "suite.yaml: cases[0]: expected a mapping, got 1",
                  id="case-not-a-mapping"),
-    pytest.param("cases:\n  - testbench: tb.v\n", "suite.yaml: each case needs a 'spec' entry",
+    pytest.param("cases:\n  - testbench: tb.v\n", "suite.yaml: cases[0]: missing key 'spec'",
                  id="case-without-spec"),
     pytest.param("cases:\n  - spec: a.json\n    testbench: 5\n",
-                 "suite.yaml: a path must be a string, got 5", id="path-not-a-string"),
+                 "suite.yaml: cases[0].testbench: expected str, got 5", id="path-not-a-string"),
     pytest.param("cases:\n  - spec: a.json\n    testbench:\n",
-                 "suite.yaml: a path must be a string, got None", id="null-testbench"),
+                 "suite.yaml: cases[0].testbench: expected str, got None", id="null-testbench"),
     pytest.param('cases:\n  - spec: a.json\n    testbench: ""\n',
                  "suite.yaml: testbench_path must not be empty", id="empty-testbench"),
     pytest.param("cases:\n  - spec: a.json\n    optimized_reports: {timing: null}\n",
-                 "suite.yaml: a path must be a string, got None", id="null-optimized-report"),
+                 "suite.yaml: cases[0].optimized_reports.timing: expected str, got None",
+                 id="null-optimized-report"),
     pytest.param("cases:\n  - spec: a.json\n    baseline_report: null\n",
-                 "suite.yaml: a path must be a string, got None", id="null-baseline-report"),
+                 "suite.yaml: cases[0].baseline_report: expected str, got None",
+                 id="null-baseline-report"),
     pytest.param("cases:\n  - spec: name5.json\n", "name5.json: name: expected str, got 5",
                  id="name-not-a-string"),
     pytest.param("cases:\n  - spec: escape.json\n",
@@ -742,13 +746,16 @@ def test_bench_workers_below_one_is_usage_error(tmp_path, runner, workers):
     pytest.param("cases:\n  - spec: notb.json\n",
                  "notb.json: testbench_path must not be empty", id="empty-testbench-path"),
     pytest.param("cases:\n  - spec: a.json\n    optimized_reports: [x]\n",
-                 "suite.yaml: optimized_reports must be a mapping, got ['x']",
+                 "suite.yaml: cases[0].optimized_reports: expected dict, got ['x']",
                  id="optimized-reports-not-a-mapping"),
     pytest.param("cases:\n  - spec: a.json\n    optimized_reports: {1: a.rpt, timing: b.rpt}\n",
-                 "suite.yaml: optimized_reports key 1 is not one of ('power', 'timing', 'area')",
+                 "suite.yaml: cases[0].optimized_reports: expected str, got 1",
                  id="optimized-reports-key-not-a-goal"),
+    pytest.param("cases:\n  - spec: a.json\n    optimized_reports: {speed: a.rpt}\n",
+                 "suite.yaml: cases[0]: optimized_reports key 'speed' is not one of "
+                 "('power', 'timing', 'area')", id="optimized-reports-key-an-unknown-goal"),
     pytest.param("cases:\n  - spec: a.json\n    optimized_report: {timing: a.rpt}\n",
-                 "suite.yaml: unknown key 'optimized_report' in case", id="unknown-case-key"),
+                 "suite.yaml: cases[0]: unknown key 'optimized_report'", id="unknown-case-key"),
 ])
 def test_bench_bad_manifest_is_usage_error(tmp_path, runner, body, needle):
     for name in ("a.json", "b.json"):

@@ -1,7 +1,8 @@
 """A structural fuzzer over the input files. One leaf of spec.json, run.yaml,
 suite.yaml, a scripted turns.json or outcomes.json, or a technique card's
-front-matter is replaced by a value of some type, or one key is deleted;
-then a command that reads the file runs in-process with `--scripted`.
+front-matter is replaced by a value of some type, or one key is deleted or
+renamed to a name no record declares or to a non-string; then a command
+that reads the file runs in-process with `--scripted`.
 Whatever the fault, the command exits 0, 1 or 2 with no traceback, and every
 bench failure reason that names an exception type names an rtlflow error or
 an OSError."""
@@ -38,6 +39,8 @@ FILES = {
 }
 # what a leaf may become: a value of each type an input holds, and edge values
 VALUES = [None, True, 0, -1, 2.5, "", "x", "Pass", [], {}, ["x"], [[1]], {"a": 1}]
+# what a mapping key may become: None deletes it, the rest rename it
+KEYS = [None, "unknown_key", 1]
 # the exception types a bench reason may name
 NAMED = ({name for name, value in vars(errors).items()
           if isinstance(value, type) and issubclass(value, errors.RtlflowError)}
@@ -63,7 +66,7 @@ def dump(rel: str, doc) -> str:
 
 
 def sites(doc, path=()):
-    """(path, deletable) for each leaf, and for each key of a mapping, in `doc`."""
+    """(path, is_key) for each leaf, and for each key of a mapping, in `doc`."""
     items = doc.items() if isinstance(doc, dict) else enumerate(doc)
     for key, value in items:
         if isinstance(value, (dict, list)) and value:
@@ -88,14 +91,16 @@ def faults(draw, root):
     command = draw(st.sampled_from(FILES[rel]))
     doc = load(rel, (root / rel).read_text())
     parent = doc["front"] if rel.endswith(".md") else doc  # a card's body is not fuzzed
-    path, delete = draw(st.sampled_from(list(sites(parent))))
-    value = None if delete else draw(st.sampled_from(VALUES))
+    path, is_key = draw(st.sampled_from(list(sites(parent))))
     for key in path[:-1]:
         parent = parent[key]
-    if delete:
-        del parent[path[-1]]
+    if not is_key:
+        parent[path[-1]] = draw(st.sampled_from(VALUES))
     else:
-        parent[path[-1]] = value
+        value = parent.pop(path[-1])
+        renamed = draw(st.sampled_from(KEYS))
+        if renamed is not None:
+            parent[renamed] = value
     return command, rel, dump(rel, doc)
 
 
