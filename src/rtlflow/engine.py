@@ -84,15 +84,11 @@ class DesignSpec:
 
         return read_input(path, parse)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class RtlArtifact:
     verilog_text: str
     step_tags: set[int] = field(default_factory=set)
-    fix_tags: set[int] = field(default_factory=set)
     revision: int = 0
     notes: list[str] = field(default_factory=list)
 
@@ -175,9 +171,9 @@ def artifact_from_reply(text: str, revision: int, steps: Iterable[int] = (),
     STEP tag for, and a `MissingFixTags: [k, ...]` note for the fixes
     1..`fixes` it has no FIX tag for; each note is logged."""
     code = extract_verilog(text)
-    artifact = RtlArtifact(code, extract_tags(code, "STEP"), extract_tags(code, "FIX"), revision)
+    artifact = RtlArtifact(code, extract_tags(code, "STEP"), revision)
     for kind, asked, found in (("Step", set(steps), artifact.step_tags),
-                               ("Fix", set(range(1, fixes + 1)), artifact.fix_tags)):
+                               ("Fix", set(range(1, fixes + 1)), extract_tags(code, "FIX"))):
         if asked - found:
             artifact.notes.append(f"Missing{kind}Tags: {sorted(asked - found)}")
             log.warning("%s", artifact.notes[-1])
@@ -486,7 +482,7 @@ def run_pipeline(
     workspace = Path(workspace)
     status = {"design": spec.name}
     with run_log(workspace, gateway, status) as events:
-        write_json(workspace / "spec.json", spec.to_dict())
+        write_json(workspace / "spec.json", asdict(spec))
         tb_path = Path(spec.testbench_path)
         tb_text = read_input(tb_path)  # a bad testbench fails the run before the first LLM call
         plan = make_plan(spec, gateway)

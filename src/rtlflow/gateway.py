@@ -258,9 +258,8 @@ class Gateway:
         clock: Callable[[], float] = time.time,
     ):
         self.backend = backend
-        self.run_id = run_id or os.urandom(16).hex()
         self.transcript = (
-            TranscriptWriter(transcript_path, self.run_id, clock)
+            TranscriptWriter(transcript_path, run_id or os.urandom(16).hex(), clock)
             if transcript_path is not None
             else None
         )

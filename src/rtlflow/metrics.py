@@ -9,7 +9,7 @@ the violation-magnitude convention and is N/A for combinational baselines.
 from __future__ import annotations
 
 import re
-from dataclasses import MISSING, dataclass, asdict, fields
+from dataclasses import MISSING, dataclass, fields
 from decimal import Decimal, ROUND_HALF_UP
 from typing import Optional
 
@@ -50,12 +50,6 @@ class PpaMetrics:
         if self.design_area < self.cell_area:
             raise ValueError("design_area must be >= cell_area")
 
-    def get(self, name: str) -> Optional[float]:
-        return getattr(self, name)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 ALL_FIELDS = tuple(f.name for f in fields(PpaMetrics))
 REQUIRED_FIELDS = tuple(f.name for f in fields(PpaMetrics) if f.default is MISSING)
@@ -76,11 +70,9 @@ class ImprovementRow:
     design: str
     per_metric: dict[str, Optional[float]]  # metric -> signed percent, None = N/A
 
-    def rendered(self) -> dict[str, str]:
-        return {m: render_pct(v) for m, v in self.per_metric.items()}
-
     def to_dict(self) -> dict:
-        return {"design": self.design, "per_metric": self.rendered()}
+        return {"design": self.design,
+                "per_metric": {m: render_pct(v) for m, v in self.per_metric.items()}}
 
 
 def round_display(value: float) -> float:
@@ -163,7 +155,7 @@ def emit_canonical(metrics: PpaMetrics) -> str:
     """Render metrics in the canonical line grammar (stable field order)."""
     lines = []
     for name in ALL_FIELDS:
-        value = metrics.get(name)
+        value = getattr(metrics, name)
         if value is not None:
             unit = f" {_UNITS[name][0]}" if name in _UNITS else ""
             lines.append(f"{name}: {value!r}{unit}")
@@ -191,7 +183,7 @@ def improvement_pct(base: Optional[float], opt: Optional[float], metric: str) ->
 
 def build_comparison(design: str, base: PpaMetrics, opt: PpaMetrics) -> ImprovementRow:
     per_metric = {
-        name: improvement_pct(base.get(name), opt.get(name), name)
+        name: improvement_pct(getattr(base, name), getattr(opt, name), name)
         for name in HEADLINE_METRICS
     }
     return ImprovementRow(design=design, per_metric=per_metric)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -195,7 +195,7 @@ def for_goal(catalog: dict[str, TechniqueCard], goal: str) -> list[TechniqueCard
 def _context(fp: DesignFingerprint, report: PpaMetrics) -> dict:
     """The value of each VOCABULARY name for one design and its report."""
     ctx = {name: read(fp) for name, read in _SIGNALS.items()}
-    ctx.update(report.to_dict())  # a metric the report lacks is None, which reads as False
+    ctx.update(asdict(report))  # a metric the report lacks is None, which reads as False
     return ctx
 
 

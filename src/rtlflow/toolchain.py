@@ -44,9 +44,6 @@ class ToolInvocation:
     wall_time: float
     timed_out: bool = False
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), ensure_ascii=False, indent=2)
-
 
 @dataclass
 class DiagnosticRecord:
@@ -223,7 +220,8 @@ class IcarusToolchain:
         if path is None:
             raise ToolchainUnavailable(f"executable not found: {exe}")
         inv = _run(tool, [path] + [a.format(**subst) for a in args], workspace, timeout)
-        (workspace / f"inv_{self._inv_seq}.json").write_text(inv.to_json(), encoding="utf-8")
+        (workspace / f"inv_{self._inv_seq}.json").write_text(
+            json.dumps(asdict(inv), ensure_ascii=False, indent=2), encoding="utf-8")
         self._inv_seq += 1
         return inv
 

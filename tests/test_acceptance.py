@@ -158,7 +158,7 @@ def test_criterion_5_parser_robustness(verdict):
                 continue
             metrics = parse_report(path.read_text())
             again = parse_report(emit_canonical(metrics))
-            assert again.to_dict() == metrics.to_dict(), path.name
+            assert again == metrics, path.name
 
         # (b) classification is total over 1000 random tool logs
         rng = random.Random(42)

@@ -318,7 +318,7 @@ def test_apply_fixes_increments_revision():
     base = RtlArtifact("module toy; endmodule", step_tags={1}, revision=0)
     fixed = apply_fixes(base, [f"f{i}" for i in range(3)], gateway_for("Programmer", FIXED_REPLY))
     assert fixed.revision == 1
-    assert set(fixed.fix_tags) == {1, 2, 3}
+    assert extract_tags(fixed.verilog_text, "FIX") == {1, 2, 3}
     assert set(fixed.step_tags) == {1, 2, 3, 4}
 
 
@@ -334,7 +334,7 @@ def test_apply_fixes_notes_tags_by_index_not_count():
     base = RtlArtifact("module toy; endmodule", step_tags={1, 2, 3, 4}, revision=0)
     swapped = FIXED_REPLY.replace("// FIX 2: width\n        ", "").replace("STEP 4:", "STEP 5:")
     fixed = apply_fixes(base, ["f1", "f2"], gateway_for("Programmer", swapped))
-    assert (fixed.step_tags, fixed.fix_tags) == ({1, 2, 3, 5}, {1, 3})
+    assert (fixed.step_tags, extract_tags(fixed.verilog_text, "FIX")) == ({1, 2, 3, 5}, {1, 3})
     assert fixed.notes == ["MissingStepTags: [4]", "MissingFixTags: [2]"]
 
 

@@ -112,7 +112,7 @@ def test_unknown_unit_rejected():
 def test_canonical_round_trip(name):
     original = parse_report((REPORTS / name).read_text())
     again = parse_report(emit_canonical(original))
-    assert again.to_dict() == original.to_dict()
+    assert again == original
 
 
 metric_floats = st.floats(min_value=0.01, max_value=1e6, allow_nan=False)
@@ -128,7 +128,7 @@ def test_round_trip_random_metrics(cell, extra, dyn, leak, cp, slack):
     m = PpaMetrics(cell, cell + extra, dyn, leak, cp, cp_slack=slack)
     again = parse_report(emit_canonical(m))
     for name in HEADLINE_METRICS:
-        a, b = m.get(name), again.get(name)
+        a, b = getattr(m, name), getattr(again, name)
         if a is None:
             assert b is None
         else:
@@ -208,7 +208,7 @@ def test_comparison_from_report_fixtures():
     assert row.per_metric["cell_area"] == pytest.approx(58.70, abs=0.05)
     assert row.per_metric["cp_length"] == pytest.approx(58.40, abs=0.05)
     assert row.per_metric["cp_slack"] is None
-    assert row.rendered()["cp_slack"] == "N/A"
+    assert row.to_dict()["per_metric"]["cp_slack"] == "N/A"
 
 
 # --- display rounding ---

@@ -7,12 +7,16 @@ notes to `RtlArtifact`, `replace` or `setattr`; a nested function's write
 counts for the function it sits in."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import rtlflow
+from rtlflow.engine import RtlArtifact
 
 PACKAGE = Path(rtlflow.__file__).resolve().parent
 MODULES = sorted(PACKAGE.rglob("*.py"))
+# how many positional arguments to `RtlArtifact` come before its notes
+NOTES_AT = [f.name for f in fields(RtlArtifact)].index("notes")
 
 
 def _is_notes(node: ast.AST) -> bool:
@@ -31,7 +35,7 @@ def _sets_notes(node: ast.AST) -> bool:
     called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
     keywords = {k.arg for k in node.keywords}
     return ((called in ("RtlArtifact", "replace") and "notes" in keywords)
-            or (called == "RtlArtifact" and len(node.args) > 4)  # notes is its fifth field
+            or (called == "RtlArtifact" and len(node.args) > NOTES_AT)
             or (called == "setattr" and len(node.args) > 1
                 and isinstance(node.args[1], ast.Constant) and node.args[1].value == "notes"))
 
@@ -69,7 +73,7 @@ def test_note_setters_finds_what_it_looks_for():
         "def augments(rtl):\n    rtl.notes += ['x']\n"
         "def slices(rtl):\n    rtl.notes[:] = []\n"
         "def copies(rtl):\n    return replace(rtl, notes=[])\n"
-        "def positional(code):\n    return RtlArtifact(code, set(), set(), 0, ['x'])\n"
+        "def positional(code):\n    return RtlArtifact(code, set(), 0, ['x'])\n"
         "def named(rtl):\n    setattr(rtl, 'notes', [])\n"
         "def nested(rtl):\n"
         "    def inner():\n        rtl.notes.extend(['x'])\n"

@@ -2,7 +2,7 @@ import pytest
 
 from conftest import REPORTS, VERILOG, EvaluatorDown, read_events, read_status, transcript_roles
 
-from rtlflow.engine import PipelineBudget, RtlArtifact
+from rtlflow.engine import PipelineBudget, RtlArtifact, extract_tags
 from rtlflow.errors import BackendUnavailable, RtlflowError, UnparseableReply
 from rtlflow.gateway import Gateway, ScriptedBackend
 from rtlflow.inspect_rtl import _OPERATORS, fingerprint
@@ -306,7 +306,7 @@ def test_optimize_recovers_through_fix_loop(tmp_path, catalog):
     )
     assert variant.successful
     assert variant.rtl.revision == 1
-    assert 1 in variant.rtl.fix_tags
+    assert 1 in extract_tags(variant.rtl.verilog_text, "FIX")
     # the same persistence as a generate run: every revision can be replayed
     for name in ("rev_0.v", "rev_1.v"):
         assert (tmp_path / name).exists(), name
