@@ -50,6 +50,16 @@ class _ManifestCase:
 
 
 @dataclass
+class _Manifest:
+    """A manifest, as written: its cases and no other key."""
+    cases: Optional[list[_ManifestCase]] = None
+
+    def __post_init__(self):
+        if not self.cases:
+            raise ValueError("manifest lists no cases")
+
+
+@dataclass
 class BenchSummary:
     per_case: dict[str, str]  # design -> Pass | Fail | SyntaxFail | InfraError
     passed: int
@@ -63,8 +73,9 @@ class BenchSummary:
 def load_manifest(path: str | Path) -> list[BenchCase]:
     """Manifest is a single YAML file; relative paths resolve against it.
     A BadInput (a ValueError) names the manifest when it is not valid YAML,
-    lists no cases, has a case `errors.build` rejects as a `_ManifestCase`,
-    an empty `testbench` or a design name another case has (their
+    when `errors.build` rejects it as a `_Manifest` (an unknown top-level
+    key, no cases, or a case it rejects as a `_ManifestCase`), or when it
+    has an empty `testbench` or a design name another case has (their
     workspaces would collide); it names the spec file when that is missing
     or bad."""
     base = Path(path).parent
@@ -73,12 +84,9 @@ def load_manifest(path: str | Path) -> list[BenchCase]:
         return None if p is None else str((base / p).resolve())
 
     def parse(text: str) -> list[BenchCase]:
-        doc = safe_load(text)
-        if not isinstance(doc, dict) or not doc.get("cases"):
-            raise ValueError("manifest lists no cases")
         cases = []
         names: set[str] = set()
-        for entry in build(list[_ManifestCase], doc["cases"], "cases"):
+        for entry in build(_Manifest, safe_load(text) or {}).cases:
             spec = DesignSpec.from_json(resolve(entry.spec))
             if spec.name in names:
                 raise ValueError(f"duplicate design name {spec.name!r}")

@@ -241,12 +241,23 @@ def review_rtl(plan: list[str], rtl: RtlArtifact, gateway: Gateway) -> dict[int,
     return per_step
 
 
+# the most log lines an Evaluator prompt shows
+_MAX_ERROR_LINES = 20
+
+
 def _evaluator_prompt(rtl: RtlArtifact, outcome: VerificationOutcome, testbench_text: str) -> str:
+    """The Evaluator's prompt. Its error log is the diagnostics' raw lines,
+    then the failing checks, with warnings dropped when any error line is
+    present, each line once, and past the first `_MAX_ERROR_LINES` one line
+    that counts the rest; the outcome itself keeps every line."""
     if outcome.kind not in ("SyntaxFail", "FunctionalFail"):
         raise ValueError(f"diagnose called on outcome {outcome.kind}")
-    error_log = "\n".join(
-        [d.raw for d in outcome.diagnostics] + list(outcome.failing_checks)
-    ) or "(no captured log lines)"
+    errors = [d.raw for d in outcome.diagnostics if d.severity != "Warning"]
+    errors += outcome.failing_checks
+    lines = list(dict.fromkeys(errors or [d.raw for d in outcome.diagnostics]))
+    if len(lines) > _MAX_ERROR_LINES:
+        lines[_MAX_ERROR_LINES:] = [f"({len(lines) - _MAX_ERROR_LINES} more error lines not shown)"]
+    error_log = "\n".join(lines) or "(no captured log lines)"
     return render_prompt(
         "evaluator", code=rtl.verilog_text, errors=error_log, testbench=testbench_text
     )

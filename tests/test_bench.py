@@ -373,11 +373,18 @@ def test_load_manifest_resolves_relative_paths(tmp_path):
     assert cases[0].optimized_reports == {}
 
 
-@pytest.mark.parametrize("body", ["", "cases:\n", "cases: []\n", "suite: x\n"])
-def test_load_manifest_rejects_no_cases(tmp_path, body):
+@pytest.mark.parametrize("body, needle", [
+    pytest.param(body, needle, id=body) for body, needle in [
+        ("", "manifest lists no cases"),
+        ("cases:\n", "manifest lists no cases"),
+        ("cases: []\n", "manifest lists no cases"),
+        ("suite: x\n", "unknown key 'suite'"),
+    ]
+])
+def test_load_manifest_rejects_no_cases(tmp_path, body, needle):
     manifest = tmp_path / "suite.yaml"
     manifest.write_text(body)
-    with pytest.raises(ValueError, match="no cases"):
+    with pytest.raises(ValueError, match=needle):
         load_manifest(manifest)
 
 

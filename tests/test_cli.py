@@ -756,6 +756,8 @@ def test_bench_workers_below_one_is_usage_error(tmp_path, runner, workers):
                  "('power', 'timing', 'area')", id="optimized-reports-key-an-unknown-goal"),
     pytest.param("cases:\n  - spec: a.json\n    optimized_report: {timing: a.rpt}\n",
                  "suite.yaml: cases[0]: unknown key 'optimized_report'", id="unknown-case-key"),
+    pytest.param("cases:\n  - spec: a.json\nworkers: 4\n", "suite.yaml: unknown key 'workers'",
+                 id="unknown-top-level-key"),
 ])
 def test_bench_bad_manifest_is_usage_error(tmp_path, runner, body, needle):
     for name in ("a.json", "b.json"):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import logging
 import random
@@ -32,7 +33,7 @@ from rtlflow.errors import BackendUnavailable, BadInput, UnparseableReply
 from rtlflow.gateway import Gateway, ScriptedBackend, TranscriptWriter
 from rtlflow.metrics import parse_report
 from rtlflow.optimizer import OptimizationGoal
-from rtlflow.toolchain import ScriptedToolchain, VerificationOutcome
+from rtlflow.toolchain import DiagnosticRecord, ScriptedToolchain, VerificationOutcome
 
 
 def make_spec(tmp_path, name="toy"):
@@ -306,6 +307,38 @@ def test_diagnose_prompt_contains_log_and_testbench():
         RtlArtifact("module m; endmodule"), failing_outcome(), "TB_SENTINEL")
     assert "ERROR: mismatch at vector 7" in prompt
     assert "TB_SENTINEL" in prompt
+    # the testbench leads, so prompts for one design share their start
+    assert prompt.index("TB_SENTINEL") < prompt.index("Candidate code:") < prompt.index("Error log:")
+
+
+def prompt_log(outcome: VerificationOutcome) -> list[str]:
+    """The lines under `Error log:` in the Evaluator prompt for `outcome`."""
+    prompt = engine._evaluator_prompt(RtlArtifact("module m; endmodule"), outcome, "tb")
+    return prompt.split("Error log:\n")[1].split("\n\n")[0].splitlines()
+
+
+def test_evaluator_prompt_trims_the_log():
+    # warnings go when an error line is present and repeats go; the first
+    # 20 lines stay, diagnostics before failing checks, and one line counts the rest
+    warning = DiagnosticRecord("tb.v", 3, "Warning", "implicit wire", "tb.v:3: warning: implicit wire")
+    errors = [DiagnosticRecord("top.v", k, "Error", "bad", f"top.v:{k}: error: bad")
+              for k in range(1, 13)]
+    checks = [f"ERROR: mismatch at vector {k}" for k in range(15)]
+    outcome = VerificationOutcome("FunctionalFail",
+                                  diagnostics=[warning, *errors[:6], warning, *errors],
+                                  failing_checks=checks + checks[:3])
+    recorded = outcome.to_dict()
+    assert prompt_log(outcome) == (
+        [e.raw for e in errors] + checks[:8] + ["(7 more error lines not shown)"])
+    assert outcome.to_dict() == recorded  # its outcome record keeps every line
+
+
+def test_evaluator_prompt_keeps_warnings_with_no_error_line():
+    warnings = [DiagnosticRecord("top.v", k, "Warning", "w", f"top.v:{k}: warning: w")
+                for k in (1, 2)]
+    outcome = VerificationOutcome("SyntaxFail", diagnostics=warnings * 2)
+    assert prompt_log(outcome) == [w.raw for w in warnings]
+    assert prompt_log(VerificationOutcome("SyntaxFail")) == ["(no captured log lines)"]
 
 
 FIXED_REPLY = CODE_REPLY.replace(
@@ -649,6 +682,46 @@ def test_review_rewrite_keeps_or_supersedes_verify(tmp_path, rewrite, outcomes, 
         [(0, [{"description": "widen the counter"}], True)] * ("diagnosis" in superseded))
     assert (ws / "rev_0.v").read_text() == extract_verilog(rewrite)
     assert revisions[0].rtl.verilog_text == extract_verilog(rewrite)
+
+
+class SlowFirstVerify(ScriptedToolchain):
+    """The first verify to start takes 50 ms; every later one returns at once."""
+
+    def __init__(self, outcomes):
+        super().__init__(outcomes)
+        self.started = itertools.count()
+
+    def verify(self, rtl_path, tb_path, workspace):
+        if next(self.started) == 0:
+            time.sleep(0.05)
+        return super().verify(rtl_path, tb_path, workspace)
+
+
+def test_evaluator_turns_follow_verify_start_order(tmp_path):
+    # the draft's verify fails slowly and is given up for a rewrite whose
+    # verify fails fast; the draft's Evaluator call still takes the first
+    # Evaluator turn, so the fixes acted on are the rewrite's own
+    turns = [
+        ("Planner", "1. a\n2. b\n3. c\n4. d"),
+        ("Programmer", CODE_REPLY),
+        ("Reviewer", REVIEW_MISSING_4),
+        ("Programmer", CHANGED_REPLY),
+        ("Evaluator", "1. fix for the draft"),
+        ("Reviewer", REVIEW_OK),
+        ("Evaluator", "1. fix for the rewrite"),
+        ("Programmer", FIXED_REPLY),
+        ("Reviewer", REVIEW_OK),
+    ]
+    toolchain = SlowFirstVerify([failing_outcome(), failing_outcome(), VerificationOutcome("Pass")])
+    ws = tmp_path / "ws"
+    revisions, final = run_pipeline(make_spec(tmp_path), PipelineBudget(),
+                                    Gateway(ScriptedBackend(turns)), toolchain, ws)
+    assert final == "Pass" and len(revisions) == 2
+    assert [(e["revision"], e["fixes"], e.get("superseded"))
+            for e in read_events(ws) if e["event"] == "diagnosis"] == [
+        (0, [{"description": "fix for the draft"}], True),
+        (0, [{"description": "fix for the rewrite"}], None),
+    ]
 
 
 def test_toolchain_outage_during_review_is_infra_error(tmp_path):
