@@ -230,11 +230,10 @@ def run_suite(
 _STATUS_MARK = {"Pass": "pass", "Fail": "fail", "SyntaxFail": "-", "InfraError": "infra"}
 
 
-def emit_tables(summary: BenchSummary, out_dir: str | Path) -> list[Path]:
+def emit_tables(summary: BenchSummary, out_dir: str | Path) -> None:
     """Write success_table.md, ppa_table.csv and tradeoff.csv."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
 
     success_md = out_dir / "success_table.md"
     lines = ["| Design | Result |", "|---|---|"]
@@ -243,7 +242,6 @@ def emit_tables(summary: BenchSummary, out_dir: str | Path) -> list[Path]:
     rate = success_rate(summary.passed, summary.total) if summary.total else 0.0
     lines.append(f"| **Success Rate** | **{summary.passed}/{summary.total} ({rate}%)** |")
     success_md.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    written.append(success_md)
 
     ppa_csv = out_dir / "ppa_table.csv"
     with ppa_csv.open("w", newline="", encoding="utf-8") as fh:
@@ -253,7 +251,6 @@ def emit_tables(summary: BenchSummary, out_dir: str | Path) -> list[Path]:
             writer.writerow(
                 [row.design, goal] + [render_pct(row.per_metric[m]) for m in HEADLINE_METRICS]
             )
-    written.append(ppa_csv)
 
     tradeoff_csv = out_dir / "tradeoff.csv"
     with tradeoff_csv.open("w", newline="", encoding="utf-8") as fh:
@@ -270,5 +267,3 @@ def emit_tables(summary: BenchSummary, out_dir: str | Path) -> list[Path]:
                                  base.dynamic_power, base.design_area, base.cp_length])
             writer.writerow([design, goal, "optimized",
                              opt.dynamic_power, opt.design_area, opt.cp_length])
-    written.append(tradeoff_csv)
-    return written

@@ -134,12 +134,13 @@ def _numbered(texts: list[str], indices: Sequence[int] = ()) -> str:
 
 
 _FENCE_RE = re.compile(r"```(?:[a-zA-Z]*)\n(.*?)```", re.DOTALL)
-_MODULE_RE = re.compile(r"\bmodule\b")
+# a declaration `module <identifier>` leading a line: prose naming a module is not code
+_MODULE_RE = re.compile(r"^[ \t]*module\s+[A-Za-z_]", re.MULTILINE)
 
 
 def extract_verilog(text: str) -> str:
-    """Prefer a fenced block containing a module; fall back to the raw
-    module..endmodule span."""
+    """Prefer a fenced block declaring a module; fall back to the raw span
+    from the first module declaration to the last `endmodule`."""
     for block in _FENCE_RE.findall(text):
         if _MODULE_RE.search(block):
             return block.strip() + "\n"
@@ -248,13 +249,14 @@ _MAX_ERROR_LINES = 20
 def _evaluator_prompt(rtl: RtlArtifact, outcome: VerificationOutcome, testbench_text: str) -> str:
     """The Evaluator's prompt. Its error log is the diagnostics' raw lines,
     then the failing checks, with warnings dropped when any error line is
-    present, each line once, and past the first `_MAX_ERROR_LINES` one line
-    that counts the rest; the outcome itself keeps every line."""
+    present, each non-blank line once, and past the first `_MAX_ERROR_LINES`
+    one line that counts the rest; the outcome itself keeps every line."""
     if outcome.kind not in ("SyntaxFail", "FunctionalFail"):
         raise ValueError(f"diagnose called on outcome {outcome.kind}")
-    errors = [d.raw for d in outcome.diagnostics if d.severity != "Warning"]
-    errors += outcome.failing_checks
-    lines = list(dict.fromkeys(errors or [d.raw for d in outcome.diagnostics]))
+    errors = [d.raw for d in outcome.diagnostics if d.severity != "Warning"] + outcome.failing_checks
+    # a raw may be a whole compile log that no pattern classified
+    raws = errors or [d.raw for d in outcome.diagnostics]
+    lines = list(dict.fromkeys(ln for raw in raws for ln in raw.splitlines() if ln.strip()))
     if len(lines) > _MAX_ERROR_LINES:
         lines[_MAX_ERROR_LINES:] = [f"({len(lines) - _MAX_ERROR_LINES} more error lines not shown)"]
     error_log = "\n".join(lines) or "(no captured log lines)"

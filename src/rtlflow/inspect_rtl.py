@@ -78,11 +78,14 @@ _OPERATORS = [
     ("+", "add"), ("-", "sub"), ("*", "mul"), ("/", "div"), ("%", "mod"),
     ("&", "and"), ("|", "or"), ("^", "xor"), ("?", "mux"),
 ]
+# operator characters that are no operator: in `@(*)`, on a compiler-directive
+# line (`timescale 1ns/1ps) and in a based literal, whose `?` is a wildcard
+_NOT_OPERATOR_RE = re.compile(r"@[\s(]*\*|^[ \t]*`.*|'[sS]?[bodhBODH]\s*[\w?]+", re.MULTILINE)
 
 
 def _count_operators(body: str) -> dict[str, int]:
     census: dict[str, int] = {}
-    work = body
+    work = _NOT_OPERATOR_RE.sub(" ", body)
     for token, name in _OPERATORS:
         count = work.count(token)
         work = work.replace(token, " ")

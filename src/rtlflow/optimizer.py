@@ -59,8 +59,6 @@ REQUIRED_TECHNIQUES = {
 }
 
 MAX_TECHNIQUES_PER_PASS = 2
-PROMPT_BUDGET = 24_000  # characters
-_MIN_SNIPPET = 120  # keep at least the snippet's head when truncating
 
 
 @dataclass
@@ -264,58 +262,26 @@ def build_icl_prompt(
     report: PpaMetrics,
     catalog: dict[str, TechniqueCard],
 ) -> list[ChatMessage]:
-    """System message carries the recommended cards only; user message
-    carries baseline code, the canonical report and the goal directive.
-    Card snippets are the only truncatable content, cut to fit PROMPT_BUDGET."""
-    for card_id in rec.techniques:
-        if card_id not in catalog:
-            raise KeyError(f"recommendation references unknown card {card_id}")
-
-    directive = render_prompt("optimizer")
-    report_text = emit_canonical(report)
+    """System message carries the recommended cards, each with its summary,
+    trade-offs and example; user message carries baseline code, the
+    canonical report and the goal directive. Nothing is cut."""
+    blocks = []
+    for cid in rec.techniques:
+        card = catalog[cid]
+        block = f"### Technique: {card.id}\n{card.summary}\n"
+        if card.caveats:
+            block += f"Trade-offs: {card.caveats}\n"
+        blocks.append(block + f"Example:\n```verilog\n{card.example_snippet}\n```\n")
+    system_text = render_prompt("optimizer") + "\nRecommended techniques:\n\n" + "\n".join(blocks)
     user_text = (
         "Baseline Verilog module:\n```verilog\n"
         + baseline.verilog_text.rstrip()
         + "\n```\n\nSynthesis report of the baseline:\n"
-        + report_text
+        + emit_canonical(report)
         + f"\nGoal: produce a {rec.goal.kind}-optimized variant applying the "
         + "recommended techniques above.\n"
     )
-
-    def card_block(card: TechniqueCard, snippet: str) -> str:
-        block = f"### Technique: {card.id}\n{card.summary}\n"
-        if card.caveats:
-            block += f"Trade-offs: {card.caveats}\n"
-        if snippet:
-            block += f"Example:\n```verilog\n{snippet}\n```\n"
-        return block
-
-    cards = [catalog[cid] for cid in rec.techniques]
-    snippets = [c.example_snippet for c in cards]
-
-    def assemble(snips: list[str]) -> str:
-        return (
-            directive
-            + "\nRecommended techniques:\n\n"
-            + "\n".join(card_block(c, s) for c, s in zip(cards, snips))
-        )
-
-    total = len(assemble(snippets)) + len(user_text)
-    if total > PROMPT_BUDGET:
-        # snippets are truncated last (and are the only thing truncated)
-        overhead = total - sum(map(len, snippets))  # an Example fence included
-        room = PROMPT_BUDGET - overhead
-        if room < _MIN_SNIPPET * len(cards):
-            raise RtlflowError(
-                f"prompt needs {overhead} chars before snippets; budget {PROMPT_BUDGET}"
-            )
-        # shortest first: each takes an even share of the room left, so what
-        # a short snippet does not use goes to the longer ones
-        order = sorted(range(len(snippets)), key=lambda i: len(snippets[i]))
-        for k, i in enumerate(order):
-            snippets[i] = snippets[i][:room // (len(order) - k)]
-            room -= len(snippets[i])
-    return [system(assemble(snippets)), user(user_text)]
+    return [system(system_text), user(user_text)]
 
 
 # --- optimization pass ---

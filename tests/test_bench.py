@@ -325,8 +325,9 @@ def test_run_suite_workspace_write_error_is_infra(tmp_path, caplog):
 def test_emit_tables(tmp_path):
     gw, tc = factories()
     summary = run_suite(three_cases(), gw, tc, PipelineBudget(), tmp_path)
-    written = emit_tables(summary, tmp_path / "tables")
-    assert [p.name for p in written] == ["success_table.md", "ppa_table.csv", "tradeoff.csv"]
+    emit_tables(summary, tmp_path / "tables")
+    assert sorted(p.name for p in (tmp_path / "tables").iterdir()) == [
+        "ppa_table.csv", "success_table.md", "tradeoff.csv"]
 
     table = (tmp_path / "tables" / "success_table.md").read_text()
     assert "| sig_pass | pass |" in table

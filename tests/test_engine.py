@@ -8,6 +8,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     FIXTURES, REPORTS, SCRIPTED, VERILOG, EvaluatorDown, JitteredToolchain, RecordingBackend,
@@ -33,7 +35,9 @@ from rtlflow.errors import BackendUnavailable, BadInput, UnparseableReply
 from rtlflow.gateway import Gateway, ScriptedBackend, TranscriptWriter
 from rtlflow.metrics import parse_report
 from rtlflow.optimizer import OptimizationGoal
-from rtlflow.toolchain import DiagnosticRecord, ScriptedToolchain, VerificationOutcome
+from rtlflow.toolchain import (
+    DiagnosticRecord, ScriptedToolchain, ToolInvocation, VerificationOutcome, classify,
+)
 
 
 def make_spec(tmp_path, name="toy"):
@@ -203,6 +207,36 @@ def test_extract_verilog_unfenced():
     assert code.startswith("module m") and code.rstrip().endswith("endmodule")
 
 
+ADD_MODULE = "module add(input a, input b, output y);\n  assign y = a + b;\nendmodule\n"
+
+
+def test_extract_verilog_starts_at_a_declaration():
+    # prose that names a module is not code, and neither is a fence that only
+    # mentions one
+    assert extract_verilog("This module adds two numbers.\n" + ADD_MODULE) == ADD_MODULE
+    reply = "```\n// the adder module\n```\n\n```verilog\n" + ADD_MODULE + "```\n"
+    assert extract_verilog(reply) == ADD_MODULE
+
+
+_WORDS = ["this", "module", "adds", "the", "two", "numbers.", "a", "wire", "//", "(b)", ";"]
+_prose = st.lists(
+    st.tuples(st.sampled_from([w for w in _WORDS if w != "module"]),
+              st.lists(st.sampled_from(_WORDS), max_size=6)).map(lambda t: " ".join([t[0], *t[1]])),
+    max_size=4).map("\n".join)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(before=_prose, after=_prose, fenced=st.booleans(), comment_fence=_prose,
+       name=st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,8}", fullmatch=True))
+def test_extract_verilog_takes_the_one_module(before, after, fenced, comment_fence, name):
+    # prose with no line-leading declaration around one module, fenced or not,
+    # gives exactly that module
+    module = ADD_MODULE.replace("module add", f"module {name}")
+    code = f"```verilog\n{module}```" if fenced else module
+    reply = f"```\n{comment_fence}\n```\n{before}\n{code}\n{after}"
+    assert extract_verilog(reply) == module
+
+
 def test_tag_indices():
     code = "\n".join([
         "module m;", "// STEP 1: a", "wire a;", "// STEP 2: b // STEP 3: c", "wire b;",
@@ -339,6 +373,17 @@ def test_evaluator_prompt_keeps_warnings_with_no_error_line():
     outcome = VerificationOutcome("SyntaxFail", diagnostics=warnings * 2)
     assert prompt_log(outcome) == [w.raw for w in warnings]
     assert prompt_log(VerificationOutcome("SyntaxFail")) == ["(no captured log lines)"]
+
+
+def test_evaluator_prompt_caps_an_unclassified_compile_log():
+    # no line of this stderr names a file:line, an error or a warning, so
+    # classify keeps it whole as one diagnostic; the prompt still shows 20 lines
+    stderr = "".join(f"syntax trouble near token {k}\n" for k in range(500))
+    outcome = classify(ToolInvocation("Compile", ["iverilog"], ".", 1, "", stderr, 0.0), None)
+    assert [d.raw for d in outcome.diagnostics] == [stderr]
+    assert prompt_log(outcome) == (
+        [f"syntax trouble near token {k}" for k in range(20)]
+        + ["(480 more error lines not shown)"])
 
 
 FIXED_REPLY = CODE_REPLY.replace(

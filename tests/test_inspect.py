@@ -165,6 +165,32 @@ def test_nonblocking_assign_not_counted_as_operator():
     assert fp.operator_census.get("shl", 0) == 0
 
 
+PRIORITY_ENCODER = """`timescale 1ns/1ps
+module enc (input [7:0] r, output reg [2:0] y);
+    always @(*) begin
+        casez (r)
+            8'b1???????: y = 3'd7;
+            8'b01??????: y = 3'd6;
+            8'b001?????: y = 3'd5;
+            8'b0001????: y = 3'd4;
+            8'b00001???: y = 3'd3;
+            8'b000001??: y = 3'd2;
+            8'b0000001?: y = 3'd1;
+            default: y = 3'd0;
+        endcase
+    end
+endmodule
+"""
+
+
+def test_census_counts_only_operators():
+    # `@(*)`, casez wildcards and `timescale's `/` hold no operator
+    assert fingerprint(PRIORITY_ENCODER).operator_census == {}
+    real = ("module m (input [7:0] a, b, input s, output [15:0] y, output reg [7:0] z);\n"
+            "    always @* z = s ? a : b;\n    assign y = a * b / 8'h3;\nendmodule\n")
+    assert fingerprint(real).operator_census == {"mul": 1, "div": 1, "mux": 1}
+
+
 def clocked_module(statements: list[str]) -> str:
     regs = sorted({s.split("<=")[0].strip() for s in statements})
     return (

@@ -221,47 +221,20 @@ def test_icl_prompt_contains_only_selected_cards(adder_fp, catalog):
     assert "timing-optimized" in user_text
 
 
-def test_icl_prompt_budget_truncates_snippets_only(adder_fp, catalog, monkeypatch):
-    # each goal's prompt cut by less and by more than a snippet's `Example:`
-    # fence; where the cut leaves no room for every snippet's head, it raises
-    for goal, cut, fits in [("power", 50, True), ("power", 200, False),
-                            ("timing", 50, True), ("timing", 200, True),
-                            ("area", 50, False), ("area", 200, False)]:
-        rec = select_techniques(adder_fp, BASE_REPORT, OptimizationGoal(goal), catalog)
-        monkeypatch.setattr(optimizer, "PROMPT_BUDGET", 24_000)
-        full = build_icl_prompt(rec, baseline_artifact(), BASE_REPORT, catalog)
-        budget = sum(len(m.content) for m in full) - cut
-        monkeypatch.setattr(optimizer, "PROMPT_BUDGET", budget)
-        if not fits:
-            with pytest.raises(RtlflowError, match=f"before snippets; budget {budget}$"):
-                build_icl_prompt(rec, baseline_artifact(), BASE_REPORT, catalog)
-            continue
-        tight = build_icl_prompt(rec, baseline_artifact(), BASE_REPORT, catalog)
-        assert sum(len(m.content) for m in tight) <= budget, (goal, cut)
-        # baseline code and report survive untouched, and every card keeps its example
-        assert tight[1].content == full[1].content
-        assert tight[0].content.count("Example:\n```verilog\n") == len(rec.techniques)
-
-
-def test_icl_prompt_budget_hands_unused_room_on(adder_fp, catalog, monkeypatch):
-    # operand_isolation's 164 characters leave 18 of an even 182 unused, and
-    # clock_gating (251) takes them, so the prompt fills the budget exactly
-    rec = select_techniques(adder_fp, BASE_REPORT, OptimizationGoal("power"), catalog)
-    assert rec.techniques == ["operand_isolation", "clock_gating"]
-    monkeypatch.setattr(optimizer, "PROMPT_BUDGET", 3991)
-    tight = build_icl_prompt(rec, baseline_artifact(), BASE_REPORT, catalog)
-    assert sum(len(m.content) for m in tight) == 3991
-    short, long = (catalog[cid].example_snippet for cid in rec.techniques)
-    assert (len(short), len(long)) == (164, 251)
-    assert f"```verilog\n{short}\n```" in tight[0].content
-    assert f"```verilog\n{long[:201]}\n```" in tight[0].content
-
-
-def test_icl_prompt_over_budget(adder_fp, catalog, monkeypatch):
-    rec = select_techniques(adder_fp, BASE_REPORT, OptimizationGoal("timing"), catalog)
-    monkeypatch.setattr(optimizer, "PROMPT_BUDGET", 500)
-    with pytest.raises(RtlflowError, match="before snippets; budget 500$"):
-        build_icl_prompt(rec, baseline_artifact(), BASE_REPORT, catalog)
+def test_icl_prompt_sends_a_large_baseline_whole(catalog):
+    # a baseline of any size goes out whole (this one is past 24,000
+    # characters), and every selected card keeps its full example
+    big = ADDER + "".join(f"// note {i:05d}: {'x' * 60}\n" for i in range(400))
+    assert len(big) > 24_000
+    fp = fingerprint(big)
+    for goal in GOALS:
+        rec = select_techniques(fp, BASE_REPORT, OptimizationGoal(goal), catalog)
+        messages = build_icl_prompt(rec, RtlArtifact(verilog_text=big, revision=0),
+                                    BASE_REPORT, catalog)
+        assert f"```verilog\n{big.rstrip()}\n```" in messages[1].content
+        for cid in rec.techniques:
+            example = f"Example:\n```verilog\n{catalog[cid].example_snippet}\n```\n"
+            assert example in messages[0].content, (goal, cid)
 
 
 def test_icl_prompt_unknown_card(catalog):
