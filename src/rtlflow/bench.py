@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from .engine import DesignSpec, PipelineBudget, run_pipeline
-from .errors import InfraError, RtlflowError, build, read_input
+from .errors import InfraError, RtlflowError, build, read_input, safe_load
 from .metrics import (
     HEADLINE_METRICS,
     ImprovementRow,
@@ -22,7 +22,6 @@ from .metrics import (
     render_pct,
 )
 from .optimizer import GOALS
-from .yamlload import safe_load
 
 log = logging.getLogger(__name__)
 

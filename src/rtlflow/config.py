@@ -10,10 +10,9 @@ from pathlib import Path
 from typing import Optional
 
 from .engine import PipelineBudget
-from .errors import build, read_input
+from .errors import build, read_input, safe_load
 from .gateway import BackendConfig
 from .toolchain import ToolchainConfig
-from .yamlload import safe_load
 
 log = logging.getLogger(__name__)
 

@@ -136,19 +136,21 @@ def _numbered(texts: list[str], indices: Sequence[int] = ()) -> str:
 _FENCE_RE = re.compile(r"```(?:[a-zA-Z]*)\n(.*?)```", re.DOTALL)
 # a declaration `module <identifier>` leading a line: prose naming a module is not code
 _MODULE_RE = re.compile(r"^[ \t]*module\s+[A-Za-z_]", re.MULTILINE)
+_ENDMODULE_RE = re.compile(r"\bendmodule\b")
 
 
 def extract_verilog(text: str) -> str:
     """Prefer a fenced block declaring a module; fall back to the raw span
-    from the first module declaration to the last `endmodule`."""
+    from the first module declaration to the first `endmodule` after the
+    last declaration that one follows, so prose after the code is left out."""
     for block in _FENCE_RE.findall(text):
         if _MODULE_RE.search(block):
             return block.strip() + "\n"
-    m = _MODULE_RE.search(text)
-    if m:
-        end = text.rfind("endmodule")
-        if end > m.start():
-            return text[m.start(): end + len("endmodule")].strip() + "\n"
+    ends = [m.start() for m in _ENDMODULE_RE.finditer(text)]
+    decls = list(_MODULE_RE.finditer(text, 0, ends[-1])) if ends else []
+    if decls:
+        end = _ENDMODULE_RE.search(text, decls[-1].end())
+        return text[decls[0].start(): end.end()].strip() + "\n"
     raise UnparseableReply("reply contains no Verilog module")
 
 
@@ -310,7 +312,7 @@ def run_log(workspace: Path, gateway: Gateway, status: dict) -> Iterator[TextIO]
 
     Creates `workspace`, removes an earlier run's `rev_N.v` files, `verify_N/`
     directories and `status.json`, starts `events.jsonl` and the gateway's
-    transcript, when it has one, afresh, and yields the open `events.jsonl`.
+    transcript afresh, and yields the open `events.jsonl`.
     The block puts how the run ended into `status`. When the block raises,
     `status` gains `final_status` `Error`, the exception's `error_type` and
     its message as `error`, and the exception is re-raised once the run has
@@ -330,8 +332,7 @@ def run_log(workspace: Path, gateway: Gateway, status: dict) -> Iterator[TextIO]
         write_json(workspace / "status.json", status)
 
     try:
-        if gateway.transcript is not None:
-            gateway.transcript.start()
+        gateway.start()
         yield events
     except BaseException as exc:
         status.update(final_status="Error", error_type=type(exc).__name__, error=str(exc))
@@ -372,8 +373,8 @@ def _settle(future, gateway: Gateway, events: TextIO, revision: int,
     outcome, diagnosis, held = future.result()
     mark = {"superseded": True} if superseded else {}
     _event(events, "outcome", revision=revision, **outcome.to_dict(), **mark)
-    for write in held if gateway.transcript is not None else ():
-        gateway.transcript.write(*write)
+    for write in held:
+        gateway.write(*write)
     if isinstance(diagnosis, BaseException) and not (superseded and held):
         raise diagnosis
     if diagnosis is None:

@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, the one input reader and
-the one builder of an input record."""
+"""Exception hierarchy shared across the package, the one input reader, the
+one YAML parser and the one builder of an input record."""
 
 from dataclasses import MISSING, fields, is_dataclass
 from functools import cache
@@ -7,6 +7,10 @@ from pathlib import Path
 from typing import Union, get_args, get_origin, get_type_hints
 
 import yaml
+
+# PyYAML's libyaml-backed safe loader when PyYAML was built with libyaml;
+# both build the same safe schema and raise `yaml.YAMLError`
+LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 class RtlflowError(Exception):
@@ -64,10 +68,14 @@ def read_input(path, parse=None):
         raise
     except yaml.YAMLError as exc:
         raise BadInput(f"{path}: invalid YAML: {exc}") from exc
-    except KeyError as exc:
-        raise BadInput(f"{path}: missing key {exc}") from exc
     except (OSError, ValueError, TypeError, RtlflowError) as exc:
         raise BadInput(f"{path}: {exc}") from exc
+
+
+def safe_load(text: str):
+    """Parse one YAML document with LOADER: the manifest, the run config and
+    each card's front-matter."""
+    return yaml.load(text, Loader=LOADER)
 
 
 @cache

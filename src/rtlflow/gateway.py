@@ -1,4 +1,4 @@
-"""Chat backends and per-role sessions with full transcript capture.
+"""Chat backends, per-role sessions and the run's transcript.
 
 Every role in the pipeline talks through a RoleSession bound to a backend:
 either an HTTP chat-completion endpoint or a deterministic scripted double
@@ -185,43 +185,6 @@ class ScriptedBackend:
             return replies.popleft()
 
 
-class TranscriptWriter:
-    """JSONL sink; one line per message, one append per call. `start`
-    begins the file afresh, so a transcript holds one run."""
-
-    def __init__(self, path: str | Path, run_id: str, clock: Callable[[], float] = time.time):
-        self.path = Path(path)
-        self.run_id = run_id
-        self.clock = clock
-        self._seq = 0
-
-    def start(self) -> None:
-        """Empty the file and number the next message 0."""
-        self.path.open("w", encoding="utf-8").close()
-        self._seq = 0
-
-    def write(self, role_name: str, *messages: ChatMessage) -> None:
-        """Append the messages in order; `seq` advances only once they are
-        written. A failed write raises its `OSError`."""
-        lines = "".join(
-            json.dumps(
-                {
-                    "run_id": self.run_id,
-                    "role": role_name,
-                    "direction": "reply" if message.role_tag == "assistant" else "prompt",
-                    "seq": self._seq + i,
-                    "timestamp": self.clock(),
-                    "content": message.content,
-                },
-                ensure_ascii=False,
-            ) + "\n"
-            for i, message in enumerate(messages)
-        )
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(lines)
-        self._seq += len(messages)
-
-
 @dataclass
 class RoleSession:
     """One role call: each send is one request carrying the optional system
@@ -229,7 +192,7 @@ class RoleSession:
 
     role_name: str
     backend: object
-    transcript: Optional[TranscriptWriter] = None
+    transcript: Optional[Gateway] = None  # or anything else with its `write`
     system: Optional[ChatMessage] = None
 
     def __post_init__(self):
@@ -248,7 +211,9 @@ class RoleSession:
 
 
 class Gateway:
-    """Factory binding sessions to one backend and one transcript sink."""
+    """Binds sessions to one backend, and owns the run's transcript when
+    given its path: a JSONL file, one line per message and one append per
+    call. Without a path, `start` and `write` do nothing."""
 
     def __init__(
         self,
@@ -258,14 +223,44 @@ class Gateway:
         clock: Callable[[], float] = time.time,
     ):
         self.backend = backend
-        self.transcript = (
-            TranscriptWriter(transcript_path, run_id or os.urandom(16).hex(), clock)
-            if transcript_path is not None
-            else None
+        self._path = None if transcript_path is None else Path(transcript_path)
+        # a run id is drawn only for a transcript, the one thing that names it
+        self._run_id = (run_id or os.urandom(16).hex()) if self._path else None
+        self._clock = clock
+        self._seq = 0
+
+    def start(self) -> None:
+        """Empty the transcript, so it holds one run, and number the next
+        message 0."""
+        if self._path is not None:
+            self._path.open("w", encoding="utf-8").close()
+        self._seq = 0
+
+    def write(self, role_name: str, *messages: ChatMessage) -> None:
+        """Append the messages in order; `seq` advances only once they are
+        written. A failed write raises its `OSError`."""
+        if self._path is None:
+            return
+        lines = "".join(
+            json.dumps(
+                {
+                    "run_id": self._run_id,
+                    "role": role_name,
+                    "direction": "reply" if message.role_tag == "assistant" else "prompt",
+                    "seq": self._seq + i,
+                    "timestamp": self._clock(),
+                    "content": message.content,
+                },
+                ensure_ascii=False,
+            ) + "\n"
+            for i, message in enumerate(messages)
         )
+        with self._path.open("a", encoding="utf-8") as fh:
+            fh.write(lines)
+        self._seq += len(messages)
 
     def session(self, role_name: str, system_prompt: Optional[str] = None) -> RoleSession:
         return RoleSession(
-            role_name, self.backend, self.transcript,
+            role_name, self.backend, self,
             system(system_prompt) if system_prompt else None,
         )

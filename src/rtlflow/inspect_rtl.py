@@ -60,10 +60,12 @@ def strip_comments(text: str) -> str:
 
 
 _ALWAYS_RE = re.compile(r"\balways\b\s*@\s*\(([^)]*)\)")
-_RANGE_RE = re.compile(r"\[\s*(\d+)\s*:\s*(\d+)\s*\]")
-_REG_DECL_RE = re.compile(
-    r"\breg\b(?:\s+signed)?\s*(\[\s*\d+\s*:\s*\d+\s*\])?\s*([^;]+);"
-)
+# a range bound: an integer, or a parameter name, plus or minus an integer
+_BOUND = r"\s*(\d+|[A-Za-z_]\w*)\s*(?:([+-])\s*(\d+)\s*)?"
+_RANGE_RE = re.compile(rf"\[{_BOUND}:{_BOUND}\]")
+# a parameter or localparam with a plain decimal default (not `2'd0`)
+_PARAM_RE = re.compile(r"\b(?:parameter|localparam)\s+([A-Za-z_]\w*)\s*=\s*(\d+)\s*(?=[,;)])")
+_REG_DECL_RE = re.compile(r"\breg\b(?:\s+signed)?\s*(\[[^\]]*\])?\s*([^;]+);")
 _INSTANCE_RE = re.compile(
     r"^\s*([A-Za-z_]\w*)\s*(#\s*\([^;]*?\))?\s+([A-Za-z_]\w*)\s*\(", re.MULTILINE
 )
@@ -79,8 +81,11 @@ _OPERATORS = [
     ("&", "and"), ("|", "or"), ("^", "xor"), ("?", "mux"),
 ]
 # operator characters that are no operator: in `@(*)`, on a compiler-directive
-# line (`timescale 1ns/1ps) and in a based literal, whose `?` is a wildcard
-_NOT_OPERATOR_RE = re.compile(r"@[\s(]*\*|^[ \t]*`.*|'[sS]?[bodhBODH]\s*[\w?]+", re.MULTILINE)
+# line (`timescale 1ns/1ps), in a based literal, whose `?` is a wildcard, and
+# in a range or part-select (`[W-1:0]`, `[i*8 +: 8]`): a bracket holding a `:`
+# and no `?`
+_NOT_OPERATOR_RE = re.compile(
+    r"@[\s(]*\*|^[ \t]*`.*|'[sS]?[bodhBODH]\s*[\w?]+|\[[^\]?:]*:[^\]?]*\]", re.MULTILINE)
 
 
 def _count_operators(body: str) -> dict[str, int]:
@@ -102,14 +107,24 @@ def _always_blocks(body: str) -> list[tuple[str, str]]:
     return [(m.group(1), body[m.end(): end]) for m, end in zip(matches, ends)]
 
 
-def _reg_bits(body: str) -> int:
+def _width(m: re.Match, params: dict[str, int]) -> int:
+    """The width of a `_RANGE_RE` match, its names read from `params`; 1
+    when a bound does not resolve."""
+    bounds = []
+    for base, sign, offset in (m.group(1, 2, 3), m.group(4, 5, 6)):
+        value = int(base) if base.isdecimal() else params.get(base)
+        if value is None:
+            return 1
+        bounds.append(value + int(sign + offset) if sign else value)
+    return abs(bounds[0] - bounds[1]) + 1
+
+
+def _reg_bits(body: str, params: dict[str, int]) -> int:
     total = 0
     for m in _REG_DECL_RE.finditer(body):
         rng, names_part = m.group(1), m.group(2)
-        width = 1
-        if rng:
-            r = _RANGE_RE.search(rng)
-            width = abs(int(r.group(1)) - int(r.group(2))) + 1
+        r = _RANGE_RE.fullmatch(rng or "")
+        width = _width(r, params) if r else 1
         # drop array dimensions and initializers, keep declared names
         names = [
             n.strip().split("[")[0].split("=")[0].strip()
@@ -225,7 +240,8 @@ def fingerprint(verilog_text: str) -> DesignFingerprint:
     clocked = [(s, b) for s, b in blocks if re.search(r"\b(pos|neg)edge\b", s)]
 
     is_combinational = not clocked
-    register_bits = 0 if is_combinational else _reg_bits(body)
+    params = {name: int(value) for name, value in _PARAM_RE.findall(body)}
+    register_bits = 0 if is_combinational else _reg_bits(body, params)
 
     # FSM: a case switching on a register that is also assigned from the arms
     fsm_detected = False
@@ -240,7 +256,7 @@ def fingerprint(verilog_text: str) -> DesignFingerprint:
     instance_groups = {k: len(v) for k, v in groups.items()}
 
     census = _count_operators(body)
-    widths = (abs(int(a) - int(b)) + 1 for a, b in _RANGE_RE.findall(body))
+    widths = (_width(m, params) for m in _RANGE_RE.finditer(body))
     carry_chain = any(_chained(v) for v in groups.values()) or (
         is_combinational and "add" in census and max(widths, default=1) >= 8
     )

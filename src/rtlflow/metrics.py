@@ -9,11 +9,11 @@ the violation-magnitude convention and is N/A for combinational baselines.
 from __future__ import annotations
 
 import re
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 from decimal import Decimal, ROUND_HALF_UP
 from typing import Optional
 
-from .errors import RtlflowError, ZeroBaseline
+from .errors import RtlflowError, ZeroBaseline, build
 
 # the six headline comparison metrics, in table order
 HEADLINE_METRICS = (
@@ -52,7 +52,6 @@ class PpaMetrics:
 
 
 ALL_FIELDS = tuple(f.name for f in fields(PpaMetrics))
-REQUIRED_FIELDS = tuple(f.name for f in fields(PpaMetrics) if f.default is MISSING)
 
 # unit class by field-name suffix: the canonical unit, then each accepted
 # unit's factor to it
@@ -125,7 +124,8 @@ def parse_report(text: str) -> PpaMetrics:
 
     Three canonical lines naming known metrics make the report canonical;
     otherwise two DC-style matches, or a DC slack line, make it DC-style.
-    Units are normalised only once the dialect is chosen."""
+    Units are normalised only once the dialect is chosen, and the record is
+    built by `errors.build`, which names a missing metric as a missing key."""
     if not text or not text.strip():
         raise RtlflowError("empty report text")
     canon = [
@@ -142,13 +142,7 @@ def parse_report(text: str) -> PpaMetrics:
         values = {name: _normalize(name, *m.groups()) for name, m in found.items()}
         if slack:
             values["cp_slack"] = float(slack.group(2))
-
-    for name in REQUIRED_FIELDS:
-        if name not in values:
-            raise RtlflowError(f"required metric missing from report: {name}")
-    if "levels_of_logic" in values:
-        values["levels_of_logic"] = int(values["levels_of_logic"])
-    return PpaMetrics(**values)
+    return build(PpaMetrics, values)
 
 
 def emit_canonical(metrics: PpaMetrics) -> str:

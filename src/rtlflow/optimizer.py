@@ -21,13 +21,12 @@ from .engine import (PipelineBudget, RtlArtifact, artifact_from_reply, fix_loop,
                      run_log)
 # not called here: kept because perfbench/trace.py wraps them as optimizer attributes
 from .engine import apply_fixes, diagnose_failures, extract_tags, extract_verilog  # noqa: F401
-from .errors import RtlflowError, build, read_input
+from .errors import RtlflowError, build, read_input, safe_load
 from .gateway import ChatMessage, Gateway, system, user
 from .inspect_rtl import _OPERATORS, DesignFingerprint, fingerprint
 from .metrics import ALL_FIELDS, PpaMetrics, emit_canonical
 from .prompts import render_prompt
 from .toolchain import VerificationOutcome
-from .yamlload import safe_load
 
 log = logging.getLogger(__name__)
 

@@ -283,7 +283,7 @@ def test_run_suite_bad_report_costs_one_case(tmp_path):
     assert summary.per_case == {"sig_pass": "Pass", "sig_fail": "Fail"}
     assert summary.improvement_rows == [] and summary.tradeoff_pairs == []
     assert summary.failure_reasons["sig_pass"] == (
-        f"report: BadInput: {bad}: required metric missing from report: leakage_power"
+        f"report: BadInput: {bad}: missing key 'leakage_power'"
     )
     emit_tables(summary, tmp_path / "tables")
     assert "1/2 (50.0%)" in (tmp_path / "tables" / "success_table.md").read_text()
@@ -318,6 +318,25 @@ def test_run_suite_workspace_write_error_is_infra(tmp_path, caplog):
     assert "Traceback" not in caplog.text
     emit_tables(summary, tmp_path / "tables")
     assert "| sig_pass | infra |" in (tmp_path / "tables" / "success_table.md").read_text()
+
+
+class CrashingToolchain:
+    def verify(self, rtl_path, tb_path, work_dir):
+        raise RuntimeError("simulator wrapper crashed")
+
+
+def test_run_suite_unexpected_toolchain_error_costs_one_case(tmp_path, caplog):
+    # an error rtlflow does not know is the case's Fail, named and logged with
+    # its traceback; the next case still runs
+    passing, failing, _ = three_cases()
+    gw, tc = factories()
+    summary = run_suite([failing, passing], gw,
+                        lambda design: CrashingToolchain() if design == "sig_fail" else tc(design),
+                        PipelineBudget(), tmp_path)
+    assert summary.per_case == {"sig_fail": "Fail", "sig_pass": "Pass"}
+    assert summary.failure_reasons == {"sig_fail": "RuntimeError: simulator wrapper crashed"}
+    assert "case sig_fail crashed:\nTraceback" in caplog.text
+    assert "RuntimeError: simulator wrapper crashed" in caplog.text
 
 
 # --- tables ---

@@ -157,6 +157,7 @@ BAD_PORTS = [
                  id="list-name"),
     pytest.param([dict(CLK, name="data out")], "port name 'data out' is not a Verilog identifier",
                  id="name-with-space"),
+    pytest.param([], "spec needs at least one port", id="no-ports"),
 ]
 
 
@@ -289,6 +290,38 @@ def test_optimize_bad_status_file_is_usage_error(runner, passing_workspace, body
     assert not (passing_workspace / "opt_timing").exists()
 
 
+def _failed_baseline(ws):
+    """The baseline run did not pass; returns optimize's extra args and its error."""
+    status_file = ws / "status.json"
+    status_file.write_text(json.dumps(dict(json.loads(status_file.read_text()),
+                                           final_status="BudgetExhausted")))
+    return (["--base-report", str(REPORTS / "adder_16bit_base.rpt")],
+            "baseline run did not pass; optimize needs a passing baseline")
+
+
+def _no_report(ws):
+    """No `synth_report.txt` in the baseline and no --base-report."""
+    assert not (ws / "synth_report.txt").exists()
+    return [], (f"awaiting baseline synthesis report: place it at {ws / 'synth_report.txt'} "
+                "or pass --base-report")
+
+
+@pytest.mark.parametrize("fault", [_failed_baseline, _no_report], ids=["not-pass", "no-report"])
+def test_optimize_needs_a_passing_baseline_and_its_report(runner, passing_workspace, monkeypatch,
+                                                          fault):
+    calls = []
+    monkeypatch.setattr(ScriptedBackend, "complete", lambda self, *a: calls.append(a))
+    extra, needle = fault(passing_workspace)
+    result = runner.invoke(main, [
+        "optimize", "--baseline", str(passing_workspace), "--goal", "timing",
+        "--scripted", str(SCRIPTED / "signal_generator"), *extra,
+    ])
+    assert result.exit_code == 2, result.output
+    assert needle in result.output
+    assert calls == []
+    assert not (passing_workspace / "opt_timing").exists()
+
+
 @pytest.mark.parametrize("command", ["generate", "optimize"])
 def test_missing_testbench_is_usage_error(tmp_path, runner, passing_workspace, monkeypatch,
                                           command):
@@ -384,8 +417,15 @@ def list_caveats(cards):
     return card
 
 
+def no_predicates(cards):
+    card = cards / "clock_gating.md"
+    card.write_text(re.sub(r"(?m)^predicates:\n(  - .*\n)+", "predicates: []\n", card.read_text()))
+    return card
+
+
 @pytest.mark.parametrize("fault, needle", [
     pytest.param(no_front_matter, "missing front-matter", id="no-front-matter"),
+    pytest.param(no_predicates, "needs at least one predicate", id="no-predicates"),
     pytest.param(duplicate_id, "two cards have id 'clock_gating'", id="duplicate-id"),
     pytest.param(int_id, "id: expected str, got 5", id="int-id"),
     pytest.param(missing_required, "no power card covers ['clock_gating']",
@@ -533,6 +573,8 @@ BAD_CONFIGS = [
                  id="int-for-model-name"),
     pytest.param("paths:\n  catalog_dir: 7\n", "paths.catalog_dir: expected str, got 7",
                  id="int-for-catalog-dir"),
+    pytest.param("paths:\n  catalog_dir: no_such_cards\n",
+                 "paths: catalog_dir does not exist: no_such_cards", id="missing-catalog-dir"),
     pytest.param("toolchain:\n  sim_timeout: 0\n", "toolchain: sim_timeout must be positive",
                  id="zero-sim-timeout"),
     pytest.param("toolchain:\n  sim_timeout: -5\n", "toolchain: sim_timeout must be positive",

@@ -32,7 +32,7 @@ from rtlflow.engine import (
     write_rtl,
 )
 from rtlflow.errors import BackendUnavailable, BadInput, UnparseableReply
-from rtlflow.gateway import Gateway, ScriptedBackend, TranscriptWriter
+from rtlflow.gateway import Gateway, ScriptedBackend
 from rtlflow.metrics import parse_report
 from rtlflow.optimizer import OptimizationGoal
 from rtlflow.toolchain import (
@@ -216,6 +216,21 @@ def test_extract_verilog_starts_at_a_declaration():
     assert extract_verilog("This module adds two numbers.\n" + ADD_MODULE) == ADD_MODULE
     reply = "```\n// the adder module\n```\n\n```verilog\n" + ADD_MODULE + "```\n"
     assert extract_verilog(reply) == ADD_MODULE
+
+
+TWO_MODULES = ("module inv(input a, output y);\n  assign y = ~a;\nendmodule\n"
+               "module top(input a, output y);\n  inv u(.a(a), .y(y));\nendmodule\n")
+
+
+@pytest.mark.parametrize("code, prose", [
+    ("module m(input a, output y);\n  assign y = a;\nendmodule\n",
+     "Each endmodule closes one module."),
+    (TWO_MODULES, "Both end at an endmodule; the second endmodule closes top."),
+    (TWO_MODULES, "module inv is the leaf."),
+], ids=["one-module", "two-modules", "declaration-in-prose"])
+def test_extract_verilog_ends_at_the_last_modules_endmodule(code, prose):
+    # prose after the code that names the keyword is not code
+    assert extract_verilog(code + prose) == code
 
 
 _WORDS = ["this", "module", "adds", "the", "two", "numbers.", "a", "wire", "//", "(b)", ";"]
@@ -1046,7 +1061,7 @@ def test_only_the_pipeline_thread_writes_and_runs_repeat(tmp_path, monkeypatch):
     # verify latency varies between repeats; what a run writes must not
     pipeline_thread = threading.local()
     off_thread: list[str] = []
-    real_write, real_event = TranscriptWriter.write, engine._event
+    real_write, real_event = Gateway.write, engine._event
 
     def on_pipeline_thread(run):
         def entered(*args, **kwargs):
@@ -1067,7 +1082,7 @@ def test_only_the_pipeline_thread_writes_and_runs_repeat(tmp_path, monkeypatch):
     entered = on_pipeline_thread(engine.run_pipeline)
     optimize = on_pipeline_thread(optimizer.optimize)
     monkeypatch.setattr(bench, "run_pipeline", entered)
-    monkeypatch.setattr(TranscriptWriter, "write", on_thread("write", real_write))
+    monkeypatch.setattr(Gateway, "write", on_thread("write", real_write))
     monkeypatch.setattr(engine, "_event", on_thread("_event", real_event))
     fixtures = {"sig_pass": "signal_generator", "sig_fail": "signal_generator_fail"}
 

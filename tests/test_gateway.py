@@ -19,7 +19,6 @@ from rtlflow.gateway import (
     HttpBackend,
     RoleSession,
     ScriptedBackend,
-    TranscriptWriter,
     system,
     user,
 )
@@ -112,8 +111,8 @@ def test_each_send_is_one_request():
 
 def test_transcript_lines_and_idempotence(tmp_path):
     # each message of a send is written exactly once, prompt before reply
-    sink = TranscriptWriter(tmp_path / "t.jsonl", run_id="r1", clock=lambda: 0.0)
-    session = RoleSession("Planner", ScriptedBackend([("Planner", "a")]), transcript=sink)
+    gateway = Gateway(ScriptedBackend([("Planner", "a")]), tmp_path / "t.jsonl", "r1", lambda: 0.0)
+    session = gateway.session("Planner")
     session.send("q")
     lines = (tmp_path / "t.jsonl").read_text().splitlines()
     assert len(lines) == 2
@@ -139,10 +138,9 @@ def opens(monkeypatch):
 
 def test_exchange_is_one_append(tmp_path, opens):
     path = tmp_path / "t.jsonl"
-    sink = TranscriptWriter(path, run_id="r1", clock=lambda: 0.0)
-    session = RoleSession("Planner", ScriptedBackend([("Planner", "a"), ("Planner", "b")]),
-                          transcript=sink)
-    sink.start()
+    gateway = Gateway(ScriptedBackend([("Planner", "a"), ("Planner", "b")]), path, "r1", lambda: 0.0)
+    session = gateway.session("Planner")
+    gateway.start()
     session.send("q1")
     session.send("q2")
     assert opens[path] == [("w",), ("a",), ("a",)]  # `start` empties it, each exchange appends
@@ -169,11 +167,17 @@ def test_system_session_is_one_request_and_one_append(tmp_path, opens):
     ]
 
 
+def test_gateway_without_a_path_writes_nothing(tmp_path, opens):
+    gateway = Gateway(ScriptedBackend([("Planner", "a")]))
+    gateway.start()
+    assert gateway.session("Planner").send("q") == "a"
+    assert opens == {}
+
+
 def test_failing_sink_does_not_advance_seq(tmp_path):
     path = tmp_path / "missing_dir" / "t.jsonl"
-    sink = TranscriptWriter(path, run_id="r1", clock=lambda: 0.0)
-    session = RoleSession("Planner", ScriptedBackend([("Planner", "a"), ("Planner", "b")]),
-                          transcript=sink)
+    gateway = Gateway(ScriptedBackend([("Planner", "a"), ("Planner", "b")]), path, "r1", lambda: 0.0)
+    session = gateway.session("Planner")
     with pytest.raises(FileNotFoundError):
         session.send("q1")
     path.parent.mkdir()
@@ -184,8 +188,7 @@ def test_failing_sink_does_not_advance_seq(tmp_path):
 
 def test_empty_session_writes_nothing(tmp_path):
     # a send whose backend fails leaves the session, and so the sink, empty
-    sink = TranscriptWriter(tmp_path / "t.jsonl", run_id="r1")
-    session = RoleSession("Planner", ScriptedBackend([]), transcript=sink)
+    session = Gateway(ScriptedBackend([]), tmp_path / "t.jsonl", "r1").session("Planner")
     with pytest.raises(ScriptExhausted):
         session.send("q")
     assert not (tmp_path / "t.jsonl").exists()
@@ -208,9 +211,11 @@ class _FlakyHandler(BaseHTTPRequestHandler):
     reply_content = "stub reply"  # bytes are served as the whole body
     retry_after = None  # Retry-After header value sent with each failure
     hits = 0
+    headers_seen: list = []  # each request's headers
 
     def do_POST(self):
         type(self).hits += 1
+        type(self).headers_seen.append(dict(self.headers))
         self.rfile.read(int(self.headers.get("Content-Length", 0)))
         if type(self).failures_left > 0:
             type(self).failures_left -= 1
@@ -240,6 +245,7 @@ def flaky_server():
     _FlakyHandler.reply_content = "stub reply"
     _FlakyHandler.retry_after = None
     _FlakyHandler.hits = 0
+    _FlakyHandler.headers_seen = []
     server = HTTPServer(("127.0.0.1", 0), _FlakyHandler)
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
@@ -258,6 +264,21 @@ def test_http_retry_recovers_after_two_failures(flaky_server):
     reply = session.send("hello")
     assert reply == "stub reply"
     assert _FlakyHandler.hits == 3
+
+
+@pytest.mark.parametrize("key, authorization", [
+    ("sk-test", "Bearer sk-test"), (None, None), ("", None),
+], ids=["set", "unset", "empty"])
+def test_http_sends_the_key_only_when_set(flaky_server, monkeypatch, key, authorization):
+    _FlakyHandler.failures_left = 0
+    if key is None:
+        monkeypatch.delenv("RTLFLOW_TEST_KEY", raising=False)
+    else:
+        monkeypatch.setenv("RTLFLOW_TEST_KEY", key)
+    cfg = BackendConfig(endpoint_url=flaky_server, api_key_env="RTLFLOW_TEST_KEY", timeout=5.0)
+    assert HttpBackend(cfg).complete("Planner", [user("hello")]) == "stub reply"
+    [headers] = _FlakyHandler.headers_seen
+    assert headers.get("Authorization") == authorization
 
 
 def test_http_retry_bound(flaky_server):

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import VERILOG
+from conftest import REPORTS, VERILOG
 
 from rtlflow.errors import RtlflowError
 from rtlflow.inspect_rtl import _instances, fingerprint, strip_comments
+from rtlflow.metrics import parse_report
+from rtlflow.optimizer import OptimizationGoal, load_catalog, select_techniques
 
 ADDER = (VERILOG / "adder_16bit.v").read_text()
 FSM = (VERILOG / "fsm_example.v").read_text()
@@ -189,6 +191,45 @@ def test_census_counts_only_operators():
     real = ("module m (input [7:0] a, b, input s, output [15:0] y, output reg [7:0] z);\n"
             "    always @* z = s ? a : b;\n    assign y = a * b / 8'h3;\nendmodule\n")
     assert fingerprint(real).operator_census == {"mul": 1, "div": 1, "mux": 1}
+
+
+def test_ranges_and_part_selects_hold_no_operator():
+    # `[W-1:0]`, `[3:0]` and `[i*8 +: 8]` are no arithmetic; an index is
+    ranges = ("module m #(parameter W = 8) (input [W-1:0] a, output [W-1:0] y);\n"
+              "    assign y = a;\nendmodule\n")
+    assert fingerprint(ranges).operator_census == {}
+    selects = ("module m (input [31:0] a, input [1:0] i, output [7:0] y, output [3:0] z);\n"
+               "    assign y = a[i*8 +: 8];\n    assign z = a[3:0] + a[7:4];\nendmodule\n")
+    assert fingerprint(selects).operator_census == {"add": 1}
+    index = "module m (input [7:0] a, input [2:0] i, output y);\n    assign y = a[i+1];\nendmodule\n"
+    assert fingerprint(index).operator_census == {"add": 1}
+
+
+PARAM_COUNTER = """
+module counter #(parameter W = 8) (input clk, output [W-1:0] q);
+    localparam IDLE = 2'd0;
+    reg [W-1:0] count;
+    reg [IDLE:0] flag;
+    always @(posedge clk) begin
+        count <= count + 1;
+        flag <= ~flag;
+    end
+    assign q = count;
+endmodule
+"""
+
+
+def test_parameters_resolve_in_declared_ranges():
+    # `[W-1:0]` reads W's default; `2'd0` is no plain default, so `[IDLE:0]` is 1 bit
+    assert fingerprint(PARAM_COUNTER).register_bits == 8 + 1
+    adder = ("module add #(parameter W = 16) (input [W-1:0] a, b, input cin,\n"
+             "    output [W-1:0] sum, output cout);\n"
+             "    assign {cout, sum} = a + b + cin;\nendmodule\n")
+    fp = fingerprint(adder)
+    assert fp.carry_chain_detected
+    report = parse_report((REPORTS / "adder_16bit_base.rpt").read_text())
+    timing = select_techniques(fp, report, OptimizationGoal("timing"), load_catalog())
+    assert timing.techniques == ["carry_lookahead_restructuring", "pipelining"]
 
 
 def clocked_module(statements: list[str]) -> str:

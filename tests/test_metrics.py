@@ -53,9 +53,16 @@ def test_parse_dc_style():
 
 
 def test_parse_missing_required_metric():
-    with pytest.raises(RtlflowError,
-                       match="^required metric missing from report: leakage_power$"):
+    with pytest.raises(ValueError, match="^missing key 'leakage_power'$"):
         parse_report((REPORTS / "missing_leakage.rpt").read_text())
+
+
+def test_fractional_levels_of_logic_is_rejected():
+    # it used to be truncated to 3
+    text = "cell_area: 1 um2\ndesign_area: 2 um2\ndynamic_power: 1 uW\n" \
+           "leakage_power: 1 uW\ncp_length: 1 ns\nlevels_of_logic: 3.5\n"
+    with pytest.raises(ValueError, match="^levels_of_logic: expected int, got 3.5$"):
+        parse_report(text)
 
 
 def test_parse_unknown_dialect_and_empty():
@@ -71,7 +78,7 @@ def test_parse_unknown_dialect_and_empty():
                  id="two-canonical-lines-in-dc-text"),
     pytest.param("cell_area: 1 acres\ndesign_area: 2 um2\ndynamic_power: 1 uW\n",
                  "cell_area: unknown unit 'acres'", id="three-canonical-lines-one-bad-unit"),
-    pytest.param("  slack (MET)  0.50\n", "required metric missing from report",
+    pytest.param("  slack (MET)  0.50\n", "^missing key 'cell_area'$",
                  id="dc-slack-line-alone"),
     pytest.param("cell_area: 1 um2\ndesign_area: 2 um2\n", "neither canonical nor DC-style",
                  id="two-canonical-lines-alone"),
@@ -83,7 +90,7 @@ def test_dialect_rule(text, expected):
     if expected == "DC":
         assert parse_report(text) == parse_report(DC_RPT)
     else:
-        with pytest.raises(RtlflowError, match=expected):
+        with pytest.raises((RtlflowError, ValueError), match=expected):
             parse_report(text)
 
 

@@ -12,7 +12,7 @@ import yaml
 from conftest import FIXTURES
 
 import rtlflow
-from rtlflow import yamlload
+from rtlflow import errors
 from rtlflow.bench import load_manifest
 from rtlflow.config import load_config
 from rtlflow.errors import BadInput, RtlflowError
@@ -73,9 +73,9 @@ def load_everything():
 
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
 def test_libyaml_and_python_loaders_agree(monkeypatch):
-    monkeypatch.setattr(yamlload, "LOADER", yaml.SafeLoader)
+    monkeypatch.setattr(errors, "LOADER", yaml.SafeLoader)
     python_side = load_everything()
-    monkeypatch.setattr(yamlload, "LOADER", yaml.CSafeLoader)
+    monkeypatch.setattr(errors, "LOADER", yaml.CSafeLoader)
     libyaml_side = load_everything()
 
     cards, cases, cfg = libyaml_side
@@ -89,7 +89,7 @@ def test_libyaml_and_python_loaders_agree(monkeypatch):
 
 @pytest.mark.parametrize("loader", LOADERS)
 def test_malformed_card_yaml(monkeypatch, loader):
-    monkeypatch.setattr(yamlload, "LOADER", loader)
+    monkeypatch.setattr(errors, "LOADER", loader)
     text = "---\nid: [unclosed\ngoal: power\n---\nSummary.\n\n```verilog\nx\n```\n"
     with pytest.raises(RtlflowError, match="bad front-matter"):
         _parse_card(text, "bad.md")
@@ -97,7 +97,7 @@ def test_malformed_card_yaml(monkeypatch, loader):
 
 @pytest.mark.parametrize("loader", LOADERS)
 def test_malformed_config_yaml(monkeypatch, loader, tmp_path):
-    monkeypatch.setattr(yamlload, "LOADER", loader)
+    monkeypatch.setattr(errors, "LOADER", loader)
     cfg_file = tmp_path / "run.yaml"
     cfg_file.write_text("backend: [unclosed\n")
     with pytest.raises(BadInput):
