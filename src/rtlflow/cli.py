@@ -79,14 +79,13 @@ def _scripted_paths(scripted: str, design: Optional[str] = None) -> tuple[Path, 
     return root / "turns.json", root / "outcomes.json"
 
 
-def _make_gateway(cfg: RunConfig, scripted: Optional[str], design: Optional[str],
-                  transcript_path: Optional[Path]) -> Gateway:
+def _make_gateway(cfg: RunConfig, scripted: Optional[str], design: str, workspace: Path) -> Gateway:
     if scripted:
         turns, _ = _scripted_paths(scripted, design)
         backend = ScriptedBackend.from_file(turns)
     else:
         backend = HttpBackend(cfg.backend)
-    return Gateway(backend, transcript_path=transcript_path)
+    return Gateway(backend, transcript_path=workspace / "transcript.jsonl")
 
 
 def _make_toolchain(cfg: RunConfig, scripted: Optional[str], design: Optional[str]):
@@ -123,7 +122,7 @@ def generate(spec_path, workspace, budget, config_path, scripted):
         log.info("--budget %d overrides budget.max_fix_iterations", budget)
     spec = _read_spec(Path(spec_path))
     ws = Path(workspace)
-    gateway = _make_gateway(cfg, scripted, spec.name, ws / "transcript.jsonl")
+    gateway = _make_gateway(cfg, scripted, spec.name, ws)
     toolchain = _make_toolchain(cfg, scripted, spec.name)
     revisions, final = run_pipeline(spec, cfg.budget, gateway, toolchain, ws)
     click.echo(f"{spec.name}: {final} after {len(revisions)} iteration(s)")
@@ -168,7 +167,7 @@ def optimize_cmd(baseline_dir, goal, base_report, config_path, scripted):
         report = read_input(report_path, parse_report)
 
     out = base / f"opt_{goal}"
-    gateway = _make_gateway(cfg, scripted, spec.name, out / "transcript.jsonl")
+    gateway = _make_gateway(cfg, scripted, spec.name, out)
     toolchain = _make_toolchain(cfg, scripted, spec.name)
     optimize(baseline_rtl, report, OptimizationGoal(goal), gateway, toolchain,
              cfg.budget, spec.testbench_path, out, catalog)
@@ -217,7 +216,7 @@ def bench_cmd(manifest, out_dir, workers, scripted, strict, config_path):
     out = Path(out_dir)
 
     def gateway_factory(design: str) -> Gateway:
-        return _make_gateway(cfg, scripted, design, out / design / "transcript.jsonl")
+        return _make_gateway(cfg, scripted, design, out / design)
 
     def toolchain_factory(design: str):
         return _make_toolchain(cfg, scripted, design)

@@ -15,7 +15,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, asdict
 from functools import cache
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import UnparseableReply, build, read_input
 from .gateway import Gateway, RoleSession
@@ -298,21 +298,13 @@ def write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, ensure_ascii=False, indent=2, default=str), encoding="utf-8")
 
 
-def _event(events: TextIO, event: str, /, **fields) -> None:
-    """Append one record to the run's `events.jsonl` as a compact JSON line
-    and flush it, so a crash leaves every earlier record on disk."""
-    events.write(json.dumps({"event": event, **fields},
-                            ensure_ascii=False, separators=(",", ":")) + "\n")
-    events.flush()
-
-
 @contextmanager
-def run_log(workspace: Path, gateway: Gateway, status: dict) -> Iterator[TextIO]:
+def run_log(workspace: Path, gateway: Gateway, status: dict) -> Iterator[None]:
     """The one start and end of a run: `run_pipeline`'s and `optimize`'s.
 
     Creates `workspace`, removes an earlier run's `rev_N.v` files, `verify_N/`
-    directories and `status.json`, starts `events.jsonl` and the gateway's
-    transcript afresh, and yields the open `events.jsonl`.
+    directories and `status.json`, and starts the gateway's run afresh; one
+    whose `events.jsonl` cannot be opened raises, having written nothing.
     The block puts how the run ended into `status`. When the block raises,
     `status` gains `final_status` `Error`, the exception's `error_type` and
     its message as `error`, and the exception is re-raised once the run has
@@ -324,20 +316,19 @@ def run_log(workspace: Path, gateway: Gateway, status: dict) -> Iterator[TextIO]
             path.unlink()
         elif re.fullmatch(r"verify_[0-9]+", path.name) and path.is_dir():
             shutil.rmtree(path)
-    events = (workspace / "events.jsonl").open("w", encoding="utf-8")
 
     def end() -> None:
-        with events:
-            _event(events, "end", **status)
+        gateway.end(status)
         write_json(workspace / "status.json", status)
 
     try:
-        gateway.start()
-        yield events
+        gateway.start(workspace / "events.jsonl")
+        yield
     except BaseException as exc:
-        status.update(final_status="Error", error_type=type(exc).__name__, error=str(exc))
-        with suppress(OSError):  # e.g. a full disk: the run's own exception is raised
-            end()
+        if gateway.started:
+            status.update(final_status="Error", error_type=type(exc).__name__, error=str(exc))
+            with suppress(OSError):  # e.g. a full disk: the run's own exception is raised
+                end()
         raise
     end()
 
@@ -360,7 +351,7 @@ class _HeldWrites(list):
         self.append(args)
 
 
-def _settle(future, gateway: Gateway, events: TextIO, revision: int,
+def _settle(future, gateway: Gateway, revision: int,
             superseded: bool = False) -> tuple[VerificationOutcome, Optional[list[str]]]:
     """End a verify on the calling thread, the one writer of its events: wait
     for it, append its `outcome` event, then the Evaluator's held exchange
@@ -372,7 +363,7 @@ def _settle(future, gateway: Gateway, events: TextIO, revision: int,
     Evaluator's after its exchange."""
     outcome, diagnosis, held = future.result()
     mark = {"superseded": True} if superseded else {}
-    _event(events, "outcome", revision=revision, **outcome.to_dict(), **mark)
+    gateway.event("outcome", revision=revision, **outcome.to_dict(), **mark)
     for write in held:
         gateway.write(*write)
     if isinstance(diagnosis, BaseException) and not (superseded and held):
@@ -380,8 +371,8 @@ def _settle(future, gateway: Gateway, events: TextIO, revision: int,
     if diagnosis is None:
         return outcome, None
     fixes = [] if isinstance(diagnosis, BaseException) else diagnosis
-    _event(events, "diagnosis", revision=revision, **mark,
-           fixes=[{"description": f} for f in fixes])
+    gateway.event("diagnosis", revision=revision, **mark,
+                  fixes=[{"description": f} for f in fixes])
     return outcome, None if superseded else diagnosis
 
 
@@ -393,7 +384,6 @@ def fix_loop(
     toolchain,
     budget: PipelineBudget,
     workspace: Path,
-    events: TextIO,
     plan: Optional[list[str]] = None,
 ) -> tuple[list[Revision], str]:
     """Review against `plan` (when given), verify against the testbench at
@@ -405,14 +395,14 @@ def fix_loop(
     as the verify fails and a fix may follow; with a plan, the review runs
     meanwhile. A review rewrite that changes the code, or a review that
     raises, gives the verify in flight up. Only the calling thread writes
-    the transcript and `events`, where a sequential loop would, so neither
-    depends on thread timing. The helper has ended when this returns or
+    the transcript and `events.jsonl`, where a sequential loop would, so
+    neither depends on thread timing. The helper has ended when this returns or
     raises.
 
     Writes `rev_N.v` and `verify_N/` into `workspace` per revision N, and
-    appends to `events` (the caller's open `events.jsonl`) a `verdict` event
-    per review round, a `notes` event when revision N's artifact has notes,
-    and the events of `_settle`, which ends each verify. Returns the
+    appends to the run the caller started on `gateway` a `verdict` event per
+    review round, a `notes` event when revision N's artifact has notes, and
+    the events of `_settle`, which ends each verify. Returns the
     revisions and the final status: Pass, ToolError or BudgetExhausted."""
     # imported here, not at module level: a library import need not pay for it
     from concurrent.futures import ThreadPoolExecutor
@@ -452,8 +442,8 @@ def fix_loop(
                     per_step = review_rtl(plan, rtl, gateway)
                     # the complete flag is always recomputed, never taken from the reply
                     missing = sorted(i for i, r in per_step.items() if r["status"] == "Missing")
-                    _event(events, "verdict", revision=rtl.revision, round=round_no,
-                           per_step=per_step, complete=not missing)
+                    gateway.event("verdict", revision=rtl.revision, round=round_no,
+                                  per_step=per_step, complete=not missing)
                     if not missing:
                         break
                     if round_no == budget.max_review_rounds:
@@ -466,17 +456,17 @@ def fix_loop(
                     rewrite = artifact_from_reply(reply, rtl.revision, range(1, len(plan) + 1))
                     if rewrite.verilog_text != rtl.verilog_text:  # an identical one keeps it
                         given_up, verify = verify, None  # given up once, even if this raises
-                        _settle(given_up, gateway, events, rtl.revision, superseded=True)
+                        _settle(given_up, gateway, rtl.revision, superseded=True)
                         verify = start_verify(rewrite)
                     rtl = rewrite
             except BaseException:
                 if verify is not None:
                     with suppress(Exception):  # the helper's exception never replaces the review's
-                        _settle(verify, gateway, events, rtl.revision, superseded=True)
+                        _settle(verify, gateway, rtl.revision, superseded=True)
                 raise
             if rtl.notes:
-                _event(events, "notes", revision=rtl.revision, notes=rtl.notes)
-            outcome, fixes = _settle(verify, gateway, events, rtl.revision)
+                gateway.event("notes", revision=rtl.revision, notes=rtl.notes)
+            outcome, fixes = _settle(verify, gateway, rtl.revision)
             revisions.append(Revision(rtl=rtl, outcome=outcome))
             if fixes is None:
                 return revisions, outcome.kind if outcome.kind in _FINAL_KINDS else "BudgetExhausted"
@@ -495,15 +485,15 @@ def run_pipeline(
     returns. The status names the design."""
     workspace = Path(workspace)
     status = {"design": spec.name}
-    with run_log(workspace, gateway, status) as events:
+    with run_log(workspace, gateway, status):
         write_json(workspace / "spec.json", asdict(spec))
         tb_path = Path(spec.testbench_path)
         tb_text = read_input(tb_path)  # a bad testbench fails the run before the first LLM call
         plan = make_plan(spec, gateway)
-        _event(events, "plan", revision=0, steps=plan)
+        gateway.event("plan", revision=0, steps=plan)
         rtl = write_rtl(plan, spec, gateway)
         revisions, final = fix_loop(
-            rtl, tb_path, tb_text, gateway, toolchain, budget, workspace, events, plan
+            rtl, tb_path, tb_text, gateway, toolchain, budget, workspace, plan
         )
         status.update(loop_status(revisions, final))
     return revisions, final

@@ -1,4 +1,4 @@
-"""Chat backends, per-role sessions and the run's transcript.
+"""Chat backends, per-role sessions and the writer of a run's records.
 
 Every role in the pipeline talks through a RoleSession bound to a backend:
 either an HTTP chat-completion endpoint or a deterministic scripted double
@@ -15,9 +15,10 @@ import random
 import threading
 import time
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, TextIO
 
 from .errors import BackendUnavailable, ScriptExhausted, build, read_input
 
@@ -210,57 +211,63 @@ class RoleSession:
         return reply
 
 
-class Gateway:
-    """Binds sessions to one backend, and owns the run's transcript when
-    given its path: a JSONL file, one line per message and one append per
-    call. Without a path, `start` and `write` do nothing."""
+def _append(fh: TextIO, *records: dict) -> None:
+    """Write the records as compact JSON lines in one write, and flush them."""
+    fh.write("".join(json.dumps(r, ensure_ascii=False, separators=(",", ":")) + "\n"
+                     for r in records))
+    fh.flush()
 
-    def __init__(
-        self,
-        backend,
-        transcript_path: Optional[str | Path] = None,
-        run_id: Optional[str] = None,
-        clock: Callable[[], float] = time.time,
-    ):
+
+class Gateway:
+    """Binds sessions to one backend, and is the one writer of a run's
+    records: `events.jsonl` and, given a path, the transcript, one line per
+    message and one append per call; `write` does nothing with no transcript open."""
+
+    def __init__(self, backend, transcript_path: Optional[str | Path] = None,
+                 run_id: Optional[str] = None, clock: Callable[[], float] = time.time):
         self.backend = backend
         self._path = None if transcript_path is None else Path(transcript_path)
         # a run id is drawn only for a transcript, the one thing that names it
         self._run_id = (run_id or os.urandom(16).hex()) if self._path else None
         self._clock = clock
         self._seq = 0
+        self._events = self._transcript = None  # the run's files, open from `start` to `end`
 
-    def start(self) -> None:
-        """Empty the transcript, so it holds one run, and number the next
-        message 0."""
-        if self._path is not None:
-            self._path.open("w", encoding="utf-8").close()
+    @property
+    def started(self) -> bool:
+        return self._events is not None
+
+    def start(self, events_path: str | Path) -> None:
+        """Open `events_path` and the transcript, emptied, and number the next
+        message 0. A run whose `events_path` cannot be opened has not started;
+        one whose transcript cannot keeps `events.jsonl` open for `end`."""
         self._seq = 0
+        self._events = Path(events_path).open("w", encoding="utf-8")
+        if self._path is not None:
+            self._transcript = self._path.open("w", encoding="utf-8")
+
+    def event(self, kind: str, /, **fields) -> None:
+        _append(self._events, {"event": kind, **fields})
 
     def write(self, role_name: str, *messages: ChatMessage) -> None:
-        """Append the messages in order; `seq` advances only once they are
-        written. A failed write raises its `OSError`."""
-        if self._path is None:
+        """Append the messages in order, in one write; `seq` advances only
+        once they are written. A failed write raises its `OSError`."""
+        if self._transcript is None:
             return
-        lines = "".join(
-            json.dumps(
-                {
-                    "run_id": self._run_id,
-                    "role": role_name,
-                    "direction": "reply" if message.role_tag == "assistant" else "prompt",
-                    "seq": self._seq + i,
-                    "timestamp": self._clock(),
-                    "content": message.content,
-                },
-                ensure_ascii=False,
-            ) + "\n"
-            for i, message in enumerate(messages)
-        )
-        with self._path.open("a", encoding="utf-8") as fh:
-            fh.write(lines)
+        _append(self._transcript, *(
+            {"run_id": self._run_id, "role": role_name,
+             "direction": "reply" if message.role_tag == "assistant" else "prompt",
+             "seq": self._seq + i, "timestamp": self._clock(), "content": message.content}
+            for i, message in enumerate(messages)))
         self._seq += len(messages)
 
+    def end(self, status: dict) -> None:
+        """Append `status` as the `end` record; close both files, even if that fails."""
+        events, transcript = self._events, self._transcript
+        self._events = self._transcript = None
+        with events, transcript or nullcontext():
+            _append(events, {"event": "end", **status})
+
     def session(self, role_name: str, system_prompt: Optional[str] = None) -> RoleSession:
-        return RoleSession(
-            role_name, self.backend, self,
-            system(system_prompt) if system_prompt else None,
-        )
+        return RoleSession(role_name, self.backend, self,
+                           system(system_prompt) if system_prompt else None)

@@ -63,8 +63,10 @@ _ALWAYS_RE = re.compile(r"\balways\b\s*@\s*\(([^)]*)\)")
 # a range bound: an integer, or a parameter name, plus or minus an integer
 _BOUND = r"\s*(\d+|[A-Za-z_]\w*)\s*(?:([+-])\s*(\d+)\s*)?"
 _RANGE_RE = re.compile(rf"\[{_BOUND}:{_BOUND}\]")
-# a parameter or localparam with a plain decimal default (not `2'd0`)
-_PARAM_RE = re.compile(r"\b(?:parameter|localparam)\s+([A-Za-z_]\w*)\s*=\s*(\d+)\s*(?=[,;)])")
+# a parameter or localparam declaration, to its `;` or its `#(` list's `)` (a default may
+# hold one `(...)`), and an item of it that ends in a plain decimal default (not `2'd0`)
+_PARAM_DECL_RE = re.compile(r"\b(?:parameter|localparam)\b((?:[^;()]|\([^;()]*\))*)")
+_PARAM_ITEM_RE = re.compile(r"([A-Za-z_]\w*)\s*=\s*(\d+)\s*$")
 _REG_DECL_RE = re.compile(r"\breg\b(?:\s+signed)?\s*(\[[^\]]*\])?\s*([^;]+);")
 _INSTANCE_RE = re.compile(
     r"^\s*([A-Za-z_]\w*)\s*(#\s*\([^;]*?\))?\s+([A-Za-z_]\w*)\s*\(", re.MULTILINE
@@ -240,7 +242,8 @@ def fingerprint(verilog_text: str) -> DesignFingerprint:
     clocked = [(s, b) for s, b in blocks if re.search(r"\b(pos|neg)edge\b", s)]
 
     is_combinational = not clocked
-    params = {name: int(value) for name, value in _PARAM_RE.findall(body)}
+    params = {m[1]: int(m[2]) for decl in _PARAM_DECL_RE.findall(body)
+              for m in map(_PARAM_ITEM_RE.search, decl.split(",")) if m}
     register_bits = 0 if is_combinational else _reg_bits(body, params)
 
     # FSM: a case switching on a register that is also assigned from the arms

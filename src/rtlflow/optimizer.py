@@ -303,7 +303,7 @@ def optimize(
     that never passes raises once the run has ended."""
     workspace = Path(workspace)
     status = {"goal": goal.kind}
-    with run_log(workspace, gateway, status) as events:
+    with run_log(workspace, gateway, status):
         tb_text = read_input(testbench_path)
         fp = fingerprint(baseline.verilog_text)
         rec = select_techniques(fp, report, goal, catalog)
@@ -313,7 +313,7 @@ def optimize(
         session = gateway.session("Optimizer", system_prompt=messages[0].content)
         rtl = artifact_from_reply(session.send(messages[1].content), 0)
         revisions, final = fix_loop(
-            rtl, testbench_path, tb_text, gateway, toolchain, budget, workspace, events
+            rtl, testbench_path, tb_text, gateway, toolchain, budget, workspace
         )
         status.update(loop_status(revisions, final))
     if final != "Pass":

@@ -13,6 +13,7 @@ import re
 import shutil
 import time
 from dataclasses import dataclass, field, asdict
+from itertools import count
 from pathlib import Path
 from string import Formatter
 from typing import Optional
@@ -205,24 +206,23 @@ def _run(tool: str, argv: list[str], cwd: Path, timeout: Optional[float]) -> Too
         )
 
 
+@dataclass(frozen=True)
 class IcarusToolchain:
     """Subprocess adapter; executable names and argv templates are data."""
 
-    def __init__(self, config: Optional[ToolchainConfig] = None):
-        self.config = config or ToolchainConfig()
-        self._inv_seq = 0
+    config: ToolchainConfig = field(default_factory=ToolchainConfig)
 
     def _tool(self, tool: str, exe: str, args: list[str], subst: dict[str, str],
               workspace: Path, timeout: Optional[float]) -> ToolInvocation:
-        """Run `exe` with `args` formatted from `subst`, recorded as the next
-        `inv_N.json` in `workspace`."""
+        """Run `exe` with `args` formatted from `subst`, recorded as
+        `inv_N.json` in `workspace`, N the first number not yet used there."""
         path = shutil.which(exe)
         if path is None:
             raise ToolchainUnavailable(f"executable not found: {exe}")
         inv = _run(tool, [path] + [a.format(**subst) for a in args], workspace, timeout)
-        (workspace / f"inv_{self._inv_seq}.json").write_text(
+        k = next(k for k in count() if not (workspace / f"inv_{k}.json").exists())
+        (workspace / f"inv_{k}.json").write_text(
             json.dumps(asdict(inv), ensure_ascii=False, indent=2), encoding="utf-8")
-        self._inv_seq += 1
         return inv
 
     def verify(self, rtl_path: Path, tb_path: Path, workspace: Path) -> VerificationOutcome:

@@ -6,6 +6,7 @@ import random
 import re
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -72,15 +73,15 @@ def sent_prompt(gateway) -> str:
 
 @pytest.fixture
 def event_handles(monkeypatch):
-    """The `events` handle of every `engine._event` call, in order."""
+    """The open `events.jsonl` of every `Gateway.event` call, in order."""
     handles = []
-    real_event = engine._event
+    real_event = Gateway.event
 
-    def spy(events, *args, **kwargs):
-        handles.append(events)
-        real_event(events, *args, **kwargs)
+    def spy(gateway, *args, **kwargs):
+        handles.append(gateway._events)
+        real_event(gateway, *args, **kwargs)
 
-    monkeypatch.setattr(engine, "_event", spy)
+    monkeypatch.setattr(Gateway, "event", spy)
     return handles
 
 
@@ -651,6 +652,42 @@ def test_pipeline_crash_leaves_events_closed(tmp_path, event_handles):
         "error": "evaluator reply has no numbered fixes"}
 
 
+@pytest.fixture
+def opened(monkeypatch):
+    """Every handle `Path.open` returns during the test, `write_text`'s too."""
+    handles = []
+    real_open = Path.open
+
+    def recording_open(self, *args, **kwargs):
+        handles.append(real_open(self, *args, **kwargs))
+        return handles[-1]
+
+    monkeypatch.setattr(Path, "open", recording_open)
+    return handles
+
+
+def test_run_whose_events_cannot_be_opened_never_starts(tmp_path, opened):
+    ws = tmp_path / "ws"
+    (ws / "events.jsonl").mkdir(parents=True)
+    gateway = Gateway(ScriptedBackend([]), transcript_path=ws / "transcript.jsonl")
+    with pytest.raises(IsADirectoryError):
+        run_pipeline(make_spec(tmp_path), PipelineBudget(), gateway, ScriptedToolchain([]), ws)
+    assert [p.name for p in ws.iterdir()] == ["events.jsonl"]  # no record, status or transcript
+    assert all(h.closed for h in opened)
+
+
+def test_run_whose_transcript_cannot_be_opened_ends(tmp_path, opened):
+    ws = tmp_path / "ws"
+    (ws / "transcript.jsonl").mkdir(parents=True)
+    gateway = Gateway(ScriptedBackend([]), transcript_path=ws / "transcript.jsonl")
+    with pytest.raises(IsADirectoryError) as raised:
+        run_pipeline(make_spec(tmp_path), PipelineBudget(), gateway, ScriptedToolchain([]), ws)
+    assert read_events(ws) == []  # but the `end` record, equal to the status
+    assert read_status(ws) == {"design": "toy", "final_status": "Error",
+                               "error_type": "IsADirectoryError", "error": str(raised.value)}
+    assert all(h.closed for h in opened)
+
+
 # --- verify during review ---
 
 MEET_S = 5.0  # how long each side waits for the other before the test fails
@@ -1061,7 +1098,7 @@ def test_only_the_pipeline_thread_writes_and_runs_repeat(tmp_path, monkeypatch):
     # verify latency varies between repeats; what a run writes must not
     pipeline_thread = threading.local()
     off_thread: list[str] = []
-    real_write, real_event = Gateway.write, engine._event
+    real_write, real_event = Gateway.write, Gateway.event
 
     def on_pipeline_thread(run):
         def entered(*args, **kwargs):
@@ -1083,7 +1120,7 @@ def test_only_the_pipeline_thread_writes_and_runs_repeat(tmp_path, monkeypatch):
     optimize = on_pipeline_thread(optimizer.optimize)
     monkeypatch.setattr(bench, "run_pipeline", entered)
     monkeypatch.setattr(Gateway, "write", on_thread("write", real_write))
-    monkeypatch.setattr(engine, "_event", on_thread("_event", real_event))
+    monkeypatch.setattr(Gateway, "event", on_thread("event", real_event))
     fixtures = {"sig_pass": "signal_generator", "sig_fail": "signal_generator_fail"}
 
     def gateways(ws):

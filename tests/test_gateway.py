@@ -12,6 +12,7 @@ from conftest import FIXTURES, RecordingBackend
 from rtlflow.bench import BenchCase, run_suite
 from rtlflow.engine import DesignSpec, PipelineBudget
 from rtlflow.errors import BackendUnavailable, ScriptExhausted
+from rtlflow import gateway as gateway_module
 from rtlflow.gateway import (
     BackendConfig,
     ChatMessage,
@@ -112,8 +113,10 @@ def test_each_send_is_one_request():
 def test_transcript_lines_and_idempotence(tmp_path):
     # each message of a send is written exactly once, prompt before reply
     gateway = Gateway(ScriptedBackend([("Planner", "a")]), tmp_path / "t.jsonl", "r1", lambda: 0.0)
+    gateway.start(tmp_path / "events.jsonl")
     session = gateway.session("Planner")
     session.send("q")
+    gateway.end({})
     lines = (tmp_path / "t.jsonl").read_text().splitlines()
     assert len(lines) == 2
     first = json.loads(lines[0])
@@ -137,17 +140,23 @@ def opens(monkeypatch):
 
 
 def test_exchange_is_one_append(tmp_path, opens):
-    path = tmp_path / "t.jsonl"
+    path, events = tmp_path / "t.jsonl", tmp_path / "events.jsonl"
     gateway = Gateway(ScriptedBackend([("Planner", "a"), ("Planner", "b")]), path, "r1", lambda: 0.0)
     session = gateway.session("Planner")
-    gateway.start()
+    gateway.start(events)
     session.send("q1")
+    gateway.event("plan", revision=0)
     session.send("q2")
-    assert opens[path] == [("w",), ("a",), ("a",)]  # `start` empties it, each exchange appends
+    gateway.end({"final_status": "Pass"})
+    # `start` empties both files; the run appends to them and `end` closes them
+    assert opens == {events: [("w",)], path: [("w",)]}
     lines = [json.loads(l) for l in path.read_text().splitlines()]
     assert [(l["seq"], l["direction"], l["content"]) for l in lines] == [
         (0, "prompt", "q1"), (1, "reply", "a"), (2, "prompt", "q2"), (3, "reply", "b"),
     ]
+    assert path.read_text().startswith('{"run_id":"r1","role":"Planner","direction":"prompt"')
+    assert events.read_text() == (
+        '{"event":"plan","revision":0}\n{"event":"end","final_status":"Pass"}\n')
 
 
 def test_system_session_is_one_request_and_one_append(tmp_path, opens):
@@ -155,10 +164,12 @@ def test_system_session_is_one_request_and_one_append(tmp_path, opens):
     backend = RecordingBackend([("Optimizer", "variant")])
     gateway = Gateway(backend, transcript_path=path, run_id="r1", clock=lambda: 0.0)
     session = gateway.session("Optimizer", system_prompt="cards")
-    assert path not in opens  # opening a session writes nothing
+    assert opens == {}  # opening a session opens nothing
+    gateway.start(tmp_path / "events.jsonl")
     session.send("baseline")
+    gateway.end({})
     assert backend.requests == [[system("cards"), user("baseline")]]
-    assert opens[path] == [("a",)]
+    assert opens[path] == [("w",)]
     lines = [json.loads(l) for l in path.read_text().splitlines()]
     assert [(l["seq"], l["role"], l["direction"], l["content"]) for l in lines] == [
         (0, "Optimizer", "prompt", "cards"),
@@ -169,37 +180,50 @@ def test_system_session_is_one_request_and_one_append(tmp_path, opens):
 
 def test_gateway_without_a_path_writes_nothing(tmp_path, opens):
     gateway = Gateway(ScriptedBackend([("Planner", "a")]))
-    gateway.start()
+    gateway.start(tmp_path / "events.jsonl")
     assert gateway.session("Planner").send("q") == "a"
-    assert opens == {}
+    gateway.end({})
+    assert list(opens) == [tmp_path / "events.jsonl"]  # no transcript
 
 
-def test_failing_sink_does_not_advance_seq(tmp_path):
-    path = tmp_path / "missing_dir" / "t.jsonl"
+def test_failing_sink_does_not_advance_seq(tmp_path, monkeypatch):
+    path = tmp_path / "t.jsonl"
     gateway = Gateway(ScriptedBackend([("Planner", "a"), ("Planner", "b")]), path, "r1", lambda: 0.0)
     session = gateway.session("Planner")
-    with pytest.raises(FileNotFoundError):
+    gateway.start(tmp_path / "events.jsonl")
+    real_append = gateway_module._append
+
+    def full_disk(fh, *records):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(gateway_module, "_append", full_disk)
+    with pytest.raises(OSError, match="No space left"):
         session.send("q1")
-    path.parent.mkdir()
+    monkeypatch.setattr(gateway_module, "_append", real_append)
     session.send("q2")
+    gateway.end({})
     lines = [json.loads(l) for l in path.read_text().splitlines()]
     assert [(l["seq"], l["content"]) for l in lines] == [(0, "q2"), (1, "b")]
 
 
 def test_empty_session_writes_nothing(tmp_path):
     # a send whose backend fails leaves the session, and so the sink, empty
-    session = Gateway(ScriptedBackend([]), tmp_path / "t.jsonl", "r1").session("Planner")
+    gateway = Gateway(ScriptedBackend([]), tmp_path / "t.jsonl", "r1")
+    gateway.start(tmp_path / "events.jsonl")
     with pytest.raises(ScriptExhausted):
-        session.send("q")
-    assert not (tmp_path / "t.jsonl").exists()
+        gateway.session("Planner").send("q")
+    gateway.end({})
+    assert (tmp_path / "t.jsonl").read_text() == ""
 
 
 def test_scripted_transcripts_are_byte_identical(tmp_path):
     def run(path):
         backend = ScriptedBackend([("Planner", "x"), ("Programmer", "y")])
         gw = Gateway(backend, transcript_path=path, run_id="fixed", clock=lambda: 0.0)
+        gw.start(path.with_suffix(".events"))
         gw.session("Planner").send("p")
         gw.session("Programmer").send("q")
+        gw.end({})
         return path.read_bytes()
 
     assert run(tmp_path / "a.jsonl") == run(tmp_path / "b.jsonl")

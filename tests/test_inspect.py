@@ -222,6 +222,12 @@ endmodule
 def test_parameters_resolve_in_declared_ranges():
     # `[W-1:0]` reads W's default; `2'd0` is no plain default, so `[IDLE:0]` is 1 bit
     assert fingerprint(PARAM_COUNTER).register_bits == 8 + 1
+    # every item of a declaration resolves, after an optional type or range
+    for params in ("parameter A = 2, B = 8", "parameter integer B = 8",
+                   "parameter [3:0] A = 2, parameter B = 8", "parameter A = $clog2(4), B = 8"):
+        counter = (f"module c #({params}) (input clk); reg [B-1:0] x;\n"
+                   "    always @(posedge clk) x <= x + 1;\nendmodule\n")
+        assert fingerprint(counter).register_bits == 8, params
     adder = ("module add #(parameter W = 16) (input [W-1:0] a, b, input cin,\n"
              "    output [W-1:0] sum, output cout);\n"
              "    assign {cout, sum} = a + b + cin;\nendmodule\n")

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from conftest import REPORTS, VERILOG, JitteredBackend, JitteredToolchain, read_events
 
-from rtlflow import bench, engine
+from rtlflow import bench
 from rtlflow.bench import BenchCase, run_suite
 from rtlflow.engine import DesignSpec, PipelineBudget, Port, RtlArtifact
 from rtlflow.errors import RtlflowError
@@ -122,11 +122,11 @@ def test_every_case_end_is_recorded_in_its_workspace(cases, max_fix_iterations,
     designs = [f"case{i}" for i in range(len(cases))]
     script = dict(zip(designs, cases))
     handles = []
-    real_event = engine._event
+    real_event = Gateway.event
 
-    def event(events, *args, **kwargs):
-        handles.append(events)
-        real_event(events, *args, **kwargs)
+    def event(gw, *args, **kwargs):
+        handles.append(gw._events)
+        real_event(gw, *args, **kwargs)
 
     def gateway(design):
         turns = [(role, reply) for role, rs in script[design][0].items() for reply in rs]
@@ -144,7 +144,7 @@ def test_every_case_end_is_recorded_in_its_workspace(cases, max_fix_iterations,
             out = root / f"out{workers}"
             threads_before = threading.active_count()
             with mock.patch.object(bench.log, "error") as crashed, \
-                    mock.patch.object(engine, "_event", event):
+                    mock.patch.object(Gateway, "event", event):
                 summary = run_suite(suite, gateway, toolchain, budget, out, workers=workers)
             assert not crashed.called, crashed.call_args
             assert threading.active_count() == threads_before

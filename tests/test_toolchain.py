@@ -241,6 +241,18 @@ def test_stand_in_verify_pass(tmp_path):
     assert logged_tools(tmp_path) == ["Compile", "Simulate"]
 
 
+def test_inv_records_are_numbered_per_verify_directory(tmp_path):
+    # a second verify through the same toolchain starts again at inv_0
+    rtl, tb = tmp_path / "m.v", tmp_path / "tb.v"
+    rtl.write_text("PASS\n")
+    tb.write_text("module tb; endmodule\n")
+    tc = stand_in()
+    for n in range(2):
+        assert tc.verify(rtl, tb, tmp_path / f"verify_{n}").kind == "Pass"
+        assert sorted(p.name for p in (tmp_path / f"verify_{n}").glob("inv_*.json")) == [
+            "inv_0.json", "inv_1.json"]
+
+
 def test_stand_in_verify_functional_fail(tmp_path):
     outcome = verify_text(tmp_path, "ERROR: mismatch at vector 3\n", stand_in())
     assert outcome.kind == "FunctionalFail"

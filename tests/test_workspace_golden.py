@@ -18,13 +18,13 @@ from rtlflow.cli import main
 
 GOLDEN = DATA / "workspace_golden.json"
 
-_RUN_ID = re.compile(r'"run_id": "[0-9a-f]+"')
-_TIMESTAMP = re.compile(r'"timestamp": [0-9.eE+-]+')
+_RUN_ID = re.compile(r'"run_id":"[0-9a-f]+"')
+_TIMESTAMP = re.compile(r'"timestamp":[0-9.eE+-]+')
 
 
 def normalised(text: str) -> str:
-    text = _RUN_ID.sub('"run_id": "<run_id>"', text)
-    text = _TIMESTAMP.sub('"timestamp": 0', text)
+    text = _RUN_ID.sub('"run_id":"<run_id>"', text)
+    text = _TIMESTAMP.sub('"timestamp":0', text)
     return text.replace(str(FIXTURES.resolve()), "<fixtures>")
 
 
