@@ -351,28 +351,28 @@ class _HeldWrites(list):
         self.append(args)
 
 
-def _settle(future, gateway: Gateway, revision: int,
+def _settle(future, gateway: Gateway,
             superseded: bool = False) -> tuple[VerificationOutcome, Optional[list[str]]]:
     """End a verify on the calling thread, the one writer of its events: wait
     for it, append its `outcome` event, then the Evaluator's held exchange
     to the transcript and, when `diagnose_failures` returned, a `diagnosis`
-    event; with `superseded`, both events say so, and a reply with no fixes
-    is recorded as `fixes: []`, since it is not used. Returns the outcome
-    and the fixes a fix follows, or None, which ends the loop. The
-    verify's exception is re-raised before the outcome event, the
-    Evaluator's after its exchange."""
-    outcome, diagnosis, held = future.result()
-    mark = {"superseded": True} if superseded else {}
-    gateway.event("outcome", revision=revision, **outcome.to_dict(), **mark)
+    event. A given-up (`superseded`) verify's outcome says so, and no fix
+    follows it, so its diagnosis is neither recorded nor raised, only logged
+    when it failed. Returns the outcome and the fixes a fix follows, or None,
+    which ends the loop. The verify's exception is re-raised before the
+    outcome event, the Evaluator's after its exchange."""
+    rtl, outcome, diagnosis, held = future.result()
+    gateway.event("outcome", revision=rtl.revision, **outcome.to_dict(),
+                  **({"superseded": True} if superseded else {}))
     for write in held:
         gateway.write(*write)
-    if isinstance(diagnosis, BaseException) and not (superseded and held):
-        raise diagnosis
-    if diagnosis is None:
-        return outcome, None
-    fixes = [] if isinstance(diagnosis, BaseException) else diagnosis
-    gateway.event("diagnosis", revision=revision, **mark,
-                  fixes=[{"description": f} for f in fixes])
+    if isinstance(diagnosis, BaseException):
+        if not superseded:
+            raise diagnosis
+        log.warning("revision %d was given up; its Evaluator failed: %r", rtl.revision, diagnosis)
+    elif diagnosis is not None and not superseded:
+        gateway.event("diagnosis", revision=rtl.revision,
+                      fixes=[{"description": f} for f in diagnosis])
     return outcome, None if superseded else diagnosis
 
 
@@ -388,22 +388,22 @@ def fix_loop(
 ) -> tuple[list[Revision], str]:
     """Review against `plan` (when given), verify against the testbench at
     `tb_path` (whose text is `tb_text`), then diagnose and fix, until the
-    candidate passes, the toolchain errors, or `revision >= max_fix_iterations`.
+    candidate passes, the toolchain errors, or `max_fix_iterations` fixes are spent.
 
     Each revision is verified on the run's one helper thread, a pooled
     worker reused across revisions, which calls `diagnose_failures` as soon
     as the verify fails and a fix may follow; with a plan, the review runs
-    meanwhile. A review rewrite that changes the code, or a review that
-    raises, gives the verify in flight up. Only the calling thread writes
-    the transcript and `events.jsonl`, where a sequential loop would, so
-    neither depends on thread timing. The helper has ended when this returns or
-    raises.
+    meanwhile. A review rewrite that changes the code is the next revision
+    and gives the verify in flight up, as a review that raises does. Only
+    the calling thread writes the transcript and `events.jsonl`, where a
+    sequential loop would, so neither depends on thread timing. The helper
+    has ended when this returns or raises.
 
-    Writes `rev_N.v` and `verify_N/` into `workspace` per revision N, and
-    appends to the run the caller started on `gateway` a `verdict` event per
-    review round, a `notes` event when revision N's artifact has notes, and
-    the events of `_settle`, which ends each verify. Returns the
-    revisions and the final status: Pass, ToolError or BudgetExhausted."""
+    Writes `rev_N.v` and `verify_N/` into `workspace` per verified revision
+    N, and appends to the run the caller started on `gateway` a `verdict`
+    event per review round, a `notes` event when revision N's artifact has
+    notes, and the events of `_settle`, which ends each verify. Returns the
+    kept revisions and the final status: Pass, ToolError or BudgetExhausted."""
     # imported here, not at module level: a library import need not pay for it
     from concurrent.futures import ThreadPoolExecutor
 
@@ -415,21 +415,21 @@ def fix_loop(
             rtl_path = workspace / f"rev_{rtl.revision}.v"
             rtl_path.write_text(rtl.verilog_text, encoding="utf-8")
             held = _HeldWrites()
-            # no fix follows the last revision, so nothing asks for its diagnosis
+            # no fix follows the last kept revision, so nothing asks for its diagnosis
             evaluator = (RoleSession("Evaluator", gateway.backend, held)
-                         if rtl.revision < budget.max_fix_iterations else None)
+                         if len(revisions) < budget.max_fix_iterations else None)
 
             def verify_and_diagnose():
-                """Runs on the helper thread and writes nothing: the outcome,
-                the diagnosis, the exception `diagnose_failures` raised or
-                None when it is not called, and the held transcript writes."""
+                """Runs on the helper thread and writes nothing: the artifact,
+                its outcome, the diagnosis, the exception `diagnose_failures`
+                raised or None when it is not called, and the held writes."""
                 outcome = toolchain.verify(rtl_path, tb_path, workspace / f"verify_{rtl.revision}")
                 if evaluator is None or outcome.kind in _FINAL_KINDS:
-                    return outcome, None, held
+                    return rtl, outcome, None, held
                 try:
-                    return outcome, diagnose_failures(rtl, outcome, tb_text, evaluator), held
-                except BaseException as exc:  # re-raised by `_settle` once the outcome is recorded
-                    return outcome, exc, held
+                    return rtl, outcome, diagnose_failures(rtl, outcome, tb_text, evaluator), held
+                except BaseException as exc:  # settled by `_settle` once the outcome is recorded
+                    return rtl, outcome, exc, held
 
             return helper.submit(verify_and_diagnose)
 
@@ -453,20 +453,19 @@ def fix_loop(
                                            missing=_numbered(plan, missing),
                                            plan=_numbered(plan))
                     reply = gateway.session("Programmer").send(prompt)
-                    rewrite = artifact_from_reply(reply, rtl.revision, range(1, len(plan) + 1))
-                    if rewrite.verilog_text != rtl.verilog_text:  # an identical one keeps it
+                    rewrite = artifact_from_reply(reply, rtl.revision + 1, range(1, len(plan) + 1))
+                    if rewrite.verilog_text != rtl.verilog_text:  # an identical one keeps rtl
                         given_up, verify = verify, None  # given up once, even if this raises
-                        _settle(given_up, gateway, rtl.revision, superseded=True)
-                        verify = start_verify(rewrite)
-                    rtl = rewrite
+                        _settle(given_up, gateway, superseded=True)
+                        rtl, verify = rewrite, start_verify(rewrite)
             except BaseException:
                 if verify is not None:
                     with suppress(Exception):  # the helper's exception never replaces the review's
-                        _settle(verify, gateway, rtl.revision, superseded=True)
+                        _settle(verify, gateway, superseded=True)
                 raise
             if rtl.notes:
                 gateway.event("notes", revision=rtl.revision, notes=rtl.notes)
-            outcome, fixes = _settle(verify, gateway, rtl.revision)
+            outcome, fixes = _settle(verify, gateway)
             revisions.append(Revision(rtl=rtl, outcome=outcome))
             if fixes is None:
                 return revisions, outcome.kind if outcome.kind in _FINAL_KINDS else "BudgetExhausted"

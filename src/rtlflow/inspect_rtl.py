@@ -67,11 +67,14 @@ _RANGE_RE = re.compile(rf"\[{_BOUND}:{_BOUND}\]")
 # hold one `(...)`), and an item of it that ends in a plain decimal default (not `2'd0`)
 _PARAM_DECL_RE = re.compile(r"\b(?:parameter|localparam)\b((?:[^;()]|\([^;()]*\))*)")
 _PARAM_ITEM_RE = re.compile(r"([A-Za-z_]\w*)\s*=\s*(\d+)\s*$")
-_REG_DECL_RE = re.compile(r"\breg\b(?:\s+signed)?\s*(\[[^\]]*\])?\s*([^;]+);")
+# a `reg` declaration's names, to its `;`, a port list's `);` or the next port's direction
+_REG_DECL_RE = re.compile(r"\breg\b(?:\s+signed)?\s*(\[[^\]]*\])?\s*([^;]+?)\s*"
+                          r"(?=;|\)\s*;|,\s*(?:input|output|inout)\b)")
 _INSTANCE_RE = re.compile(
     r"^\s*([A-Za-z_]\w*)\s*(#\s*\([^;]*?\))?\s+([A-Za-z_]\w*)\s*\(", re.MULTILINE
 )
 _CASE_RE = re.compile(r"\bcase[xz]?\b\s*\(\s*([A-Za-z_]\w*)")
+_ENDCASE_RE = re.compile(r"\bendcase\b")
 _PAREN_RE = re.compile(r"[()]")
 _CONN_IDENT_RE = re.compile(r"[A-Za-z_]\w*(?:\s*\[\s*\d+\s*\])?")
 _NONBLOCKING_RE = re.compile(r"([A-Za-z_]\w*)\s*(?:\[[^\]]*\])?\s*<=\s*([^;]+);")
@@ -249,9 +252,10 @@ def fingerprint(verilog_text: str) -> DesignFingerprint:
     # FSM: a case switching on a register that is also assigned from the arms
     fsm_detected = False
     for m in _CASE_RE.finditer(body):
-        case_end = body.find("endcase", m.end())
-        arm_text = body[m.end(): case_end if case_end >= 0 else len(body)]
-        if re.search(rf"\b{re.escape(m[1])}\b\s*(?:\[[^\]]*\])?\s*<?=", arm_text):
+        case_end = _ENDCASE_RE.search(body, m.end())
+        arm_text = body[m.end(): case_end.start() if case_end else len(body)]
+        # an assignment, `<=` or `=` but not the `==` of a comparison
+        if re.search(rf"\b{re.escape(m[1])}\b\s*(?:\[[^\]]*\])?\s*(?:<=|=(?!=))", arm_text):
             fsm_detected = True
             break
 

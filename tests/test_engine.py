@@ -613,7 +613,7 @@ def test_pipeline_persists_missing_step_note(tmp_path):
 
 
 def test_review_rewrite_keeps_missing_step_note(tmp_path):
-    # the re-programmed artifact replaces the first one; its own missing tag is noted
+    # the re-programmed artifact is revision 1; its own missing tag is noted
     incomplete = REVIEW_OK.replace("STEP 4: IMPLEMENTED - evidence 4", "STEP 4: MISSING - none")
     turns = [
         ("Planner", "1. a\n2. b\n3. c\n4. d"),
@@ -628,7 +628,7 @@ def test_review_rewrite_keeps_missing_step_note(tmp_path):
     revisions, _ = run_pipeline(make_spec(tmp_path), PipelineBudget(),
                                 Gateway(ScriptedBackend(turns)), toolchain, ws)
     assert revisions[0].rtl.notes == ["MissingStepTags: [2]"]
-    assert notes_events(ws) == [(0, ["MissingStepTags: [2]"])]
+    assert notes_events(ws) == [(1, ["MissingStepTags: [2]"])]
 
 
 def test_pipeline_crash_leaves_events_closed(tmp_path, event_handles):
@@ -743,42 +743,46 @@ REVIEW_MISSING_4 = REVIEW_OK.replace("STEP 4: IMPLEMENTED - evidence 4", "STEP 4
 CHANGED_REPLY = CODE_REPLY.replace("count <= count + 1;", "count <= count + 4'd1;")
 
 
-@pytest.mark.parametrize("rewrite, outcomes, expected, superseded", [
-    # a byte-identical rewrite keeps the verify already run on that text
-    (CODE_REPLY, [VerificationOutcome("Pass")], [(0, "Pass", None)], []),
-    # a rewrite that changes the code supersedes it and is verified in turn;
-    # the superseded verify failed, so its Evaluator call is kept as well
+@pytest.mark.parametrize("rewrite, outcomes, expected", [
+    # a byte-identical rewrite keeps revision 0 and the verify already run on it
+    (CODE_REPLY, [VerificationOutcome("Pass")], [(0, "Pass", None)]),
+    # a rewrite that changes the code is revision 1 and gives revision 0's
+    # verify up; that verify failed, so its Evaluator call is made and
+    # transcribed, but no diagnosis is recorded, as no fix follows it
     (CHANGED_REPLY, [failing_outcome(), VerificationOutcome("Pass")],
-     [(0, "FunctionalFail", True), (0, "Pass", None)], ["outcome", "diagnosis"]),
+     [(0, "FunctionalFail", True), (1, "Pass", None)]),
 ], ids=["identical", "changed"])
-def test_review_rewrite_keeps_or_supersedes_verify(tmp_path, rewrite, outcomes, expected,
-                                                   superseded):
+def test_review_rewrite_keeps_or_supersedes_verify(tmp_path, rewrite, outcomes, expected):
     assert CHANGED_REPLY != CODE_REPLY
+    changed = int(rewrite != CODE_REPLY)
     turns = [
         ("Planner", "1. a\n2. b\n3. c\n4. d"),
         ("Programmer", CODE_REPLY),
         ("Reviewer", REVIEW_MISSING_4),
         ("Programmer", rewrite),
-        *[("Evaluator", "1. widen the counter")] * ("diagnosis" in superseded),
+        *[("Evaluator", "1. widen the counter")] * changed,
         ("Reviewer", REVIEW_OK),
     ]
     toolchain = ScriptedToolchain(outcomes)
+    gateway = Gateway(ScriptedBackend(turns))
     ws = tmp_path / "ws"
-    revisions, final = run_pipeline(make_spec(tmp_path), PipelineBudget(),
-                                    Gateway(ScriptedBackend(turns)), toolchain, ws)
+    revisions, final = run_pipeline(make_spec(tmp_path), PipelineBudget(), gateway, toolchain, ws)
     assert final == "Pass" and len(revisions) == 1
-    assert toolchain.cursor == len(outcomes)
+    assert toolchain.cursor == len(outcomes) and gateway.backend.cursor == len(turns)
     events = read_events(ws)
     assert [(e["revision"], e["kind"], e.get("superseded"))
             for e in events if e["event"] == "outcome"] == expected
-    # the superseded outcome follows the verdict that asked for the rewrite
-    assert [e["event"] for e in events] == (
-        ["plan", "verdict"] + superseded + ["verdict", "outcome"])
-    assert [(e["revision"], e["fixes"], e["superseded"])
-            for e in events if e["event"] == "diagnosis"] == (
-        [(0, [{"description": "widen the counter"}], True)] * ("diagnosis" in superseded))
-    assert (ws / "rev_0.v").read_text() == extract_verilog(rewrite)
+    # the superseded outcome follows the verdict that asked for the rewrite,
+    # and the next round's verdict is about the rewrite
+    assert [(e["event"], e["revision"]) for e in events] == (
+        [("plan", 0), ("verdict", 0)] + [("outcome", 0)] * changed
+        + [("verdict", changed), ("outcome", changed)])
+    # each verify has its own source file
+    assert (ws / "rev_0.v").read_text() == extract_verilog(CODE_REPLY)
+    assert (ws / f"rev_{changed}.v").read_text() == extract_verilog(rewrite)
+    assert len(list(ws.glob("rev_*.v"))) == len(outcomes)
     assert revisions[0].rtl.verilog_text == extract_verilog(rewrite)
+    assert read_status(ws)["revisions"] == [changed]
 
 
 class SlowFirstVerify(ScriptedToolchain):
@@ -797,7 +801,7 @@ class SlowFirstVerify(ScriptedToolchain):
 def test_evaluator_turns_follow_verify_start_order(tmp_path):
     # the draft's verify fails slowly and is given up for a rewrite whose
     # verify fails fast; the draft's Evaluator call still takes the first
-    # Evaluator turn, so the fixes acted on are the rewrite's own
+    # Evaluator turn, so the fixes acted on, and recorded, are the rewrite's own
     turns = [
         ("Planner", "1. a\n2. b\n3. c\n4. d"),
         ("Programmer", CODE_REPLY),
@@ -813,12 +817,36 @@ def test_evaluator_turns_follow_verify_start_order(tmp_path):
     ws = tmp_path / "ws"
     revisions, final = run_pipeline(make_spec(tmp_path), PipelineBudget(),
                                     Gateway(ScriptedBackend(turns)), toolchain, ws)
-    assert final == "Pass" and len(revisions) == 2
-    assert [(e["revision"], e["fixes"], e.get("superseded"))
+    assert final == "Pass" and [r.rtl.revision for r in revisions] == [1, 2]
+    assert [(e["revision"], e["fixes"])
             for e in read_events(ws) if e["event"] == "diagnosis"] == [
-        (0, [{"description": "fix for the draft"}], True),
-        (0, [{"description": "fix for the rewrite"}], None),
+        (1, [{"description": "fix for the rewrite"}])]
+
+
+def test_fix_budget_counts_kept_revisions(tmp_path):
+    # revision 0 is given up for its rewrite, revision 1; with a budget of
+    # one fix, revision 1 is still diagnosed and fixed as revision 2
+    turns = [
+        ("Planner", "1. a\n2. b\n3. c\n4. d"),
+        ("Programmer", CODE_REPLY),
+        ("Reviewer", REVIEW_MISSING_4),
+        ("Programmer", CHANGED_REPLY),
+        ("Reviewer", REVIEW_OK),
+        ("Evaluator", "1. widen the counter"),
+        ("Programmer", FIXED_REPLY),
+        ("Reviewer", REVIEW_OK),
     ]
+    backend = ScriptedBackend(turns)
+    toolchain = ScriptedToolchain([VerificationOutcome("Pass"), failing_outcome(),
+                                   failing_outcome()])
+    ws = tmp_path / "ws"
+    revisions, final = run_pipeline(make_spec(tmp_path), PipelineBudget(max_fix_iterations=1),
+                                    Gateway(backend), toolchain, ws)
+    assert final == "BudgetExhausted" and [r.rtl.revision for r in revisions] == [1, 2]
+    assert backend.cursor == len(turns) and toolchain.cursor == 3
+    assert [e["revision"] for e in read_events(ws) if e["event"] == "diagnosis"] == [1]
+    assert read_status(ws) == {"design": "toy", "final_status": "BudgetExhausted",
+                               "iterations_used": 2, "revisions": [1, 2]}
 
 
 def test_toolchain_outage_during_review_is_infra_error(tmp_path):
@@ -959,13 +987,13 @@ def test_evaluator_fault_surfaces_after_the_outcome(tmp_path, event_handles, rev
         ["Planner", "Programmer"] + review_roles + evaluator_roles)
 
 
-@pytest.mark.parametrize("backend_type, status, kept", [
-    # the superseded revision's reply is kept but not used, so it may hold no fixes
-    (ScriptedBackend, "Pass", ["outcome", "diagnosis", "verdict", "outcome"]),
-    # a backend failure fails the run, as any Evaluator call's does
-    (EvaluatorDown, "InfraError", ["outcome"]),
+@pytest.mark.parametrize("backend_type, reason", [
+    (ScriptedBackend, "UnparseableReply('evaluator reply has no numbered fixes')"),
+    (EvaluatorDown, "BackendUnavailable('backend failed after 4 attempt(s): 503')"),
 ], ids=["unparseable", "unavailable"])
-def test_superseded_evaluator_fault(tmp_path, backend_type, status, kept):
+def test_superseded_evaluator_fault(tmp_path, caplog, backend_type, reason):
+    # no fix follows the given-up verify, so its Evaluator's failure is
+    # logged, neither recorded nor raised, and the run goes on
     turns = [("Planner", "1. a\n2. b\n3. c\n4. d"), ("Programmer", CODE_REPLY),
              ("Reviewer", REVIEW_MISSING_4), ("Programmer", CHANGED_REPLY),
              ("Evaluator", "The counter looks wrong; widen it."), ("Reviewer", REVIEW_OK)]
@@ -973,12 +1001,12 @@ def test_superseded_evaluator_fault(tmp_path, backend_type, status, kept):
         [BenchCase(spec=make_spec(tmp_path))], lambda design: Gateway(backend_type(turns)),
         lambda design: ScriptedToolchain([failing_outcome(), VerificationOutcome("Pass")]),
         PipelineBudget(), tmp_path / "out")
-    assert summary.per_case == {"toy": status}
+    assert summary.per_case == {"toy": "Pass"}
     events = read_events(tmp_path / "out" / "toy")
-    assert [e["event"] for e in events] == ["plan", "verdict"] + kept
-    assert events[2]["superseded"] is True
-    assert [(e["fixes"], e["superseded"]) for e in events if e["event"] == "diagnosis"] == (
-        [([], True)] * ("diagnosis" in kept))
+    assert [(e["event"], e["revision"], e.get("superseded")) for e in events] == [
+        ("plan", 0, None), ("verdict", 0, None), ("outcome", 0, True),
+        ("verdict", 1, None), ("outcome", 1, None)]
+    assert f"revision 0 was given up; its Evaluator failed: {reason}" in caplog.text
 
 
 # --- retiring a verify in flight ---
@@ -1029,11 +1057,11 @@ def test_review_fault_retires_the_verify_in_flight(tmp_path, event_handles, faul
     roles = transcript_roles(transcript)
     assert roles == ["Planner", "Programmer", *review_roles, "Evaluator"]
     assert len(backend.requests) == len(roles)
+    # but no fix follows the given-up verify, so no diagnosis is recorded
     events = read_events(tmp_path / "out" / "toy")
-    assert [e["event"] for e in events] == ["plan", *review_events, "outcome", "diagnosis"]
-    assert [(e["revision"], e["superseded"]) for e in events[-2:]] == [(0, True), (0, True)]
-    assert events[-2]["kind"] == "FunctionalFail"
-    assert events[-1]["fixes"] == [{"description": "widen the counter"}]
+    assert [e["event"] for e in events] == ["plan", *review_events, "outcome"]
+    assert (events[-1]["revision"], events[-1]["kind"], events[-1]["superseded"]) == (
+        0, "FunctionalFail", True)
 
 
 # a verify that raises, or an Evaluator call that does, and the events it leaves
@@ -1056,16 +1084,13 @@ def test_helper_fault_never_replaces_the_review_fault(tmp_path, event_handles, f
 
 
 def test_a_verify_is_retired_once(tmp_path, event_handles, monkeypatch):
-    # the rewrite's `rev_0.v` cannot be written after the first verify is
+    # the rewrite's `rev_1.v` cannot be written after the first verify is
     # retired; the failure does not retire that verify a second time
     real_write_text = engine.Path.write_text
-    writes = []
 
     def write_text(path, *args, **kwargs):
-        if path.name == "rev_0.v":
-            writes.append(path)
-            if len(writes) == 2:
-                raise OSError(28, "No space left on device")
+        if path.name == "rev_1.v":
+            raise OSError(28, "No space left on device")
         return real_write_text(path, *args, **kwargs)
 
     monkeypatch.setattr(engine.Path, "write_text", write_text)
@@ -1077,7 +1102,7 @@ def test_a_verify_is_retired_once(tmp_path, event_handles, monkeypatch):
     assert len({id(h) for h in event_handles}) == 1 and event_handles[0].closed
     events = read_events(tmp_path / "ws")
     assert [(e["event"], e.get("superseded")) for e in events] == [
-        ("plan", None), ("verdict", None), ("outcome", True), ("diagnosis", True)]
+        ("plan", None), ("verdict", None), ("outcome", True)]
 
 
 ADDER_TB = VERILOG / "adder_16bit_tb.v"

@@ -58,6 +58,69 @@ def test_sync_reset_counter():
     assert fp.operator_census.get("add") == 1
 
 
+@pytest.mark.parametrize("ports, bits", [
+    pytest.param("output reg [7:0] q, input clk, input en", 8, id="reg-first"),
+    pytest.param("input clk, input en, output reg [7:0] q", 8, id="reg-last"),
+    pytest.param("input clk, input en, output reg [7:0] q, output reg [3:0] r", 12,
+                 id="two-regs"),
+])
+def test_reg_port_counts_only_its_own_names(ports, bits):
+    # a `reg` in an ANSI port list ends at the list's `);` or the next port
+    counter = (f"module counter ({ports});\n"
+               "    always @(posedge clk) if (en) q <= q + 8'd1;\nendmodule\n")
+    fp = fingerprint(counter)
+    assert fp.register_bits == bits
+    report = parse_report((REPORTS / "adder_16bit_base.rpt").read_text())
+    area = select_techniques(fp, report, OptimizationGoal("area"), load_catalog())
+    assert area.techniques == (["register_optimization"] if bits > 8 else ["fsm_state_encoding"])
+
+
+def test_reg_body_declarations_count_every_name():
+    # an initializer's `)` ends no declaration
+    body = ("module m (input clk);\n    reg [7:0] a, b;\n    reg c = 1'b0;\n"
+            "    reg d = (1'b1), e;\n"
+            "    always @(posedge clk) begin a <= b; b <= a; c <= ~c; end\nendmodule\n")
+    assert fingerprint(body).register_bits == 8 + 8 + 1 + 1 + 1
+
+
+TWO_STATE_FSM = """
+module blink (input clk, input rst, output reg led);
+    reg state;
+    reg flag;
+    always @(posedge clk) begin
+        if (rst) state <= 1'b0;
+        else case (state)
+            1'b0: begin flag <= 1'b1; state <= 1'b1; end
+            1'b1: begin flag <= 1'b0; state <= 1'b0; end
+        endcase
+        led <= state;
+    end
+endmodule
+"""
+
+SEL_MUX = """
+module sel_mux (input clk, input [1:0] sel, input [7:0] a, b, output reg [7:0] y);
+    always @(posedge clk)
+        case (sel)
+            2'd0: y <= a;
+            default: y <= (sel == 2'd1) ? b : a;
+        endcase
+endmodule
+"""
+
+
+@pytest.mark.parametrize("name", ["flag", "endcase_seen", "seen_endcase"])
+def test_fsm_case_ends_at_the_endcase_keyword(name):
+    # a register whose name holds `endcase` does not end the case's arms
+    assert fingerprint(TWO_STATE_FSM.replace("flag", name)).fsm_detected
+
+
+@pytest.mark.parametrize("compare", ["==", "!="])
+def test_fsm_comparison_on_the_case_register_is_no_assignment(compare):
+    # `sel` is an input the arms compare, not a state they assign
+    assert not fingerprint(SEL_MUX.replace("==", compare)).fsm_detected
+
+
 def test_async_reset_fsm_fixture():
     fp = fingerprint(FSM)
     assert fp.fsm_detected

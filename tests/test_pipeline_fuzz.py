@@ -5,6 +5,8 @@ Whatever the script, every case must end in a way its own workspace
 states: `events.jsonl` ends in an `end` record equal to `status.json`, which
 agrees with the last `outcome` record that was not superseded, or is an
 `Error` whose type and message are the reason the case was charged with.
+Each verify has its own revision: the `outcome` records' revisions strictly
+increase, and no `diagnosis` record is about a superseded one.
 No case may reach `bench._run_case`'s generic crash branch, and no helper
 thread or `events.jsonl` handle may outlive the suite.
 
@@ -97,6 +99,9 @@ def check_case(design: str, ws: Path, status: str, reason: str) -> None:
     *records, end = [json.loads(line) for line in (ws / "events.jsonl").read_text().splitlines()]
     assert end == {"event": "end", **json.loads((ws / "status.json").read_text())}
     assert end["design"] == design
+    verified = [e["revision"] for e in records if e["event"] == "outcome"]
+    assert verified == sorted(set(verified)), verified
+    assert all("superseded" not in e for e in records if e["event"] == "diagnosis")
     if end["final_status"] == "Error":
         assert status in ("Fail", "InfraError")
         assert reason == f"{end['error_type']}: {end['error']}", (reason, end)
@@ -277,4 +282,4 @@ def test_a_role_out_of_turns_fails_alike_in_either_order(tmp_path, first, second
         "toy": "ScriptExhausted: no scripted turns left (role Reviewer)"}
     assert gateway.backend.ended.is_set()
     assert [(e["event"], e.get("superseded")) for e in read_events(out / "toy")] == [
-        ("plan", None), ("outcome", True), ("diagnosis", True)]
+        ("plan", None), ("outcome", True)]

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import VERILOG
+from conftest import VERILOG, read_events
 
+from rtlflow.engine import DesignSpec, PipelineBudget, Port, run_pipeline
 from rtlflow.errors import ToolchainUnavailable, build
+from rtlflow.gateway import Gateway, ScriptedBackend
 from rtlflow.toolchain import (
     DEFAULT_FAIL_PATTERN,
     DEFAULT_PASS_MARKER,
@@ -289,6 +291,45 @@ def test_stand_in_verify_survives_non_utf8_output(tmp_path):
     assert outcome.kind == "Pass"
     sim = json.loads((tmp_path / "verify" / "inv_1.json").read_text())
     assert sim["stdout"] == "value 19.62 \ufffdW\nPASS\n"
+
+
+def toy_reply(line: str) -> str:
+    """A four-step toy module whose text holds `line`, which the stand-in
+    simulator prints with the rest of the code."""
+    steps = "".join(f"    // STEP {k}: step {k}\n" for k in range(1, 5))
+    return (f"```verilog\nmodule toy (input clk, output q);\n{steps}    // {line}\n"
+            "    assign q = clk;\nendmodule\n```")
+
+
+def test_each_verify_names_the_code_it_saw(tmp_path):
+    # the draft fails and is given up for a rewrite that changes the code;
+    # the rewrite fails and is fixed, and the fix passes
+    review = "\n".join(f"STEP {k}: IMPLEMENTED - e{k}" for k in range(1, 5))
+    turns = [("Planner", "1. a\n2. b\n3. c\n4. d"),
+             ("Programmer", toy_reply("ERROR: draft")),
+             ("Reviewer", review.replace("4: IMPLEMENTED", "4: MISSING")),
+             ("Programmer", toy_reply("ERROR: rewrite")),
+             ("Evaluator", "1. for the draft"), ("Reviewer", review),
+             ("Evaluator", "1. for the rewrite"), ("Programmer", toy_reply("FIX 1: PASS")),
+             ("Reviewer", review)]
+    (tmp_path / "tb.v").write_text("module tb; endmodule\n")
+    spec = DesignSpec("toy", "toy design", "toy", [Port("clk", "in")], str(tmp_path / "tb.v"))
+    ws = tmp_path / "ws"
+    revisions, final = run_pipeline(spec, PipelineBudget(), Gateway(ScriptedBackend(turns)),
+                                    stand_in(), ws)
+    assert final == "Pass" and [r.rtl.revision for r in revisions] == [1, 2]
+    outcomes = [e for e in read_events(ws) if e["event"] == "outcome"]
+    assert [(e["revision"], e["kind"], e.get("superseded")) for e in outcomes] == [
+        (0, "FunctionalFail", True), (1, "FunctionalFail", None), (2, "Pass", None)]
+    for e in outcomes:
+        verify = ws / f"verify_{e['revision']}"
+        # one verify per directory: one compile and one simulation
+        assert sorted(p.name for p in verify.iterdir()) == ["inv_0.json", "inv_1.json", "sim.out"]
+        compile_inv, sim_inv = (json.loads((verify / f"inv_{k}.json").read_text()) for k in (0, 1))
+        rtl = ws / f"rev_{e['revision']}.v"
+        assert str(rtl) in compile_inv["argv"]
+        assert sim_inv["stdout"] == rtl.read_text() + "\n"  # print's newline
+    assert sorted(p.name for p in ws.glob("verify_*")) == ["verify_0", "verify_1", "verify_2"]
 
 
 # --- real simulator (skipped where Icarus Verilog is absent) ---

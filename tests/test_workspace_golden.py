@@ -38,8 +38,10 @@ def digests(root) -> dict[str, str]:
 
 
 def run_workspaces(tmp_path):
-    """A passing generate run, a budget-exhausted one, and an optimize run
-    on the passing workspace; returns the directory holding the first two."""
+    """A passing generate run, a budget-exhausted one, a passing one whose
+    review rewrite of failing code gives its draft's verify up, and an
+    optimize run on the first workspace; returns the directory holding the
+    first three."""
     runner = CliRunner()
     root = tmp_path / "runs"
     spec = str(FIXTURES / "signal_generator_spec.json")
@@ -53,6 +55,9 @@ def run_workspaces(tmp_path):
     result = invoke("generate", "--spec", spec, "--workspace", root / "budget", "--budget", 3,
                     "--scripted", SCRIPTED / "signal_generator_fail")
     assert result.exit_code == 1, result.output
+    result = invoke("generate", "--spec", spec, "--workspace", root / "rewrite",
+                    "--scripted", SCRIPTED / "signal_generator_rewrite")
+    assert result.exit_code == 0, result.output
 
     script = tmp_path / "opt_script"
     script.mkdir()
