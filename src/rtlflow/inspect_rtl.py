@@ -9,6 +9,7 @@ Heuristics over a defined Verilog subset, not a full IEEE-1364 parser.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field, asdict
 
 from .errors import RtlflowError
@@ -71,13 +72,20 @@ _PARAM_ITEM_RE = re.compile(r"([A-Za-z_]\w*)\s*=\s*(\d+)\s*$")
 _REG_DECL_RE = re.compile(r"\breg\b(?:\s+signed)?\s*(\[[^\]]*\])?\s*([^;]+?)\s*"
                           r"(?=;|\)\s*;|,\s*(?:input|output|inout)\b)")
 _INSTANCE_RE = re.compile(
-    r"^\s*([A-Za-z_]\w*)\s*(#\s*\([^;]*?\))?\s+([A-Za-z_]\w*)\s*\(", re.MULTILINE
+    r"^[^\S\n]*([A-Za-z_]\w*)\s*(#\s*\([^;]*?\))?\s+([A-Za-z_]\w*)\s*\(", re.MULTILINE
 )
 _CASE_RE = re.compile(r"\bcase[xz]?\b\s*\(\s*([A-Za-z_]\w*)")
 _ENDCASE_RE = re.compile(r"\bendcase\b")
 _PAREN_RE = re.compile(r"[()]")
 _CONN_IDENT_RE = re.compile(r"[A-Za-z_]\w*(?:\s*\[\s*\d+\s*\])?")
-_NONBLOCKING_RE = re.compile(r"([A-Za-z_]\w*)\s*(?:\[[^\]]*\])?\s*<=\s*([^;]+);")
+# a statement's start: a line start, or after `;`, `:`, `)`, `begin` or `else`; so
+# the `<=` of a comparison inside an expression or a condition assigns nothing
+_STATEMENT = r"(?:^[^\S\n]*|(?:[;:)]|\bbegin\b|\belse\b)\s*)"
+# an assignment, `<=` or `=` but not the `==` of a comparison, to a name or an item of it
+_ASSIGN_RE = re.compile(rf"{_STATEMENT}([A-Za-z_]\w*)\s*(?:\[[^\][;]*\])?\s*(?:<=|=(?!=))",
+                        re.MULTILINE)
+_NONBLOCKING_RE = re.compile(rf"{_STATEMENT}([A-Za-z_]\w*)\s*(?:\[[^\]]*\])?\s*<=\s*([^;]+);",
+                             re.MULTILINE)
 _IDENT_RE = re.compile(r"[A-Za-z_]\w*")
 _OPERATORS = [
     ("<<", "shl"), (">>", "shr"), ("==", "eq"), ("!=", "neq"),
@@ -142,19 +150,19 @@ def _reg_bits(body: str, params: dict[str, int]) -> int:
 def _instances(body: str) -> dict[str, list[str]]:
     """Map submodule name -> list of flattened connection strings per
     instance, in source order."""
+    close: dict[int, int] = {}  # each paired `(` -> its `)`
+    opened: list[int] = []
+    for p in _PAREN_RE.finditer(body):
+        if p[0] == "(":
+            opened.append(p.start())
+        elif opened:
+            close[opened.pop()] = p.start()
+    found = [m for m in _INSTANCE_RE.finditer(body)
+             if m[1] not in VERILOG_KEYWORDS and m[3] not in VERILOG_KEYWORDS]
     groups: dict[str, list[str]] = {}
-    for m in _INSTANCE_RE.finditer(body):
-        mod, inst = m.group(1), m.group(3)
-        if mod in VERILOG_KEYWORDS or inst in VERILOG_KEYWORDS:
-            continue
-        # the connection list runs to the matching ')', or to the text's end
-        depth, close = 1, len(body)
-        for p in _PAREN_RE.finditer(body, m.end()):
-            depth += 1 if p[0] == "(" else -1
-            if not depth:
-                close = p.start()
-                break
-        groups.setdefault(mod, []).append(body[m.end():close])
+    # the connection list runs to the matching ')', or to the next instance
+    for m, end in zip(found, [m.start() for m in found[1:]] + [len(body)]):
+        groups.setdefault(m[1], []).append(body[m.end():close.get(m.end() - 1, end)])
     return groups
 
 
@@ -249,13 +257,16 @@ def fingerprint(verilog_text: str) -> DesignFingerprint:
               for m in map(_PARAM_ITEM_RE.search, decl.split(",")) if m}
     register_bits = 0 if is_combinational else _reg_bits(body, params)
 
-    # FSM: a case switching on a register that is also assigned from the arms
+    # FSM: a case switching on a register that its arms, up to the `endcase`, assign
+    endcases = [m.start() for m in _ENDCASE_RE.finditer(body)] + [len(body)]
+    assigned: dict[str, list[int]] = {}
+    for m in _ASSIGN_RE.finditer(body):
+        assigned.setdefault(m[1], []).append(m.start(1))
     fsm_detected = False
     for m in _CASE_RE.finditer(body):
-        case_end = _ENDCASE_RE.search(body, m.end())
-        arm_text = body[m.end(): case_end.start() if case_end else len(body)]
-        # an assignment, `<=` or `=` but not the `==` of a comparison
-        if re.search(rf"\b{re.escape(m[1])}\b\s*(?:\[[^\]]*\])?\s*(?:<=|=(?!=))", arm_text):
+        sites = assigned.get(m[1], [])
+        i = bisect_left(sites, m.end())
+        if i < len(sites) and sites[i] < endcases[bisect_left(endcases, m.end())]:
             fsm_detected = True
             break
 

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import REPORTS, VERILOG
 
 from rtlflow.errors import RtlflowError
-from rtlflow.inspect_rtl import _instances, fingerprint, strip_comments
+from rtlflow.inspect_rtl import VERILOG_KEYWORDS, _instances, fingerprint, strip_comments
 from rtlflow.metrics import parse_report
 from rtlflow.optimizer import OptimizationGoal, load_catalog, select_techniques
 
@@ -115,7 +116,7 @@ def test_fsm_case_ends_at_the_endcase_keyword(name):
     assert fingerprint(TWO_STATE_FSM.replace("flag", name)).fsm_detected
 
 
-@pytest.mark.parametrize("compare", ["==", "!="])
+@pytest.mark.parametrize("compare", ["==", "!=", "<="])
 def test_fsm_comparison_on_the_case_register_is_no_assignment(compare):
     # `sel` is an input the arms compare, not a state they assign
     assert not fingerprint(SEL_MUX.replace("==", compare)).fsm_detected
@@ -162,14 +163,31 @@ def test_strip_comments_preserves_lines():
                  id="escaped-quote"),
     pytest.param('x = "tail \\', 'x = ""', {}, id="lone-backslash-at-end"),
     pytest.param('x = "http://a"; // gone\ny;\n', 'x = ""; \ny;\n', {}, id="slashes-in-string"),
-    # the unterminated list runs to the text's end
+    # an unterminated list runs to the next instance, or to the text's end
     pytest.param("full_adder fa0 (.a(a[0]), .b(b[0]), .cin(c0)",
                  "full_adder fa0 (.a(a[0]), .b(b[0]), .cin(c0)",
                  {"full_adder": [".a(a[0]), .b(b[0]), .cin(c0)"]}, id="unterminated-instance"),
+    pytest.param("sub u0 (.a(x0)\nsub u1 (.a(x1));\n", "sub u0 (.a(x0)\nsub u1 (.a(x1));\n",
+                 {"sub": [".a(x0)\n", ".a(x1)"]}, id="unterminated-then-closed"),
 ])
 def test_scanner_edge_cases(text, stripped, instances):
     assert strip_comments(text) == stripped
     assert _instances(stripped) == instances
+
+
+@pytest.mark.parametrize("row, rows", [
+    pytest.param("sub u{i} (.a(x{i})\n", 4000, id="unterminated-instances"),
+    pytest.param("case (s{i})\n", 4000, id="cases-without-endcase"),
+    pytest.param("\n", 40000, id="blank-lines"),
+])
+def test_fingerprint_of_many_rows_takes_under_a_second(row, rows):
+    # a scan from each row to the text's end, or over every blank line after
+    # it, took 12-21 s on these texts
+    text = "module m;\n" + "".join(row.format(i=i) for i in range(rows)) + "endmodule\n"
+    start = time.perf_counter()
+    fp = fingerprint(text)
+    assert time.perf_counter() - start < 1.0
+    assert fp.instance_groups == ({"sub": 4000} if "sub" in row else {})
 
 
 def test_string_literals_do_not_leak_tokens():
@@ -205,6 +223,66 @@ def test_fingerprint_invariant_under_comment_mutations(source):
     for _ in range(100):
         mutated = _mutate(rng, source)
         assert fingerprint(mutated).to_dict() == base
+
+
+REWRITE_NAMES = ["W", "clk", "rst", "go", "sel", "a", "b", "z", "s", "state", "flag", "c",
+                 "fa0", "fa1", "fa2", "fa3"]
+# a statement of an arm that assigns something other than the case register
+ARM_COMPARES = ["if ({r} <= 2'd1) {stmt}", "if ({r} < 2'd2) {stmt}", "if ({r} <= 2'd1) begin {stmt} end"]
+
+
+def rewritable(fsm: bool, bounds: set[str], splits: list[bool], compare: str | None) -> str:
+    """A clocked design with a 4-bit ripple adder, a `case` on the input `sel`
+    and, given `fsm`, a state machine: `bounds` names the range bounds given
+    by a `parameter`, `splits` the instances whose connection lists span
+    lines, and `compare` the comparison on each case's register added to an
+    arm that does not assign it."""
+    params = {"SW": 2, "NC": 4}
+    state, carry = ("SW-1" if "SW" in bounds else "1"), ("NC" if "NC" in bounds else "4")
+    lines = ["module top #(parameter W = 8) (input clk, input rst, input go, input [1:0] sel,",
+             "    input [W-1:0] a, b, output reg [W-1:0] z, output [3:0] s);"]
+    lines += [f"    parameter {p} = {params[p]};" for p in sorted(bounds)]
+    lines += [f"    reg [{state}:0] state;", "    reg flag;", f"    wire [{carry}:0] c;",
+              "    assign c[0] = 1'b0;"]
+    for i, split in enumerate(splits):
+        ports = [f".ai(a[{i}])", f".bi(b[{i}])", f".ci(c[{i}])", f".so(s[{i}])", f".co(c[{i + 1}])"]
+        lines.append(f"    full_adder fa{i} (" + (",\n        " if split else ", ").join(ports) + ");")
+    arm = (compare or "{stmt}").format
+    if fsm:
+        lines += ["    always @(posedge clk) begin",
+                  "        if (rst) state <= 2'd0;",
+                  "        else case (state)",
+                  "            2'd0: begin flag <= 1'b1; if (go) state <= 2'd1; end",
+                  "            2'd1: " + arm(r="state", stmt="flag <= 1'b0;"),
+                  "            default: state <= 2'd0;",
+                  "        endcase",
+                  "    end"]
+    lines += ["    always @(posedge clk)", "        case (sel)",
+              "            2'd0: " + arm(r="sel", stmt="z <= a;"),
+              "            default: z <= b;", "        endcase", "endmodule", ""]
+    return "\n".join(lines)
+
+
+# a name that holds a keyword, such as `endcase_3`, `n3_endcase` or `endcase3`
+_renamed = st.builds(lambda k, form: form.replace("{k}", k), st.sampled_from(sorted(VERILOG_KEYWORDS)),
+                     st.sampled_from(["{k}_{i}", "n{i}_{k}", "{k}{i}"]))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(fsm=st.booleans(), names=st.lists(_renamed, min_size=len(REWRITE_NAMES),
+                                         max_size=len(REWRITE_NAMES)),
+       bounds=st.sets(st.sampled_from(["SW", "NC"])),
+       splits=st.lists(st.booleans(), min_size=4, max_size=4),
+       compare=st.none() | st.sampled_from(ARM_COMPARES))
+def test_fingerprint_invariant_under_meaning_keeping_rewrites(fsm, names, bounds, splits, compare):
+    base = fingerprint(rewritable(fsm, set(), [False] * 4, None)).to_dict()
+    assert base["fsm_detected"] == fsm and base["instance_groups"] == {"full_adder": 4}
+    assert base["carry_chain_detected"] and base["register_bits"] == 8 + 2 + 1
+    # each new name holds its own index, so no two names collide
+    mapping = {old: new.format(i=i) for i, (old, new) in enumerate(zip(REWRITE_NAMES, names))}
+    text = re.sub(r"\b\w+\b", lambda m: mapping.get(m[0], m[0]),
+                  rewritable(fsm, bounds, splits, compare))
+    assert fingerprint(text).to_dict() == base
 
 
 @settings(max_examples=60, deadline=None)
