@@ -78,14 +78,14 @@ _CASE_RE = re.compile(r"\bcase[xz]?\b\s*\(\s*([A-Za-z_]\w*)")
 _ENDCASE_RE = re.compile(r"\bendcase\b")
 _PAREN_RE = re.compile(r"[()]")
 _CONN_IDENT_RE = re.compile(r"[A-Za-z_]\w*(?:\s*\[\s*\d+\s*\])?")
-# a statement's start: a line start, or after `;`, `:`, `)`, `begin` or `else`; so
-# the `<=` of a comparison inside an expression or a condition assigns nothing
-_STATEMENT = r"(?:^[^\S\n]*|(?:[;:)]|\bbegin\b|\belse\b)\s*)"
-# an assignment, `<=` or `=` but not the `==` of a comparison, to a name or an item of it
-_ASSIGN_RE = re.compile(rf"{_STATEMENT}([A-Za-z_]\w*)\s*(?:\[[^\][;]*\])?\s*(?:<=|=(?!=))",
-                        re.MULTILINE)
-_NONBLOCKING_RE = re.compile(rf"{_STATEMENT}([A-Za-z_]\w*)\s*(?:\[[^\]]*\])?\s*<=\s*([^;]+);",
-                             re.MULTILINE)
+# an assignment's target, a name or an item of it, at a statement's start: a line start,
+# or after `;`, `:`, `)`, `begin`, `end` or `else`; so the `<=` of a comparison inside an
+# expression or a condition assigns nothing
+_TARGET = r"(?:^[^\S\n]*|(?:[;:)]|\b(?:begin|end|else)\b)\s*)([A-Za-z_]\w*)\s*(?:\[[^\][;]*\])?\s*"
+# an assignment, `<=` or `=` but not the `==` of a comparison
+_ASSIGN_RE = re.compile(rf"{_TARGET}(?:<=|=(?!=))", re.MULTILINE)
+# a non-blocking assignment and its right-hand side; the `;` is left to start the next statement
+_NONBLOCKING_RE = re.compile(rf"{_TARGET}<=\s*([^;]+)(?=;)", re.MULTILINE)
 _IDENT_RE = re.compile(r"[A-Za-z_]\w*")
 _OPERATORS = [
     ("<<", "shl"), (">>", "shr"), ("==", "eq"), ("!=", "neq"),

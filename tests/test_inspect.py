@@ -122,6 +122,20 @@ def test_fsm_comparison_on_the_case_register_is_no_assignment(compare):
     assert not fingerprint(SEL_MUX.replace("==", compare)).fsm_detected
 
 
+@pytest.mark.parametrize("arm, fsm", [
+    ("begin flag <= 1'b1; state <= 1'b1; end", True),
+    ("begin if (flag) begin flag <= 1'b0; end state <= 1'b1; end", True),
+    ("if (flag) flag <= 1'b0; else state <= 1'b1;", True),
+    ("if (flag) state[0] <= 1'b1;", True),
+    ("begin flag <= state; end", False),
+])
+def test_fsm_state_assigned_at_each_statement_start(arm, fsm):
+    # one arm alone may assign `state`, after a `;`, `end`, `else` or `)` on its line
+    source = (TWO_STATE_FSM.replace("begin flag <= 1'b1; state <= 1'b1; end", arm)
+              .replace("begin flag <= 1'b0; state <= 1'b0; end", "flag <= 1'b0;"))
+    assert fingerprint(source).fsm_detected is fsm
+
+
 def test_async_reset_fsm_fixture():
     fp = fingerprint(FSM)
     assert fp.fsm_detected
@@ -379,14 +393,14 @@ def test_parameters_resolve_in_declared_ranges():
     assert timing.techniques == ["carry_lookahead_restructuring", "pipelining"]
 
 
-def clocked_module(statements: list[str]) -> str:
+def clocked_module(statements: list[str], sep: str = "\n        ") -> str:
     regs = sorted({s.split("<=")[0].strip() for s in statements})
     return (
         "module m (input clk, input [7:0] d, output [7:0] y);\n"
         f"    reg [7:0] {', '.join(regs)};\n"
-        "    always @(posedge clk) begin\n"
-        + "".join(f"        {s}\n" for s in statements)
-        + "    end\n    assign y = d;\nendmodule\n"
+        "    always @(posedge clk) begin"
+        + "".join(sep + s for s in statements)
+        + "\n    end\n    assign y = d;\nendmodule\n"
     )
 
 
@@ -417,11 +431,14 @@ def test_fingerprint_independent_of_statement_order(data, statements):
                  id="loop-then-register"),
     pytest.param(["b <= a;", "a <= d;", "c <= b ^ e;", "e <= c;", "f <= e;"], 3,
                  id="chain-through-loop"),
+    pytest.param(["a <= d;", "b <= a;", "c <= b;"], 2, id="chain"),
 ])
 def test_pipeline_stages_counts_each_loop_once(statements, stages):
-    fp = fingerprint(clocked_module(statements))
-    assert fp.pipeline_stages == stages
-    assert fp.warnings == []
+    # a `;` ends one statement and starts the next, also on one line
+    for sep in ("\n        ", " "):
+        fp = fingerprint(clocked_module(statements, sep))
+        assert fp.pipeline_stages == stages
+        assert fp.warnings == []
 
 
 def test_pipeline_stages_cap_is_noted():
