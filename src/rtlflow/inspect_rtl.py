@@ -68,11 +68,12 @@ _RANGE_RE = re.compile(rf"\[{_BOUND}:{_BOUND}\]")
 # hold one `(...)`), and an item of it that ends in a plain decimal default (not `2'd0`)
 _PARAM_DECL_RE = re.compile(r"\b(?:parameter|localparam)\b((?:[^;()]|\([^;()]*\))*)")
 _PARAM_ITEM_RE = re.compile(r"([A-Za-z_]\w*)\s*=\s*(\d+)\s*$")
-# a `reg` declaration's names, to its `;`, a port list's `);` or the next port's direction
-_REG_DECL_RE = re.compile(r"\breg\b(?:\s+signed)?\s*(\[[^\]]*\])?\s*([^;]+?)\s*"
+# a `reg` declaration's names, with the blanks around them, to its `;`, a port list's `);` or
+# the next port's direction, but never across another `reg`; its range crosses no `[` or `;`
+_REG_DECL_RE = re.compile(r"\breg\b(?:\s+signed)?(?:\s*(\[[^\[\];]*\]))?((?:(?!\breg\b)[^;])+?)"
                           r"(?=;|\)\s*;|,\s*(?:input|output|inout)\b)")
 _INSTANCE_RE = re.compile(
-    r"^[^\S\n]*([A-Za-z_]\w*)\s*(#\s*\([^;]*?\))?\s+([A-Za-z_]\w*)\s*\(", re.MULTILINE
+    r"^[^\S\n]*([A-Za-z_]\w*)(?:\s*(#\s*\([^;#]*?\)))?\s+([A-Za-z_]\w*)\s*\(", re.MULTILINE
 )
 _CASE_RE = re.compile(r"\bcase[xz]?\b\s*\(\s*([A-Za-z_]\w*)")
 _ENDCASE_RE = re.compile(r"\bendcase\b")
@@ -81,11 +82,11 @@ _CONN_IDENT_RE = re.compile(r"[A-Za-z_]\w*(?:\s*\[\s*\d+\s*\])?")
 # an assignment's target, a name or an item of it, at a statement's start: a line start,
 # or after `;`, `:`, `)`, `begin`, `end` or `else`; so the `<=` of a comparison inside an
 # expression or a condition assigns nothing
-_TARGET = r"(?:^[^\S\n]*|(?:[;:)]|\b(?:begin|end|else)\b)\s*)([A-Za-z_]\w*)\s*(?:\[[^\][;]*\])?\s*"
+_TARGET = r"(?:^[^\S\n]*|(?:[;:)]|\b(?:begin|end|else)\b)\s*)([A-Za-z_]\w*)\s*(?:\[[^\][;]*\]\s*)?"
 # an assignment, `<=` or `=` but not the `==` of a comparison
 _ASSIGN_RE = re.compile(rf"{_TARGET}(?:<=|=(?!=))", re.MULTILINE)
 # a non-blocking assignment and its right-hand side; the `;` is left to start the next statement
-_NONBLOCKING_RE = re.compile(rf"{_TARGET}<=\s*([^;]+)(?=;)", re.MULTILINE)
+_NONBLOCKING_RE = re.compile(rf"{_TARGET}<=([^;]+)(?=;)", re.MULTILINE)
 _IDENT_RE = re.compile(r"[A-Za-z_]\w*")
 _OPERATORS = [
     ("<<", "shl"), (">>", "shr"), ("==", "eq"), ("!=", "neq"),
@@ -96,9 +97,9 @@ _OPERATORS = [
 # operator characters that are no operator: in `@(*)`, on a compiler-directive
 # line (`timescale 1ns/1ps), in a based literal, whose `?` is a wildcard, and
 # in a range or part-select (`[W-1:0]`, `[i*8 +: 8]`): a bracket holding a `:`
-# and no `?`
+# and no `?`, `[` or `;`
 _NOT_OPERATOR_RE = re.compile(
-    r"@[\s(]*\*|^[ \t]*`.*|'[sS]?[bodhBODH]\s*[\w?]+|\[[^\]?:]*:[^\]?]*\]", re.MULTILINE)
+    r"@[\s(]*\*|^[ \t]*`.*|'[sS]?[bodhBODH]\s*[\w?]+|\[[^\[\]?:;]*:[^\[\]?;]*\]", re.MULTILINE)
 
 
 def _count_operators(body: str) -> dict[str, int]:
@@ -114,8 +115,9 @@ def _count_operators(body: str) -> dict[str, int]:
 
 def _always_blocks(body: str) -> list[tuple[str, str]]:
     """Return (sensitivity, block_text) pairs; block text runs to the next
-    always/assign/endmodule at a coarse level (good enough for censusing)."""
-    matches = list(_ALWAYS_RE.finditer(body))
+    always/assign/endmodule at a coarse level (good enough for censusing).
+    The scan stops at the last `)`, where every header ends."""
+    matches = list(_ALWAYS_RE.finditer(body, 0, body.rfind(")") + 1))
     ends = [m.start() for m in matches[1:]] + [len(body)]
     return [(m.group(1), body[m.end(): end]) for m, end in zip(matches, ends)]
 
@@ -195,7 +197,7 @@ def _pipeline_stages(always_bodies: list[str]) -> int:
     caps the result at MAX_PIPELINE_STAGES and notes the cap in `warnings`."""
     edges: dict[str, set[str]] = {}  # register -> registers it reads
     for body in always_bodies:
-        for m in _NONBLOCKING_RE.finditer(body):
+        for m in _NONBLOCKING_RE.finditer(body, 0, body.rfind(";") + 1):  # each ends at a `;`
             edges.setdefault(m.group(1), set()).update(_IDENT_RE.findall(m.group(2)))
     regs = edges.keys() - VERILOG_KEYWORDS
     for lhs, srcs in edges.items():

@@ -90,25 +90,31 @@ def render_pct(value: Optional[float]) -> str:
 
 # --- parsing ---
 
-_CANON_LINE = re.compile(r"^\s*([a-z_]+)\s*:\s*(-?[\d.]+(?:[eE][+-]?\d+)?)\s*([^\s]*)\s*$")
+# a number, as every input file writes one: a sign, digits, an optional fraction and an
+# optional exponent; and a value: that number, then the unit token after it on its line
+NUMBER = r"-?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_VALUE = rf"({NUMBER})[^\S\n]*(\S*)"
 
-_DC_PATTERNS = {
-    "cell_area": re.compile(r"Total cell area\s*[:=]\s*(-?[\d.]+)[^\S\n]*(\S*)", re.IGNORECASE),
-    "design_area": re.compile(r"Total (?:design )?area\s*[:=]\s*(-?[\d.]+)[^\S\n]*(\S*)", re.IGNORECASE),
-    "combinational_area": re.compile(r"Combinational area\s*[:=]\s*(-?[\d.]+)[^\S\n]*(\S*)", re.IGNORECASE),
-    "sequential_area": re.compile(r"Noncombinational area\s*[:=]\s*(-?[\d.]+)[^\S\n]*(\S*)", re.IGNORECASE),
-    "dynamic_power": re.compile(r"Total Dynamic Power\s*=\s*(-?[\d.]+)[^\S\n]*(\S*)", re.IGNORECASE),
-    "leakage_power": re.compile(r"Cell Leakage Power\s*=\s*(-?[\d.]+)[^\S\n]*(\S*)", re.IGNORECASE),
-    "cell_internal_power": re.compile(r"Cell Internal Power\s*=\s*(-?[\d.]+)[^\S\n]*(\S*)", re.IGNORECASE),
-    "net_switching_power": re.compile(r"Net Switching Power\s*=\s*(-?[\d.]+)[^\S\n]*(\S*)", re.IGNORECASE),
-    "cp_length": re.compile(r"data arrival time\s+(-?[\d.]+)", re.IGNORECASE),
-    "total_negative_slack": re.compile(r"Total Negative Slack\s*[:=]?\s*(-?[\d.]+)", re.IGNORECASE),
-    "levels_of_logic": re.compile(r"Levels of Logic\s*[:=]?\s*(\d+)", re.IGNORECASE),
-}
-_DC_SLACK = re.compile(r"slack\s*\((MET|VIOLATED)\)\s*(-?[\d.]+)", re.IGNORECASE)
+_CANON_LINE = re.compile(rf"^\s*([a-z_]+)\s*:\s*{_VALUE}\s*$")
+
+# each metric's DC-style label, through the separator before its value
+_DC_PATTERNS = {name: re.compile(rf"{label}\s*{_VALUE}", re.IGNORECASE) for name, label in {
+    "cell_area": r"Total cell area\s*[:=]",
+    "design_area": r"Total (?:design )?area\s*[:=]",
+    "combinational_area": r"Combinational area\s*[:=]",
+    "sequential_area": r"Noncombinational area\s*[:=]",
+    "dynamic_power": r"Total Dynamic Power\s*=",
+    "leakage_power": r"Cell Leakage Power\s*=",
+    "cell_internal_power": r"Cell Internal Power\s*=",
+    "net_switching_power": r"Net Switching Power\s*=",
+    "cp_length": r"data arrival time\s",
+    "cp_slack": r"slack\s*\((?:MET|VIOLATED)\)",
+    "total_negative_slack": r"Total Negative Slack\s*[:=]?",
+    "levels_of_logic": r"Levels of Logic\s*[:=]?",
+}.items()}
 
 
-def _normalize(name: str, num: str, unit: str = "") -> float:
+def _normalize(name: str, num: str, unit: str) -> float:
     value = float(num)
     unit = unit.strip().lower()
     if name not in _UNITS or not unit:
@@ -123,7 +129,7 @@ def parse_report(text: str) -> PpaMetrics:
     """The metrics of a canonical or DC-style report, in canonical units.
 
     Three canonical lines naming known metrics make the report canonical;
-    otherwise two DC-style matches, or a DC slack line, make it DC-style.
+    otherwise two DC-style matches, or a `cp_slack` match, make it DC-style.
     Units are normalised only once the dialect is chosen, and the record is
     built by `errors.build`, which names a missing metric as a missing key."""
     if not text or not text.strip():
@@ -136,12 +142,9 @@ def parse_report(text: str) -> PpaMetrics:
         values = {name: _normalize(name, num, unit) for name, num, unit in canon}
     else:
         found = {name: m for name, pat in _DC_PATTERNS.items() if (m := pat.search(text))}
-        slack = _DC_SLACK.search(text)
-        if len(found) < 2 and not slack:
+        if len(found) < 2 and "cp_slack" not in found:
             raise RtlflowError("report matches neither canonical nor DC-style grammar")
         values = {name: _normalize(name, *m.groups()) for name, m in found.items()}
-        if slack:
-            values["cp_slack"] = float(slack.group(2))
     return build(PpaMetrics, values)
 
 

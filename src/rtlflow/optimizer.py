@@ -24,7 +24,7 @@ from .engine import apply_fixes, diagnose_failures, extract_tags, extract_verilo
 from .errors import RtlflowError, build, read_input, safe_load
 from .gateway import ChatMessage, Gateway, system, user
 from .inspect_rtl import _OPERATORS, DesignFingerprint, fingerprint
-from .metrics import ALL_FIELDS, PpaMetrics, emit_canonical
+from .metrics import ALL_FIELDS, NUMBER, PpaMetrics, emit_canonical
 from .prompts import render_prompt
 from .toolchain import VerificationOutcome
 
@@ -122,9 +122,7 @@ class OptimizedVariant:
 
 _FRONT_RE = re.compile(r"\A---\n(.*?)\n---\n(.*)\Z", re.DOTALL)
 _SNIPPET_RE = re.compile(r"```(?:verilog)?\n(.*?)```", re.DOTALL)
-_PRED_RE = re.compile(
-    r"^\s*(not\s+)?([a-z_]\w*)\s*(?:(>=|<=|>|<|==)\s*(-?(?:\d+(?:\.\d*)?|\.\d+)))?\s*$"
-)
+_PRED_RE = re.compile(rf"^\s*(not\s+)?([a-z_]\w*)\s*(?:(>=|<=|>|<|==)\s*({NUMBER}))?\s*$")
 
 # the design facts a predicate may name, each read from the fingerprint: the
 # signals the bundled cards read and the count of each census operator

@@ -189,19 +189,29 @@ def test_scanner_edge_cases(text, stripped, instances):
     assert _instances(stripped) == instances
 
 
-@pytest.mark.parametrize("row, rows", [
-    pytest.param("sub u{i} (.a(x{i})\n", 4000, id="unterminated-instances"),
-    pytest.param("case (s{i})\n", 4000, id="cases-without-endcase"),
-    pytest.param("\n", 40000, id="blank-lines"),
+@pytest.mark.parametrize("row, rows, groups", [
+    pytest.param("sub u{i} (.a(x{i})\n", 4000, {"sub": 4000}, id="unterminated-instances"),
+    pytest.param("case (s{i})\n", 4000, {}, id="cases-without-endcase"),
+    pytest.param("\n", 40000, {}, id="blank-lines"),
+    pytest.param("reg r{i}\n", 4000, {}, id="reg-without-semicolon"),
+    pytest.param("r{i} <= x{i}\n", 4000, {}, id="nonblocking-without-semicolon"),
+    # no `name (` follows any parameter list, so no row is an instance
+    pytest.param("sub #(.W(x{i}) u{i}\n", 4000, {}, id="parameter-list-without-ports"),
+    pytest.param("always @(posedge c{i}\n", 4000, {}, id="always-without-paren"),
+    pytest.param("assign y{i} = a[{i};\n", 8000, {}, id="select-without-bracket"),
+    pytest.param("reg [{i} r{i};\n", 8000, {}, id="reg-range-without-bracket"),
+    pytest.param("r{i}[{i} <= x{i}\n", 8000, {}, id="target-index-without-bracket"),
 ])
-def test_fingerprint_of_many_rows_takes_under_a_second(row, rows):
+def test_fingerprint_of_many_rows_takes_under_a_second(row, rows, groups):
     # a scan from each row to the text's end, or over every blank line after
-    # it, took 12-21 s on these texts
-    text = "module m;\n" + "".join(row.format(i=i) for i in range(rows)) + "endmodule\n"
+    # it, took 1-21 s on these texts; the rows sit in a clocked block, so the
+    # register and pipeline scans run too
+    text = ("module m;\nalways @(posedge clk) begin\n"
+            + "".join(row.format(i=i) for i in range(rows)) + "end\nendmodule\n")
     start = time.perf_counter()
     fp = fingerprint(text)
     assert time.perf_counter() - start < 1.0
-    assert fp.instance_groups == ({"sub": 4000} if "sub" in row else {})
+    assert fp.instance_groups == groups
 
 
 def test_string_literals_do_not_leak_tokens():

@@ -85,13 +85,45 @@ def test_parse_unknown_dialect_and_empty():
 ])
 def test_dialect_rule(text, expected):
     """Three canonical lines naming known metrics make a report canonical;
-    otherwise two DC-style matches or a DC slack line make it DC-style;
+    otherwise two DC-style matches or a `cp_slack` match make it DC-style;
     units are normalised only after that choice."""
     if expected == "DC":
         assert parse_report(text) == parse_report(DC_RPT)
     else:
         with pytest.raises((RtlflowError, ValueError), match=expected):
             parse_report(text)
+
+
+@pytest.mark.parametrize("old, new, name, expected", [
+    # an exponent in each unit class
+    pytest.param("Total cell area:               510.07", "Total cell area: 5.1007e+02",
+                 "cell_area", 510.07, id="area-exponent"),
+    pytest.param("Total Dynamic Power    =  19.6200 uW", "Total Dynamic Power = 1.962E-02 mW",
+                 "dynamic_power", 19.62, id="power-exponent"),
+    pytest.param("data arrival time      1.79", "data arrival time 179e-2", "cp_length", 1.79,
+                 id="time-exponent"),
+    pytest.param("-1.50", "-15e-1", "cp_slack", -1.5, id="slack-exponent"),
+    # slack and TNS are scaled like every other time
+    pytest.param("-1.50", "-250 ps", "cp_slack", -0.25, id="slack-in-ps"),
+    pytest.param("-1.50", "-1.50\nTotal Negative Slack: -500 ps", "total_negative_slack", -0.5,
+                 id="tns-in-ps"),
+    pytest.param("-1.50", "-1.50\nLevels of Logic: 12.00", "levels_of_logic", 12,
+                 id="whole-levels-of-logic"),
+])
+def test_dc_style_values(old, new, name, expected):
+    assert old in DC_RPT
+    assert getattr(parse_report(DC_RPT.replace(old, new)), name) == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("new, error, message", [
+    pytest.param("-1.50\nLevels of Logic: 3.5", ValueError,
+                 "^levels_of_logic: expected int, got 3.5$", id="fractional-levels-of-logic"),
+    pytest.param("-1.50 acres", RtlflowError, "^cp_slack: unknown unit 'acres'$",
+                 id="unknown-unit-after-slack"),
+])
+def test_dc_style_bad_values(new, error, message):
+    with pytest.raises(error, match=message):
+        parse_report(DC_RPT.replace("-1.50", new))
 
 
 def test_unit_normalization():
@@ -123,17 +155,33 @@ def test_canonical_round_trip(name):
 
 
 metric_floats = st.floats(min_value=0.01, max_value=1e6, allow_nan=False)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
+random_metrics = given(
     cell=metric_floats, extra=st.floats(min_value=0, max_value=1e5),
     dyn=metric_floats, leak=metric_floats, cp=metric_floats,
     slack=st.one_of(st.none(), st.floats(min_value=-100, max_value=100)),
 )
+
+
+@settings(max_examples=100, deadline=None)
+@random_metrics
 def test_round_trip_random_metrics(cell, extra, dyn, leak, cp, slack):
     m = PpaMetrics(cell, cell + extra, dyn, leak, cp, cp_slack=slack)
-    again = parse_report(emit_canonical(m))
+    _assert_headline_close(m, parse_report(emit_canonical(m)))
+
+
+@settings(max_examples=100, deadline=None)
+@random_metrics
+def test_dc_style_round_trip_random_metrics(cell, extra, dyn, leak, cp, slack):
+    m = PpaMetrics(cell, cell + extra, dyn, leak, cp, cp_slack=slack)
+    text = (f"Total cell area: {cell:e}\nTotal area: {cell + extra:e}\n"
+            f"Total Dynamic Power = {dyn:e} uW\nCell Leakage Power = {leak:e} uW\n"
+            f"  data arrival time      {cp:e}\n")
+    if slack is not None:
+        text += f"  slack ({'MET' if slack >= 0 else 'VIOLATED'})      {slack:e}\n"
+    _assert_headline_close(m, parse_report(text))
+
+
+def _assert_headline_close(m, again):
     for name in HEADLINE_METRICS:
         a, b = getattr(m, name), getattr(again, name)
         if a is None:

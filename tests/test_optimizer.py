@@ -161,6 +161,13 @@ def test_eval_predicate_forms():
         eval_predicate("3 > register_bits", ctx)
 
 
+def test_predicate_threshold_has_the_report_number_grammar():
+    card = _parse_card(CARD_OK.replace("register_bits > 0", "cp_length > 1e3"), "demo.md")
+    assert card.predicates == ["cp_length > 1e3"]
+    assert eval_predicate(card.predicates[0], {"cp_length": 1500.0})
+    assert not eval_predicate(card.predicates[0], {"cp_length": 5.77})
+
+
 # --- selection on the ripple-adder case study ---
 
 @pytest.fixture(scope="module")
